@@ -6,9 +6,11 @@ For a base m in {64, 108, 256, 1728} and shift d, consider
 
 where w_m(k) is the matching product of central binomials.  The theorems
 say S(d) = 0 exactly when d has one specific parity, and that parity is a
-quadratic-residue datum of p (it differs from base to base).  The batched
-sweep computes all p shifts of all four bases in one pass; below, each
-column is a shift d and a '.' marks a vanishing sum.
+quadratic-residue datum of p (it differs from base to base).  The shift
+engine behind ``PrimeContext.sweep`` gets all p shifts of a base in O(p):
+it sums S(0) and S(1) directly and steps the rest through the certified
+relation c(d) S(d) - c(d+1) S(d+2) = R_d, e.g. c(d) = (2d+1)^2 for base 64.
+Below, each column is a shift d and a '.' marks a vanishing sum.
 """
 
 from binomsums import PrimeContext, legendre_symbol

@@ -2,8 +2,10 @@
 
 Two engines live here:
 
-* a vectorized Pascal-row sweep producing, for every shift d at once, the
-  weighted sums  S[d] = sum_{k<p} w_k C(2k, k+d)  (mod p^K), and
+* a shift engine producing, for every shift d < p at once, the weighted sums
+  S(d) = sum_{k<p} w(k) C(2k, k+d)  (mod p^K)  in O(p), by stepping the
+  creative-telescoping relations d -> d+2 that ``identities`` verifies
+  exactly, and
 * a packed big-integer self-convolution used for the double sums (one
   multiplication instead of an O(p^2) loop).
 
@@ -12,62 +14,100 @@ Both are exact; the test suite pins them against the direct evaluators.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import NamedTuple
+
+from .arith import FactorialTables
 
 
-def central_shift_sweep(
-    p: int, kexp: int, weights: dict[str, list[int]]
-) -> dict[str, list[int]]:
-    """S[name][d] = sum_{k=0}^{p-1} weights[name][k] * C(2k, k+d) mod p^kexp.
+class ShiftFamily(NamedTuple):
+    """One weight family w(k) = C(a k, b k) C(c k, e k) / base^k.
 
-    The row r_k[d] = C(2k, k+d) for d = 0..p-1 advances two Pascal steps at a
-    time through the 1-2-1 stencil
+    With c(x) = (step*x + r1)(step*x + r2), its shifted sums over k < P obey
 
-        C(2k+2, k+1+d) = C(2k, k+d-1) + 2 C(2k, k+d) + C(2k, k+d+1),
+        c(d) S(d) - c(d+1) S(d+2)
+            = c(-P) (d+1) C(2P, P+d+1) / P * w(P-1),
 
-    where the d = 0 case uses the reflection C(2k, k-1) = C(2k, k+1).  Weight
-    lists must already be reduced mod p^kexp.
+    the step relation that ``identities.verify_shift_step_base64`` and
+    ``verify_shift_step_threeproduct`` check over the rationals.
     """
-    pk = p**kexp
-    # int64 is safe while stride accumulations of (pk-1)^2 stay under 2^63
-    if pk * pk * 4 <= 2**62:
-        dtype = np.int64
-        stride = max(1, (2**62) // (pk * pk))
-    else:
-        dtype = object
-        stride = 4096
-    row = np.zeros(1, dtype=dtype)  # support of C(2k, k+d) is d <= k
-    row[0] = 1
-    sums = {}
-    warr = {}
-    for name, w in weights.items():
-        if len(w) != p:
-            raise ValueError("weight list must have one entry per k < p")
-        sums[name] = np.zeros(p, dtype=dtype)
-        warr[name] = [int(v) % pk for v in w]
-    pending = 0
-    for k in range(p):
-        s = row.shape[0]
-        for name, w in warr.items():
-            t = w[k]
-            if t:
-                sums[name][:s] += t * row
-        pending += 1
-        if pending >= stride:
-            for acc in sums.values():
-                acc %= pk
-            pending = 0
-        if k + 1 < p:
-            s2 = min(k + 2, p)
-            new = np.zeros(s2, dtype=dtype)
-            new[:s] = 2 * row
-            new[: s - 1] += row[1:]
-            new[1:s2] += row[: s2 - 1]
-            if s > 1:
-                new[0] += row[1]
-            new %= pk
-            row = new
-    return {name: [int(v) % pk for v in s] for name, s in sums.items()}
+
+    step: int
+    offsets: tuple[int, int]
+    binomials: tuple[tuple[int, int], tuple[int, int]]
+
+    def coeff(self, x: int) -> int:
+        """c(x) = (step*x + r1)(step*x + r2)."""
+        r1, r2 = self.offsets
+        return (self.step * x + r1) * (self.step * x + r2)
+
+
+SHIFT_FAMILIES = {
+    64: ShiftFamily(2, (1, 1), ((2, 1), (2, 1))),
+    108: ShiftFamily(3, (1, 2), ((2, 1), (3, 1))),
+    256: ShiftFamily(4, (1, 3), ((2, 1), (4, 2))),
+    1728: ShiftFamily(6, (1, 5), ((3, 1), (6, 3))),
+}
+
+
+def direct_shift_sum(p: int, weights: list[int], d: int, tables: FactorialTables) -> int:
+    """sum_{d<=k<p} weights[k] * C(2k, k+d) mod p^K, one term at a time."""
+    kexp, pk = tables.k, tables.pk
+    val, unit, inv = tables.val, tables.unit, tables.inv_unit
+    pp = [p**i for i in range(kexp)]
+    total = 0
+    for k in range(d, p):
+        w = weights[k]
+        if w:
+            v = val[2 * k] - val[k + d] - val[k - d]
+            if v < kexp:
+                total += w * pp[v] * unit[2 * k] % pk * inv[k + d] % pk * inv[k - d]
+    return total % pk
+
+
+def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -> list[int]:
+    """S(d) = sum_{k<p} weights[k] * C(2k, k+d) mod p^K for every d < p.
+
+    ``weights`` are the residues of ``SHIFT_FAMILIES[base]`` at k < p and
+    ``tables`` must reach n! for n <= step*p.  S(0) and S(1) are summed
+    directly; every further S(d+2) comes from the step relation, divided by
+    c(d+1) through 1/m = inv_unit[m] * unit[m-1], except where p | c(d+1):
+    there S(d+2) is summed directly again (at most twice per family).
+    C(2p, p+d+1)/p is a unit for d <= p-2, read from the same tables.
+
+    S(p-1), S(p-2) and S((p-1)/2) are then summed directly as well, so a wrong
+    seed or step cannot certify itself; a mismatch raises ArithmeticError.
+    """
+    fam = SHIFT_FAMILIES[base]
+    kexp, pk = tables.k, tables.pk
+    unit, inv = tables.unit, tables.inv_unit
+    if len(weights) != p or tables.limit < fam.step * p:
+        raise ValueError("need one weight per k < p and tables up to step*p")
+    step, (r1, r2) = fam.step, fam.offsets
+    # c(-p) * w(p-1); w(p-1) has valuation >= 2, so this is 0 for K <= 2
+    front = fam.coeff(-p) * weights[p - 1] % pk
+    out = [0] * p
+    out[0] = direct_shift_sum(p, weights, 0, tables)
+    out[1] = direct_shift_sum(p, weights, 1, tables)
+    for d in range(p - 2):
+        m1 = step * d + step + r1  # c(d+1) = m1 * m2
+        m2 = m1 + r2 - r1
+        if m1 % p == 0 or m2 % p == 0:
+            out[d + 2] = direct_shift_sum(p, weights, d + 2, tables)
+            continue
+        acc = (m1 - step) * (m2 - step) * out[d]
+        if front:
+            acc -= front * (d + 1) % pk * unit[2 * p] % pk * inv[p + d + 1] % pk * inv[p - d - 1]
+        out[d + 2] = (
+            acc % pk * inv[m1] % pk * unit[m1 - 1] % pk * inv[m2] % pk * unit[m2 - 1] % pk
+        )
+    for d in (p - 1, p - 2, (p - 1) // 2):
+        direct = direct_shift_sum(p, weights, d, tables)
+        if direct != out[d]:
+            raise ArithmeticError(
+                f"shift engine mismatch at p={p}, base={base}, d={d}, K={kexp}: "
+                f"step relation gives {out[d]}, direct sum gives {direct}"
+            )
+    return out
 
 
 def self_convolution_mod(values: list[int], modulus: int) -> list[int]:

@@ -52,8 +52,15 @@ class RunConfig:
                 raise ValueError("prime range must start at 5 or above")
             if self.hi < self.lo:
                 raise ValueError("empty prime range")
-        elif not self.primes or min(self.primes) < 5:
-            raise ValueError("explicit prime list must contain primes >= 5")
+        elif not self.primes:
+            raise ValueError("explicit prime list is empty")
+        else:
+            bad = [q for q in self.primes if q < 5 or not is_prime(q)]
+            if bad:
+                raise ValueError(
+                    "prime list entries must be primes >= 5, got "
+                    + ", ".join(map(str, bad))
+                )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.fmt not in FORMATS:
@@ -68,7 +75,7 @@ class RunConfig:
 
     def prime_iter(self) -> list[int]:
         if self.primes is not None:
-            return sorted({p for p in self.primes if is_prime(p)})
+            return sorted(set(self.primes))
         return primes_in_range(self.lo, self.hi)
 
 

@@ -15,8 +15,9 @@ Two evaluation paths exist and are pinned against each other by the tests:
 * ``check`` runs a single row at a single prime through the direct reference
   evaluators (plain streamed sums, one term at a time);
 * ``run_suite`` batches rows over many primes, sharing per-prime inverse and
-  factorial tables, running-sum menus, and the vectorized Pascal-row sweep
-  that produces all shifted sums S(d) of a family at once.
+  factorial tables, running-sum menus, and the shift engine, which produces
+  all shifted sums S(d) of a family at once in O(p) by stepping the certified
+  d -> d+2 relations from two direct seeds.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
 ``experimental-fail`` for conjectural ones, and ``skipped`` when a row's side
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from ._sweeps import central_shift_sweep, self_convolution_mod
+from ._sweeps import SHIFT_FAMILIES, self_convolution_mod, shift_sums
 from .arith import (
     FactorialTables,
     binomial_factored,
@@ -93,8 +94,7 @@ class RowSpec:
     param_values: Callable[[int], tuple[int, ...]] | None = None
     conjectural: Callable[[int, int | None], bool] = lambda p, v: False
     experimental: bool = False
-    sweep_base: int | None = None  # shift family served by the batched sweep
-    sweep_shift: int | None = None  # fixed shift d for non-parameterized rows
+    sweep_base: int | None = None  # shift family served by the shift engine
 
     def exponent(self, p: int) -> int:
         return self.modulus_exp(p) if callable(self.modulus_exp) else self.modulus_exp
@@ -126,7 +126,16 @@ _FAMILY_RATIOS: dict[str, Callable[[int], tuple[tuple[int, ...], tuple[int, ...]
     ),
 }
 
+# ratio-stream family of each shift family (the reference path's weights)
 _SWEEP_FAMILY = {64: "c2sq", 108: "c2c3", 256: "c2c4", 1728: "c3c6"}
+
+
+def _tail_error(stream: str, p: int, k: int, val: int) -> ArithmeticError:
+    """The invariant v_p(C(2k,k)^2) >= 2 for (p+1)/2 <= k < p was broken."""
+    return ArithmeticError(
+        f"{stream}: squared central binomial tail valuation {val} < 2 "
+        f"at p={p}, k={k}"
+    )
 
 
 @lru_cache(maxsize=1)
@@ -166,11 +175,18 @@ class PrimeContext:
             self._cache[key] = inverse_table(6 * self.p + 8, self.p, kexp)
         return self._cache[key]
 
-    def tables(self, kexp: int) -> FactorialTables:
+    def tables(self, kexp: int, limit: int = 0) -> FactorialTables:
+        """Factorial tables mod p^kexp reaching n! for n <= max(3p, limit).
+
+        One table per exponent: a request past the cached limit rebuilds it
+        at the larger size, which then serves every smaller request.
+        """
         key = ("tables", kexp)
-        if key not in self._cache:
-            self._cache[key] = FactorialTables(self.p, kexp, 3 * self.p)
-        return self._cache[key]
+        cached = self._cache.get(key)
+        if cached is None or cached.limit < limit:
+            cached = FactorialTables(self.p, kexp, max(3 * self.p, limit))
+            self._cache[key] = cached
+        return cached
 
     def legendre(self, a: int) -> int:
         key = ("leg", a)
@@ -219,29 +235,53 @@ class PrimeContext:
             yield k, val, unit
 
     def weights(self, base: int, kexp: int) -> list[int]:
-        """Residues of the sweep family for ``base`` at every k < p."""
+        """Residues of the shift family for ``base`` at every k < p.
+
+        w(k) = C(a k, b k) C(c k, e k) / base^k, read from the factorial
+        tables (valuation and unit of each binomial) with no term stream.
+        """
         key = ("w", base, kexp)
         if key not in self._cache:
-            pkv = self.pk(kexp)
-            pp = [self.p**i for i in range(kexp)]
-            out = [
-                pp[val] * unit % pkv if val < kexp else 0
-                for _, val, unit in self._terms(
-                    _SWEEP_FAMILY[base], base, kexp, self.p - 1
-                )
-            ]
+            p = self.p
+            fam = SHIFT_FAMILIES[base]
+            tables = self.tables(kexp, fam.step * p)
+            pkv, val, unit, inv = tables.pk, tables.val, tables.unit, tables.inv_unit
+            pp = [p**i for i in range(kexp)]
+            (a, b), (c, e) = fam.binomials
+            binv = mod_inverse(base % pkv, pkv)
+            out = []
+            scale = 1  # base^-k
+            for k in range(p):
+                ak, bk, ck, ek = a * k, b * k, c * k, e * k
+                v = val[ak] - val[bk] - val[ak - bk] + val[ck] - val[ek] - val[ck - ek]
+                if v < kexp:
+                    out.append(
+                        pp[v] * scale % pkv * unit[ak] % pkv * inv[bk] % pkv
+                        * inv[ak - bk] % pkv * unit[ck] % pkv * inv[ek] % pkv
+                        * inv[ck - ek] % pkv
+                    )
+                else:
+                    out.append(0)
+                scale = scale * binv % pkv
             self._cache[key] = out
         return self._cache[key]
 
     def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
-        """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp."""
+        """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp.
+
+        Each family's p sums come from the O(p) step-relation engine
+        ``shift_sums``; one factorial table, sized for the widest requested
+        family, serves the weights and the engine of every family.
+        """
+        bases = tuple(bases)
         missing = [b for b in bases if ("sweep", b, kexp) not in self._cache]
         if missing:
-            out = central_shift_sweep(
-                self.p, kexp, {str(b): self.weights(b, kexp) for b in missing}
-            )
+            limit = max(SHIFT_FAMILIES[b].step for b in missing) * self.p
+            tables = self.tables(kexp, limit)
             for b in missing:
-                self._cache[("sweep", b, kexp)] = out[str(b)]
+                self._cache[("sweep", b, kexp)] = shift_sums(
+                    self.p, b, self.weights(b, kexp), tables
+                )
         return {b: self._cache[("sweep", b, kexp)] for b in bases}
 
     # --- running-sum menus ----------------------------------------------
@@ -252,7 +292,7 @@ class PrimeContext:
         Returns A = sum of terms, Ak = sum of k*term, Ak2 = sum of k^2*term,
         and Acat = sum of C(2k,k)*Catalan(k)/base^k (i.e. term/(k+1)).  The
         tail valuation invariant v_p(C(2k,k)^2) >= 2 for (p+1)/2 <= k < p is
-        asserted as the stream passes through it.
+        checked as the stream passes through it (ArithmeticError if broken).
         """
         key = ("sqmenu", base, kexp, full)
         if key in self._cache:
@@ -265,8 +305,8 @@ class PrimeContext:
         tail = (p + 1) // 2
         a = ak = ak2 = acat = 0
         for k, val, unit in self._terms("c2sq", base, kexp, hi):
-            if k >= tail:
-                assert val >= 2, "central binomial square tail valuation"
+            if k >= tail and val < 2:
+                raise _tail_error(f"central_square_menu(base={base})", p, k, val)
             if val < kexp:
                 t = pp[val] * unit % pkv
                 a += t
@@ -293,8 +333,8 @@ class PrimeContext:
         tail = (p + 1) // 2
         a3 = a3k = 0
         for k, val, unit in self._terms("c2cube", base, kexp, p - 1):
-            if k >= tail:
-                assert val >= 2, "central binomial cube tail valuation"
+            if k >= tail and val < 2:
+                raise _tail_error(f"central_cube_menu(base={base})", p, k, val)
             if val < kexp:
                 t = pp[val] * unit % pkv
                 a3 += t
@@ -351,7 +391,7 @@ class PrimeContext:
 def _reference_shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
     """sum_{k<p} w_base[k] * C(2k, k+d) mod p^kexp, term by factored term.
 
-    Asserts the tail valuation invariant for every summand that contains a
+    Checks the tail valuation invariant for every summand that contains a
     squared central binomial: the whole weight for base 64, and weight plus
     C(2k,k) itself for the d = 0 sums of the 108 and 256 families.
     """
@@ -362,23 +402,23 @@ def _reference_shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int
     tail = (p + 1) // 2
     total = 0
     for k, wval, wunit in ctx._terms(_SWEEP_FAMILY[base], base, kexp, p - 1):
-        if base == 64 and k >= tail:
-            assert wval >= 2, "squared central binomial tail valuation"
+        if base == 64 and k >= tail and wval < 2:
+            raise _tail_error(f"_reference_shift_sum(base=64, d={d})", p, k, wval)
         if k + d > 2 * k:
             continue
         row = binomial_factored(2 * k, k + d, p, kexp, tables)
         val = wval + row.valuation
-        if d == 0 and base in (108, 256) and k >= tail:
-            assert val >= 2, "squared central binomial tail valuation"
+        if d == 0 and base in (108, 256) and k >= tail and val < 2:
+            raise _tail_error(f"_reference_shift_sum(base={base}, d=0)", p, k, val)
         if val < kexp:
             total += pp[val] * wunit % pkv * row.unit_value % pkv
     return total % pkv
 
 
 def _shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
-    """Shifted family sum, from the batched sweep when one is already cached
-    for this (base, exponent) — run_suite primes that cache — and otherwise
-    through the term-by-term reference path."""
+    """Shifted family sum, from the shift engine's output when one is already
+    cached for this (base, exponent) — run_suite primes that cache — and
+    otherwise through the term-by-term reference path."""
     cached = ctx._cache.get(("sweep", base, kexp))
     if cached is not None:
         return cached[d]
@@ -404,8 +444,8 @@ def _sum_square_shift1(ctx: PrimeContext, kexp: int, base: int) -> int:
             m //= p
             e += 1
         v = val - e
-        if k >= tail:
-            assert v >= 2, "squared central binomial tail valuation"
+        if k >= tail and v < 2:
+            raise _tail_error(f"_sum_square_shift1(base={base})", p, k, v)
         if 0 <= v < kexp:
             total += pp[v] * unit % pkv * (k % pkv) % pkv * inv[m] % pkv
     return total % pkv
@@ -616,8 +656,8 @@ def _eval_c1_24(ctx, kexp, _):
     tail = (p + 1) // 2
     total = 0
     for k, wval, wunit in ctx._terms("c2sq", 108, kexp, p - 1):
-        if k >= tail:
-            assert wval >= 2, "squared central binomial tail valuation"
+        if k >= tail and wval < 2:
+            raise _tail_error("C1_24", p, k, wval)
         b = binomial_factored(3 * k, k + 1, p, kexp, tables)
         if b.is_zero:
             continue
@@ -873,7 +913,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "shift-one squared-central sum over 64^k for p = 3 (mod 4)",
         lambda p: p % 4 == 3,
         sweep_base=64,
-        sweep_shift=1,
     ),
     RowSpec(
         "C1_7a", 2,
@@ -927,21 +966,18 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C(2k,k)^2 C(3k,k)/108^k sum vs weight-3 eta-product coefficient",
         lambda p: p >= 5,
         sweep_base=108,
-        sweep_shift=0,
     ),
     RowSpec(
         "C1_14c", 2,
         "C(2k,k)^2 C(4k,2k)/256^k sum vs weight-3 eta-product coefficient",
         lambda p: p >= 5,
         sweep_base=256,
-        sweep_shift=0,
     ),
     RowSpec(
         "C1_15", 2,
         "C(2k,k) C(3k,k) C(6k,3k)/1728^k sum vs eta-product coefficient",
         lambda p: p >= 5,
         sweep_base=1728,
-        sweep_shift=0,
     ),
     RowSpec(
         "C1_19", 2,
@@ -972,14 +1008,12 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "256-family sum at shift 0 vs the x^2+2y^2 form for p = 3 (mod 8)",
         lambda p: p % 8 == 3,
         sweep_base=256,
-        sweep_shift=0,
     ),
     RowSpec(
         "C1_23", 2,
         "1728-family sum at shift 0 vs the x^2+y^2 form for p = 5 (mod 12)",
         lambda p: p % 12 == 5,
         sweep_base=1728,
-        sweep_shift=0,
     ),
     RowSpec(
         "C1_24", 2,
@@ -991,14 +1025,12 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "256-family sum at shift 1 vanishes for p = 1,3 (mod 8)",
         lambda p: p % 8 in (1, 3),
         sweep_base=256,
-        sweep_shift=1,
     ),
     RowSpec(
         "C1_26", 2,
         "1728-family sum at shift 1 vanishes for p = 1 (mod 4)",
         lambda p: p % 4 == 1,
         sweep_base=1728,
-        sweep_shift=1,
     ),
     RowSpec(
         "CL3_2", 3,
@@ -1181,7 +1213,7 @@ def _suite_for_prime(
 ) -> list[CongruenceReport]:
     ctx = PrimeContext(p)
     rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
-    # one batched sweep per modulus exponent covers every shift family
+    # one shift-engine pass per (family, modulus exponent) serves every row
     by_exp: dict[int, list[int]] = {}
     for row in rows:
         if row.sweep_base is not None and row.applies(p):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._sweeps import SHIFT_FAMILIES
 from .sequences import delannoy_poly, f_poly, schroder_poly
 
 
@@ -429,10 +430,36 @@ def verify_macmahon_cubes(n_max: int) -> IdentityRecord:
     return _record("macmahon_cubes", f"n<={n_max}", checks, witness)
 
 
-def _u_base64(P: int, d: int) -> Fraction:
-    return sum(
-        Fraction(comb(2 * k, k) ** 2 * comb(2 * k, k + d), 64**k) for k in range(P)
-    )
+def _shift_step_witness(base: int, P: int, d_max: int) -> tuple[int, int | None]:
+    """Check the step relation of ``SHIFT_FAMILIES[base]`` for d <= d_max.
+
+    With W(k) the family's binomial product and u_d = sum_{k<P} C(2k,k+d)
+    W(k)/base^k, the relation is
+
+        c(d) u_d - c(d+1) u_{d+2} = c(-P) (d+1) / (base^(P-1) P)
+                                     * C(2P,P+d+1) W(P-1).
+
+    Returns (checks made, first failing d or None).
+    """
+    fam = SHIFT_FAMILIES[base]
+    (a, b), (c, e) = fam.binomials
+
+    def weight(k: int) -> int:
+        return comb(a * k, b * k) * comb(c * k, e * k)
+
+    u = [
+        sum(Fraction(comb(2 * k, k + d) * weight(k), base**k) for k in range(P))
+        for d in range(d_max + 3)
+    ]
+    for d in range(d_max + 1):
+        rhs = (
+            Fraction(fam.coeff(-P) * (d + 1), base ** (P - 1) * P)
+            * comb(2 * P, P + d + 1)
+            * weight(P - 1)
+        )
+        if fam.coeff(d) * u[d] - fam.coeff(d + 1) * u[d + 2] != rhs:
+            return d + 1, d
+    return d_max + 1, None
 
 
 def verify_shift_step_base64(p_max: int, d_max: int | None = None) -> IdentityRecord:
@@ -440,51 +467,17 @@ def verify_shift_step_base64(p_max: int, d_max: int | None = None) -> IdentityRe
           = (2P-1)^2 (d+1) / (64^(P-1) P) * C(2P,P+d+1) C(2P-2,P-1)^2
 
     for u_d = sum_{k<P} C(2k,k)^2 C(2k,k+d)/64^k, P a free integer parameter.
+    The coefficients are read from the shift engine's ``SHIFT_FAMILIES``.
     """
     witness = None
     checks = 0
     for P in range(2, p_max + 1):
-        dd = 2 * P if d_max is None else d_max
-        u = [_u_base64(P, d) for d in range(dd + 3)]
-        for d in range(dd + 1):
-            rhs = (
-                Fraction((2 * P - 1) ** 2 * (d + 1), 64 ** (P - 1) * P)
-                * comb(2 * P, P + d + 1)
-                * comb(2 * P - 2, P - 1) ** 2
-            )
-            checks += 1
-            if (2 * d + 1) ** 2 * u[d] - (2 * d + 3) ** 2 * u[d + 2] != rhs:
-                witness = (P, d)
-                break
-        if witness:
+        n, d = _shift_step_witness(64, P, 2 * P if d_max is None else d_max)
+        checks += n
+        if d is not None:
+            witness = (P, d)
             break
     return _record("shift_step_base64", f"P<={p_max}", checks, witness)
-
-
-# (multiplier weights, base, extra binomial factors) for the three-product sums
-_THREE_PRODUCT_FAMILIES = {
-    "108": {
-        "base": 108,
-        "terms": lambda k: comb(2 * k, k) * comb(3 * k, k),
-        "coeff": lambda d: ((3 * d + 1) * (3 * d + 2), (3 * d + 4) * (3 * d + 5)),
-        "front": lambda P: (3 * P - 1) * (3 * P - 2),
-        "tail": lambda P: comb(2 * P - 2, P - 1) * comb(3 * P - 3, P - 1),
-    },
-    "256": {
-        "base": 256,
-        "terms": lambda k: comb(2 * k, k) * comb(4 * k, 2 * k),
-        "coeff": lambda d: ((4 * d + 1) * (4 * d + 3), (4 * d + 5) * (4 * d + 7)),
-        "front": lambda P: (4 * P - 1) * (4 * P - 3),
-        "tail": lambda P: comb(2 * P - 2, P - 1) * comb(4 * P - 4, 2 * P - 2),
-    },
-    "1728": {
-        "base": 1728,
-        "terms": lambda k: comb(3 * k, k) * comb(6 * k, 3 * k),
-        "coeff": lambda d: ((6 * d + 1) * (6 * d + 5), (6 * d + 7) * (6 * d + 11)),
-        "front": lambda P: (6 * P - 1) * (6 * P - 5),
-        "tail": lambda P: comb(3 * P - 3, P - 1) * comb(6 * P - 6, 3 * P - 3),
-    },
-}
 
 
 def verify_shift_step_threeproduct(p_max: int, d_max: int | None = None) -> IdentityRecord:
@@ -492,32 +485,18 @@ def verify_shift_step_threeproduct(p_max: int, d_max: int | None = None) -> Iden
     256^k and 1728^k, e.g.
 
         (3d+1)(3d+2) f(d) - (3d+4)(3d+5) f(d+2)
-            = (3P-1)(3P-2)(d+1)/(108^(P-1) P) * C(2P,P+d+1) C(2P-2,P-1) C(3P-3,P-1).
+            = (3P-1)(3P-2)(d+1)/(108^(P-1) P) * C(2P,P+d+1) C(2P-2,P-1) C(3P-3,P-1),
+
+    with the coefficients read from the shift engine's ``SHIFT_FAMILIES``.
     """
     witness = None
     checks = 0
     for P in range(2, p_max + 1):
-        dd = 2 * P if d_max is None else d_max
-        for tag, fam in _THREE_PRODUCT_FAMILIES.items():
-            u = [
-                sum(
-                    Fraction(comb(2 * k, k + d) * fam["terms"](k), fam["base"] ** k)
-                    for k in range(P)
-                )
-                for d in range(dd + 3)
-            ]
-            for d in range(dd + 1):
-                w0, w2 = fam["coeff"](d)
-                rhs = (
-                    Fraction(fam["front"](P) * (d + 1), fam["base"] ** (P - 1) * P)
-                    * comb(2 * P, P + d + 1)
-                    * fam["tail"](P)
-                )
-                checks += 1
-                if w0 * u[d] - w2 * u[d + 2] != rhs:
-                    witness = (P, d, tag)
-                    break
-            if witness:
+        for base in (108, 256, 1728):
+            n, d = _shift_step_witness(base, P, 2 * P if d_max is None else d_max)
+            checks += n
+            if d is not None:
+                witness = (P, d, str(base))
                 break
         if witness:
             break

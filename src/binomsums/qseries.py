@@ -1,6 +1,6 @@
 """Truncated integer q-series and the three eta products with CM closed forms.
 
-The three weight-2 eta products tracked here all have a simple q-expansion
+The three weight-3 eta products tracked here all have a simple q-expansion
 q * prod(1 - q^(m n))^r and their prime Fourier coefficients are given by
 binary quadratic forms:
 

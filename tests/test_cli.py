@@ -43,6 +43,15 @@ def test_usage_errors_exit_2(args):
     assert r.returncode == 2, r.stderr
 
 
+def test_prime_list_rejects_composites_and_small_entries():
+    r = run_cli("verify", "--prime-list", "9,15")
+    assert r.returncode == 2
+    assert "9, 15" in r.stderr and r.stdout == ""
+    mixed = run_cli("verify", "--prime-list", "5,13,1,4,17")
+    assert mixed.returncode == 2
+    assert "1, 4" in mixed.stderr and "13" not in mixed.stderr
+
+
 def test_csv_schema(tmp_path):
     out = tmp_path / "rows.csv"
     r = run_cli("verify", "--prime-list", "5,13", "--ids", "C1_7a,C1_8",

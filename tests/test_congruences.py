@@ -5,11 +5,14 @@ Fraction arithmetic, math.comb), then compared with the engine's residues.
 The batched suite path is additionally pinned against the reference path.
 """
 
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from binomsums import _sweeps
 from binomsums.arith import legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
     PrimeContext,
@@ -245,12 +248,71 @@ def test_suite_matches_reference_path():
 
 
 def test_sweep_matches_reference_all_shifts():
-    p = 53
-    ctx = PrimeContext(p)
-    tables = ctx.sweep((64, 108, 256, 1728), 2)
-    for base in (64, 108, 256, 1728):
-        for d in range(p):
-            assert tables[base][d] == _reference_shift_sum(ctx, 2, base, d), (base, d)
+    # every residue class mod 24 and every reseed point of the step relations
+    for p in primes_in_range(5, 99):
+        for kexp in (1, 2, 3, 4):
+            ctx = PrimeContext(p)
+            tables = ctx.sweep((64, 108, 256, 1728), kexp)
+            for base in (64, 108, 256, 1728):
+                for d in range(p):
+                    assert tables[base][d] == _reference_shift_sum(ctx, kexp, base, d), (
+                        p, kexp, base, d,
+                    )
+
+
+def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
+    direct = _sweeps.direct_shift_sum
+
+    def corrupt_seed(p, weights, d, tables):
+        s = direct(p, weights, d, tables)
+        return (s + 1) % tables.pk if d == 0 else s
+
+    monkeypatch.setattr(_sweeps, "direct_shift_sum", corrupt_seed)
+    # the even chain from S(0) reaches S((p-1)/2) = S(6) before any reseed
+    with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=6, K=2"):
+        PrimeContext(13).sweep((64,), 2)
+
+
+def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
+    # a stream whose every term is a unit breaks v_p(C(2k,k)^2) >= 2 at the
+    # first tail index k = (p+1)/2
+    def unit_terms(self, family, base, kexp, hi):
+        for k in range(hi + 1):
+            yield k, 0, 1
+
+    monkeypatch.setattr(PrimeContext, "_terms", unit_terms)
+    p = 13
+    cases = [
+        ("central_square_menu", lambda c: c.central_square_menu(8, 2, full=True)),
+        ("central_cube_menu", lambda c: c.central_cube_menu(-8, 2)),
+        ("_reference_shift_sum", lambda c: _reference_shift_sum(c, 2, 64, 1)),
+        ("_sum_square_shift1", lambda c: check("C1_12", p)),
+        ("C1_24", lambda c: check("C1_24", p)),
+    ]
+    for stream, call in cases:
+        with pytest.raises(ArithmeticError, match=rf"{stream}.*p={p}, k=7"):
+            call(PrimeContext(p))
+
+
+def test_tail_invariants_survive_optimize_flag():
+    code = (
+        "from binomsums.congruences import PrimeContext\n"
+        "PrimeContext._terms = lambda self, f, b, K, hi: ((k, 0, 1) for k in range(hi + 1))\n"
+        "try:\n"
+        "    PrimeContext(13).central_cube_menu(-8, 2)\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "central_cube_menu" in r.stdout and "p=13, k=7" in r.stdout
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, binomsums, binomsums.cli; print('numpy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_parallel_matches_serial():

@@ -71,11 +71,15 @@ def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -
     ``tables`` must reach n! for n <= step*p.  S(0) and S(1) are summed
     directly; every further S(d+2) comes from the step relation, divided by
     c(d+1) through 1/m = inv_unit[m] * unit[m-1], except where p | c(d+1):
-    there S(d+2) is summed directly again (at most twice per family).
+    there S(d+2) is summed directly again (at most twice per family), and the
+    relation at d must hold with that direct value; c(d) is a unit there
+    (save for base 1728 at p = 5), so this pins the stepped S(d).
     C(2p, p+d+1)/p is a unit for d <= p-2, read from the same tables.
 
-    S(p-1), S(p-2) and S((p-1)/2) are then summed directly as well, so a wrong
-    seed or step cannot certify itself; a mismatch raises ArithmeticError.
+    S(p-1), S(p-2), S((p-1)/2) and every S(x) whose coefficient c(x) is
+    divisible by p (so a stepped error in it would be lost) are then summed
+    directly as well, so a wrong seed or step cannot certify itself.  A
+    mismatch raises ArithmeticError naming p, base, d and K.
     """
     fam = SHIFT_FAMILIES[base]
     kexp, pk = tables.k, tables.pk
@@ -85,6 +89,17 @@ def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -
     step, (r1, r2) = fam.step, fam.offsets
     # c(-p) * w(p-1); w(p-1) has valuation >= 2, so this is 0 for K <= 2
     front = fam.coeff(-p) * weights[p - 1] % pk
+
+    def rhs(d: int) -> int:
+        """The step relation's right side at d, mod p^K."""
+        if not front:
+            return 0
+        return front * (d + 1) * unit[2 * p] % pk * inv[p + d + 1] * inv[p - d - 1] % pk
+
+    def mismatch(d: int, what: str) -> ArithmeticError:
+        where = f"p={p}, base={base}, d={d}, K={kexp}"
+        return ArithmeticError(f"shift engine mismatch at {where}: {what}")
+
     out = [0] * p
     out[0] = direct_shift_sum(p, weights, 0, tables)
     out[1] = direct_shift_sum(p, weights, 1, tables)
@@ -93,20 +108,18 @@ def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -
         m2 = m1 + r2 - r1
         if m1 % p == 0 or m2 % p == 0:
             out[d + 2] = direct_shift_sum(p, weights, d + 2, tables)
+            if (fam.coeff(d) * out[d] - m1 * m2 * out[d + 2] - rhs(d)) % pk:
+                raise mismatch(d, f"the relation fails with the direct S({d + 2})")
             continue
-        acc = (m1 - step) * (m2 - step) * out[d]
-        if front:
-            acc -= front * (d + 1) % pk * unit[2 * p] % pk * inv[p + d + 1] % pk * inv[p - d - 1]
-        out[d + 2] = (
-            acc % pk * inv[m1] % pk * unit[m1 - 1] % pk * inv[m2] % pk * unit[m2 - 1] % pk
-        )
-    for d in (p - 1, p - 2, (p - 1) // 2):
+        acc = ((m1 - step) * (m2 - step) * out[d] - rhs(d)) % pk
+        out[d + 2] = acc * inv[m1] % pk * unit[m1 - 1] % pk * inv[m2] % pk * unit[m2 - 1] % pk
+    # x with p | c(x): step*x + r = 0 (mod p) for r in the offsets
+    checked = {p - 1, p - 2, (p - 1) // 2}
+    checked.update(-r * pow(step, -1, p) % p for r in (r1, r2))
+    for d in sorted(checked, reverse=True):
         direct = direct_shift_sum(p, weights, d, tables)
         if direct != out[d]:
-            raise ArithmeticError(
-                f"shift engine mismatch at p={p}, base={base}, d={d}, K={kexp}: "
-                f"step relation gives {out[d]}, direct sum gives {direct}"
-            )
+            raise mismatch(d, f"step relation gives {out[d]}, direct sum gives {direct}")
     return out
 
 

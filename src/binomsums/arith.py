@@ -460,24 +460,3 @@ def represent(p: int, d: int) -> QuadraticRepresentation | None:
             x = -x
     return QuadraticRepresentation(p, d, x, y)
 
-
-def inverse_table(limit: int, p: int, k: int) -> list[int]:
-    """Inverses mod p^k of all p-coprime integers in 1..limit (0 elsewhere).
-
-    One modular inversion total (prefix-product trick); used by the congruence
-    streams so that per-term updates need no pow(-1) calls.
-    """
-    pk = p**k
-    pref = [1] * (limit + 1)
-    acc = 1
-    for i in range(1, limit + 1):
-        if i % p:
-            acc = acc * i % pk
-        pref[i] = acc
-    inv = [0] * (limit + 1)
-    acc = mod_inverse(acc, pk)
-    for i in range(limit, 0, -1):
-        if i % p:
-            inv[i] = acc * pref[i - 1] % pk
-            acc = acc * i % pk
-    return inv

@@ -9,13 +9,16 @@ whose right-hand side is a binary-quadratic-form expression (p = x^2 + d y^2),
 an eta-product Fourier coefficient, a Delannoy/Schroeder number, or zero.
 Rows are checked exactly: each term is carried as p^v * unit with the unit
 reduced mod p^K, so equality of the reported residues decides the congruence.
+Every summand is a product of factorials (a k + b)!^(+-1), times a power of
+C(2k,k), over base^k; the term engine ``PrimeContext.terms`` reads it per k
+from the prime's factorial tables, so no term is built from its predecessor.
 
 Two evaluation paths exist and are pinned against each other by the tests:
 
 * ``check`` runs a single row at a single prime through the direct reference
-  evaluators (plain streamed sums, one term at a time);
-* ``run_suite`` batches rows over many primes, sharing per-prime inverse and
-  factorial tables, running-sum menus, and the shift engine, which produces
+  evaluators (each shifted sum summed term by term);
+* ``run_suite`` batches rows over many primes, sharing per-prime factorial
+  tables, term lists, running-sum menus, and the shift engine, which produces
   all shifted sums S(d) of a family at once in O(p) by stepping the certified
   d -> d+2 relations from two direct seeds.
 
@@ -30,21 +33,20 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable
 
 from ._sweeps import SHIFT_FAMILIES, self_convolution_mod, shift_sums
 from .arith import (
     FactorialTables,
     binomial_factored,
-    inverse_table,
     is_prime,
     legendre_symbol,
     mod_inverse,
     represent,
 )
 from .qseries import coefficient_closed_form
-from .sequences import euler_numbers
+from .sequences import euler_number_mod_p
 
 PASS = "pass"
 FAIL = "fail"
@@ -100,34 +102,24 @@ class RowSpec:
         return self.modulus_exp(p) if callable(self.modulus_exp) else self.modulus_exp
 
 
-# ratio of consecutive terms for each binomial-product family; entries are
-# (numerator factors, denominator factors) taking term k to term k+1
-_FAMILY_RATIOS: dict[str, Callable[[int], tuple[tuple[int, ...], tuple[int, ...]]]] = {
-    "c2": lambda k: ((4 * k + 2,), (k + 1,)),
-    "c2sq": lambda k: ((4 * k + 2,) * 2, (k + 1,) * 2),
-    "c2cube": lambda k: ((4 * k + 2,) * 3, (k + 1,) * 3),
-    "c2c3": lambda k: (
-        (4 * k + 2, 3 * k + 1, 3 * k + 2, 3 * k + 3),
-        (k + 1, k + 1, 2 * k + 1, 2 * k + 2),
-    ),
-    "c2c4": lambda k: (
-        (4 * k + 2, 4 * k + 1, 4 * k + 2, 4 * k + 3, 4 * k + 4),
-        (k + 1, 2 * k + 1, 2 * k + 1, 2 * k + 2, 2 * k + 2),
-    ),
-    "c2sqc4": lambda k: (
-        (4 * k + 2, 4 * k + 2, 4 * k + 1, 4 * k + 2, 4 * k + 3, 4 * k + 4),
-        (k + 1, k + 1, 2 * k + 1, 2 * k + 1, 2 * k + 2, 2 * k + 2),
-    ),
-    "c3c6": lambda k: (
-        (3 * k + 1, 3 * k + 2, 3 * k + 3, 6 * k + 1, 6 * k + 2, 6 * k + 3,
-         6 * k + 4, 6 * k + 5, 6 * k + 6),
-        (k + 1, 2 * k + 1, 2 * k + 2, 3 * k + 1, 3 * k + 1, 3 * k + 2,
-         3 * k + 2, 3 * k + 3, 3 * k + 3),
-    ),
-}
+def _family_spec(binomials) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """A product of C(a k, b k) as C(2k,k)^c times factorial factors (a, b, e)."""
+    central, exps = 0, {}
+    for a, b in binomials:
+        if (a, b) == (2, 1):
+            central += 1
+            continue
+        for m, e in ((a, 1), (b, -1), (a - b, -1)):
+            exps[m] = exps.get(m, 0) + e
+    return central, tuple((m, 0, e) for m, e in exps.items() if e)
 
-# ratio-stream family of each shift family (the reference path's weights)
-_SWEEP_FAMILY = {64: "c2sq", 108: "c2c3", 256: "c2c4", 1728: "c3c6"}
+
+# each shift family's weight as an input to ``PrimeContext.terms``
+_FAMILY_SPEC = {base: _family_spec(fam.binomials) for base, fam in SHIFT_FAMILIES.items()}
+# C(2k,k+1) / C(2k,k) = k!^2 / ((k+1)! (k-1)!), for k >= 1
+_SHIFT1 = ((1, 0, 2), (1, 1, -1), (1, -1, -1))
+# Catalan(k) / C(2k,k) = k! / (k+1)!
+_CATALAN = ((1, 0, 1), (1, 1, -1))
 
 
 def _tail_error(stream: str, p: int, k: int, val: int) -> ArithmeticError:
@@ -138,23 +130,26 @@ def _tail_error(stream: str, p: int, k: int, val: int) -> ArithmeticError:
     )
 
 
-@lru_cache(maxsize=1)
-def _euler_list(limit: int) -> tuple[int, ...]:
-    return tuple(euler_numbers(limit))
-
-
-def _euler_number_mod(index: int, modulus: int) -> int:
-    # round the table size up so nearby primes reuse one computation
-    limit = ((index // 256) + 1) * 256
-    return _euler_list(limit)[index] % modulus
+def _column(table: list[int], a: int, b: int, lo: int, hi: int) -> list[int]:
+    """table[a*k + b] for lo <= k <= hi (a may be zero or negative)."""
+    if a == 0:
+        return [table[b]] * (hi - lo + 1)
+    stop = a * hi + b + (1 if a > 0 else -1)
+    return table[a * lo + b : stop if stop >= 0 else None : a]
 
 
 class PrimeContext:
     """Shared per-prime state for congruence evaluation.
 
-    Inverse tables, factorial tables, running-sum menus, sweep outputs and
-    quadratic representations are cached on first use, so checking many rows
-    at one prime costs one pass per distinct (family, base, exponent).
+    Every summand comes from one term engine, ``terms``: a product
+    C(2k,k)^c * prod (a k + b)!^e / base^k is read per k from the factorial
+    tables as a sum of valuations and a product of units, with no ratio
+    stream.  There is one ``FactorialTables`` per exponent, sized by the
+    largest factorial argument a row needs, and C(2k,k) is read from it once
+    per exponent (``central``), which is also where the squared-central tail
+    invariants get their valuations.  Terms, menus, weights, sweep outputs
+    and quadratic representations are cached on first use, so checking many
+    rows at one prime costs one pass per distinct (summand, base, exponent).
     """
 
     def __init__(self, p: int):
@@ -169,22 +164,17 @@ class PrimeContext:
     def pk(self, kexp: int) -> int:
         return self.p**kexp
 
-    def inv(self, kexp: int) -> list[int]:
-        key = ("inv", kexp)
-        if key not in self._cache:
-            self._cache[key] = inverse_table(6 * self.p + 8, self.p, kexp)
-        return self._cache[key]
-
     def tables(self, kexp: int, limit: int = 0) -> FactorialTables:
-        """Factorial tables mod p^kexp reaching n! for n <= max(3p, limit).
+        """Factorial tables mod p^kexp reaching n! for n <= max(p, limit).
 
-        One table per exponent: a request past the cached limit rebuilds it
-        at the larger size, which then serves every smaller request.
+        One table per exponent, sized by the largest factorial argument asked
+        for: a request past the cached limit rebuilds it at the larger size,
+        which then serves every smaller request.
         """
         key = ("tables", kexp)
         cached = self._cache.get(key)
         if cached is None or cached.limit < limit:
-            cached = FactorialTables(self.p, kexp, max(3 * self.p, limit))
+            cached = FactorialTables(self.p, kexp, max(self.p, limit))
             self._cache[key] = cached
         return cached
 
@@ -204,66 +194,98 @@ class PrimeContext:
         """(-1)^((p-1)/4) mod p^kexp, defined for p = 1 (mod 4)."""
         return 1 if self.p % 8 == 1 else self.pk(kexp) - 1
 
-    # --- factored term streams ------------------------------------------
+    # --- the term engine --------------------------------------------------
 
-    def _terms(self, family: str, base: int, kexp: int, hi: int):
-        """Yield (k, val, unit) with family(k)/base^k = p^val * unit mod p^kexp.
+    def central(self, kexp: int) -> tuple[list[int], list[int]]:
+        """Valuations and units mod p^kexp of C(2k,k) for k < p."""
+        key = ("central", kexp)
+        if key not in self._cache:
+            p = self.p
+            t = self.tables(kexp, 2 * p)
+            pk, inv = t.pk, t.inv_unit
+            self._cache[key] = (
+                [a - 2 * b for a, b in zip(t.val[: 2 * p : 2], t.val[:p])],
+                [u * i * i % pk for u, i in zip(t.unit[: 2 * p : 2], inv[:p])],
+            )
+        return self._cache[key]
 
-        ``base`` is inverted mod p^kexp, so negative bases are fine; the
-        family value itself is a positive integer, hence no sign tracking.
+    def central_power(self, central: int, base: int, kexp: int) -> tuple[list[int], list[int]]:
+        """Valuations and units mod p^kexp of C(2k,k)^central / base^k for k < p.
+
+        ``base`` is inverted mod p^kexp, so negative and residue bases are
+        fine.  Cached: the rows that share a power and a base share one pass.
         """
-        p = self.p
-        pkv = self.pk(kexp)
-        inv = self.inv(kexp)
-        binv = mod_inverse(base % pkv, pkv)
-        ratio = _FAMILY_RATIOS[family]
-        val, unit = 0, 1
-        yield 0, 0, 1
-        for k in range(1, hi + 1):
-            nums, dens = ratio(k - 1)
-            for m in nums:
-                while m % p == 0:
-                    m //= p
-                    val += 1
-                unit = unit * m % pkv
-            for m in dens:
-                while m % p == 0:
-                    m //= p
-                    val -= 1
-                unit = unit * inv[m] % pkv
-            unit = unit * binv % pkv
-            yield k, val, unit
+        key = ("cpow", central, base, kexp)
+        if key not in self._cache:
+            pk = self.pk(kexp)
+            cval, cunit = self.central(kexp)
+            if base == 1:
+                units = [u**central % pk for u in cunit]
+            elif central:
+                scale = self.central_power(0, base, kexp)[1]
+                units = [u**central * s % pk for u, s in zip(cunit, scale)]
+            else:
+                binv, s = mod_inverse(base % pk, pk), 1
+                units = [1] + [(s := s * binv % pk) for _ in range(self.p - 1)]
+            self._cache[key] = ([central * v for v in cval], units)
+        return self._cache[key]
+
+    def terms(
+        self,
+        kexp: int,
+        base: int = 1,
+        central: int = 0,
+        factors: tuple[tuple[int, int, int], ...] = (),
+        lo: int = 0,
+        hi: int | None = None,
+    ) -> tuple[list[int], list[int]]:
+        """Valuations and units of C(2k,k)^central prod (a k + b)!^e / base^k.
+
+        One entry per k in lo..hi (hi defaults to p-1), units mod p^kexp.
+        The summand starts from ``central_power`` and every factorial factor
+        is a table lookup; the factorial table is grown to the largest a k + b
+        the factors reach.
+        """
+        hi = self.p - 1 if hi is None else hi
+        vals, units = self.central_power(central, base, kexp)
+        vals, units = vals[lo : hi + 1], units[lo : hi + 1]
+        t = self.tables(kexp, max([a * k + b for a, b, _ in factors for k in (lo, hi)], default=0))
+        pk = t.pk
+        for a, b, e in factors:
+            col = _column(t.val, a, b, lo, hi)
+            if any(col):  # (a k + b)! is often p-free over the whole range
+                vals = [v + e * x for v, x in zip(vals, col)]
+            col, m = _column(t.unit if e > 0 else t.inv_unit, a, b, lo, hi), abs(e)
+            units = [u * x**m % pk for u, x in zip(units, col)]
+        return vals, units
+
+    def residues(self, kexp: int, terms: tuple[list[int], list[int]]) -> list[int]:
+        """p^val * unit mod p^kexp for each (val, unit) of ``terms``."""
+        pk = self.pk(kexp)
+        pp = [self.p**i for i in range(kexp)]
+        return [(pp[v] * u % pk if v else u) if v < kexp else 0 for v, u in zip(*terms)]
+
+    def total(self, kexp: int, terms: tuple[list[int], list[int]]) -> int:
+        """The sum of ``terms`` mod p^kexp."""
+        return sum(self.residues(kexp, terms)) % self.pk(kexp)
+
+    def check_tail(self, stream: str, vals: list[int], lo: int = 0) -> None:
+        """Raise unless v_p >= 2 at every (p+1)/2 <= k; vals[i] is at k = lo+i."""
+        start = max((self.p + 1) // 2 - lo, 0)
+        if vals[start:] and min(vals[start:]) < 2:
+            i = next(i for i in range(start, len(vals)) if vals[i] < 2)
+            raise _tail_error(stream, self.p, lo + i, vals[i])
 
     def weights(self, base: int, kexp: int) -> list[int]:
         """Residues of the shift family for ``base`` at every k < p.
 
-        w(k) = C(a k, b k) C(c k, e k) / base^k, read from the factorial
-        tables (valuation and unit of each binomial) with no term stream.
+        w(k) = C(a k, b k) C(c k, e k) / base^k, from the term engine.
         """
         key = ("w", base, kexp)
         if key not in self._cache:
-            p = self.p
-            fam = SHIFT_FAMILIES[base]
-            tables = self.tables(kexp, fam.step * p)
-            pkv, val, unit, inv = tables.pk, tables.val, tables.unit, tables.inv_unit
-            pp = [p**i for i in range(kexp)]
-            (a, b), (c, e) = fam.binomials
-            binv = mod_inverse(base % pkv, pkv)
-            out = []
-            scale = 1  # base^-k
-            for k in range(p):
-                ak, bk, ck, ek = a * k, b * k, c * k, e * k
-                v = val[ak] - val[bk] - val[ak - bk] + val[ck] - val[ek] - val[ck - ek]
-                if v < kexp:
-                    out.append(
-                        pp[v] * scale % pkv * unit[ak] % pkv * inv[bk] % pkv
-                        * inv[ak - bk] % pkv * unit[ck] % pkv * inv[ek] % pkv
-                        * inv[ck - ek] % pkv
-                    )
-                else:
-                    out.append(0)
-                scale = scale * binv % pkv
-            self._cache[key] = out
+            self._cache[key] = self.residues(
+                kexp, self.terms(kexp, base, *_FAMILY_SPEC[base])
+            )
         return self._cache[key]
 
     def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
@@ -292,33 +314,23 @@ class PrimeContext:
         Returns A = sum of terms, Ak = sum of k*term, Ak2 = sum of k^2*term,
         and Acat = sum of C(2k,k)*Catalan(k)/base^k (i.e. term/(k+1)).  The
         tail valuation invariant v_p(C(2k,k)^2) >= 2 for (p+1)/2 <= k < p is
-        checked as the stream passes through it (ArithmeticError if broken).
+        checked on the full range (ArithmeticError if broken).
         """
         key = ("sqmenu", base, kexp, full)
         if key in self._cache:
             return self._cache[key]
-        p = self.p
+        hi = self.p - 1 if full else self.n
         pkv = self.pk(kexp)
-        inv = self.inv(kexp)
-        pp = [p**i for i in range(kexp + 1)]
-        hi = p - 1 if full else self.n
-        tail = (p + 1) // 2
-        a = ak = ak2 = acat = 0
-        for k, val, unit in self._terms("c2sq", base, kexp, hi):
-            if k >= tail and val < 2:
-                raise _tail_error(f"central_square_menu(base={base})", p, k, val)
-            if val < kexp:
-                t = pp[val] * unit % pkv
-                a += t
-                ak += k * t
-                ak2 += k * k * t
-            m, e = k + 1, 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if val - e < kexp:
-                acat += pp[val - e] * unit % pkv * inv[m] % pkv
-        out = {"A": a % pkv, "Ak": ak % pkv, "Ak2": ak2 % pkv, "Acat": acat % pkv}
+        terms = self.terms(kexp, base, 2, hi=hi)
+        self.check_tail(f"central_square_menu(base={base})", terms[0])
+        t = self.residues(kexp, terms)
+        ks = range(hi + 1)
+        out = {
+            "A": sum(t) % pkv,
+            "Ak": sum(map(mul, ks, t)) % pkv,
+            "Ak2": sum(map(mul, map(mul, ks, ks), t)) % pkv,
+            "Acat": self.total(kexp, self.terms(kexp, base, 2, _CATALAN, hi=hi)),
+        }
         self._cache[key] = out
         return out
 
@@ -327,19 +339,11 @@ class PrimeContext:
         key = ("cubemenu", base, kexp)
         if key in self._cache:
             return self._cache[key]
-        p = self.p
         pkv = self.pk(kexp)
-        pp = [p**i for i in range(kexp + 1)]
-        tail = (p + 1) // 2
-        a3 = a3k = 0
-        for k, val, unit in self._terms("c2cube", base, kexp, p - 1):
-            if k >= tail and val < 2:
-                raise _tail_error(f"central_cube_menu(base={base})", p, k, val)
-            if val < kexp:
-                t = pp[val] * unit % pkv
-                a3 += t
-                a3k += k * t
-        out = {"A3": a3 % pkv, "A3k": a3k % pkv}
+        terms = self.terms(kexp, base, 3)
+        self.check_tail(f"central_cube_menu(base={base})", terms[0])
+        t = self.residues(kexp, terms)
+        out = {"A3": sum(t) % pkv, "A3k": sum(map(mul, range(self.p), t)) % pkv}
         self._cache[key] = out
         return out
 
@@ -347,19 +351,19 @@ class PrimeContext:
         """Central Delannoy/Schroeder values at n = (p-1)/2 mod p^kexp.
 
         Uses (m+1) D_{m+1} = 3(2m+1) D_m - m D_{m-1} and the derivative
-        relation D_{n+1} - 3 D_n = 2n S_n.
+        relation D_{n+1} - 3 D_n = 2n S_n; 1/m = inv_unit[m] * unit[m-1].
         """
         key = ("delannoy", kexp)
         if key in self._cache:
             return self._cache[key]
-        pkv = self.pk(kexp)
-        inv = self.inv(kexp)
+        t = self.tables(kexp)
+        pkv, unit, inv = t.pk, t.unit, t.inv_unit
         n = self.n
         prev, cur = 1, 3 % pkv  # D_0, D_1
         for m in range(1, n + 1):
-            prev, cur = cur, (3 * (2 * m + 1) * cur - m * prev) * inv[m + 1] % pkv
+            prev, cur = cur, (3 * (2 * m + 1) * cur - m * prev) * inv[m + 1] * unit[m] % pkv
         dn, dn1 = prev, cur
-        sn = (dn1 - 3 * dn) * inv[2 * n] % pkv
+        sn = (dn1 - 3 * dn) * inv[2 * n] * unit[2 * n - 1] % pkv
         out = {"Dn": dn, "Dn1": dn1, "Sn": sn}
         self._cache[key] = out
         return out
@@ -368,12 +372,7 @@ class PrimeContext:
         """C(2k,k)^2 mod p^kexp for k < p (input to the double-sum square)."""
         key = ("c2sqres", kexp)
         if key not in self._cache:
-            pkv = self.pk(kexp)
-            pp = [self.p**i for i in range(kexp)]
-            self._cache[key] = [
-                pp[val] * unit % pkv if val < kexp else 0
-                for _, val, unit in self._terms("c2sq", 1, kexp, self.p - 1)
-            ]
+            self._cache[key] = self.residues(kexp, self.terms(kexp, 1, 2))
         return self._cache[key]
 
     def square_convolution(self, kexp: int) -> list[int]:
@@ -389,30 +388,20 @@ class PrimeContext:
 
 
 def _reference_shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
-    """sum_{k<p} w_base[k] * C(2k, k+d) mod p^kexp, term by factored term.
+    """sum_{d<=k<p} w_base[k] * C(2k, k+d) mod p^kexp from the term engine.
 
     Checks the tail valuation invariant for every summand that contains a
     squared central binomial: the whole weight for base 64, and weight plus
     C(2k,k) itself for the d = 0 sums of the 108 and 256 families.
     """
-    p = ctx.p
-    pkv = ctx.pk(kexp)
-    pp = [p**i for i in range(kexp + 1)]
-    tables = ctx.tables(kexp)
-    tail = (p + 1) // 2
-    total = 0
-    for k, wval, wunit in ctx._terms(_SWEEP_FAMILY[base], base, kexp, p - 1):
-        if base == 64 and k >= tail and wval < 2:
-            raise _tail_error(f"_reference_shift_sum(base=64, d={d})", p, k, wval)
-        if k + d > 2 * k:
-            continue
-        row = binomial_factored(2 * k, k + d, p, kexp, tables)
-        val = wval + row.valuation
-        if d == 0 and base in (108, 256) and k >= tail and val < 2:
-            raise _tail_error(f"_reference_shift_sum(base={base}, d=0)", p, k, val)
-        if val < kexp:
-            total += pp[val] * wunit % pkv * row.unit_value % pkv
-    return total % pkv
+    if base == 64:
+        cval = ctx.central(kexp)[0]
+        ctx.check_tail(f"_reference_shift_sum(base=64, d={d})", [2 * v for v in cval])
+    central, factors = _FAMILY_SPEC[base]
+    terms = ctx.terms(kexp, base, central, factors + ((2, 0, 1), (1, d, -1), (1, -d, -1)), lo=d)
+    if d == 0 and base in (108, 256):
+        ctx.check_tail(f"_reference_shift_sum(base={base}, d=0)", terms[0])
+    return ctx.total(kexp, terms)
 
 
 def _shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
@@ -426,49 +415,15 @@ def _shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
 
 
 def _sum_square_shift1(ctx: PrimeContext, kexp: int, base: int) -> int:
-    """sum_{k<p} C(2k,k)^2 C(2k,k+1) / base^k mod p^kexp.
-
-    Uses C(2k,k+1) = C(2k,k) * k/(k+1) on top of the cube stream.
-    """
-    p = ctx.p
-    pkv = ctx.pk(kexp)
-    inv = ctx.inv(kexp)
-    pp = [p**i for i in range(kexp + 1)]
-    tail = (p + 1) // 2
-    total = 0
-    for k, val, unit in ctx._terms("c2cube", base, kexp, p - 1):
-        if k == 0:
-            continue  # C(0, 1) = 0
-        m, e = k + 1, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        v = val - e
-        if k >= tail and v < 2:
-            raise _tail_error(f"_sum_square_shift1(base={base})", p, k, v)
-        if 0 <= v < kexp:
-            total += pp[v] * unit % pkv * (k % pkv) % pkv * inv[m] % pkv
-    return total % pkv
+    """sum_{k<p} C(2k,k)^2 C(2k,k+1) / base^k mod p^kexp."""
+    terms = ctx.terms(kexp, base, 3, _SHIFT1, lo=1)
+    ctx.check_tail(f"_sum_square_shift1(base={base})", terms[0], lo=1)
+    return ctx.total(kexp, terms)
 
 
 def _sum_shift1_square(ctx: PrimeContext, kexp: int, base: int) -> int:
     """sum_{k<p} C(2k,k) C(2k,k+1)^2 / base^k mod p^kexp."""
-    p = ctx.p
-    pkv = ctx.pk(kexp)
-    inv = ctx.inv(kexp)
-    pp = [p**i for i in range(kexp + 1)]
-    total = 0
-    for k, val, unit in ctx._terms("c2cube", base, kexp, p - 1):
-        if k == 0:
-            continue
-        m, e = k + 1, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        v = val - 2 * e
-        if 0 <= v < kexp:
-            total += pp[v] * unit % pkv * (k * k % pkv) % pkv * inv[m] % pkv * inv[m] % pkv
-    return total % pkv
+    return ctx.total(kexp, ctx.terms(kexp, base, 3, _SHIFT1 + _SHIFT1, lo=1))
 
 
 def _x_term(ctx: PrimeContext, kexp: int, d: int, num: int, den_x: int) -> int:
@@ -649,22 +604,10 @@ def _eval_c1_23(ctx, kexp, _):
 
 
 def _eval_c1_24(ctx, kexp, _):
-    p = ctx.p
-    pkv = ctx.pk(kexp)
-    pp = [p**i for i in range(kexp + 1)]
-    tables = ctx.tables(kexp)
-    tail = (p + 1) // 2
-    total = 0
-    for k, wval, wunit in ctx._terms("c2sq", 108, kexp, p - 1):
-        if k >= tail and wval < 2:
-            raise _tail_error("C1_24", p, k, wval)
-        b = binomial_factored(3 * k, k + 1, p, kexp, tables)
-        if b.is_zero:
-            continue
-        val = wval + b.valuation
-        if val < kexp:
-            total += pp[val] * wunit % pkv * b.unit_value % pkv
-    return (total % pkv,), 0
+    ctx.check_tail("C1_24", [2 * v for v in ctx.central(kexp)[0]])
+    # C(3k,k+1) = (3k)! / ((k+1)! (2k-1)!), zero at k = 0
+    terms = ctx.terms(kexp, 108, 2, ((3, 0, 1), (1, 1, -1), (2, -1, -1)), lo=1)
+    return (ctx.total(kexp, terms),), 0
 
 
 def _eval_c1_25(ctx, kexp, _):
@@ -676,18 +619,13 @@ def _eval_c1_26(ctx, kexp, _):
 
 
 def _eval_cl3_2(ctx, kexp, part):
-    p = ctx.p
     pkv = ctx.pk(kexp)
     conv = ctx.square_convolution(kexp)
-    if part == 1:
-        mult, weight = mod_inverse(8 % pkv, pkv), lambda m: m + 1
-    else:
-        mult, weight = mod_inverse(-16 % pkv, pkv), lambda m: 2 * m + 1
-    total, mp = 0, 1
-    for m in range(p):
-        total += weight(m) * conv[m] % pkv * mp % pkv
-        mp = mp * mult % pkv
-    rhs = p * ctx.legendre(-1) % pkv
+    # (m+1)/8^m for part 1, (2m+1)/(-16)^m for part 2
+    base, slope = (8, 1) if part == 1 else (-16, 2)
+    scale = ctx.central_power(0, base, kexp)[1]
+    total = sum(map(mul, map(mul, conv, scale), range(1, slope * ctx.p + 1, slope)))
+    rhs = ctx.p * ctx.legendre(-1) % pkv
     return (total % pkv,), rhs
 
 
@@ -722,7 +660,7 @@ def _eval_cgz_p4(ctx, kexp, _):
     pkv = ctx.pk(kexp)
     m = ctx.central_cube_menu(-8, kexp)
     lhs = (3 * m["A3k"] + m["A3"]) % pkv
-    e = _euler_number_mod(ctx.p - 3, ctx.p)
+    e = euler_number_mod_p(ctx.p - 3, ctx.p)
     rhs = (ctx.p * ctx.legendre(-1) + ctx.p**3 * e) % pkv
     return (lhs,), rhs
 
@@ -769,18 +707,14 @@ def _eval_c3_5(ctx, kexp, _):
 
 
 def _eval_c4_1(ctx, kexp, x):
-    p = ctx.p
     pkv = ctx.pk(kexp)
     inv64 = mod_inverse(64 % pkv, pkv)
     mult_lhs = (-x) * inv64 % pkv
     lhs = ctx.central_cube_menu(mod_inverse(mult_lhs, pkv), kexp)["A3"]
     mult_rhs = x * mod_inverse(64 * (x + 1) * (x + 1) % pkv, pkv) % pkv
-    pp = [p**i for i in range(kexp)]
-    total = 0
-    for k, val, unit in ctx._terms("c2sqc4", mod_inverse(mult_rhs, pkv), kexp, p - 1):
-        if val < kexp:
-            total += pp[val] * unit % pkv
-    rhs = ctx.legendre(x + 1) * (total % pkv) % pkv
+    # C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
+    terms = ctx.terms(kexp, mod_inverse(mult_rhs, pkv), 2, ((4, 0, 1), (2, 0, -2)))
+    rhs = ctx.legendre(x + 1) * ctx.total(kexp, terms) % pkv
     return (lhs,), rhs
 
 
@@ -807,28 +741,9 @@ def _eval_c_ahl(ctx, kexp, _):
     p = ctx.p
     pkv = ctx.pk(kexp)
     n = ctx.n
-    inv = ctx.inv(kexp)
-    # term ratio: T_{k+1}/T_k = -((n-k)/(k+1))^2 (n+k+1)/(k+1); no factor
-    # in 1..p-1 here is divisible by p, so the terms stay units
-    sign, unit = 1, 1
-    total = 1
-    for k in range(n):
-        sign = -sign
-        unit = (
-            unit
-            * ((n - k) * (n - k) % pkv)
-            % pkv
-            * (n + k + 1)
-            % pkv
-            * inv[k + 1]
-            % pkv
-            * inv[k + 1]
-            % pkv
-            * inv[k + 1]
-            % pkv
-        )
-        total += sign * unit
-    lhs = ctx.legendre(-1) * total % pkv
+    # C(n,k)^2 C(n+k,k) (-1)^k = n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k), k <= n
+    terms = ctx.terms(kexp, -1, 0, ((0, n, 1), (1, n, 1), (1, 0, -3), (-1, n, -2)), hi=n)
+    lhs = ctx.legendre(-1) * ctx.total(kexp, terms) % pkv
     if ctx.legendre(-2) == 1:
         r = ctx.rep(2)
         rhs = (4 * r.x * r.x - 2 * p) % pkv

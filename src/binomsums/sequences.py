@@ -3,7 +3,8 @@
 Central Delannoy polynomials D_n(x) = sum_k C(n+k,2k) C(2k,k) x^k, Schroeder
 polynomials S_n(x) = sum_k C(n+k,2k) C_k x^k (C_k the Catalan numbers), the
 companion f_n(x) = sum_k C(n+k,2k) C(2k,k)^2 x^k, and the secant Euler
-numbers.  Everything is exact: integer or Fraction arithmetic only.
+numbers.  Everything is exact: integer or Fraction arithmetic only, or an
+exact residue mod p (``euler_number_mod_p``).
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ def euler_numbers(limit: int) -> list[int]:
     for n in range(1, limit + 1):
         e[n] = -sum(comb(n, k) * e[n - k] for k in range(2, n + 1, 2))
     return e
+
+
+def euler_number_mod_p(n: int, p: int) -> int:
+    """E_n mod an odd prime p in O(p) modular powers, without the exact table.
+
+    E_n = 2^n E_n(1/2) and E_n(x) + E_n(x+1) = 2 x^n give
+    sum_{k<p} (-1)^k (2k+1)^n = (E_n + 2^n E_n(1/2 + p)) / 2, and the Euler
+    polynomials have p-integral coefficients, so the sum is E_n mod p.
+    """
+    return sum((-1) ** k * pow(2 * k + 1, n, p) for k in range(p)) % p
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from binomsums.arith import (
     binomial_valuation,
     factorial_factored,
     fermat_quotient_2,
-    inverse_table,
     is_prime,
     legendre_symbol,
     mod_inverse,
@@ -265,15 +264,14 @@ def test_represent_against_enumeration():
                 assert (abs(rep.x), rep.y) in sols
 
 
-def test_inverse_table():
-    for p, k in [(5, 2), (7, 3)]:
-        pk = p**k
-        inv = inverse_table(200, p, k)
+def test_factorial_tables_give_reciprocals():
+    # 1/i = inv_unit[i] * unit[i-1] for p not dividing i: the identity the
+    # term engine and the shift engine use in place of an inverse table
+    for p, k in [(5, 2), (7, 3), (13, 4)]:
+        t = FactorialTables(p, k, 200)
         for i in range(1, 201):
             if i % p:
-                assert i * inv[i] % pk == 1
-            else:
-                assert inv[i] == 0
+                assert i * t.inv_unit[i] * t.unit[i - 1] % t.pk == 1
 
 
 def test_strip_p():

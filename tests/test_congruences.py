@@ -262,25 +262,36 @@ def test_sweep_matches_reference_all_shifts():
 
 def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
     direct = _sweeps.direct_shift_sum
+    bad = {"seed": 0}
 
     def corrupt_seed(p, weights, d, tables):
         s = direct(p, weights, d, tables)
-        return (s + 1) % tables.pk if d == 0 else s
+        return (s + 1) % tables.pk if d == bad["seed"] else s
 
     monkeypatch.setattr(_sweeps, "direct_shift_sum", corrupt_seed)
     # the even chain from S(0) reaches S((p-1)/2) = S(6) before any reseed
     with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=6, K=2"):
         PrimeContext(13).sweep((64,), 2)
+    # a wrong S(0) or S(1) is caught whether its chain is re-summed at a
+    # reseed, or multiplied by a coefficient c(x) divisible by p, first
+    for seed in (0, 1):
+        bad["seed"] = seed
+        for p in (13, 17, 29, 31, 37):
+            for kexp in (1, 2, 3):
+                for base in (64, 108, 256, 1728):
+                    with pytest.raises(
+                        ArithmeticError, match=rf"p={p}, base={base}, d=\d+, K={kexp}"
+                    ):
+                        PrimeContext(p).sweep((base,), kexp)
 
 
 def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
-    # a stream whose every term is a unit breaks v_p(C(2k,k)^2) >= 2 at the
-    # first tail index k = (p+1)/2
-    def unit_terms(self, family, base, kexp, hi):
-        for k in range(hi + 1):
-            yield k, 0, 1
+    # a C(2k,k) table whose every entry is a unit breaks v_p(C(2k,k)^2) >= 2
+    # at the first tail index k = (p+1)/2 in every stream built on it
+    def unit_central(self, kexp):
+        return [0] * self.p, [1] * self.p
 
-    monkeypatch.setattr(PrimeContext, "_terms", unit_terms)
+    monkeypatch.setattr(PrimeContext, "central", unit_central)
     p = 13
     cases = [
         ("central_square_menu", lambda c: c.central_square_menu(8, 2, full=True)),
@@ -297,7 +308,7 @@ def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
 def test_tail_invariants_survive_optimize_flag():
     code = (
         "from binomsums.congruences import PrimeContext\n"
-        "PrimeContext._terms = lambda self, f, b, K, hi: ((k, 0, 1) for k in range(hi + 1))\n"
+        "PrimeContext.central = lambda self, K: ([0] * self.p, [1] * self.p)\n"
         "try:\n"
         "    PrimeContext(13).central_cube_menu(-8, 2)\n"
         "except ArithmeticError as exc:\n"

@@ -3,9 +3,11 @@ from math import comb
 
 import pytest
 
+from binomsums.arith import primes_in_range
 from binomsums.sequences import (
     central_binomial_residues,
     delannoy_poly,
+    euler_number_mod_p,
     euler_numbers,
     f_poly,
     schroder_poly,
@@ -79,6 +81,17 @@ def test_euler_numbers():
     # defining relation holds for every n >= 1, odd included
     for n in range(1, 11):
         assert sum(comb(n, k) * e[n - k] for k in range(0, n + 1, 2)) == 0
+
+
+def test_euler_number_mod_p_matches_exact_table():
+    # E_{p-3} mod p is what the CGZ_P4 row uses; pinned for every p < 600,
+    # plus a spread of other indices at small p
+    e = euler_numbers(600)
+    for p in primes_in_range(5, 600):
+        assert euler_number_mod_p(p - 3, p) == e[p - 3] % p, p
+    for p in (3, 5, 7, 11, 13):
+        for n in range(40):
+            assert euler_number_mod_p(n, p) == e[n] % p, (p, n)
 
 
 def test_sequence_tables():

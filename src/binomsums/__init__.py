@@ -30,6 +30,7 @@ from .congruences import (
     all_ids,
     check,
     default_ids,
+    iter_suite,
     registry,
     run_suite,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "factorial_factored",
     "fermat_quotient_2",
     "is_prime",
+    "iter_suite",
     "legendre_symbol",
     "mod_inverse",
     "primes_in_range",

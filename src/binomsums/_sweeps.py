@@ -1,15 +1,9 @@
-"""Batch kernels for the congruence checker.
+"""The shift engine of the congruence checker.
 
-Two engines live here:
-
-* a shift engine producing, for every shift d < p at once, the weighted sums
-  S(d) = sum_{k<p} w(k) C(2k, k+d)  (mod p^K)  in O(p), by stepping the
-  creative-telescoping relations d -> d+2 that ``identities`` verifies
-  exactly, and
-* a packed big-integer self-convolution used for the double sums (one
-  multiplication instead of an O(p^2) loop).
-
-Both are exact; the test suite pins them against the direct evaluators.
+It produces, for every shift d < p at once, the weighted sums
+S(d) = sum_{k<p} w(k) C(2k, k+d)  (mod p^K)  in O(p), by stepping the
+creative-telescoping relations d -> d+2 that ``identities`` verifies exactly.
+It is exact; the test suite pins it against the direct evaluators.
 """
 
 from __future__ import annotations
@@ -121,25 +115,3 @@ def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -
         if direct != out[d]:
             raise mismatch(d, f"step relation gives {out[d]}, direct sum gives {direct}")
     return out
-
-
-def self_convolution_mod(values: list[int], modulus: int) -> list[int]:
-    """c_n = sum_{i+j=n} v_i v_j mod modulus for n < len(values).
-
-    Values are packed into fixed-width little-endian slots of one big integer;
-    squaring it performs every convolution at once.  The slot width is sized
-    so no coefficient can overflow into its neighbour.
-    """
-    n = len(values)
-    if n == 0:
-        return []
-    bound = n * (modulus - 1) ** 2
-    width = max(1, (bound.bit_length() + 7) // 8)
-    packed = b"".join((v % modulus).to_bytes(width, "little") for v in values)
-    big = int.from_bytes(packed, "little")
-    sq = big * big
-    raw = sq.to_bytes(2 * n * width, "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") % modulus
-        for i in range(n)
-    ]

@@ -19,12 +19,14 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
 from .arith import is_prime, primes_in_range, represent
-from .congruences import all_ids, default_ids, run_suite
+from .congruences import FAIL, CongruenceReport, all_ids, default_ids, iter_suite
 from .identities import SUITES, run_identity_suite
 from .qseries import ETA_PRODUCTS, coefficient_table
 
@@ -154,14 +156,18 @@ def _setting(args, config: dict[str, str], flag: str, conv=str):
 
 
 def _emit(rows, columns, fmt, out, command, human_row, footer=None):
-    """Write rows in the chosen format; only jsonl carries a timestamp."""
+    """Write rows, each a sequence in column order, as they are produced.
+
+    ``footer`` (human format only) is called after the last row, so it can
+    report totals counted while the rows went out.  Only jsonl carries a
+    timestamp.
+    """
     sink = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
     try:
         if fmt == "csv":
             writer = csv.writer(sink)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow(["" if row[c] is None else row[c] for c in columns])
+            writer.writerows(rows)  # None is written as ""
         elif fmt == "jsonl":
             meta = {
                 "command": command,
@@ -169,23 +175,15 @@ def _emit(rows, columns, fmt, out, command, human_row, footer=None):
                 "version": __version__,
             }
             print(json.dumps({"meta": meta}, sort_keys=True), file=sink)
-            for row in rows:
-                print(json.dumps(row, sort_keys=True), file=sink)
+            sink.writelines(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n"
+                            for row in rows)
         else:
-            for row in rows:
-                print(human_row(row), file=sink)
+            sink.writelines(human_row(row) + "\n" for row in rows)
             if footer:
-                print(footer, file=sink)
+                print(footer(), file=sink)
     finally:
         if out:
             sink.close()
-
-
-def _append_log(path: str, rows) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        for row in rows:
-            line = {"ts": datetime.now(timezone.utc).isoformat(), "record": row}
-            print(json.dumps(line, sort_keys=True), file=fh)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -231,44 +229,44 @@ def _cmd_verify(args, parser) -> int:
         )
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    reports = run_suite(
+    reports = iter_suite(
         cfg.prime_iter(),
         cfg.ids,
         jobs=cfg.jobs,
         mod_exp=cfg.mod_exp,
         timings=cfg.timings,
     )
-    rows = [
-        {
-            "id": r.id, "p": r.p, "params": r.params, "modulus": r.modulus,
-            "lhs": r.lhs, "rhs": r.rhs, "status": r.status, "micros": r.micros,
-        }
-        for r in reports
-    ]
-    counts: dict[str, int] = {}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    footer = "checked {} rows: {}".format(
-        len(rows),
-        ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing",
-    )
+    counts: Counter[str] = Counter()
 
-    def human(row):
-        head = f"{row['id']} p={row['p']}"
-        if row["params"]:
-            head += f" {row['params']}"
-        if row["status"] == "skipped":
+    def tally(log):
+        """The reports as they arrive, counted and, with --log, logged."""
+        for r in reports:
+            counts[r.status] += 1
+            if log:
+                line = {"ts": datetime.now(timezone.utc).isoformat(), "record": r._asdict()}
+                print(json.dumps(line, sort_keys=True), file=log)
+            yield r
+
+    def footer():
+        return "checked {} rows: {}".format(
+            sum(counts.values()),
+            ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing",
+        )
+
+    def human(r):
+        head = f"{r.id} p={r.p}"
+        if r.params:
+            head += f" {r.params}"
+        if r.status == "skipped":
             return f"{head}: skipped"
-        text = f"{head} mod {row['modulus']}: {row['status']} lhs={row['lhs']} rhs={row['rhs']}"
-        if row["micros"]:
-            text += f" ({row['micros']}us)"
+        text = f"{head} mod {r.modulus}: {r.status} lhs={r.lhs} rhs={r.rhs}"
+        if r.micros:
+            text += f" ({r.micros}us)"
         return text
 
-    _emit(rows, ["id", "p", "params", "modulus", "lhs", "rhs", "status", "micros"],
-          cfg.fmt, cfg.out, "verify", human, footer)
-    if cfg.log:
-        _append_log(cfg.log, rows)
-    return 1 if any(r.failed for r in reports) else 0
+    with open(cfg.log, "a", encoding="utf-8") if cfg.log else nullcontext() as log:
+        _emit(tally(log), CongruenceReport._fields, cfg.fmt, cfg.out, "verify", human, footer)
+    return 1 if counts[FAIL] else 0
 
 
 def _cmd_identities(args, parser) -> int:
@@ -295,24 +293,21 @@ def _cmd_identities(args, parser) -> int:
     except OSError as exc:
         parser.error(str(exc))
     rows = [
-        {
-            "name": r.name, "params": r.params, "checks": r.checks,
-            "status": r.status,
-            "witness": None if r.witness is None else list(r.witness),
-        }
+        (r.name, r.params, r.checks, r.status,
+         None if r.witness is None else list(r.witness))
         for r in records
     ]
     fails = [r for r in records if r.status != "pass"]
 
     def human(row):
-        text = f"{row['name']} [{row['params']}]: {row['status']} ({row['checks']} checks)"
-        if row["witness"] is not None:
-            text += f" witness={tuple(row['witness'])}"
+        name, params, checks, status, witness = row
+        text = f"{name} [{params}]: {status} ({checks} checks)"
+        if witness is not None:
+            text += f" witness={tuple(witness)}"
         return text
 
-    footer = f"{len(rows)} suites, {len(fails)} failing"
     _emit(rows, ["name", "params", "checks", "status", "witness"],
-          fmt, out, "identities", human, footer)
+          fmt, out, "identities", human, lambda: f"{len(rows)} suites, {len(fails)} failing")
     return 1 if fails else 0
 
 
@@ -331,11 +326,10 @@ def _cmd_eta(args, parser) -> int:
         parser.error(str(exc))
     tables = {name: coefficient_table(name, order) for name in sorted(ETA_PRODUCTS)}
     rows = [
-        {"n": n, "a(n)": tables["a"][n], "b(n)": tables["b"][n], "c(n)": tables["c"][n]}
-        for n in range(1, order + 1)
+        (n, tables["a"][n], tables["b"][n], tables["c"][n]) for n in range(1, order + 1)
     ]
     _emit(rows, ["n", "a(n)", "b(n)", "c(n)"], fmt, out, "eta",
-          lambda row: f"n={row['n']} a={row['a(n)']} b={row['b(n)']} c={row['c(n)']}")
+          lambda row: "n={} a={} b={} c={}".format(*row))
     return 0
 
 
@@ -364,9 +358,9 @@ def _cmd_repr(args, parser) -> int:
             continue  # p = x^2 + d y^2 with p | d has no primitive solution
         rep = represent(p, d)
         if rep is not None:
-            rows.append({"p": p, "d": d, "x": rep.x, "y": rep.y})
+            rows.append((p, d, rep.x, rep.y))
     _emit(rows, ["p", "d", "x", "y"], fmt, out, "repr",
-          lambda row: f"p={row['p']}: x={row['x']} y={row['y']} (p = x^2 + {row['d']}*y^2)")
+          lambda row: "p={0}: x={2} y={3} (p = x^2 + {1}*y^2)".format(*row))
     return 0
 
 
@@ -397,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, help="worker processes (default 1)")
     p_verify.add_argument(
         "--timings", action="store_const", const=True, default=None,
-        help="fill the micros column (off keeps output byte-identical)",
+        help="fill the micros column with each row's marginal cost: its own "
+        "evaluation, leaving out the shared per-prime tables, menus and sweeps "
+        "(0 for table rows); off keeps output byte-identical",
     )
     p_verify.add_argument("--log", help="append jsonl records with timestamps here")
     p_verify.add_argument(

@@ -17,10 +17,11 @@ Two evaluation paths exist and are pinned against each other by the tests:
 
 * ``check`` runs a single row at a single prime through the direct reference
   evaluators (each shifted sum summed term by term);
-* ``run_suite`` batches rows over many primes, sharing per-prime factorial
+* ``iter_suite`` batches rows over many primes, sharing per-prime factorial
   tables, term lists, running-sum menus, and the shift engine, which produces
   all shifted sums S(d) of a family at once in O(p) by stepping the certified
-  d -> d+2 relations from two direct seeds.
+  d -> d+2 relations from two direct seeds.  It yields reports one prime at
+  a time; ``run_suite`` collects them into a list.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
 ``experimental-fail`` for conjectural ones, and ``skipped`` when a row's side
@@ -33,10 +34,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from ._sweeps import SHIFT_FAMILIES, self_convolution_mod, shift_sums
+from ._sweeps import SHIFT_FAMILIES, shift_sums
 from .arith import (
     FactorialTables,
     binomial_factored,
@@ -55,15 +57,15 @@ XPASS = "experimental-pass"
 XFAIL = "experimental-fail"
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Outcome of one congruence row at one prime.
+class CongruenceReport(NamedTuple):
+    """Outcome of one congruence row at one prime, as an immutable named tuple.
 
     ``lhs``/``rhs`` are residues mod ``modulus`` (None when skipped).  For
     chained statements that assert several sums agree, ``lhs``/``rhs`` show
     the first differing pair on failure and (first member, closed form)
-    otherwise.  ``micros`` is filled only when timings were requested; shared
-    per-prime precomputation is not attributed to individual rows.
+    otherwise.  ``micros`` is filled only when timings were requested; it is
+    the marginal cost of the row's own evaluation, which leaves out the shared
+    per-prime tables, menus and sweeps, and it is 0 for table rows.
     """
 
     id: str
@@ -368,21 +370,6 @@ class PrimeContext:
         self._cache[key] = out
         return out
 
-    def central_square_residues(self, kexp: int) -> list[int]:
-        """C(2k,k)^2 mod p^kexp for k < p (input to the double-sum square)."""
-        key = ("c2sqres", kexp)
-        if key not in self._cache:
-            self._cache[key] = self.residues(kexp, self.terms(kexp, 1, 2))
-        return self._cache[key]
-
-    def square_convolution(self, kexp: int) -> list[int]:
-        key = ("conv", kexp)
-        if key not in self._cache:
-            self._cache[key] = self_convolution_mod(
-                self.central_square_residues(kexp), self.pk(kexp)
-            )
-        return self._cache[key]
-
 
 # --- reference evaluators -------------------------------------------------
 
@@ -406,7 +393,7 @@ def _reference_shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int
 
 def _shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
     """Shifted family sum, from the shift engine's output when one is already
-    cached for this (base, exponent) — run_suite primes that cache — and
+    cached for this (base, exponent) — the suite primes that cache — and
     otherwise through the term-by-term reference path."""
     cached = ctx._cache.get(("sweep", base, kexp))
     if cached is not None:
@@ -620,11 +607,12 @@ def _eval_c1_26(ctx, kexp, _):
 
 def _eval_cl3_2(ctx, kexp, part):
     pkv = ctx.pk(kexp)
-    conv = ctx.square_convolution(kexp)
-    # (m+1)/8^m for part 1, (2m+1)/(-16)^m for part 2
-    base, slope = (8, 1) if part == 1 else (-16, 2)
-    scale = ctx.central_power(0, base, kexp)[1]
-    total = sum(map(mul, map(mul, conv, scale), range(1, slope * ctx.p + 1, slope)))
+    # sum_{i+j<p} b_i b_j (s(i+j) + 1) with b_i = C(2i,i)^2/base^i is, by the
+    # (i, j) symmetry, sum_i b_i (2si + 1) B(p-1-i), B the prefix sums of b
+    base, s = (8, 1) if part == 1 else (-16, 2)
+    b = ctx.residues(kexp, ctx.terms(kexp, base, 2))
+    weighted = map(mul, b, range(1, 2 * s * ctx.p, 2 * s))
+    total = sum(map(mul, weighted, reversed(list(accumulate(b)))))
     rhs = ctx.p * ctx.legendre(-1) % pkv
     return (total % pkv,), rhs
 
@@ -1120,41 +1108,62 @@ def check(
     return _report(row, ctx, kexp, param, members, rhs)
 
 
+def _located(exc: Exception, row_id: str, p: int) -> Exception:
+    """``exc`` again, as a new exception of its class naming the row and prime."""
+    where = f"row={row_id}, p={p}"
+    try:
+        return type(exc)(f"{exc} ({where})")
+    except TypeError:  # a class whose constructor wants other arguments
+        return RuntimeError(f"{type(exc).__name__}: {exc} ({where})")
+
+
 def _suite_for_prime(
     p: int,
     ids: tuple[str, ...],
     mod_exp: dict[str, int],
     timings: bool,
 ) -> list[CongruenceReport]:
+    """The reports of the rows ``ids`` at ``p``, in registry then parameter order.
+
+    An exception raised while a row is evaluated is raised again as the same
+    class with ``row=<id>, p=<p>`` in its message, chained from the original.
+    """
     ctx = PrimeContext(p)
     rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
-    # one shift-engine pass per (family, modulus exponent) serves every row
-    by_exp: dict[int, list[int]] = {}
+    # one factorial table per exponent, sized up front for the widest shift
+    # family, serves every family's shift-engine pass
+    widest: dict[int, int] = {}
     for row in rows:
         if row.sweep_base is not None and row.applies(p):
             kexp = mod_exp.get(row.id, row.exponent(p))
-            by_exp.setdefault(kexp, []).append(row.sweep_base)
-    for kexp, bases in sorted(by_exp.items()):
-        ctx.sweep(sorted(set(bases)), kexp)
+            widest[kexp] = max(widest.get(kexp, 0), SHIFT_FAMILIES[row.sweep_base].step)
+    for kexp, step in widest.items():
+        ctx.tables(kexp, step * p)
     reports: list[CongruenceReport] = []
     for row in rows:
         kexp = mod_exp.get(row.id, row.exponent(p))
         if not row.applies(p):
             reports.append(_skipped(row, p, kexp))
             continue
-        values: tuple[int | None, ...] = (
-            (None,) if row.param_values is None else row.param_values(p)
-        )
-        if row.sweep_base is not None and row.param_values is not None:
-            table = ctx.sweep((row.sweep_base,), kexp)[row.sweep_base]
+        try:
+            if row.sweep_base is not None:  # one pass serves all rows of a family
+                table = ctx.sweep((row.sweep_base,), kexp)[row.sweep_base]
+                if row.param_values is not None:  # table rows: lhs = S(d), rhs = 0
+                    pkv, prefix = p**kexp, f"{row.param_name}="
+                    reports += [
+                        CongruenceReport(row.id, p, f"{prefix}{d}", pkv, s, 0,
+                                         _status(row, p, d, not s))
+                        for d in row.param_values(p) for s in [table[d]]
+                    ]
+                    continue
+            values = (None,) if row.param_values is None else row.param_values(p)
             for v in values:
-                reports.append(_report(row, ctx, kexp, v, (table[v],), 0))
-            continue
-        for v in values:
-            start = time.perf_counter_ns() if timings else 0
-            members, rhs = _EVAL[row.id](ctx, kexp, v)
-            micros = (time.perf_counter_ns() - start) // 1000 if timings else 0
-            reports.append(_report(row, ctx, kexp, v, members, rhs, micros))
+                start = time.perf_counter_ns() if timings else 0
+                members, rhs = _EVAL[row.id](ctx, kexp, v)
+                micros = (time.perf_counter_ns() - start) // 1000 if timings else 0
+                reports.append(_report(row, ctx, kexp, v, members, rhs, micros))
+        except Exception as exc:
+            raise _located(exc, row.id, p) from exc
     return reports
 
 
@@ -1163,22 +1172,26 @@ def _suite_worker(args) -> list[CongruenceReport]:
     return _suite_for_prime(p, ids, dict(mod_exp_items), timings)
 
 
-def run_suite(
+def iter_suite(
     primes: Iterable[int],
     ids: Iterable[str] | None = None,
     *,
     jobs: int = 1,
     mod_exp: dict[str, int] | None = None,
     timings: bool = False,
-) -> list[CongruenceReport]:
-    """Evaluate congruence rows over a set of primes.
+) -> Iterator[CongruenceReport]:
+    """Evaluate congruence rows over a set of primes, yielding reports in order.
 
     ``primes``: candidate moduli; entries below 5 or composite are dropped.
     ``ids``: row ids in any order (default: the whole registry); unknown ids
     raise ValueError.  ``jobs`` > 1 distributes primes over worker processes
-    — the result is identical to the serial run.  ``mod_exp`` maps row ids to
-    overridden modulus exponents.  ``timings`` fills the per-row micros field
-    (kept at 0 otherwise so repeated runs are byte-identical).
+    — the reports are identical to the serial run's.  ``mod_exp`` maps row ids
+    to overridden modulus exponents.  ``timings`` fills the per-row micros
+    field (kept at 0 otherwise so repeated runs are byte-identical).
+
+    The arguments are checked here, when it is called; the generator it
+    returns evaluates one prime at a time as it is consumed (with ``jobs``,
+    each prime's reports as they arrive), so no run holds every report.
     """
     if ids is None:
         id_list = all_ids()
@@ -1197,17 +1210,32 @@ def run_suite(
         if k < 1:
             raise ValueError("modulus exponent must be >= 1")
     ps = sorted({p for p in primes if p >= 5 and is_prime(p)})
-    id_tuple = tuple(id_list)
+    return _stream(ps, tuple(id_list), over, jobs, timings)
+
+
+def _stream(ps, ids, over, jobs, timings) -> Iterator[CongruenceReport]:
     if jobs == 1 or len(ps) <= 1:
-        out: list[CongruenceReport] = []
         for p in ps:
-            out.extend(_suite_for_prime(p, id_tuple, over, timings))
-        return out
-    work = [(p, id_tuple, tuple(over.items()), timings) for p in ps]
+            yield from _suite_for_prime(p, ids, over, timings)
+        return
+    work = [(p, ids, tuple(over.items()), timings) for p in ps]
     chunk = max(1, len(work) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_suite_worker, work, chunksize=chunk))
-    out = []
-    for part in results:
-        out.extend(part)
-    return out
+        parts = pool.map(_suite_worker, work, chunksize=chunk)
+        try:
+            for part in parts:
+                yield from part
+        finally:
+            parts.close()  # a stream dropped early cancels the primes not started
+
+
+def run_suite(
+    primes: Iterable[int],
+    ids: Iterable[str] | None = None,
+    *,
+    jobs: int = 1,
+    mod_exp: dict[str, int] | None = None,
+    timings: bool = False,
+) -> list[CongruenceReport]:
+    """Every report of ``iter_suite`` with the same arguments, as one list."""
+    return list(iter_suite(primes, ids, jobs=jobs, mod_exp=mod_exp, timings=timings))

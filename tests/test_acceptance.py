@@ -3,7 +3,8 @@
 Each test prints one pass/fail line (run with ``pytest -s`` to see them all);
 congruence checks are exact, so the tolerance everywhere is identically zero.
 The whole gate is a few minutes of CPU; the two big prime sweeps are shared
-between criteria through module-scoped fixtures.
+between criteria through module-scoped fixtures, and the tests that use them
+are marked ``slow`` (``pytest -m "not slow"`` leaves them out).
 """
 
 from fractions import Fraction
@@ -59,6 +60,7 @@ def quarter_reports():
     return _by_id(run_suite(PRIMES_10K, ids))
 
 
+@pytest.mark.slow
 def test_criterion_01_squared_central_shift_sums(sweep_reports):
     c15 = sweep_reports["C1_5"]
     ok = (
@@ -73,6 +75,7 @@ def test_criterion_01_squared_central_shift_sums(sweep_reports):
                  "and the shift-by-one sum matches its closed form, p <= 5000")
 
 
+@pytest.mark.slow
 def test_criterion_02_half_range_weighted_sums(quarter_reports):
     ids = ["C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12", "C1_13"]
     ok = all(
@@ -101,6 +104,7 @@ def test_criterion_02_half_range_weighted_sums(quarter_reports):
                  "quadratic-form values mod p^2, p <= 10^4, with mod-25 anchors")
 
 
+@pytest.mark.slow
 def test_criterion_03_three_product_shift_sums(sweep_reports):
     parities = {
         "C1_19": lambda p: (1 + legendre_symbol(p, 3)) // 2,
@@ -159,6 +163,7 @@ def test_criterion_05_cube_modulus_rows():
                  "hold mod p^3, p <= 2000")
 
 
+@pytest.mark.slow
 def test_criterion_06_classical_binomial_rows(quarter_reports):
     conditions = {
         "C3_2": lambda p: p % 4 == 1,

@@ -171,3 +171,21 @@ def test_jobs_flag_matches_serial():
     parallel = run_cli("verify", "--primes", "5..60", "--jobs", "2", "--format", "csv")
     assert serial.stdout == parallel.stdout
     assert serial.returncode == parallel.returncode == 0
+
+
+def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
+    from binomsums import cli, congruences
+
+    def broken(ctx, kexp, _):
+        if ctx.p == 17:
+            raise ZeroDivisionError("broken row")
+        return (0,), 0
+
+    monkeypatch.setitem(congruences._EVAL, "CGZ", broken)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ZeroDivisionError, match=r"row=CGZ, p=17"):
+        cli.main(["verify", "--primes", "5..40", "--ids", "CGZ", "--format", "csv",
+                  "--out", str(out)])
+    lines = out.read_text().splitlines()
+    assert lines[0] == "id,p,params,modulus,lhs,rhs,status,micros"
+    assert [line.split(",")[1] for line in lines[1:]] == ["5", "7", "11", "13"]

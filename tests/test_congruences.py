@@ -5,6 +5,7 @@ Fraction arithmetic, math.comb), then compared with the engine's residues.
 The batched suite path is additionally pinned against the reference path.
 """
 
+import multiprocessing
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,9 +13,10 @@ from math import comb
 
 import pytest
 
-from binomsums import _sweeps
+from binomsums import _sweeps, congruences
 from binomsums.arith import legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
+    CongruenceReport,
     PrimeContext,
     _reference_shift_sum,
     _REGISTRY,
@@ -22,6 +24,7 @@ from binomsums.congruences import (
     all_ids,
     check,
     default_ids,
+    iter_suite,
     registry,
     run_suite,
 )
@@ -178,6 +181,21 @@ def test_double_sum_rows_bruteforce():
     assert check("CL3_3", 5, 2).lhs == 50
 
 
+def test_double_sum_prefix_rewrite_bruteforce():
+    # CL3_2 reads the double sum as sum_i b_i (2si+1) B(p-1-i); pin its lhs to
+    # the literal double sum over i + j < p at every modulus exponent 1..4
+    for p in primes_in_range(5, 59):
+        c2 = [comb(2 * k, k) ** 2 for k in range(p)]
+        for part, base, s in ((1, 8, 1), (2, -16, 2)):
+            total = sum(
+                Fraction((s * (i + j) + 1) * c2[i] * c2[j], base ** (i + j))
+                for i in range(p) for j in range(p - i)
+            )
+            for kexp in (1, 2, 3, 4):
+                r = check("CL3_2", p, part, mod_exp=kexp)
+                assert r.lhs == fm(total, p**kexp), (p, part, kexp)
+
+
 def test_combined_experimental_row():
     for p in (5, 13, 7, 11):
         n = (p - 1) // 2
@@ -332,6 +350,86 @@ def test_parallel_matches_serial():
     serial = run_suite(ps, ids)
     parallel = run_suite(ps, ids, jobs=3)
     assert serial == parallel
+
+
+def test_iter_suite_streams_one_prime_at_a_time(monkeypatch):
+    calls = []
+    inner = congruences._suite_for_prime
+
+    def counting(p, *args):
+        calls.append(p)
+        return inner(p, *args)
+
+    monkeypatch.setattr(congruences, "_suite_for_prime", counting)
+    stream = iter_suite(primes_in_range(5, 60), ["C1_5", "CGZ"])
+    assert calls == []
+    first = next(stream)
+    assert calls == [5] and first.p == 5
+    rest = list(stream)
+    assert calls == primes_in_range(5, 60) and len(rest) > 1
+
+
+def test_run_suite_is_the_listed_stream():
+    ps = primes_in_range(5, 60)
+    ids = ["C1_5", "C1_7a", "CL3_2", "CGZ", "C4_1"]
+    serial = run_suite(ps, ids)
+    assert serial == list(iter_suite(ps, ids))
+    assert run_suite(ps, ids, jobs=2) == list(iter_suite(ps, ids, jobs=2)) == serial
+
+
+def test_iter_suite_rejects_bad_arguments_at_the_call():
+    for kwargs in ({"ids": ["nope"]}, {"jobs": 0}, {"mod_exp": {"CGZ": 0}},
+                   {"mod_exp": {"nope": 2}}):
+        with pytest.raises(ValueError):
+            iter_suite([13], **kwargs)  # raised before any next()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_row_errors_name_their_row_and_prime(monkeypatch, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched row only when forked")
+
+    def broken(ctx, kexp, _):
+        if ctx.p == 17:
+            raise ZeroDivisionError("broken row")
+        return (0,), 0
+
+    monkeypatch.setitem(congruences._EVAL, "CGZ", broken)
+    stream = iter_suite(primes_in_range(5, 30), ["C1_7a", "CGZ"], jobs=jobs)
+    seen = []
+    with pytest.raises(ZeroDivisionError, match=r"^broken row \(row=CGZ, p=17\)$") as err:
+        for r in stream:
+            seen.append(r.p)
+    assert seen == [5, 5, 7, 7, 11, 11, 13, 13]  # the primes before the defect
+    if jobs == 1:
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+        assert str(err.value.__cause__) == "broken row"
+
+
+def test_shift_engine_errors_name_their_row(monkeypatch):
+    direct = _sweeps.direct_shift_sum
+
+    def corrupt_seed(p, weights, d, tables):
+        s = direct(p, weights, d, tables)
+        return (s + 1) % tables.pk if d == 0 else s
+
+    monkeypatch.setattr(_sweeps, "direct_shift_sum", corrupt_seed)
+    with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=6, K=2.*\(row=C1_5, p=13\)"):
+        run_suite([13], ["C1_5"])
+
+
+def test_report_is_an_immutable_named_tuple():
+    r = check("CGZ", 13)
+    assert isinstance(r, tuple) and CongruenceReport._fields == (
+        "id", "p", "params", "modulus", "lhs", "rhs", "status", "micros")
+    assert repr(r) == (
+        "CongruenceReport(id='CGZ', p=13, params='', modulus=2197, "
+        f"lhs={r.lhs}, rhs={r.rhs}, status='pass', micros=0)"
+    )
+    assert hash(r) == hash(check("CGZ", 13)) and not r.failed
+    with pytest.raises(AttributeError):
+        r.status = "fail"
+    assert r._replace(status="fail").failed
 
 
 def test_report_order_is_prime_then_registry_then_param():

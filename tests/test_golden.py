@@ -1,9 +1,11 @@
 """Byte-for-byte pins of whole CLI runs.
 
-Each hash was taken from the output of the Pascal-sweep engine that the
-step-relation shift engine replaced; a refactor that changes any residue,
-status, row order or formatting byte changes the hash.  The jsonl format is
-left out because its meta line carries a timestamp.
+Each hash was taken from the output of an earlier engine: the csv runs from
+the Pascal-sweep engine that the step-relation shift engine replaced, the
+human and jsonl runs from the list-building ``run_suite`` path that the
+streaming ``iter_suite`` replaced.  A refactor that changes any residue,
+status, row order, footer or formatting byte changes the hash.  The jsonl
+meta line carries a timestamp, so only the body after it is hashed.
 """
 
 import hashlib
@@ -39,13 +41,28 @@ GOLDEN = [
         0,
         "0664dd32f8ddfa62417164287c803051f1099e5b2467c912ac8052a712a127e0",
     ),
+    # the human format, whose footer totals are counted while rows stream out
+    (
+        ("verify", "--primes", "5..120", "--include-experimental", "--format", "human"),
+        0,
+        "6a20756498cbd282384f04cadb7d4d0d8defee404269f4d506ad8ff1f541ec0f",
+    ),
+    # the same run as jsonl, without its timestamped meta line
+    (
+        ("verify", "--primes", "5..120", "--include-experimental", "--format", "jsonl"),
+        0,
+        "7b9151faed2e6aeaaa762d0aeaf6922337259e2ae8dec51a7733e7ec5b31e4d3",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,status,digest", GOLDEN, ids=["all_rows", "shift_high_k", "identities", "eta"]
+    "args,status,digest",
+    GOLDEN,
+    ids=["all_rows", "shift_high_k", "identities", "eta", "human", "jsonl_body"],
 )
 def test_golden_cli_output(args, status, digest):
     r = subprocess.run([sys.executable, "-m", "binomsums", *args], capture_output=True)
     assert r.returncode == status, r.stderr.decode()
-    assert hashlib.sha256(r.stdout).hexdigest() == digest
+    body = r.stdout.split(b"\n", 1)[1] if "jsonl" in args else r.stdout
+    assert hashlib.sha256(body).hexdigest() == digest

@@ -1,8 +1,8 @@
 """Exact verification of binomial-sum congruences modulo prime powers.
 
 Subpackages:
-    arith        residues mod p^k, factored factorials/binomials, Cornacchia
-    sequences    Delannoy/Schroeder polynomials, Euler numbers, residue streams
+    arith        primes, per-prime factorial tables and binomials mod p^k, Cornacchia
+    sequences    Delannoy/Schroeder polynomials, Euler numbers
     qseries      truncated eta-product expansions and their closed forms
     identities   exact polynomial/rational identity and recursion checks
     congruences  the congruence registry, checker and batch runner
@@ -10,13 +10,8 @@ Subpackages:
 """
 
 from .arith import (
-    FactoredResidue,
     FactorialTables,
-    PrimePowerResidue,
     QuadraticRepresentation,
-    binomial_factored,
-    factorial_factored,
-    fermat_quotient_2,
     is_prime,
     legendre_symbol,
     mod_inverse,
@@ -41,20 +36,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CongruenceReport",
-    "FactoredResidue",
     "FactorialTables",
     "IdentityRecord",
     "PrimeContext",
-    "PrimePowerResidue",
     "QuadraticRepresentation",
     "all_ids",
-    "binomial_factored",
     "check",
     "coefficient_closed_form",
     "coefficient_table",
     "default_ids",
-    "factorial_factored",
-    "fermat_quotient_2",
     "is_prime",
     "iter_suite",
     "legendre_symbol",

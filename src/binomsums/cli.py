@@ -155,15 +155,30 @@ def _setting(args, config: dict[str, str], flag: str, conv=str):
 # --- output -----------------------------------------------------------------
 
 
-def _emit(rows, columns, fmt, out, command, human_row, footer=None):
+def _open_out(path, parser, mode="w"):
+    """``path`` opened for text output, or an empty context when there is none.
+
+    A path that cannot be opened (a missing directory, no permission) is a
+    usage error, exit 2, rather than a traceback.
+    """
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        parser.error(str(exc))
+
+
+def _emit(rows, columns, fmt, out, parser, command, human_row, footer=None):
     """Write rows, each a sequence in column order, as they are produced.
 
-    ``footer`` (human format only) is called after the last row, so it can
-    report totals counted while the rows went out.  Only jsonl carries a
-    timestamp.
+    The output file (stdout when ``out`` is None) is opened before the first
+    row is taken from ``rows``.  ``footer`` (human format only) is called
+    after the last row, so it can report totals counted while the rows went
+    out.  Only jsonl carries a timestamp.
     """
-    sink = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
+    with _open_out(out, parser) as opened:
+        sink = opened or sys.stdout
         if fmt == "csv":
             writer = csv.writer(sink)
             writer.writerow(columns)
@@ -181,9 +196,6 @@ def _emit(rows, columns, fmt, out, command, human_row, footer=None):
             sink.writelines(human_row(row) + "\n" for row in rows)
             if footer:
                 print(footer(), file=sink)
-    finally:
-        if out:
-            sink.close()
 
 
 # --- subcommands ------------------------------------------------------------
@@ -264,8 +276,9 @@ def _cmd_verify(args, parser) -> int:
             text += f" ({r.micros}us)"
         return text
 
-    with open(cfg.log, "a", encoding="utf-8") if cfg.log else nullcontext() as log:
-        _emit(tally(log), CongruenceReport._fields, cfg.fmt, cfg.out, "verify", human, footer)
+    with _open_out(cfg.log, parser, "a") as log:
+        _emit(tally(log), CongruenceReport._fields, cfg.fmt, cfg.out, parser, "verify",
+              human, footer)
     return 1 if counts[FAIL] else 0
 
 
@@ -307,7 +320,7 @@ def _cmd_identities(args, parser) -> int:
         return text
 
     _emit(rows, ["name", "params", "checks", "status", "witness"],
-          fmt, out, "identities", human, lambda: f"{len(rows)} suites, {len(fails)} failing")
+          fmt, out, parser, "identities", human, lambda: f"{len(rows)} suites, {len(fails)} failing")
     return 1 if fails else 0
 
 
@@ -328,7 +341,7 @@ def _cmd_eta(args, parser) -> int:
     rows = [
         (n, tables["a"][n], tables["b"][n], tables["c"][n]) for n in range(1, order + 1)
     ]
-    _emit(rows, ["n", "a(n)", "b(n)", "c(n)"], fmt, out, "eta",
+    _emit(rows, ["n", "a(n)", "b(n)", "c(n)"], fmt, out, parser, "eta",
           lambda row: "n={} a={} b={} c={}".format(*row))
     return 0
 
@@ -359,7 +372,7 @@ def _cmd_repr(args, parser) -> int:
         rep = represent(p, d)
         if rep is not None:
             rows.append((p, d, rep.x, rep.y))
-    _emit(rows, ["p", "d", "x", "y"], fmt, out, "repr",
+    _emit(rows, ["p", "d", "x", "y"], fmt, out, parser, "repr",
           lambda row: "p={0}: x={2} y={3} (p = x^2 + {1}*y^2)".format(*row))
     return 0
 

@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from ._sweeps import SHIFT_FAMILIES, shift_sums
 from .arith import (
     FactorialTables,
-    binomial_factored,
     is_prime,
     legendre_symbol,
     mod_inverse,
@@ -163,6 +162,12 @@ class PrimeContext:
 
     # --- basic cached helpers -------------------------------------------
 
+    def _cached(self, key, build: Callable[[], object]):
+        """The value cached under ``key``, built by ``build()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def pk(self, kexp: int) -> int:
         return self.p**kexp
 
@@ -181,16 +186,10 @@ class PrimeContext:
         return cached
 
     def legendre(self, a: int) -> int:
-        key = ("leg", a)
-        if key not in self._cache:
-            self._cache[key] = legendre_symbol(a, self.p)
-        return self._cache[key]
+        return self._cached(("leg", a), lambda: legendre_symbol(a, self.p))
 
     def rep(self, d: int):
-        key = ("rep", d)
-        if key not in self._cache:
-            self._cache[key] = represent(self.p, d)
-        return self._cache[key]
+        return self._cached(("rep", d), lambda: represent(self.p, d))
 
     def sign_quarter(self, kexp: int) -> int:
         """(-1)^((p-1)/4) mod p^kexp, defined for p = 1 (mod 4)."""
@@ -200,16 +199,17 @@ class PrimeContext:
 
     def central(self, kexp: int) -> tuple[list[int], list[int]]:
         """Valuations and units mod p^kexp of C(2k,k) for k < p."""
-        key = ("central", kexp)
-        if key not in self._cache:
+
+        def build():
             p = self.p
             t = self.tables(kexp, 2 * p)
             pk, inv = t.pk, t.inv_unit
-            self._cache[key] = (
+            return (
                 [a - 2 * b for a, b in zip(t.val[: 2 * p : 2], t.val[:p])],
                 [u * i * i % pk for u, i in zip(t.unit[: 2 * p : 2], inv[:p])],
             )
-        return self._cache[key]
+
+        return self._cached(("central", kexp), build)
 
     def central_power(self, central: int, base: int, kexp: int) -> tuple[list[int], list[int]]:
         """Valuations and units mod p^kexp of C(2k,k)^central / base^k for k < p.
@@ -217,8 +217,8 @@ class PrimeContext:
         ``base`` is inverted mod p^kexp, so negative and residue bases are
         fine.  Cached: the rows that share a power and a base share one pass.
         """
-        key = ("cpow", central, base, kexp)
-        if key not in self._cache:
+
+        def build():
             pk = self.pk(kexp)
             cval, cunit = self.central(kexp)
             if base == 1:
@@ -229,8 +229,9 @@ class PrimeContext:
             else:
                 binv, s = mod_inverse(base % pk, pk), 1
                 units = [1] + [(s := s * binv % pk) for _ in range(self.p - 1)]
-            self._cache[key] = ([central * v for v in cval], units)
-        return self._cache[key]
+            return [central * v for v in cval], units
+
+        return self._cached(("cpow", central, base, kexp), build)
 
     def terms(
         self,
@@ -283,12 +284,10 @@ class PrimeContext:
 
         w(k) = C(a k, b k) C(c k, e k) / base^k, from the term engine.
         """
-        key = ("w", base, kexp)
-        if key not in self._cache:
-            self._cache[key] = self.residues(
-                kexp, self.terms(kexp, base, *_FAMILY_SPEC[base])
-            )
-        return self._cache[key]
+        return self._cached(
+            ("w", base, kexp),
+            lambda: self.residues(kexp, self.terms(kexp, base, *_FAMILY_SPEC[base])),
+        )
 
     def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
         """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp.
@@ -318,36 +317,34 @@ class PrimeContext:
         tail valuation invariant v_p(C(2k,k)^2) >= 2 for (p+1)/2 <= k < p is
         checked on the full range (ArithmeticError if broken).
         """
-        key = ("sqmenu", base, kexp, full)
-        if key in self._cache:
-            return self._cache[key]
-        hi = self.p - 1 if full else self.n
-        pkv = self.pk(kexp)
-        terms = self.terms(kexp, base, 2, hi=hi)
-        self.check_tail(f"central_square_menu(base={base})", terms[0])
-        t = self.residues(kexp, terms)
-        ks = range(hi + 1)
-        out = {
-            "A": sum(t) % pkv,
-            "Ak": sum(map(mul, ks, t)) % pkv,
-            "Ak2": sum(map(mul, map(mul, ks, ks), t)) % pkv,
-            "Acat": self.total(kexp, self.terms(kexp, base, 2, _CATALAN, hi=hi)),
-        }
-        self._cache[key] = out
-        return out
+
+        def build():
+            hi = self.p - 1 if full else self.n
+            pkv = self.pk(kexp)
+            terms = self.terms(kexp, base, 2, hi=hi)
+            self.check_tail(f"central_square_menu(base={base})", terms[0])
+            t = self.residues(kexp, terms)
+            ks = range(hi + 1)
+            return {
+                "A": sum(t) % pkv,
+                "Ak": sum(map(mul, ks, t)) % pkv,
+                "Ak2": sum(map(mul, map(mul, ks, ks), t)) % pkv,
+                "Acat": self.total(kexp, self.terms(kexp, base, 2, _CATALAN, hi=hi)),
+            }
+
+        return self._cached(("sqmenu", base, kexp, full), build)
 
     def central_cube_menu(self, base: int, kexp: int) -> dict[str, int]:
         """A3 = sum_{k<p} C(2k,k)^3 / base^k, A3k = sum of k*term, mod p^kexp."""
-        key = ("cubemenu", base, kexp)
-        if key in self._cache:
-            return self._cache[key]
-        pkv = self.pk(kexp)
-        terms = self.terms(kexp, base, 3)
-        self.check_tail(f"central_cube_menu(base={base})", terms[0])
-        t = self.residues(kexp, terms)
-        out = {"A3": sum(t) % pkv, "A3k": sum(map(mul, range(self.p), t)) % pkv}
-        self._cache[key] = out
-        return out
+
+        def build():
+            pkv = self.pk(kexp)
+            terms = self.terms(kexp, base, 3)
+            self.check_tail(f"central_cube_menu(base={base})", terms[0])
+            t = self.residues(kexp, terms)
+            return {"A3": sum(t) % pkv, "A3k": sum(map(mul, range(self.p), t)) % pkv}
+
+        return self._cached(("cubemenu", base, kexp), build)
 
     def delannoy_menu(self, kexp: int) -> dict[str, int]:
         """Central Delannoy/Schroeder values at n = (p-1)/2 mod p^kexp.
@@ -355,20 +352,18 @@ class PrimeContext:
         Uses (m+1) D_{m+1} = 3(2m+1) D_m - m D_{m-1} and the derivative
         relation D_{n+1} - 3 D_n = 2n S_n; 1/m = inv_unit[m] * unit[m-1].
         """
-        key = ("delannoy", kexp)
-        if key in self._cache:
-            return self._cache[key]
-        t = self.tables(kexp)
-        pkv, unit, inv = t.pk, t.unit, t.inv_unit
-        n = self.n
-        prev, cur = 1, 3 % pkv  # D_0, D_1
-        for m in range(1, n + 1):
-            prev, cur = cur, (3 * (2 * m + 1) * cur - m * prev) * inv[m + 1] * unit[m] % pkv
-        dn, dn1 = prev, cur
-        sn = (dn1 - 3 * dn) * inv[2 * n] * unit[2 * n - 1] % pkv
-        out = {"Dn": dn, "Dn1": dn1, "Sn": sn}
-        self._cache[key] = out
-        return out
+
+        def build():
+            t = self.tables(kexp)
+            pkv, unit, inv = t.pk, t.unit, t.inv_unit
+            n = self.n
+            prev, cur = 1, 3 % pkv  # D_0, D_1
+            for m in range(1, n + 1):
+                prev, cur = cur, (3 * (2 * m + 1) * cur - m * prev) * inv[m + 1] * unit[m] % pkv
+            sn = (cur - 3 * prev) * inv[2 * n] * unit[2 * n - 1] % pkv
+            return {"Dn": prev, "Dn1": cur, "Sn": sn}
+
+        return self._cached(("delannoy", kexp), build)
 
 
 # --- reference evaluators -------------------------------------------------
@@ -434,14 +429,9 @@ def _eval_c1_1(ctx, kexp, _):
 
 def _eval_c1_2(ctx, kexp, k):
     pkv = ctx.pk(kexp)
-    tables = ctx.tables(kexp)
-    lhs = binomial_factored(ctx.n + k, 2 * k, ctx.p, kexp, tables).residue_int()
-    rhs = (
-        binomial_factored(2 * k, k, ctx.p, kexp, tables).residue_int()
-        * pow(mod_inverse(-16 % pkv, pkv), k, pkv)
-        % pkv
-    )
-    return (lhs,), rhs
+    t = ctx.tables(kexp)
+    rhs = t.binomial(2 * k, k) * pow(-16, -k, pkv) % pkv
+    return (t.binomial(ctx.n + k, 2 * k),), rhs
 
 
 def _eval_c1_5(ctx, kexp, d):
@@ -451,8 +441,7 @@ def _eval_c1_5(ctx, kexp, d):
 def _eval_c1_6(ctx, kexp, _):
     pkv = ctx.pk(kexp)
     lhs = _shift_sum(ctx, kexp, 64, 1)
-    b = binomial_factored(ctx.n, (ctx.p + 1) // 4, ctx.p, kexp, ctx.tables(kexp))
-    c = b.residue_int()
+    c = ctx.tables(kexp).binomial(ctx.n, (ctx.p + 1) // 4)
     rhs = (2 * ctx.p + 2 - pow(2, ctx.p - 1, pkv)) * c % pkv * c % pkv
     return (lhs,), rhs
 
@@ -655,9 +644,7 @@ def _eval_cgz_p4(ctx, kexp, _):
 
 def _eval_c3_2(ctx, kexp, _):
     pkv = ctx.pk(kexp)
-    lhs = binomial_factored(
-        ctx.n, (ctx.p - 1) // 4, ctx.p, kexp, ctx.tables(kexp)
-    ).residue_int()
+    lhs = ctx.tables(kexp).binomial(ctx.n, (ctx.p - 1) // 4)
     half = mod_inverse(2, pkv)
     rhs = (pow(2, ctx.p - 1, pkv) + 1) * half % pkv * _x_term(ctx, kexp, 1, 2, 2) % pkv
     return (lhs,), rhs
@@ -707,22 +694,16 @@ def _eval_c4_1(ctx, kexp, x):
 
 
 def _eval_cg(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    lhs = binomial_factored(
-        ctx.n, (ctx.p - 1) // 4, ctx.p, kexp, ctx.tables(kexp)
-    ).residue_int()
-    return (lhs,), 2 * ctx.rep(1).x % pkv
+    lhs = ctx.tables(kexp).binomial(ctx.n, (ctx.p - 1) // 4)
+    return (lhs,), 2 * ctx.rep(1).x % ctx.pk(kexp)
 
 
 def _eval_cm(ctx, kexp, _):
     pkv = ctx.pk(kexp)
     m = (ctx.p - 5) // 12
-    lhs = binomial_factored(
-        ctx.n, (ctx.p - 1) // 4, ctx.p, kexp, ctx.tables(kexp)
-    ).residue_int()
-    cm = binomial_factored(2 * m, m, ctx.p, kexp, ctx.tables(kexp)).residue_int()
-    rhs = 12 * pow(-432 % pkv, m, pkv) % pkv * cm % pkv
-    return (lhs,), rhs
+    t = ctx.tables(kexp)
+    rhs = 12 * pow(-432 % pkv, m, pkv) % pkv * t.binomial(2 * m, m) % pkv
+    return (t.binomial(ctx.n, (ctx.p - 1) // 4),), rhs
 
 
 def _eval_c_ahl(ctx, kexp, _):

@@ -4,7 +4,9 @@ Central Delannoy polynomials D_n(x) = sum_k C(n+k,2k) C(2k,k) x^k, Schroeder
 polynomials S_n(x) = sum_k C(n+k,2k) C_k x^k (C_k the Catalan numbers), the
 companion f_n(x) = sum_k C(n+k,2k) C(2k,k)^2 x^k, and the secant Euler
 numbers.  Everything is exact: integer or Fraction arithmetic only, or an
-exact residue mod p (``euler_number_mod_p``).
+exact residue mod p (``euler_number_mod_p``).  Central binomials modulo p^k
+are not streamed here: the congruence engine reads them from the per-prime
+factorial tables (``PrimeContext.central``, ``FactorialTables.binomial``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-from .arith import FactoredResidue
 
 Number = int | Fraction
 
@@ -114,20 +114,3 @@ def sequence_table(kind: str, limit: int) -> SequenceTable:
     else:
         raise ValueError(f"unknown sequence kind {kind!r}; expected one of {KINDS}")
     return SequenceTable(kind, tuple(vals))
-
-
-def central_binomial_residues(p: int, k: int, limit: int) -> list[FactoredResidue]:
-    """C(2j,j) for j = 0..limit as factored residues mod p^k, built incrementally.
-
-    Each step multiplies by 2(2j+1) and divides by j+1 exactly, tracking the
-    p-adic valuation, so the values stay exact even past j = p/2 where the
-    central binomials pick up factors of p.
-    """
-    if limit >= p * p:
-        raise ValueError("limit must be < p^2 for the incremental update")
-    out = [FactoredResidue.from_int(1, p, k)]
-    cur = out[0]
-    for j in range(limit):
-        cur = cur.times_int(2 * (2 * j + 1)).over_int(j + 1)
-        out.append(cur)
-    return out

@@ -14,7 +14,6 @@ import pytest
 
 from binomsums.arith import (
     FactorialTables,
-    binomial_factored,
     binomial_valuation,
     legendre_symbol,
     primes_in_range,
@@ -227,14 +226,13 @@ def test_criterion_09_experimental_rows():
 
 def test_criterion_10_engine_properties():
     ok = True
-    # factored binomials against an additive Pascal oracle, mod p^2
+    # table binomials against an additive Pascal oracle, mod p^2
     for p in (2, 3, 5, 7, 11, 13):
         pk = p * p
         tables = FactorialTables(p, 2, 4000)
         row = [1]
         for n in range(2001):
-            got = [binomial_factored(n, r, p, 2, tables).residue_int()
-                   for r in range(n + 1)]
+            got = [tables.binomial(n, r) for r in range(n + 1)]
             if got != row:
                 ok = False
                 break
@@ -274,5 +272,5 @@ def test_criterion_10_engine_properties():
     # parallel runs reproduce the serial report stream exactly
     primes = primes_in_range(5, 200)
     ok = ok and run_suite(primes, jobs=1) == run_suite(primes, jobs=2)
-    _line(10, ok, "factored binomials, carry valuations, quadratic "
+    _line(10, ok, "table binomials, carry valuations, quadratic "
                   "representations and parallel runs all check out")

@@ -1,4 +1,4 @@
-"""Tests for exact mod-p^k arithmetic, factored binomials and Cornacchia."""
+"""Tests for exact mod-p^k arithmetic, the factorial tables and Cornacchia."""
 
 import math
 import random
@@ -6,20 +6,14 @@ import random
 import pytest
 
 from binomsums.arith import (
-    FactoredResidue,
     FactorialTables,
-    PrimePowerResidue,
-    binomial_factored,
     binomial_valuation,
-    factorial_factored,
-    fermat_quotient_2,
     is_prime,
     legendre_symbol,
     mod_inverse,
     primes_in_range,
     represent,
     sqrt_mod,
-    strip_p,
 )
 
 
@@ -92,73 +86,12 @@ def test_sqrt_mod():
                 assert r is not None and r * r % p == a
 
 
-def test_fermat_quotient_2():
-    assert int(fermat_quotient_2(3, 1)) == 1
-    assert int(fermat_quotient_2(7, 1)) == 2
-    assert int(fermat_quotient_2(5, 2)) == 3
-    for p in primes_in_range(3, 200):
-        q = (2 ** (p - 1) - 1) // p
-        for k in (1, 2, 3):
-            assert int(fermat_quotient_2(p, k)) == q % p**k
-
-
-def test_residue_ring_laws():
-    rng = random.Random(2024)
-    for p, k in [(5, 1), (5, 2), (7, 3), (11, 4), (9973, 2)]:
-        pk = p**k
-        for _ in range(100):
-            a, b, c = (rng.randrange(-(10**9), 10**9) for _ in range(3))
-            ra = PrimePowerResidue(p, k, a)
-            rb = PrimePowerResidue(p, k, b)
-            rc = PrimePowerResidue(p, k, c)
-            assert int(ra + rb) == (a + b) % pk
-            assert int(ra - rb) == (a - b) % pk
-            assert int(ra * rb) == a * b % pk
-            assert int((ra + rb) * rc) == int(ra * rc + rb * rc)
-            assert int(-ra) == -a % pk
-            if a % p:
-                assert int(ra * ra.inverse()) == 1
-    with pytest.raises(ValueError):
-        PrimePowerResidue(5, 2, 1) + PrimePowerResidue(7, 2, 1)
-    with pytest.raises(ValueError):
-        PrimePowerResidue(5, 2, 1) * PrimePowerResidue(5, 3, 1)
-
-
-def test_factored_residue_semantics():
-    rng = random.Random(11)
-    for p, k in [(5, 2), (7, 3), (13, 4)]:
-        pk = p**k
-        for _ in range(150):
-            n = rng.randrange(-(10**8), 10**8)
-            m = rng.randrange(1, 10**6) * rng.choice([1, -1])
-            fn = FactoredResidue.from_int(n, p, k)
-            e, u = exact_factored(abs(n), p) if n else (0, 0)
-            if n == 0:
-                assert fn.is_zero and fn.residue_int() == 0
-                continue
-            assert fn.valuation == e
-            assert fn.unit_value == u % pk
-            assert fn.residue_int() == n % pk
-            assert (fn * FactoredResidue.from_int(m, p, k)).residue_int() == n * m % pk
-            assert fn.times_int(m).residue_int() == n * m % pk
-            if n % m == 0:
-                assert fn.over_int(m).residue_int() == (n // m) % pk
-    f = FactoredResidue.from_int(10, 5, 2)
-    with pytest.raises(ValueError):
-        f.over_int(50)  # would need valuation -1
-    with pytest.raises(ZeroDivisionError):
-        f.over_int(0)
-    assert (f / FactoredResidue.from_int(5, 5, 2)).residue_int() == 2
-
-
 def test_factorial_factored_examples():
-    f0 = factorial_factored(0, 5, 2)
-    assert (f0.valuation, f0.unit_value) == (0, 1)
-    f5 = factorial_factored(5, 5, 2)
-    assert (f5.valuation, f5.unit_value) == (1, 24)
-    f10 = factorial_factored(10, 5, 2)
+    t = FactorialTables(5, 2, 10)
+    assert (t.val[0], t.unit[0]) == (0, 1)
+    assert (t.val[5], t.unit[5]) == (1, 24)
     e, u = exact_factored(math.factorial(10), 5)
-    assert (f10.valuation, f10.unit_value) == (e, u % 25) == (2, 2)
+    assert (t.val[10], t.unit[10]) == (e, u % 25) == (2, 2)
 
 
 def test_factorial_factored_against_exact():
@@ -166,21 +99,19 @@ def test_factorial_factored_against_exact():
         tables = FactorialTables(p, k, 400)
         for n in range(401):
             e, u = exact_factored(math.factorial(n), p)
-            got = factorial_factored(n, p, k, tables)
-            assert got.valuation == e
-            assert got.unit_value == u % p**k
-            plain = factorial_factored(n, p, k)
-            assert plain == got
+            assert tables.val[n] == e
+            assert tables.unit[n] == u % p**k
+            assert tables.unit[n] * tables.inv_unit[n] % p**k == 1
 
 
 def test_binomial_factored_examples():
-    assert binomial_factored(0, 1, 5, 2).is_zero
-    assert binomial_factored(3, -1, 5, 2).is_zero
-    b = binomial_factored(8, 4, 5, 2)
-    assert (b.valuation, b.unit_value) == (1, 14)
-    assert b.residue_int() == 70 % 25
-    b = binomial_factored(10, 5, 5, 2)
-    assert (b.valuation, b.unit_value) == (0, 2)
+    t = FactorialTables(5, 2, 10)
+    assert t.binomial(0, 1) == 0
+    assert t.binomial(3, -1) == 0
+    assert t.binomial(8, 4) == 70 % 25
+    assert t.binomial(10, 5) == 252 % 25
+    assert t.binomial(5, 1) == 5  # valuation 1 < k
+    assert FactorialTables(5, 1, 10).binomial(5, 1) == 0  # valuation 1 >= k
 
 
 def test_binomial_factored_pascal_moderate():
@@ -190,18 +121,31 @@ def test_binomial_factored_pascal_moderate():
         tables = FactorialTables(p, 2, 300)
         row = [1]
         for n in range(301):
-            got = [binomial_factored(n, r, p, 2, tables).residue_int() for r in range(n + 1)]
+            got = [tables.binomial(n, r) for r in range(n + 1)]
             assert got == row
             row = [1] + [(row[i] + row[i + 1]) % pk for i in range(n)] + [1]
 
 
+def test_factorial_tables_binomial_matches_comb():
+    for p in (3, 5, 7, 13):
+        for k in (1, 2, 3, 4):
+            pk = p**k
+            t = FactorialTables(p, k, 300)
+            for n in range(301):
+                assert t.binomial(n, -1) == 0
+                assert t.binomial(n, n + 1) == 0
+                for r in range(n + 1):
+                    assert t.binomial(n, r) == math.comb(n, r) % pk
+
+
 def test_binomial_valuation_kummer_moderate():
     for p in (3, 5, 13):
+        t = FactorialTables(p, 2, 200)
         for n in range(200):
             for r in range(n + 1):
                 e, _ = exact_factored(math.comb(n, r), p)
                 assert binomial_valuation(n, r, p) == e
-                assert binomial_factored(n, r, p, 2).valuation == e
+                assert t.val[n] - t.val[r] - t.val[n - r] == e
 
 
 def test_central_binomial_tail_valuation():
@@ -273,7 +217,3 @@ def test_factorial_tables_give_reciprocals():
             if i % p:
                 assert i * t.inv_unit[i] * t.unit[i - 1] % t.pk == 1
 
-
-def test_strip_p():
-    assert strip_p(1, 5) == (0, 1)
-    assert strip_p(250, 5) == (3, 2)

@@ -189,3 +189,29 @@ def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[0] == "id,p,params,modulus,lhs,rhs,status,micros"
     assert [line.split(",")[1] for line in lines[1:]] == ["5", "7", "11", "13"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--primes", "5..20", "--out", "{missing}/rows.csv"),
+        ("verify", "--primes", "5..20", "--log", "{missing}/run.log"),
+        ("eta", "--order", "8", "--out", "{missing}/eta.csv"),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(args, tmp_path, capsys, monkeypatch):
+    from binomsums import cli, congruences
+
+    def never(ctx, kexp, _):
+        raise AssertionError("a row was computed before the output was opened")
+
+    for row_id in congruences.all_ids():
+        monkeypatch.setitem(congruences._EVAL, row_id, never)
+    missing = tmp_path / "no_such_dir"
+    argv = [a.format(missing=missing) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    assert not missing.exists()

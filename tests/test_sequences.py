@@ -3,9 +3,9 @@ from math import comb
 
 import pytest
 
-from binomsums.arith import primes_in_range
+from binomsums.arith import FactorialTables, primes_in_range
+from binomsums.congruences import PrimeContext
 from binomsums.sequences import (
-    central_binomial_residues,
     delannoy_poly,
     euler_number_mod_p,
     euler_numbers,
@@ -109,26 +109,27 @@ def test_sequence_tables():
 
 
 def test_central_binomial_residue_stream():
+    # C(2j,j) mod p^k: PrimeContext.central for j < p, the tables beyond
     for p, k in ((5, 1), (7, 2), (11, 3), (13, 4)):
         pk = p**k
-        res = central_binomial_residues(p, k, 3 * p)
-        for j, r in enumerate(res):
+        vals, units = PrimeContext(p).central(k)
+        tables = FactorialTables(p, k, 6 * p)
+        for j in range(3 * p + 1):
             exact = comb(2 * j, j)
-            assert r.residue_int() == exact % pk
-            v = 0
-            while exact % p == 0:
-                v += 1
-                exact //= p
-            assert r.valuation == v and r.sign == 1 and not r.is_zero
+            assert tables.binomial(2 * j, j) == exact % pk
+            if j < p:
+                v = 0
+                while exact % p == 0:
+                    v += 1
+                    exact //= p
+                assert vals[j] == v and units[j] == exact % pk
 
 
 def test_central_binomial_residue_examples():
-    res = central_binomial_residues(7, 2, 10)
-    assert res[3].valuation == 0 and res[3].residue_int() == 20
-    res5 = central_binomial_residues(5, 1, 5)
-    assert res5[5].valuation == 0 and res5[5].residue_int() == 252 % 5
-    with pytest.raises(ValueError):
-        central_binomial_residues(5, 2, 25)
+    vals, units = PrimeContext(7).central(2)
+    assert vals[3] == 0 and units[3] == 20
+    assert vals[4] == 1 and units[4] == 10  # C(8,4) = 70 = 7 * 10
+    assert FactorialTables(5, 1, 10).binomial(10, 5) == 252 % 5
 
 
 def test_poly_negative_n():

@@ -141,6 +141,18 @@ class FactorialTables:
             inv[n - 1] = inv[n] * m % pk
         self.val, self.unit, self.inv_unit = val, unit, inv
 
+    def reduced(self, k: int, limit: int) -> FactorialTables:
+        """``FactorialTables(p, k, limit)`` for k <= self.k, limit <= self.limit,
+        without a rebuild: the units are reduced mod p^k, the valuations kept."""
+        if not 1 <= k <= self.k or limit > self.limit:
+            raise ValueError(f"cannot reduce tables mod p^{self.k} to p^{k} up to {limit}")
+        out = object.__new__(FactorialTables)
+        out.p, out.k, out.pk, out.limit = self.p, k, self.p**k, limit
+        out.val = self.val[: limit + 1]
+        out.unit = [u % out.pk for u in self.unit[: limit + 1]]
+        out.inv_unit = [u % out.pk for u in self.inv_unit[: limit + 1]]
+        return out
+
     def binomial(self, n: int, r: int) -> int:
         """C(n, r) mod p^k for n <= limit; 0 when r < 0 or r > n."""
         if r < 0 or r > n:

@@ -20,7 +20,8 @@ Two evaluation paths exist and are pinned against each other by the tests:
 * ``iter_suite`` batches rows over many primes, sharing per-prime factorial
   tables, term lists, running-sum menus, and the shift engine, which produces
   all shifted sums S(d) of a family at once in O(p) by stepping the certified
-  d -> d+2 relations from two direct seeds.  It yields reports one prime at
+  d -> d+2 relations from two direct seeds.  A prime's lower exponents read
+  these reduced from its higher ones.  It yields reports one prime at
   a time; ``run_suite`` collects them into a list.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
@@ -145,12 +146,16 @@ class PrimeContext:
     Every summand comes from one term engine, ``terms``: a product
     C(2k,k)^c * prod (a k + b)!^e / base^k is read per k from the factorial
     tables as a sum of valuations and a product of units, with no ratio
-    stream.  There is one ``FactorialTables`` per exponent, sized by the
-    largest factorial argument a row needs, and C(2k,k) is read from it once
-    per exponent (``central``), which is also where the squared-central tail
-    invariants get their valuations.  Terms, menus, weights, sweep outputs
-    and quadratic representations are cached on first use, so checking many
-    rows at one prime costs one pass per distinct (summand, base, exponent).
+    stream.  C(2k,k) is read from the tables once (``central``), which is
+    also where the squared-central tail invariants get their valuations.
+    Terms, menus, weights, sweep outputs and quadratic representations are
+    cached on first use, so checking many rows at one prime costs one pass
+    per distinct (summand, base).
+
+    A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
+    at K is reduced from the lowest higher exponent cached, and built only if
+    there is none.  The suite evaluates rows from the top exponent down, so a
+    prime builds its factorial table, C(2k,k), powers and menus once each.
     """
 
     def __init__(self, p: int):
@@ -159,6 +164,7 @@ class PrimeContext:
         self.p = p
         self.n = (p - 1) // 2
         self._cache: dict = {}
+        self._exps: set[int] = set()  # the exponents of the keys cached so far
 
     # --- basic cached helpers -------------------------------------------
 
@@ -168,21 +174,51 @@ class PrimeContext:
             self._cache[key] = build()
         return self._cache[key]
 
+    def _higher(self, key: tuple, kexp: int, fits: Callable = lambda v: True):
+        """The cached value of ``key`` at the lowest exponent above kexp that ``fits``, or None."""
+        found = (self._cache.get((*key, j)) for j in sorted(self._exps) if j > kexp)
+        return next((v for v in found if v is not None and fits(v)), None)
+
+    def _at(self, key: tuple, kexp: int, build: Callable[[], object] | None = None):
+        """The value for ``key`` mod p^kexp: cached, else the one of the lowest
+        higher exponent cached reduced mod p^kexp, else ``build()`` (None
+        without ``build``).  Units and residues reduce entry by entry and menus
+        value by value; valuation lists are shared, so their checks ran on them.
+        """
+        full = (*key, kexp)
+        if full not in self._cache:
+            value, pkv = self._higher(key, kexp), self.pk(kexp)
+            if isinstance(value, dict):
+                value = {name: v % pkv for name, v in value.items()}
+            elif isinstance(value, tuple):  # (valuations, units)
+                value = (value[0], [u % pkv for u in value[1]])
+            elif value is not None:
+                value = [r % pkv for r in value]
+            elif build is None:
+                return None
+            else:
+                value = build()
+            self._cache[full] = value
+            self._exps.add(kexp)
+        return self._cache[full]
+
     def pk(self, kexp: int) -> int:
         return self.p**kexp
 
     def tables(self, kexp: int, limit: int = 0) -> FactorialTables:
         """Factorial tables mod p^kexp reaching n! for n <= max(p, limit).
 
-        One table per exponent, sized by the largest factorial argument asked
-        for: a request past the cached limit rebuilds it at the larger size,
+        One table per prime: the cached table at kexp, else the lowest higher
+        exponent's table that reaches far enough, reduced, else a new build,
         which then serves every smaller request.
         """
-        key = ("tables", kexp)
-        cached = self._cache.get(key)
+        limit = max(self.p, limit)
+        cached = self._cache.get(("tables", kexp))
         if cached is None or cached.limit < limit:
-            cached = FactorialTables(self.p, kexp, max(self.p, limit))
-            self._cache[key] = cached
+            higher = self._higher(("tables",), kexp, lambda t: t.limit >= limit)
+            cached = higher.reduced(kexp, limit) if higher else FactorialTables(self.p, kexp, limit)
+            self._cache[("tables", kexp)] = cached
+            self._exps.add(kexp)
         return cached
 
     def legendre(self, a: int) -> int:
@@ -209,7 +245,7 @@ class PrimeContext:
                 [u * i * i % pk for u, i in zip(t.unit[: 2 * p : 2], inv[:p])],
             )
 
-        return self._cached(("central", kexp), build)
+        return self._at(("central",), kexp, build)
 
     def central_power(self, central: int, base: int, kexp: int) -> tuple[list[int], list[int]]:
         """Valuations and units mod p^kexp of C(2k,k)^central / base^k for k < p.
@@ -231,7 +267,7 @@ class PrimeContext:
                 units = [1] + [(s := s * binv % pk) for _ in range(self.p - 1)]
             return [central * v for v in cval], units
 
-        return self._cached(("cpow", central, base, kexp), build)
+        return self._at(("cpow", central, base), kexp, build)
 
     def terms(
         self,
@@ -284,27 +320,24 @@ class PrimeContext:
 
         w(k) = C(a k, b k) C(c k, e k) / base^k, from the term engine.
         """
-        return self._cached(
-            ("w", base, kexp),
-            lambda: self.residues(kexp, self.terms(kexp, base, *_FAMILY_SPEC[base])),
-        )
+        return self._at(("w", base), kexp,
+                        lambda: self.residues(kexp, self.terms(kexp, base, *_FAMILY_SPEC[base])))
 
     def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
         """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp.
 
         Each family's p sums come from the O(p) step-relation engine
         ``shift_sums``; one factorial table, sized for the widest requested
-        family, serves the weights and the engine of every family.
+        family, serves the weights and the engine of every family.  A family
+        already swept at a higher exponent is reduced instead.
         """
         bases = tuple(bases)
-        missing = [b for b in bases if ("sweep", b, kexp) not in self._cache]
+        missing = [b for b in bases if self._at(("sweep", b), kexp) is None]
         if missing:
-            limit = max(SHIFT_FAMILIES[b].step for b in missing) * self.p
-            tables = self.tables(kexp, limit)
+            tables = self.tables(kexp, max(SHIFT_FAMILIES[b].step for b in missing) * self.p)
             for b in missing:
-                self._cache[("sweep", b, kexp)] = shift_sums(
-                    self.p, b, self.weights(b, kexp), tables
-                )
+                self._at(("sweep", b), kexp,
+                         lambda: shift_sums(self.p, b, self.weights(b, kexp), tables))
         return {b: self._cache[("sweep", b, kexp)] for b in bases}
 
     # --- running-sum menus ----------------------------------------------
@@ -313,9 +346,10 @@ class PrimeContext:
         """Weighted sums of C(2k,k)^2 / base^k over k <= (p-1)/2 or k < p.
 
         Returns A = sum of terms, Ak = sum of k*term, Ak2 = sum of k^2*term,
-        and Acat = sum of C(2k,k)*Catalan(k)/base^k (i.e. term/(k+1)).  The
-        tail valuation invariant v_p(C(2k,k)^2) >= 2 for (p+1)/2 <= k < p is
-        checked on the full range (ArithmeticError if broken).
+        and, over the half range only, Acat = sum of C(2k,k)*Catalan(k)/base^k
+        (i.e. term/(k+1)).  The tail valuation invariant v_p(C(2k,k)^2) >= 2
+        for (p+1)/2 <= k < p is checked on the full range (ArithmeticError if
+        broken).
         """
 
         def build():
@@ -325,14 +359,16 @@ class PrimeContext:
             self.check_tail(f"central_square_menu(base={base})", terms[0])
             t = self.residues(kexp, terms)
             ks = range(hi + 1)
-            return {
+            menu = {
                 "A": sum(t) % pkv,
                 "Ak": sum(map(mul, ks, t)) % pkv,
                 "Ak2": sum(map(mul, map(mul, ks, ks), t)) % pkv,
-                "Acat": self.total(kexp, self.terms(kexp, base, 2, _CATALAN, hi=hi)),
             }
+            if not full:  # no row reads the full-range Acat
+                menu["Acat"] = self.total(kexp, self.terms(kexp, base, 2, _CATALAN, hi=hi))
+            return menu
 
-        return self._cached(("sqmenu", base, kexp, full), build)
+        return self._at(("sqmenu", base, full), kexp, build)
 
     def central_cube_menu(self, base: int, kexp: int) -> dict[str, int]:
         """A3 = sum_{k<p} C(2k,k)^3 / base^k, A3k = sum of k*term, mod p^kexp."""
@@ -344,7 +380,7 @@ class PrimeContext:
             t = self.residues(kexp, terms)
             return {"A3": sum(t) % pkv, "A3k": sum(map(mul, range(self.p), t)) % pkv}
 
-        return self._cached(("cubemenu", base, kexp), build)
+        return self._at(("cubemenu", base), kexp, build)
 
     def delannoy_menu(self, kexp: int) -> dict[str, int]:
         """Central Delannoy/Schroeder values at n = (p-1)/2 mod p^kexp.
@@ -363,7 +399,7 @@ class PrimeContext:
             sn = (cur - 3 * prev) * inv[2 * n] * unit[2 * n - 1] % pkv
             return {"Dn": prev, "Dn1": cur, "Sn": sn}
 
-        return self._cached(("delannoy", kexp), build)
+        return self._at(("delannoy",), kexp, build)
 
 
 # --- reference evaluators -------------------------------------------------
@@ -1098,6 +1134,33 @@ def _located(exc: Exception, row_id: str, p: int) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc} ({where})")
 
 
+def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
+    """The reports of ``row`` at ``ctx.p`` mod p^kexp, in parameter order."""
+    p, pkv, table = ctx.p, ctx.pk(kexp), None
+    if not row.applies(p):
+        return [_skipped(row, p, kexp)]
+    if row.sweep_base is not None:  # one pass serves all rows of a family
+        sums = ctx.sweep((row.sweep_base,), kexp)[row.sweep_base]
+        if row.param_values is not None:  # table rows: lhs = S(d), rhs = 0
+            table = [(d, sums[d], 0) for d in row.param_values(p)]
+    elif row.id == "C1_2":  # table row: lhs = C(n+k, 2k), rhs = C(2k,k) / (-16)^k
+        t, n, rhs = ctx.tables(kexp), ctx.n, ctx.central_power(1, -16, kexp)[1]
+        unit, inv = t.unit, t.inv_unit  # n + k < p: every factorial here is a unit
+        table = [(k, unit[n + k] * inv[2 * k] % pkv * inv[n - k] % pkv, rhs[k])
+                 for k in range(n + 1)]
+    if table is not None:
+        prefix = f"{row.param_name}="
+        return [CongruenceReport(row.id, p, f"{prefix}{v}", pkv, lhs, r,
+                                 _status(row, p, v, lhs == r)) for v, lhs, r in table]
+    reports = []
+    for v in (None,) if row.param_values is None else row.param_values(p):
+        start = time.perf_counter_ns() if timings else 0
+        members, rhs = _EVAL[row.id](ctx, kexp, v)
+        micros = (time.perf_counter_ns() - start) // 1000 if timings else 0
+        reports.append(_report(row, ctx, kexp, v, members, rhs, micros))
+    return reports
+
+
 def _suite_for_prime(
     p: int,
     ids: tuple[str, ...],
@@ -1106,46 +1169,31 @@ def _suite_for_prime(
 ) -> list[CongruenceReport]:
     """The reports of the rows ``ids`` at ``p``, in registry then parameter order.
 
-    An exception raised while a row is evaluated is raised again as the same
-    class with ``row=<id>, p=<p>`` in its message, chained from the original.
+    The rows are evaluated from the highest exponent down, in registry order
+    within one exponent, so each lower exponent reads the prime's tables,
+    powers, menus and sweeps reduced from a higher one.  An exception raised
+    while a row is evaluated is raised again as the same class with
+    ``row=<id>, p=<p>`` in its message, chained from the original; when two
+    rows would raise, the one with the higher exponent is reported.
     """
     ctx = PrimeContext(p)
     rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
-    # one factorial table per exponent, sized up front for the widest shift
-    # family, serves every family's shift-engine pass
+    kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
+    # lower exponents reduce the top one's factorial table; the shift engine
+    # gets a table sized up front for each exponent's widest family
     widest: dict[int, int] = {}
-    for row in rows:
+    for row, kexp in zip(rows, kexps):
         if row.sweep_base is not None and row.applies(p):
-            kexp = mod_exp.get(row.id, row.exponent(p))
             widest[kexp] = max(widest.get(kexp, 0), SHIFT_FAMILIES[row.sweep_base].step)
-    for kexp, step in widest.items():
-        ctx.tables(kexp, step * p)
-    reports: list[CongruenceReport] = []
-    for row in rows:
-        kexp = mod_exp.get(row.id, row.exponent(p))
-        if not row.applies(p):
-            reports.append(_skipped(row, p, kexp))
-            continue
+    for kexp in sorted(widest, reverse=True):
+        ctx.tables(kexp, widest[kexp] * p)
+    parts: list[list[CongruenceReport]] = [[] for _ in rows]
+    for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
         try:
-            if row.sweep_base is not None:  # one pass serves all rows of a family
-                table = ctx.sweep((row.sweep_base,), kexp)[row.sweep_base]
-                if row.param_values is not None:  # table rows: lhs = S(d), rhs = 0
-                    pkv, prefix = p**kexp, f"{row.param_name}="
-                    reports += [
-                        CongruenceReport(row.id, p, f"{prefix}{d}", pkv, s, 0,
-                                         _status(row, p, d, not s))
-                        for d in row.param_values(p) for s in [table[d]]
-                    ]
-                    continue
-            values = (None,) if row.param_values is None else row.param_values(p)
-            for v in values:
-                start = time.perf_counter_ns() if timings else 0
-                members, rhs = _EVAL[row.id](ctx, kexp, v)
-                micros = (time.perf_counter_ns() - start) // 1000 if timings else 0
-                reports.append(_report(row, ctx, kexp, v, members, rhs, micros))
+            parts[i] = _row_reports(ctx, rows[i], kexps[i], timings)
         except Exception as exc:
-            raise _located(exc, row.id, p) from exc
-    return reports
+            raise _located(exc, rows[i].id, p) from exc
+    return [r for part in parts for r in part]
 
 
 def _suite_worker(args) -> list[CongruenceReport]:

@@ -217,3 +217,21 @@ def test_factorial_tables_give_reciprocals():
             if i % p:
                 assert i * t.inv_unit[i] * t.unit[i - 1] % t.pk == 1
 
+
+
+def test_factorial_tables_reduced_equal_fresh_builds():
+    for p in (5, 7, 13, 101):
+        big = 3 * p + 2
+        for top in (2, 3, 4):
+            t = FactorialTables(p, top, big)
+            for k in range(1, top):
+                for limit in (0, 1, p - 1, p, 2 * p + 1, big):
+                    got, want = t.reduced(k, limit), FactorialTables(p, k, limit)
+                    assert (got.p, got.k, got.pk, got.limit) == (p, k, p**k, limit)
+                    assert got.val == want.val
+                    assert got.unit == want.unit
+                    assert got.inv_unit == want.inv_unit
+            with pytest.raises(ValueError):
+                t.reduced(top + 1, big)
+            with pytest.raises(ValueError):
+                t.reduced(1, big + 1)

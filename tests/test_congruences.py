@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from binomsums import _sweeps, congruences
-from binomsums.arith import legendre_symbol, mod_inverse, primes_in_range
+from binomsums.arith import FactorialTables, legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
     CongruenceReport,
     PrimeContext,
@@ -509,3 +509,84 @@ def test_timings_flag():
     timed = run_suite([13], ["CGZ"], timings=True)
     assert timed[0].micros >= 0  # may round to zero for tiny rows
     assert quiet[0].lhs == timed[0].lhs
+
+
+# a mix of strengths: K = 4 -> 3 -> 2 -> 1 reductions, and a p^3 sweep of the
+# base-64 family that C1_6 reads reduced mod p^2
+_MIXED_EXPONENTS = {"C1_7a": 3, "C1_5": 3, "CGZ": 4, "C3_4": 4, "CG": 2}
+
+
+@pytest.mark.parametrize("mod_exp", [{}, _MIXED_EXPONENTS])
+def test_reduced_lower_exponents_equal_fresh_builds(mod_exp):
+    # alone, a row builds everything at its own exponent; in the whole suite
+    # its lower exponents are read reduced from the prime's higher ones
+    for p in primes_in_range(5, 59):
+        whole = run_suite([p], mod_exp=mod_exp)
+        for id_ in all_ids():
+            alone = run_suite([p], [id_], mod_exp=mod_exp)
+            assert alone == [r for r in whole if r.id == id_], (p, id_)
+
+
+def test_context_reductions_equal_fresh_builds():
+    def build(ctx, kexp):
+        return (
+            ctx.central(kexp),
+            ctx.central_power(2, -16, kexp),
+            ctx.central_square_menu(8, kexp, full=True),
+            ctx.central_cube_menu(-8, kexp),
+            ctx.delannoy_menu(kexp),
+            ctx.weights(108, kexp),
+            ctx.sweep((64, 1728), kexp),
+        )
+
+    for p in (13, 31):
+        ctx = PrimeContext(p)
+        build(ctx, 4)
+        for kexp in (3, 1, 2):  # from p^4, from p^3, from p^3 again
+            assert build(ctx, kexp) == build(PrimeContext(p), kexp), (p, kexp)
+
+
+def test_c1_2_table_row_matches_reference_path():
+    for p in primes_in_range(5, 59):
+        for kexp in (1, 2, 3, 4):
+            suite = run_suite([p], ["C1_2"], mod_exp={"C1_2": kexp})
+            ref = [check("C1_2", p, k, mod_exp=kexp) for k in range((p - 1) // 2 + 1)]
+            assert suite == ref, (p, kexp)
+
+
+_HALFRANGE_IDS = ("C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12",
+                  "C1_13", "C3_2", "C3_3", "C3_4", "C3_5", "CR3_1", "CG", "CM",
+                  "CL3_2", "CL3_3", "CGZ")
+
+
+def test_one_factorial_table_per_prime(monkeypatch):
+    builds = []
+    init = FactorialTables.__init__
+
+    def counting(self, p, k, limit):
+        builds.append((p, k, limit))
+        init(self, p, k, limit)
+
+    monkeypatch.setattr(FactorialTables, "__init__", counting)
+    congruences._suite_for_prime(1009, _HALFRANGE_IDS, {}, False)
+    assert builds == [(1009, 3, 2 * 1009)]  # the p^2 and p mod-p rows reduce it
+    for p in (1009, 10007):
+        builds.clear()
+        congruences._suite_for_prime(p, tuple(default_ids()), {}, False)
+        # p^3 at 2p for C(2k,k), and p^2 at 6p for the 1728 family's engine
+        assert len(builds) <= 2, builds
+
+
+def test_corrupted_seed_raises_under_reduction(monkeypatch):
+    direct = _sweeps.direct_shift_sum
+
+    def corrupt_seed(p, weights, d, tables):
+        s = direct(p, weights, d, tables)
+        return (s + 1) % tables.pk if d == 0 else s
+
+    monkeypatch.setattr(_sweeps, "direct_shift_sum", corrupt_seed)
+    with pytest.raises(ArithmeticError, match=r"base=64, .*K=2.*\(row=C1_5, p=13\)"):
+        run_suite([13], default_ids())
+    # the higher exponent is evaluated first, so its row is the one reported
+    with pytest.raises(ArithmeticError, match=r"base=64, .*K=3.*\(row=C1_6, p=31\)"):
+        run_suite([31], ["C1_5", "C1_6"], mod_exp={"C1_6": 3})

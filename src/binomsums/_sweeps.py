@@ -8,6 +8,7 @@ It is exact; the test suite pins it against the direct evaluators.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .arith import FactorialTables
@@ -58,22 +59,33 @@ def direct_shift_sum(p: int, weights: list[int], d: int, tables: FactorialTables
     return total % pk
 
 
-def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -> list[int]:
+def column_shift_sum(weights: list[int], d: int, column: list[int], pk: int) -> int:
+    """sum_{d<=k<p} weights[k] * column[k-d] mod pk, where column[k-d] = C(2k, k+d)."""
+    return sum(map(mul, weights[d:], column)) % pk
+
+
+def shift_sums(
+    p: int, base: int, weights: list[int], tables: FactorialTables, columns: dict[int, list[int]]
+) -> list[int]:
     """S(d) = sum_{k<p} weights[k] * C(2k, k+d) mod p^K for every d < p.
 
     ``weights`` are the residues of ``SHIFT_FAMILIES[base]`` at k < p and
-    ``tables`` must reach n! for n <= step*p.  S(0) and S(1) are summed
-    directly; every further S(d+2) comes from the step relation, divided by
-    c(d+1) through 1/m = inv_unit[m] * unit[m-1], except where p | c(d+1):
-    there S(d+2) is summed directly again (at most twice per family), and the
-    relation at d must hold with that direct value; c(d) is a unit there
-    (save for base 1728 at p = 5), so this pins the stepped S(d).
-    C(2p, p+d+1)/p is a unit for d <= p-2, read from the same tables.
+    ``tables`` must reach n! for n <= step*p.  ``columns`` maps each d in
+    {0, 1, (p-1)/2} to the residues of C(2k, k+d) for d <= k < p mod p^K;
+    they do not depend on the family, so one set serves all four.  The seeds
+    S(0) and S(1) are read from them with ``column_shift_sum``; every further
+    S(d+2) comes from the step relation, divided by c(d+1) through
+    1/m = inv_unit[m] * unit[m-1], except where p | c(d+1): there S(d+2) is
+    summed directly again (at most twice per family), and the relation at d
+    must hold with that direct value; c(d) is a unit there (save for base
+    1728 at p = 5), so this pins the stepped S(d).  C(2p, p+d+1)/p is a unit
+    for d <= p-2, read from the same tables.
 
-    S(p-1), S(p-2), S((p-1)/2) and every S(x) whose coefficient c(x) is
-    divisible by p (so a stepped error in it would be lost) are then summed
-    directly as well, so a wrong seed or step cannot certify itself.  A
-    mismatch raises ArithmeticError naming p, base, d and K.
+    S((p-1)/2) is then read from its column, and S(p-1), S(p-2) and every
+    S(x) whose coefficient c(x) is divisible by p (so a stepped error in it
+    would be lost) are summed directly, term by term from the tables, so a
+    wrong seed or step cannot certify itself.  A mismatch raises
+    ArithmeticError naming p, base, d and K.
     """
     fam = SHIFT_FAMILIES[base]
     kexp, pk = tables.k, tables.pk
@@ -81,6 +93,7 @@ def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -
     if len(weights) != p or tables.limit < fam.step * p:
         raise ValueError("need one weight per k < p and tables up to step*p")
     step, (r1, r2) = fam.step, fam.offsets
+    half = (p - 1) // 2
     # c(-p) * w(p-1); w(p-1) has valuation >= 2, so this is 0 for K <= 2
     front = fam.coeff(-p) * weights[p - 1] % pk
 
@@ -95,8 +108,8 @@ def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -
         return ArithmeticError(f"shift engine mismatch at {where}: {what}")
 
     out = [0] * p
-    out[0] = direct_shift_sum(p, weights, 0, tables)
-    out[1] = direct_shift_sum(p, weights, 1, tables)
+    out[0] = column_shift_sum(weights, 0, columns[0], pk)
+    out[1] = column_shift_sum(weights, 1, columns[1], pk)
     for d in range(p - 2):
         m1 = step * d + step + r1  # c(d+1) = m1 * m2
         m2 = m1 + r2 - r1
@@ -108,10 +121,13 @@ def shift_sums(p: int, base: int, weights: list[int], tables: FactorialTables) -
         acc = ((m1 - step) * (m2 - step) * out[d] - rhs(d)) % pk
         out[d + 2] = acc * inv[m1] % pk * unit[m1 - 1] % pk * inv[m2] % pk * unit[m2 - 1] % pk
     # x with p | c(x): step*x + r = 0 (mod p) for r in the offsets
-    checked = {p - 1, p - 2, (p - 1) // 2}
+    checked = {p - 1, p - 2, half}
     checked.update(-r * pow(step, -1, p) % p for r in (r1, r2))
     for d in sorted(checked, reverse=True):
-        direct = direct_shift_sum(p, weights, d, tables)
+        if d == half:
+            direct = column_shift_sum(weights, d, columns[d], pk)
+        else:
+            direct = direct_shift_sum(p, weights, d, tables)
         if direct != out[d]:
             raise mismatch(d, f"step relation gives {out[d]}, direct sum gives {direct}")
     return out

@@ -20,7 +20,8 @@ Two evaluation paths exist and are pinned against each other by the tests:
 * ``iter_suite`` batches rows over many primes, sharing per-prime factorial
   tables, term lists, running-sum menus, and the shift engine, which produces
   all shifted sums S(d) of a family at once in O(p) by stepping the certified
-  d -> d+2 relations from two direct seeds.  A prime's lower exponents read
+  d -> d+2 relations from two seeds read from binomial columns that every
+  family shares.  A prime's lower exponents read
   these reduced from its higher ones.  It yields reports one prime at
   a time; ``run_suite`` collects them into a list.
 
@@ -82,6 +83,11 @@ class CongruenceReport(NamedTuple):
         return self.status == FAIL
 
 
+def _proven(p: int, value: int | None) -> bool:
+    """The registry default of ``RowSpec.conjectural``: no report is conjectural."""
+    return False
+
+
 @dataclass(frozen=True)
 class RowSpec:
     """Registry metadata for one congruence family.
@@ -96,7 +102,7 @@ class RowSpec:
     applies: Callable[[int], bool]
     param_name: str = ""
     param_values: Callable[[int], tuple[int, ...]] | None = None
-    conjectural: Callable[[int, int | None], bool] = lambda p, v: False
+    conjectural: Callable[[int, int | None], bool] = _proven
     experimental: bool = False
     sweep_base: int | None = None  # shift family served by the shift engine
 
@@ -282,20 +288,29 @@ class PrimeContext:
 
         One entry per k in lo..hi (hi defaults to p-1), units mod p^kexp.
         The summand starts from ``central_power`` and every factorial factor
-        is a table lookup; the factorial table is grown to the largest a k + b
-        the factors reach.
+        is a table lookup; repeated (a, b) factors are merged by summing their
+        exponents, so each distinct factorial costs one pass.  The factorial
+        table is grown to the largest a k + b the factors reach.
         """
         hi = self.p - 1 if hi is None else hi
         vals, units = self.central_power(central, base, kexp)
         vals, units = vals[lo : hi + 1], units[lo : hi + 1]
         t = self.tables(kexp, max([a * k + b for a, b, _ in factors for k in (lo, hi)], default=0))
         pk = t.pk
+        merged: dict[tuple[int, int], int] = {}
         for a, b, e in factors:
+            merged[a, b] = merged.get((a, b), 0) + e
+        for (a, b), e in merged.items():
+            if not e:
+                continue
             col = _column(t.val, a, b, lo, hi)
             if any(col):  # (a k + b)! is often p-free over the whole range
                 vals = [v + e * x for v, x in zip(vals, col)]
             col, m = _column(t.unit if e > 0 else t.inv_unit, a, b, lo, hi), abs(e)
-            units = [u * x**m % pk for u, x in zip(units, col)]
+            if m == 1:
+                units = [u * x % pk for u, x in zip(units, col)]
+            else:
+                units = [u * x**m % pk for u, x in zip(units, col)]
         return vals, units
 
     def residues(self, kexp: int, terms: tuple[list[int], list[int]]) -> list[int]:
@@ -323,22 +338,67 @@ class PrimeContext:
         return self._at(("w", base), kexp,
                         lambda: self.residues(kexp, self.terms(kexp, base, *_FAMILY_SPEC[base])))
 
+    def shift_column(self, d: int, kexp: int) -> list[int]:
+        """Residues of C(2k, k+d) for d <= k < p mod p^kexp.
+
+        The shift engine reads its seeds S(0), S(1) and its check S((p-1)/2)
+        from these columns, which every family shares.  The d = 0 column is
+        C(2k,k) itself.
+        """
+
+        def build():
+            if d == 0:
+                return self.residues(kexp, self.central(kexp))
+            t = self.tables(kexp, 2 * self.p)
+            return [t.binomial(2 * k, k + d) for k in range(d, self.p)]
+
+        return self._at(("column", d), kexp, build)
+
     def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
         """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp.
 
         Each family's p sums come from the O(p) step-relation engine
         ``shift_sums``; one factorial table, sized for the widest requested
-        family, serves the weights and the engine of every family.  A family
+        family, and one set of seed columns (``shift_column`` at d = 0, 1 and
+        (p-1)/2) serve the weights and the engine of every family.  A family
         already swept at a higher exponent is reduced instead.
         """
         bases = tuple(bases)
         missing = [b for b in bases if self._at(("sweep", b), kexp) is None]
         if missing:
             tables = self.tables(kexp, max(SHIFT_FAMILIES[b].step for b in missing) * self.p)
+            columns = {d: self.shift_column(d, kexp) for d in (0, 1, self.n)}
             for b in missing:
                 self._at(("sweep", b), kexp,
-                         lambda: shift_sums(self.p, b, self.weights(b, kexp), tables))
+                         lambda: shift_sums(self.p, b, self.weights(b, kexp), tables, columns))
         return {b: self._cache[("sweep", b, kexp)] for b in bases}
+
+    def transform_coefficients(self, kexp: int) -> tuple[list[int], list[int]]:
+        """Residues mod p^kexp of C(2k,k)^3 and C(2k,k)^2 C(4k,2k) for k < p.
+
+        These are ``C4_1``'s two power series in its scaled argument; they do
+        not depend on x, so the row reads them once per exponent and each x
+        costs one Horner pass per side.  Trailing zero coefficients (the tail
+        k > (p-1)/2 for K <= 2) are dropped.  The valuations of the cube are
+        checked for the squared-central tail invariant.
+        """
+
+        def trimmed(res: list[int]) -> list[int]:
+            end = len(res)
+            while end and not res[end - 1]:
+                end -= 1
+            return res[:end]
+
+        def cube():
+            terms = self.terms(kexp, 1, 3)
+            self.check_tail("C4_1", terms[0])
+            return trimmed(self.residues(kexp, terms))
+
+        def quartic():
+            # C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
+            return trimmed(self.residues(kexp, self.terms(kexp, 1, 2, ((4, 0, 1), (2, 0, -2)))))
+
+        return self._at(("c4cube",), kexp, cube), self._at(("c4quartic",), kexp, quartic)
 
     # --- running-sum menus ----------------------------------------------
 
@@ -717,15 +777,26 @@ def _eval_c3_5(ctx, kexp, _):
     return (lhs,), rhs
 
 
+def _horner(coeffs: list[int], t: int, pk: int) -> int:
+    """sum_k coeffs[k] * t^k mod pk."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * t + c) % pk
+    return acc
+
+
 def _eval_c4_1(ctx, kexp, x):
+    """sum C(2k,k)^3 (-x/64)^k against (x+1|p) sum C(2k,k)^2 C(4k,2k) (x/(64(x+1)^2))^k.
+
+    Both series have coefficients that do not depend on x; they are read once
+    per prime and exponent (``transform_coefficients``) and evaluated at x by
+    Horner's rule.
+    """
     pkv = ctx.pk(kexp)
-    inv64 = mod_inverse(64 % pkv, pkv)
-    mult_lhs = (-x) * inv64 % pkv
-    lhs = ctx.central_cube_menu(mod_inverse(mult_lhs, pkv), kexp)["A3"]
+    cube, quartic = ctx.transform_coefficients(kexp)
+    lhs = _horner(cube, (-x) * mod_inverse(64 % pkv, pkv) % pkv, pkv)
     mult_rhs = x * mod_inverse(64 * (x + 1) * (x + 1) % pkv, pkv) % pkv
-    # C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
-    terms = ctx.terms(kexp, mod_inverse(mult_rhs, pkv), 2, ((4, 0, 1), (2, 0, -2)))
-    rhs = ctx.legendre(x + 1) * ctx.total(kexp, terms) % pkv
+    rhs = ctx.legendre(x + 1) * _horner(quartic, mult_rhs, pkv) % pkv
     return (lhs,), rhs
 
 
@@ -1150,6 +1221,11 @@ def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
                  for k in range(n + 1)]
     if table is not None:
         prefix = f"{row.param_name}="
+        if row.conjectural is _proven:  # the status is pass or fail for every report
+            new, rid = tuple.__new__, row.id
+            return [new(CongruenceReport, (rid, p, f"{prefix}{v}", pkv, lhs, r,
+                                           PASS if lhs == r else FAIL, 0))
+                    for v, lhs, r in table]
         return [CongruenceReport(row.id, p, f"{prefix}{v}", pkv, lhs, r,
                                  _status(row, p, v, lhs == r)) for v, lhs, r in table]
     reports = []
@@ -1196,9 +1272,11 @@ def _suite_for_prime(
     return [r for part in parts for r in part]
 
 
-def _suite_worker(args) -> list[CongruenceReport]:
+def _suite_worker(args) -> list[tuple]:
+    """One prime's reports as plain tuples: a named tuple would pickle through
+    a Python-level ``__getnewargs__`` call per report."""
     p, ids, mod_exp_items, timings = args
-    return _suite_for_prime(p, ids, dict(mod_exp_items), timings)
+    return list(map(tuple, _suite_for_prime(p, ids, dict(mod_exp_items), timings)))
 
 
 def iter_suite(
@@ -1253,7 +1331,7 @@ def _stream(ps, ids, over, jobs, timings) -> Iterator[CongruenceReport]:
         parts = pool.map(_suite_worker, work, chunksize=chunk)
         try:
             for part in parts:
-                yield from part
+                yield from map(CongruenceReport._make, part)
         finally:
             parts.close()  # a stream dropped early cancels the primes not started
 

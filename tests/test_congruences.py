@@ -61,17 +61,27 @@ def test_cubed_central_sum_rows():
 
 
 def test_transformation_row_both_sides():
-    for p in (5, 7, 11, 13, 23):
+    # both sides mod p^K for K = 1..4, by the reference path and the suite
+    for p in primes_in_range(5, 59):
+        sides = {}
         for x in (1, 2, 3, -2):
-            r = check("C4_1", p, x)
             lhs = sum(Fraction(comb(2 * k, k) ** 3 * (-x) ** k, 64**k) for k in range(p))
             rhs = legendre_symbol(x + 1, p) * sum(
                 Fraction(comb(2 * k, k) ** 2 * comb(4 * k, 2 * k))
                 * Fraction(x, 64 * (x + 1) ** 2) ** k
                 for k in range(p)
             )
-            assert r.status == "pass"
-            assert r.lhs == fm(lhs, p) and r.rhs == fm(rhs, p)
+            sides[x] = lhs, rhs
+        for kexp in (1, 2, 3, 4):
+            mod = p**kexp
+            suite = run_suite([p], ["C4_1"], mod_exp={"C4_1": kexp})
+            assert [r.params for r in suite] == ["x=1", "x=2", "x=3", "x=-2"]
+            for (x, (lhs, rhs)), s in zip(sides.items(), suite):
+                r = check("C4_1", p, x, mod_exp=kexp)
+                assert r == s, (p, kexp, x)
+                assert r.modulus == mod, (p, kexp, x)
+                assert (r.lhs, r.rhs) == (fm(lhs, mod), fm(rhs, mod)), (p, kexp, x)
+                assert kexp > 1 or r.status == "pass", (p, x)  # the row is stated mod p
 
 
 def test_half_range_weighted_rows():
@@ -279,14 +289,15 @@ def test_sweep_matches_reference_all_shifts():
 
 
 def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
-    direct = _sweeps.direct_shift_sum
+    # the seeds S(0) and S(1) are read from the shared columns
+    seed_sum = _sweeps.column_shift_sum
     bad = {"seed": 0}
 
-    def corrupt_seed(p, weights, d, tables):
-        s = direct(p, weights, d, tables)
-        return (s + 1) % tables.pk if d == bad["seed"] else s
+    def corrupt_seed(weights, d, column, pk):
+        s = seed_sum(weights, d, column, pk)
+        return (s + 1) % pk if d == bad["seed"] else s
 
-    monkeypatch.setattr(_sweeps, "direct_shift_sum", corrupt_seed)
+    monkeypatch.setattr(_sweeps, "column_shift_sum", corrupt_seed)
     # the even chain from S(0) reaches S((p-1)/2) = S(6) before any reseed
     with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=6, K=2"):
         PrimeContext(13).sweep((64,), 2)
@@ -317,6 +328,7 @@ def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
         ("_reference_shift_sum", lambda c: _reference_shift_sum(c, 2, 64, 1)),
         ("_sum_square_shift1", lambda c: check("C1_12", p)),
         ("C1_24", lambda c: check("C1_24", p)),
+        ("C4_1", lambda c: check("C4_1", p, 1)),
     ]
     for stream, call in cases:
         with pytest.raises(ArithmeticError, match=rf"{stream}.*p={p}, k=7"):
@@ -350,6 +362,8 @@ def test_parallel_matches_serial():
     serial = run_suite(ps, ids)
     parallel = run_suite(ps, ids, jobs=3)
     assert serial == parallel
+    # workers send plain tuples; the parent rebuilds the named tuples
+    assert all(type(r) is CongruenceReport for r in parallel)
 
 
 def test_iter_suite_streams_one_prime_at_a_time(monkeypatch):
@@ -406,14 +420,14 @@ def test_row_errors_name_their_row_and_prime(monkeypatch, jobs):
         assert str(err.value.__cause__) == "broken row"
 
 
+def _corrupt_first_seed(weights, d, column, pk, seed_sum=_sweeps.column_shift_sum):
+    """``column_shift_sum`` with S(0) off by one."""
+    s = seed_sum(weights, d, column, pk)
+    return (s + 1) % pk if d == 0 else s
+
+
 def test_shift_engine_errors_name_their_row(monkeypatch):
-    direct = _sweeps.direct_shift_sum
-
-    def corrupt_seed(p, weights, d, tables):
-        s = direct(p, weights, d, tables)
-        return (s + 1) % tables.pk if d == 0 else s
-
-    monkeypatch.setattr(_sweeps, "direct_shift_sum", corrupt_seed)
+    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_first_seed)
     with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=6, K=2.*\(row=C1_5, p=13\)"):
         run_suite([13], ["C1_5"])
 
@@ -578,15 +592,28 @@ def test_one_factorial_table_per_prime(monkeypatch):
 
 
 def test_corrupted_seed_raises_under_reduction(monkeypatch):
-    direct = _sweeps.direct_shift_sum
-
-    def corrupt_seed(p, weights, d, tables):
-        s = direct(p, weights, d, tables)
-        return (s + 1) % tables.pk if d == 0 else s
-
-    monkeypatch.setattr(_sweeps, "direct_shift_sum", corrupt_seed)
+    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_first_seed)
     with pytest.raises(ArithmeticError, match=r"base=64, .*K=2.*\(row=C1_5, p=13\)"):
         run_suite([13], default_ids())
     # the higher exponent is evaluated first, so its row is the one reported
     with pytest.raises(ArithmeticError, match=r"base=64, .*K=3.*\(row=C1_6, p=31\)"):
         run_suite([31], ["C1_5", "C1_6"], mod_exp={"C1_6": 3})
+
+
+def test_corrupted_shared_column_raises_for_every_family(monkeypatch):
+    # one wrong entry of a column read by every family: C(2k,k) and C(2k,k+1)
+    # give the seeds S(0) and S(1), C(2k,k+6) the check of S((p-1)/2)
+    column = PrimeContext.shift_column
+    bad = {"d": 0}
+
+    def corrupt_column(self, d, kexp):
+        col = column(self, d, kexp)
+        return [(col[0] + 1) % self.pk(kexp), *col[1:]] if d == bad["d"] else col
+
+    monkeypatch.setattr(PrimeContext, "shift_column", corrupt_column)
+    for bad["d"] in (0, 1, 6):
+        for base in (64, 108, 256, 1728):
+            with pytest.raises(ArithmeticError, match=rf"p=13, base={base}, d=\d+, K=2"):
+                PrimeContext(13).sweep((base,), 2)
+        with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=\d+, K=2.*\(row=C1_5, p=13\)"):
+            run_suite([13], ["C1_5"])

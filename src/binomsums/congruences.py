@@ -83,11 +83,6 @@ class CongruenceReport(NamedTuple):
         return self.status == FAIL
 
 
-def _proven(p: int, value: int | None) -> bool:
-    """The registry default of ``RowSpec.conjectural``: no report is conjectural."""
-    return False
-
-
 @dataclass(frozen=True)
 class RowSpec:
     """Registry metadata for one congruence family.
@@ -102,7 +97,7 @@ class RowSpec:
     applies: Callable[[int], bool]
     param_name: str = ""
     param_values: Callable[[int], tuple[int, ...]] | None = None
-    conjectural: Callable[[int, int | None], bool] = _proven
+    conjectural: Callable[[int, int | None], bool] = lambda p, v: False
     experimental: bool = False
     sweep_base: int | None = None  # shift family served by the shift engine
 
@@ -1101,6 +1096,17 @@ _REGISTRY: tuple[RowSpec, ...] = (
 _ROW_INDEX = {row.id: i for i, row in enumerate(_REGISTRY)}
 
 
+def _check_table_rows() -> None:
+    """``_row_reports`` gives a table row's reports pass or fail, so none may be conjectural."""
+    for row in _REGISTRY:
+        table = row.id == "C1_2" or (row.sweep_base is not None and row.param_values is not None)
+        if table and row.conjectural is not RowSpec.conjectural:
+            raise ValueError(f"table row {row.id} cannot be conjectural")
+
+
+_check_table_rows()
+
+
 def registry() -> tuple[RowSpec, ...]:
     """All congruence rows in report order."""
     return _REGISTRY
@@ -1220,14 +1226,11 @@ def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
         table = [(k, unit[n + k] * inv[2 * k] % pkv * inv[n - k] % pkv, rhs[k])
                  for k in range(n + 1)]
     if table is not None:
-        prefix = f"{row.param_name}="
-        if row.conjectural is _proven:  # the status is pass or fail for every report
-            new, rid = tuple.__new__, row.id
-            return [new(CongruenceReport, (rid, p, f"{prefix}{v}", pkv, lhs, r,
-                                           PASS if lhs == r else FAIL, 0))
-                    for v, lhs, r in table]
-        return [CongruenceReport(row.id, p, f"{prefix}{v}", pkv, lhs, r,
-                                 _status(row, p, v, lhs == r)) for v, lhs, r in table]
+        # table rows are never conjectural (see _check_table_rows)
+        prefix, new, rid = f"{row.param_name}=", tuple.__new__, row.id
+        return [new(CongruenceReport, (rid, p, f"{prefix}{v}", pkv, lhs, r,
+                                       PASS if lhs == r else FAIL, 0))
+                for v, lhs, r in table]
     reports = []
     for v in (None,) if row.param_values is None else row.param_values(p):
         start = time.perf_counter_ns() if timings else 0

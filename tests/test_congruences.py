@@ -5,6 +5,7 @@ Fraction arithmetic, math.comb), then compared with the engine's residues.
 The batched suite path is additionally pinned against the reference path.
 """
 
+import dataclasses
 import multiprocessing
 import subprocess
 import sys
@@ -364,6 +365,15 @@ def test_parallel_matches_serial():
     assert serial == parallel
     # workers send plain tuples; the parent rebuilds the named tuples
     assert all(type(r) is CongruenceReport for r in parallel)
+
+
+@pytest.mark.parametrize("rid", ["C1_2", "C1_5", "C1_19", "C1_20", "C1_21"])
+def test_table_rows_cannot_be_conjectural(monkeypatch, rid):
+    i = _ROW_INDEX[rid]
+    row = dataclasses.replace(_REGISTRY[i], conjectural=lambda p, v: True)
+    monkeypatch.setattr(congruences, "_REGISTRY", (*_REGISTRY[:i], row, *_REGISTRY[i + 1 :]))
+    with pytest.raises(ValueError, match=f"table row {rid} cannot be conjectural"):
+        congruences._check_table_rows()
 
 
 def test_iter_suite_streams_one_prime_at_a_time(monkeypatch):

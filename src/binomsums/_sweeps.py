@@ -98,9 +98,7 @@ def shift_sums(
     front = fam.coeff(-p) * weights[p - 1] % pk
 
     def rhs(d: int) -> int:
-        """The step relation's right side at d, mod p^K."""
-        if not front:
-            return 0
+        """The step relation's right side at d, mod p^K; 0 when ``front`` is."""
         return front * (d + 1) * unit[2 * p] % pk * inv[p + d + 1] * inv[p - d - 1] % pk
 
     def mismatch(d: int, what: str) -> ArithmeticError:
@@ -118,8 +116,10 @@ def shift_sums(
             if (fam.coeff(d) * out[d] - m1 * m2 * out[d + 2] - rhs(d)) % pk:
                 raise mismatch(d, f"the relation fails with the direct S({d + 2})")
             continue
-        acc = ((m1 - step) * (m2 - step) * out[d] - rhs(d)) % pk
-        out[d + 2] = acc * inv[m1] % pk * unit[m1 - 1] % pk * inv[m2] % pk * unit[m2 - 1] % pk
+        acc = (m1 - step) * (m2 - step) * out[d]
+        if front:
+            acc -= rhs(d)
+        out[d + 2] = acc % pk * inv[m1] % pk * unit[m1 - 1] % pk * inv[m2] % pk * unit[m2 - 1] % pk
     # x with p | c(x): step*x + r = 0 (mod p) for r in the offsets
     checked = {p - 1, p - 2, half}
     checked.update(-r * pow(step, -1, p) % p for r in (r1, r2))

@@ -4,8 +4,9 @@ Everything here works with plain integers: residues live in [0, p^k).  The
 per-prime ``FactorialTables`` keep n! in factored form p^e * unit with the
 unit tracked modulo p^k, so a binomial coefficient C(n, r) is an exact
 valuation and a product of three units, never a division by a multiple of p.
-Also: primality, Legendre symbols, square roots mod p, Kummer's carry count
-and Cornacchia's solution of p = x^2 + d y^2.
+Also: primality, Legendre symbols, square roots mod p and Cornacchia's
+solution of p = x^2 + d y^2.  Each public function tests primality at most
+once; the helpers it calls take the prime as tested.
 """
 
 from __future__ import annotations
@@ -61,12 +62,17 @@ def mod_inverse(a: int, m: int) -> int:
         raise ValueError(f"{a} is not invertible modulo {m}") from None
 
 
+def _euler_criterion(a: int, p: int) -> int:
+    """(a|p) as a^((p-1)/2) mod p, for an odd prime p that the caller has tested."""
+    ls = pow(a % p, (p - 1) // 2, p)
+    return -1 if ls == p - 1 else ls
+
+
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a/p) via Euler's criterion; p must be an odd prime."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    ls = pow(a % p, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else ls
+    return _euler_criterion(a, p)
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -74,10 +80,17 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
     Tonelli-Shanks, with the usual p % 4 == 3 shortcut.
     """
+    if a % p and (p == 2 or not is_prime(p)):
+        raise ValueError(f"{p} is not an odd prime")
+    return _sqrt_mod(a, p)
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """``sqrt_mod`` for an odd prime p that the caller has tested."""
     a %= p
     if a == 0:
         return 0
-    if legendre_symbol(a, p) != 1:
+    if _euler_criterion(a, p) != 1:
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -88,7 +101,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         q //= 2
         s += 1
     z = 2
-    while legendre_symbol(z, p) != -1:
+    while _euler_criterion(z, p) != -1:
         z += 1
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
@@ -163,21 +176,6 @@ class FactorialTables:
         return self.p**v * self.unit[n] * self.inv_unit[r] * self.inv_unit[n - r] % self.pk
 
 
-def binomial_valuation(n: int, r: int, p: int) -> int:
-    """p-adic valuation of C(n, r) = number of carries adding r and n-r base p."""
-    if r < 0 or r > n:
-        raise ValueError("binomial is zero")
-    carries, carry = 0, 0
-    a, b = r, n - r
-    while a or b or carry:
-        s = a % p + b % p + carry
-        carry = 1 if s >= p else 0
-        carries += carry
-        a //= p
-        b //= p
-    return carries
-
-
 @dataclass(frozen=True)
 class QuadraticRepresentation:
     """p = x^2 + d*y^2 in normalized form.
@@ -192,9 +190,6 @@ class QuadraticRepresentation:
     x: int
     y: int
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
 
 def represent(p: int, d: int) -> QuadraticRepresentation | None:
     """Solve p = x^2 + d*y^2 for an odd prime p not dividing d, or None.
@@ -206,7 +201,7 @@ def represent(p: int, d: int) -> QuadraticRepresentation | None:
         raise ValueError("d must be positive")
     if p == 2 or (d > 1 and p % d == 0) or not is_prime(p):
         raise ValueError(f"p must be an odd prime not dividing d, got p={p}, d={d}")
-    t = sqrt_mod(-d % p, p)
+    t = _sqrt_mod(-d % p, p)
     if t is None:
         return None
     r = t if 2 * t > p else p - t

@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--timings", action="store_const", const=True, default=None,
         help="fill the micros column with each row's marginal cost: its own "
-        "evaluation, leaving out the shared per-prime tables, menus and sweeps "
+        "evaluation, leaving out the shared per-prime tables, summands and sweeps "
         "(0 for table rows); off keeps output byte-identical",
     )
     p_verify.add_argument("--log", help="append jsonl records with timestamps here")

@@ -1,29 +1,33 @@
 """Checkers for central-binomial-sum congruences modulo prime powers.
 
-Every registry row states a congruence for a sum of products of up to three
-binomial coefficients, e.g.
+Every registry row states one congruence as data, e.g.
 
-    sum_{k<p} C(2k,k)^2 C(2k,k+d) / 64^k   (mod p^2),
+    sum_{k<p} C(2k,k)^2 C(2k,k+d) / 64^k = 0   (mod p^2).
 
-whose right-hand side is a binary-quadratic-form expression (p = x^2 + d y^2),
-an eta-product Fourier coefficient, a Delannoy/Schroeder number, or zero.
-Rows are checked exactly: each term is carried as p^v * unit with the unit
-reduced mod p^K, so equality of the reported residues decides the congruence.
-Every summand is a product of factorials (a k + b)!^(+-1), times a power of
-C(2k,k), over base^k; the term engine ``PrimeContext.terms`` reads it per k
-from the prime's factorial tables, so no term is built from its predecessor.
+A ``Statement``'s left side is a chain of members that must all agree, each
+a sum of terms: weighted summands (``Sum``), shifted family sums
+(``Shift``), central Delannoy or Schroeder numbers (``Delannoy``) and single
+binomials (``Binomial``).  Its right side is one ``Closed`` form in p and
+the x of p = x^2 + d y^2, times a sign, or a one-line function.  The three
+rows that fit none of this are ``Custom`` functions.  One evaluator,
+``_evaluate``, reads every statement.  Rows are checked exactly: each term
+is carried as p^v * unit with the unit reduced mod p^K, so equality of the
+reported residues decides the congruence.  ``PrimeContext`` reads every
+summand per k from the prime's factorial tables and caches its residues and
+its moments sum_k k^j t_k, of which a weighted sum is a combination.
 
 Two evaluation paths exist and are pinned against each other by the tests:
 
-* ``check`` runs a single row at a single prime through the direct reference
-  evaluators (each shifted sum summed term by term);
-* ``iter_suite`` batches rows over many primes, sharing per-prime factorial
-  tables, term lists, running-sum menus, and the shift engine, which produces
-  all shifted sums S(d) of a family at once in O(p) by stepping the certified
-  d -> d+2 relations from two seeds read from binomial columns that every
-  family shares.  A prime's lower exponents read
-  these reduced from its higher ones.  It yields reports one prime at
-  a time; ``run_suite`` collects them into a list.
+* ``check`` evaluates a single row at a single prime, summing each shifted
+  sum term by term;
+* ``iter_suite`` batches rows over many primes.  Each prime builds one
+  factorial table, long enough for every row's declared factorial
+  arguments, and evaluates its rows from the top exponent down, so a lower
+  exponent reads tables, summands and moments reduced from a higher one.
+  The shift engine gives all S(d) of a family at once in O(p), stepping the
+  certified d -> d+2 relations from seeds read from binomial columns that
+  every family shares.  Reports are yielded one prime at a time;
+  ``run_suite`` collects them into a list.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
 ``experimental-fail`` for conjectural ones, and ``skipped`` when a row's side
@@ -36,19 +40,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._sweeps import SHIFT_FAMILIES, shift_sums
-from .arith import (
-    FactorialTables,
-    is_prime,
-    legendre_symbol,
-    mod_inverse,
-    represent,
-)
-from .qseries import coefficient_closed_form
+from .arith import FactorialTables, _euler_criterion, is_prime, mod_inverse, represent
 from .sequences import euler_number_mod_p
 
 PASS = "pass"
@@ -66,7 +65,7 @@ class CongruenceReport(NamedTuple):
     the first differing pair on failure and (first member, closed form)
     otherwise.  ``micros`` is filled only when timings were requested; it is
     the marginal cost of the row's own evaluation, which leaves out the shared
-    per-prime tables, menus and sweeps, and it is 0 for table rows.
+    per-prime tables, summands and sweeps, and it is 0 for table rows.
     """
 
     id: str
@@ -83,30 +82,160 @@ class CongruenceReport(NamedTuple):
         return self.status == FAIL
 
 
-@dataclass(frozen=True)
-class RowSpec:
-    """Registry metadata for one congruence family.
+# --- the vocabulary of a statement ------------------------------------------
+#
+# Every term is called as term(ctx, kexp, v) -> int, v the row's parameter
+# (None for rows without one).  A term with a ``column`` gives its values at
+# many parameters at once; one with a ``limit`` declares the largest factorial
+# argument it reads at p.
 
-    ``modulus_exp`` is the exponent K of the modulus p^K, either a constant
-    or a function of p for rows whose strength depends on the prime class.
+
+class Sum(NamedTuple):
+    """sum_k (w_0 + w_1 k + w_2 k^2 + ...) C(2k,k)^central prod (a k + b)!^e / base^k.
+
+    k runs from ``lo`` to (p-1)/2 with ``half``, else to p-1, and ``weight``
+    holds w_0, w_1, ...  The summand, everything but the weight, is cached
+    with its moments, so the weighted sum is sum_j w_j * moment_j.  ``base``
+    is inverted mod p^K, so negative and residue bases are fine.
     """
 
-    id: str
-    modulus_exp: int | Callable[[int], int]
-    description: str
-    applies: Callable[[int], bool]
-    param_name: str = ""
-    param_values: Callable[[int], tuple[int, ...]] | None = None
-    conjectural: Callable[[int, int | None], bool] = lambda p, v: False
-    experimental: bool = False
-    sweep_base: int | None = None  # shift family served by the shift engine
+    base: int
+    central: int
+    weight: tuple[int, ...] = (1,)
+    factors: tuple[tuple[int, int, int], ...] = ()
+    lo: int = 0
+    half: bool = False
 
-    def exponent(self, p: int) -> int:
-        return self.modulus_exp(p) if callable(self.modulus_exp) else self.modulus_exp
+    @property
+    def key(self) -> tuple:
+        """The summand without its weight: what its residues and moments are cached by."""
+        return self.base, self.central, self.factors, self.lo, self.half
+
+    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
+        return sum(w * ctx.moment(kexp, self, j) for j, w in enumerate(self.weight) if w)
+
+    def limit(self, p: int) -> int:
+        hi = (p - 1) // 2 if self.half else p - 1
+        return max([2 * p if self.central else p]
+                   + [a * k + b for a, b, _ in self.factors for k in (self.lo, hi)])
 
 
-def _family_spec(binomials) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """A product of C(a k, b k) as C(2k,k)^c times factorial factors (a, b, e)."""
+class Shift(NamedTuple):
+    """S_base(d) = sum_{k<p} w_base(k) C(2k, k+d) for the shift family of ``base``.
+
+    ``d`` None reads the row's parameter.  In the suite the sums come from the
+    shift engine's output for the whole family; ``check`` sums them term by
+    term (``_reference_shift_sum``).
+    """
+
+    base: int
+    d: int | None = None
+
+    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
+        d = v if self.d is None else self.d
+        swept = ctx._cache.get(("sweep", self.base, kexp))
+        return swept[d] if swept is not None else _reference_shift_sum(ctx, kexp, self.base, d)
+
+    def column(self, ctx: PrimeContext, kexp: int, values) -> list[int]:
+        sums = ctx.sweep((self.base,), kexp)[self.base]
+        return [sums[v if self.d is None else self.d] for v in values]
+
+    def limit(self, p: int) -> int:
+        return SHIFT_FAMILIES[self.base].step * p
+
+
+class Delannoy(NamedTuple):
+    """D_n = sum_k C(n+k,2k) C(2k,k) at n = (p-1)/2, or with ``schroder`` the
+    large Schroeder number S_n = sum_k C(n+k,2k) C_k."""
+
+    schroder: bool = False
+
+    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
+        return ctx.delannoy(kexp)[self.schroder]
+
+
+class Binomial(NamedTuple):
+    """C(top, bottom) / base^v with (top, bottom) = args(p, v) and top < p."""
+
+    args: Callable[[int, int | None], tuple[int, int]]
+    base: int = 1
+
+    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
+        return self.column(ctx, kexp, (v,))[0]
+
+    def column(self, ctx: PrimeContext, kexp: int, values) -> list[int]:
+        t = ctx.tables(kexp)
+        col = [t.binomial(*self.args(ctx.p, v)) for v in values]
+        if self.base == 1:
+            return col
+        scale = ctx.central_power(0, self.base, kexp)[1]  # base^-k for k < p
+        return [c * scale[v] % t.pk for c, v in zip(col, values)]
+
+
+QUARTER = "(-1)^((p-1)/4)"  # a Closed sign, for p = 1 (mod 4)
+
+
+class Closed(NamedTuple):
+    """sign * (x2 x^2 + x x + p_x p/x + p p + p2 p^2), x from p = x^2 + d y^2.
+
+    x is normalized as ``represent`` gives it (x = 1 (mod 4) for d = 1), and
+    a form with an x term is 0 when p has no such representation: 4x^2 - 2p
+    is the eta-product coefficient shape.  ``sign`` is ``QUARTER`` or the a
+    of the Legendre symbol (a|p).  ``p_x`` may be a Fraction whose
+    denominator is prime to p.
+    """
+
+    x2: int = 0
+    x: int = 0
+    p_x: int | Fraction = 0
+    p: int = 0
+    p2: int = 0
+    d: int = 1
+    sign: int | str = 1
+
+    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
+        pk, p = ctx.pk(kexp), ctx.p
+        value = self.p * p + self.p2 * p * p
+        if self.x2 or self.x or self.p_x:
+            rep = ctx.rep(self.d)
+            if rep is None:
+                return 0
+            x = rep.x
+            value += self.x2 * x * x + self.x * x
+            if self.p_x:
+                c = Fraction(self.p_x)
+                value += c.numerator * mod_inverse(c.denominator * x % pk, pk) * p
+        if self.sign == QUARTER:
+            value *= 1 if p % 8 == 1 else -1
+        elif self.sign != 1:
+            value *= ctx.legendre(self.sign)
+        return value % pk
+
+    def column(self, ctx: PrimeContext, kexp: int, values) -> list[int]:
+        return [self(ctx, kexp, None)] * len(values)
+
+
+ZERO = Closed()
+
+
+class Statement(NamedTuple):
+    """Every member of ``lhs``, a term or a tuple of terms to add, is congruent to ``rhs``."""
+
+    lhs: tuple
+    rhs: Callable
+
+
+class Custom(NamedTuple):
+    """A row outside the vocabulary: ``evaluate(ctx, kexp, v, *sums)`` gives its
+    (members, rhs).  ``sums`` are the summands it reads, declared so that their
+    factorial arguments size the prime's table like any other row's."""
+
+    evaluate: Callable
+    sums: tuple[Sum, ...] = ()
+
+
+def _family_sum(base: int, binomials) -> Sum:
+    """A family weight prod C(a k, b k) / base^k as C(2k,k)^c times factorial factors (a, b, e)."""
     central, exps = 0, {}
     for a, b in binomials:
         if (a, b) == (2, 1):
@@ -114,23 +243,15 @@ def _family_spec(binomials) -> tuple[int, tuple[tuple[int, int, int], ...]]:
             continue
         for m, e in ((a, 1), (b, -1), (a - b, -1)):
             exps[m] = exps.get(m, 0) + e
-    return central, tuple((m, 0, e) for m, e in exps.items() if e)
+    return Sum(base, central, factors=tuple((m, 0, e) for m, e in exps.items() if e))
 
 
-# each shift family's weight as an input to ``PrimeContext.terms``
-_FAMILY_SPEC = {base: _family_spec(fam.binomials) for base, fam in SHIFT_FAMILIES.items()}
+# each shift family's weight w(k) as a summand
+_FAMILY = {base: _family_sum(base, fam.binomials) for base, fam in SHIFT_FAMILIES.items()}
 # C(2k,k+1) / C(2k,k) = k!^2 / ((k+1)! (k-1)!), for k >= 1
 _SHIFT1 = ((1, 0, 2), (1, 1, -1), (1, -1, -1))
 # Catalan(k) / C(2k,k) = k! / (k+1)!
 _CATALAN = ((1, 0, 1), (1, 1, -1))
-
-
-def _tail_error(stream: str, p: int, k: int, val: int) -> ArithmeticError:
-    """The invariant v_p(C(2k,k)^2) >= 2 for (p+1)/2 <= k < p was broken."""
-    return ArithmeticError(
-        f"{stream}: squared central binomial tail valuation {val} < 2 "
-        f"at p={p}, k={k}"
-    )
 
 
 def _column(table: list[int], a: int, b: int, lo: int, hi: int) -> list[int]:
@@ -148,15 +269,15 @@ class PrimeContext:
     C(2k,k)^c * prod (a k + b)!^e / base^k is read per k from the factorial
     tables as a sum of valuations and a product of units, with no ratio
     stream.  C(2k,k) is read from the tables once (``central``), which is
-    also where the squared-central tail invariants get their valuations.
-    Terms, menus, weights, sweep outputs and quadratic representations are
-    cached on first use, so checking many rows at one prime costs one pass
-    per distinct (summand, base).
+    also where the tail invariants get their valuations.  Summands, their
+    moments, sweep outputs and quadratic representations are cached on first
+    use, so checking many rows at one prime costs one pass per distinct
+    summand and moment.
 
     A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
     at K is reduced from the lowest higher exponent cached, and built only if
     there is none.  The suite evaluates rows from the top exponent down, so a
-    prime builds its factorial table, C(2k,k), powers and menus once each.
+    prime builds its factorial table, C(2k,k), powers and summands once each.
     """
 
     def __init__(self, p: int):
@@ -166,6 +287,7 @@ class PrimeContext:
         self.n = (p - 1) // 2
         self._cache: dict = {}
         self._exps: set[int] = set()  # the exponents of the keys cached so far
+        self.limits: dict[int, int] = {}  # the table length planned per exponent
 
     # --- basic cached helpers -------------------------------------------
 
@@ -183,14 +305,14 @@ class PrimeContext:
     def _at(self, key: tuple, kexp: int, build: Callable[[], object] | None = None):
         """The value for ``key`` mod p^kexp: cached, else the one of the lowest
         higher exponent cached reduced mod p^kexp, else ``build()`` (None
-        without ``build``).  Units and residues reduce entry by entry and menus
-        value by value; valuation lists are shared, so their checks ran on them.
+        without ``build``).  Residues reduce entry by entry and moments as
+        numbers; valuation lists are shared, so their checks ran on them.
         """
         full = (*key, kexp)
         if full not in self._cache:
             value, pkv = self._higher(key, kexp), self.pk(kexp)
-            if isinstance(value, dict):
-                value = {name: v % pkv for name, v in value.items()}
+            if isinstance(value, int):
+                value %= pkv
             elif isinstance(value, tuple):  # (valuations, units)
                 value = (value[0], [u % pkv for u in value[1]])
             elif value is not None:
@@ -211,9 +333,10 @@ class PrimeContext:
 
         One table per prime: the cached table at kexp, else the lowest higher
         exponent's table that reaches far enough, reduced, else a new build,
-        which then serves every smaller request.
+        which then serves every smaller request.  A table is made at least as
+        long as ``limits`` plans for its exponent.
         """
-        limit = max(self.p, limit)
+        limit = max(self.p, limit, self.limits.get(kexp, 0))
         cached = self._cache.get(("tables", kexp))
         if cached is None or cached.limit < limit:
             higher = self._higher(("tables",), kexp, lambda t: t.limit >= limit)
@@ -223,14 +346,10 @@ class PrimeContext:
         return cached
 
     def legendre(self, a: int) -> int:
-        return self._cached(("leg", a), lambda: legendre_symbol(a, self.p))
+        return self._cached(("leg", a), lambda: _euler_criterion(a, self.p))
 
     def rep(self, d: int):
         return self._cached(("rep", d), lambda: represent(self.p, d))
-
-    def sign_quarter(self, kexp: int) -> int:
-        """(-1)^((p-1)/4) mod p^kexp, defined for p = 1 (mod 4)."""
-        return 1 if self.p % 8 == 1 else self.pk(kexp) - 1
 
     # --- the term engine --------------------------------------------------
 
@@ -314,24 +433,43 @@ class PrimeContext:
         pp = [self.p**i for i in range(kexp)]
         return [(pp[v] * u % pk if v else u) if v < kexp else 0 for v, u in zip(*terms)]
 
-    def total(self, kexp: int, terms: tuple[list[int], list[int]]) -> int:
-        """The sum of ``terms`` mod p^kexp."""
-        return sum(self.residues(kexp, terms)) % self.pk(kexp)
+    def summand(self, kexp: int, s: Sum) -> list[int]:
+        """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k.
 
-    def check_tail(self, stream: str, vals: list[int], lo: int = 0) -> None:
-        """Raise unless v_p >= 2 at every (p+1)/2 <= k; vals[i] is at k = lo+i."""
-        start = max((self.p + 1) // 2 - lo, 0)
-        if vals[start:] and min(vals[start:]) < 2:
-            i = next(i for i in range(start, len(vals)) if vals[i] < 2)
-            raise _tail_error(stream, self.p, lo + i, vals[i])
+        A full-range summand carrying C(2k,k)^c with c >= 2 must have
+        v_p(C(2k,k)^c) >= 2 at every (p+1)/2 <= k < p; ArithmeticError if not.
+        """
+
+        def build():
+            terms = self.terms(kexp, s.base, s.central, s.factors, s.lo, self.n if s.half else None)
+            if s.central >= 2 and not s.half:
+                cval, start = self.central(kexp)[0], (self.p + 1) // 2
+                if s.central * min(cval[start:]) < 2:
+                    k = next(k for k in range(start, self.p) if s.central * cval[k] < 2)
+                    raise ArithmeticError(f"C(2k,k)^{s.central}/{s.base}^k: tail valuation "
+                                          f"{s.central * cval[k]} < 2 at p={self.p}, k={k}")
+            return self.residues(kexp, terms)
+
+        return self._at(("summand", s.key), kexp, build)
+
+    def moment(self, kexp: int, s: Sum, j: int) -> int:
+        """sum_k k^j t_k mod p^kexp over the summand t of ``s``."""
+
+        def build():
+            t = self.summand(kexp, s)
+            ks = range(s.lo, s.lo + len(t))
+            for _ in range(j):
+                t = map(mul, ks, t)
+            return sum(t) % self.pk(kexp)
+
+        return self._at(("moment", s.key, j), kexp, build)
 
     def weights(self, base: int, kexp: int) -> list[int]:
         """Residues of the shift family for ``base`` at every k < p.
 
-        w(k) = C(a k, b k) C(c k, e k) / base^k, from the term engine.
+        w(k) = C(a k, b k) C(c k, e k) / base^k, a summand of the term engine.
         """
-        return self._at(("w", base), kexp,
-                        lambda: self.residues(kexp, self.terms(kexp, base, *_FAMILY_SPEC[base])))
+        return self.summand(kexp, _FAMILY[base])
 
     def shift_column(self, d: int, kexp: int) -> list[int]:
         """Residues of C(2k, k+d) for d <= k < p mod p^kexp.
@@ -368,77 +506,8 @@ class PrimeContext:
                          lambda: shift_sums(self.p, b, self.weights(b, kexp), tables, columns))
         return {b: self._cache[("sweep", b, kexp)] for b in bases}
 
-    def transform_coefficients(self, kexp: int) -> tuple[list[int], list[int]]:
-        """Residues mod p^kexp of C(2k,k)^3 and C(2k,k)^2 C(4k,2k) for k < p.
-
-        These are ``C4_1``'s two power series in its scaled argument; they do
-        not depend on x, so the row reads them once per exponent and each x
-        costs one Horner pass per side.  Trailing zero coefficients (the tail
-        k > (p-1)/2 for K <= 2) are dropped.  The valuations of the cube are
-        checked for the squared-central tail invariant.
-        """
-
-        def trimmed(res: list[int]) -> list[int]:
-            end = len(res)
-            while end and not res[end - 1]:
-                end -= 1
-            return res[:end]
-
-        def cube():
-            terms = self.terms(kexp, 1, 3)
-            self.check_tail("C4_1", terms[0])
-            return trimmed(self.residues(kexp, terms))
-
-        def quartic():
-            # C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
-            return trimmed(self.residues(kexp, self.terms(kexp, 1, 2, ((4, 0, 1), (2, 0, -2)))))
-
-        return self._at(("c4cube",), kexp, cube), self._at(("c4quartic",), kexp, quartic)
-
-    # --- running-sum menus ----------------------------------------------
-
-    def central_square_menu(self, base: int, kexp: int, full: bool) -> dict[str, int]:
-        """Weighted sums of C(2k,k)^2 / base^k over k <= (p-1)/2 or k < p.
-
-        Returns A = sum of terms, Ak = sum of k*term, Ak2 = sum of k^2*term,
-        and, over the half range only, Acat = sum of C(2k,k)*Catalan(k)/base^k
-        (i.e. term/(k+1)).  The tail valuation invariant v_p(C(2k,k)^2) >= 2
-        for (p+1)/2 <= k < p is checked on the full range (ArithmeticError if
-        broken).
-        """
-
-        def build():
-            hi = self.p - 1 if full else self.n
-            pkv = self.pk(kexp)
-            terms = self.terms(kexp, base, 2, hi=hi)
-            self.check_tail(f"central_square_menu(base={base})", terms[0])
-            t = self.residues(kexp, terms)
-            ks = range(hi + 1)
-            menu = {
-                "A": sum(t) % pkv,
-                "Ak": sum(map(mul, ks, t)) % pkv,
-                "Ak2": sum(map(mul, map(mul, ks, ks), t)) % pkv,
-            }
-            if not full:  # no row reads the full-range Acat
-                menu["Acat"] = self.total(kexp, self.terms(kexp, base, 2, _CATALAN, hi=hi))
-            return menu
-
-        return self._at(("sqmenu", base, full), kexp, build)
-
-    def central_cube_menu(self, base: int, kexp: int) -> dict[str, int]:
-        """A3 = sum_{k<p} C(2k,k)^3 / base^k, A3k = sum of k*term, mod p^kexp."""
-
-        def build():
-            pkv = self.pk(kexp)
-            terms = self.terms(kexp, base, 3)
-            self.check_tail(f"central_cube_menu(base={base})", terms[0])
-            t = self.residues(kexp, terms)
-            return {"A3": sum(t) % pkv, "A3k": sum(map(mul, range(self.p), t)) % pkv}
-
-        return self._at(("cubemenu", base), kexp, build)
-
-    def delannoy_menu(self, kexp: int) -> dict[str, int]:
-        """Central Delannoy/Schroeder values at n = (p-1)/2 mod p^kexp.
+    def delannoy(self, kexp: int) -> list[int]:
+        """[D_n, S_n] mod p^kexp: central Delannoy and Schroeder numbers at n = (p-1)/2.
 
         Uses (m+1) D_{m+1} = 3(2m+1) D_m - m D_{m-1} and the derivative
         relation D_{n+1} - 3 D_n = 2n S_n; 1/m = inv_unit[m] * unit[m-1].
@@ -451,325 +520,43 @@ class PrimeContext:
             prev, cur = 1, 3 % pkv  # D_0, D_1
             for m in range(1, n + 1):
                 prev, cur = cur, (3 * (2 * m + 1) * cur - m * prev) * inv[m + 1] * unit[m] % pkv
-            sn = (cur - 3 * prev) * inv[2 * n] * unit[2 * n - 1] % pkv
-            return {"Dn": prev, "Dn1": cur, "Sn": sn}
+            return [prev, (cur - 3 * prev) * inv[2 * n] * unit[2 * n - 1] % pkv]
 
         return self._at(("delannoy",), kexp, build)
 
 
-# --- reference evaluators -------------------------------------------------
-
-
 def _reference_shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
-    """sum_{d<=k<p} w_base[k] * C(2k, k+d) mod p^kexp from the term engine.
+    """sum_{d<=k<p} w_base[k] * C(2k, k+d) mod p^kexp, summed term by term."""
+    fam = _FAMILY[base]
+    if d == 0:  # C(2k, k) is one more central factor
+        summand = fam._replace(central=fam.central + 1)
+    else:
+        summand = fam._replace(factors=fam.factors + ((2, 0, 1), (1, d, -1), (1, -d, -1)), lo=d)
+    return ctx.moment(kexp, summand, 0)
 
-    Checks the tail valuation invariant for every summand that contains a
-    squared central binomial: the whole weight for base 64, and weight plus
-    C(2k,k) itself for the d = 0 sums of the 108 and 256 families.
+
+# --- the rows that keep a function ----------------------------------------
+
+
+def _eval_cl3_2(ctx, kexp, part, *sums):
+    """sum_{i+j<p} b_i b_j (s(i+j) + 1), b_i = C(2i,i)^2/base^i, against p (-1|p).
+
+    Part 1 has (base, s) = (8, 1), part 2 (-16, 2).  By the (i, j) symmetry
+    the double sum is sum_i b_i (2si + 1) B(p-1-i), B the prefix sums of b.
     """
-    if base == 64:
-        cval = ctx.central(kexp)[0]
-        ctx.check_tail(f"_reference_shift_sum(base=64, d={d})", [2 * v for v in cval])
-    central, factors = _FAMILY_SPEC[base]
-    terms = ctx.terms(kexp, base, central, factors + ((2, 0, 1), (1, d, -1), (1, -d, -1)), lo=d)
-    if d == 0 and base in (108, 256):
-        ctx.check_tail(f"_reference_shift_sum(base={base}, d=0)", terms[0])
-    return ctx.total(kexp, terms)
-
-
-def _shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
-    """Shifted family sum, from the shift engine's output when one is already
-    cached for this (base, exponent) — the suite primes that cache — and
-    otherwise through the term-by-term reference path."""
-    cached = ctx._cache.get(("sweep", base, kexp))
-    if cached is not None:
-        return cached[d]
-    return _reference_shift_sum(ctx, kexp, base, d)
-
-
-def _sum_square_shift1(ctx: PrimeContext, kexp: int, base: int) -> int:
-    """sum_{k<p} C(2k,k)^2 C(2k,k+1) / base^k mod p^kexp."""
-    terms = ctx.terms(kexp, base, 3, _SHIFT1, lo=1)
-    ctx.check_tail(f"_sum_square_shift1(base={base})", terms[0], lo=1)
-    return ctx.total(kexp, terms)
-
-
-def _sum_shift1_square(ctx: PrimeContext, kexp: int, base: int) -> int:
-    """sum_{k<p} C(2k,k) C(2k,k+1)^2 / base^k mod p^kexp."""
-    return ctx.total(kexp, ctx.terms(kexp, base, 3, _SHIFT1 + _SHIFT1, lo=1))
-
-
-def _x_term(ctx: PrimeContext, kexp: int, d: int, num: int, den_x: int) -> int:
-    """(num*x - p/(den_x*x)) mod p^kexp for the normalized p = x^2 + d y^2."""
     pkv = ctx.pk(kexp)
-    x = ctx.rep(d).x
-    xinv = mod_inverse(x % pkv, pkv)
-    return (num * x - ctx.p * xinv * mod_inverse(den_x, pkv)) % pkv
-
-
-def _eval_c1_1(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    lhs = ctx.central_cube_menu(1, kexp)["A3"]
-    if legendre_symbol(ctx.p, 7) == 1:
-        r = ctx.rep(7)
-        rhs = (4 * r.x * r.x - 2 * ctx.p) % pkv
-    else:
-        rhs = 0
-    return (lhs,), rhs
-
-
-def _eval_c1_2(ctx, kexp, k):
-    pkv = ctx.pk(kexp)
-    t = ctx.tables(kexp)
-    rhs = t.binomial(2 * k, k) * pow(-16, -k, pkv) % pkv
-    return (t.binomial(ctx.n + k, 2 * k),), rhs
-
-
-def _eval_c1_5(ctx, kexp, d):
-    return (_shift_sum(ctx, kexp, 64, d),), 0
-
-
-def _eval_c1_6(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    lhs = _shift_sum(ctx, kexp, 64, 1)
-    c = ctx.tables(kexp).binomial(ctx.n, (ctx.p + 1) // 4)
-    rhs = (2 * ctx.p + 2 - pow(2, ctx.p - 1, pkv)) * c % pkv * c % pkv
-    return (lhs,), rhs
-
-
-def _eval_c1_7a(ctx, kexp, _):
-    m = ctx.central_square_menu(8, kexp, full=False)
-    pkv = ctx.pk(kexp)
-    lhs = (m["Ak"] + m["A"]) % pkv
-    rhs = ctx.sign_quarter(kexp) * (ctx.rep(1).x % pkv) % pkv
-    return (lhs,), rhs
-
-
-def _eval_c1_7b(ctx, kexp, _):
-    m = ctx.central_square_menu(-16, kexp, full=False)
-    pkv = ctx.pk(kexp)
-    lhs = (2 * m["Ak"] + m["A"]) % pkv
-    rhs = ctx.sign_quarter(kexp) * (ctx.rep(1).x % pkv) % pkv
-    return (lhs,), rhs
-
-
-def _eval_c1_8(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    m_half = ctx.central_square_menu(8, kexp, full=False)
-    m_full = ctx.central_square_menu(8, kexp, full=True)
-    members = (m_half["Acat"], (-2 * m_full["Ak"]) % pkv)
-    rhs = ctx.sign_quarter(kexp) * _x_term(ctx, kexp, 1, 2, 1) % pkv
-    return members, rhs
-
-
-def _eval_c1_9(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    m = ctx.central_square_menu(-16, kexp, full=False)
-    members = (
-        ctx.delannoy_menu(kexp)["Sn"],
-        m["Acat"],
-        (-8 * m["Ak"]) % pkv,
-    )
-    rhs = ctx.sign_quarter(kexp) * 2 * _x_term(ctx, kexp, 1, 2, 1) % pkv
-    return members, rhs
-
-
-def _eval_c1_10(ctx, kexp, _):
-    m = ctx.central_square_menu(8, kexp, full=False)
-    pkv = ctx.pk(kexp)
-    x = ctx.rep(1).x
-    rhs = (
-        ctx.sign_quarter(kexp)
-        * ((x - 3 * ctx.p * mod_inverse(4 * x % pkv, pkv)) % pkv)
-        % pkv
-    )
-    return (m["Ak2"],), rhs
-
-
-def _eval_c1_11(ctx, kexp, _):
-    m = ctx.central_square_menu(-16, kexp, full=False)
-    pkv = ctx.pk(kexp)
-    x = ctx.rep(1).x
-    rhs = (
-        (pkv - ctx.sign_quarter(kexp))
-        * (ctx.p * mod_inverse(16 * x % pkv, pkv) % pkv)
-        % pkv
-    )
-    return (m["Ak2"],), rhs
-
-
-def _eval_c1_12(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    lhs = _sum_square_shift1(ctx, kexp, -8)
-    x = ctx.rep(1).x
-    rhs = (2 * ctx.p - 2 * x * x) % pkv
-    return (lhs,), rhs
-
-
-def _eval_c1_13(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    lhs = _sum_shift1_square(ctx, kexp, -8)
-    return (lhs,), (-2 * ctx.p) % pkv
-
-
-def _eval_cr1_1(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    m8 = ctx.central_square_menu(8, kexp, full=True)
-    m16 = ctx.central_square_menu(-16, kexp, full=False)
-    lhs = (m8["Ak"] + m8["A"] + 2 * m16["Ak"] + m16["A"]) % pkv
-    if ctx.p % 4 == 1:
-        rhs = 2 * ctx.legendre(2) * ctx.rep(1).x % pkv
-    else:
-        rhs = 0
-    return (lhs,), rhs
-
-
-def _eval_c1_14b(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    return (_shift_sum(ctx, kexp, 108, 0),), coefficient_closed_form(
-        "b", ctx.p
-    ) % pkv
-
-
-def _eval_c1_14c(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    return (_shift_sum(ctx, kexp, 256, 0),), coefficient_closed_form(
-        "c", ctx.p
-    ) % pkv
-
-
-def _eval_c1_15(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    rhs = legendre_symbol(ctx.p, 3) * coefficient_closed_form("a", ctx.p) % pkv
-    return (_shift_sum(ctx, kexp, 1728, 0),), rhs
-
-
-def _eval_c1_19(ctx, kexp, d):
-    return (_shift_sum(ctx, kexp, 108, d),), 0
-
-
-def _eval_c1_20(ctx, kexp, d):
-    return (_shift_sum(ctx, kexp, 256, d),), 0
-
-
-def _eval_c1_21(ctx, kexp, d):
-    return (_shift_sum(ctx, kexp, 1728, d),), 0
-
-
-def _eval_c1_22(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    r = ctx.rep(2)
-    rhs = (4 * r.x * r.x - 2 * ctx.p) % pkv
-    return (_shift_sum(ctx, kexp, 256, 0),), rhs
-
-
-def _eval_c1_23(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    x = ctx.rep(1).x
-    rhs = (2 * ctx.p - 4 * x * x) % pkv
-    return (_shift_sum(ctx, kexp, 1728, 0),), rhs
-
-
-def _eval_c1_24(ctx, kexp, _):
-    ctx.check_tail("C1_24", [2 * v for v in ctx.central(kexp)[0]])
-    # C(3k,k+1) = (3k)! / ((k+1)! (2k-1)!), zero at k = 0
-    terms = ctx.terms(kexp, 108, 2, ((3, 0, 1), (1, 1, -1), (2, -1, -1)), lo=1)
-    return (ctx.total(kexp, terms),), 0
-
-
-def _eval_c1_25(ctx, kexp, _):
-    return (_shift_sum(ctx, kexp, 256, 1),), 0
-
-
-def _eval_c1_26(ctx, kexp, _):
-    return (_shift_sum(ctx, kexp, 1728, 1),), 0
-
-
-def _eval_cl3_2(ctx, kexp, part):
-    pkv = ctx.pk(kexp)
-    # sum_{i+j<p} b_i b_j (s(i+j) + 1) with b_i = C(2i,i)^2/base^i is, by the
-    # (i, j) symmetry, sum_i b_i (2si + 1) B(p-1-i), B the prefix sums of b
-    base, s = (8, 1) if part == 1 else (-16, 2)
-    b = ctx.residues(kexp, ctx.terms(kexp, base, 2))
-    weighted = map(mul, b, range(1, 2 * s * ctx.p, 2 * s))
+    b = ctx.summand(kexp, sums[part - 1])
+    weighted = map(mul, b, range(1, 2 * part * ctx.p, 2 * part))
     total = sum(map(mul, weighted, reversed(list(accumulate(b)))))
-    rhs = ctx.p * ctx.legendre(-1) % pkv
-    return (total % pkv,), rhs
+    return (total % pkv,), ctx.p * ctx.legendre(-1) % pkv
 
 
-def _eval_cl3_3(ctx, kexp, part):
-    pkv = ctx.pk(kexp)
-    p2 = ctx.p * ctx.p
-    if part in (1, 3):
-        m = ctx.central_square_menu(8, kexp, full=False)
-        sign = ctx.legendre(2)
-    else:
-        m = ctx.central_square_menu(-16, kexp, full=False)
-        sign = ctx.legendre(-1)
-    if part == 1:
-        lhs, rhs = 2 * m["Ak"] + m["Acat"], 2 * p2 * sign
-    elif part == 2:
-        lhs, rhs = 8 * m["Ak"] + m["Acat"], 2 * p2 * sign
-    elif part == 3:
-        lhs, rhs = 2 * m["Ak2"] + 4 * m["Ak"] + m["A"], p2 * sign
-    else:
-        lhs, rhs = 8 * m["Ak2"] + 4 * m["Ak"] + m["A"], p2 * sign
-    return (lhs % pkv,), rhs % pkv
-
-
-def _eval_cgz(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    m = ctx.central_cube_menu(-8, kexp)
-    lhs = (3 * m["A3k"] + m["A3"]) % pkv
-    return (lhs,), ctx.p * ctx.legendre(-1) % pkv
-
-
-def _eval_cgz_p4(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    m = ctx.central_cube_menu(-8, kexp)
-    lhs = (3 * m["A3k"] + m["A3"]) % pkv
-    e = euler_number_mod_p(ctx.p - 3, ctx.p)
-    rhs = (ctx.p * ctx.legendre(-1) + ctx.p**3 * e) % pkv
-    return (lhs,), rhs
-
-
-def _eval_c3_2(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    lhs = ctx.tables(kexp).binomial(ctx.n, (ctx.p - 1) // 4)
-    half = mod_inverse(2, pkv)
-    rhs = (pow(2, ctx.p - 1, pkv) + 1) * half % pkv * _x_term(ctx, kexp, 1, 2, 2) % pkv
-    return (lhs,), rhs
-
-
-def _eval_c3_3(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    members = (
-        ctx.central_square_menu(8, kexp, full=False)["A"],
-        ctx.central_square_menu(-16, kexp, full=False)["A"],
-    )
-    rhs = ctx.sign_quarter(kexp) * _x_term(ctx, kexp, 1, 2, 2) % pkv
-    return members, rhs
-
-
-def _eval_c3_4(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    rhs = ctx.sign_quarter(kexp) * _x_term(ctx, kexp, 1, 2, 2) % pkv
-    return (ctx.delannoy_menu(kexp)["Dn"],), rhs
-
-
-def _eval_cr3_1(ctx, kexp, _):
-    return (ctx.delannoy_menu(kexp)["Dn"],), 0
-
-
-def _eval_c3_5(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    lhs = ctx.central_cube_menu(-8, kexp)["A3"]
-    if ctx.p % 4 == 1:
-        x = ctx.rep(1).x
-        rhs = (4 * x * x - 2 * ctx.p) % pkv
-    else:
-        rhs = 0
-    return (lhs,), rhs
+def _trimmed(res: list[int]) -> list[int]:
+    """``res`` without its trailing zeros."""
+    end = len(res)
+    while end and not res[end - 1]:
+        end -= 1
+    return res[:end]
 
 
 def _horner(coeffs: list[int], t: int, pk: int) -> int:
@@ -780,109 +567,99 @@ def _horner(coeffs: list[int], t: int, pk: int) -> int:
     return acc
 
 
-def _eval_c4_1(ctx, kexp, x):
+def _eval_c4_1(ctx, kexp, x, *sums):
     """sum C(2k,k)^3 (-x/64)^k against (x+1|p) sum C(2k,k)^2 C(4k,2k) (x/(64(x+1)^2))^k.
 
     Both series have coefficients that do not depend on x; they are read once
-    per prime and exponent (``transform_coefficients``) and evaluated at x by
-    Horner's rule.
+    per prime and exponent, without their trailing zeros (the tail
+    k > (p-1)/2 for K <= 2), and evaluated at x by Horner's rule.
     """
     pkv = ctx.pk(kexp)
-    cube, quartic = ctx.transform_coefficients(kexp)
+    cube, quartic = (ctx._at(("series", s.key), kexp, lambda s=s: _trimmed(ctx.summand(kexp, s)))
+                     for s in sums)
     lhs = _horner(cube, (-x) * mod_inverse(64 % pkv, pkv) % pkv, pkv)
     mult_rhs = x * mod_inverse(64 * (x + 1) * (x + 1) % pkv, pkv) % pkv
     rhs = ctx.legendre(x + 1) * _horner(quartic, mult_rhs, pkv) % pkv
     return (lhs,), rhs
 
 
-def _eval_cg(ctx, kexp, _):
-    lhs = ctx.tables(kexp).binomial(ctx.n, (ctx.p - 1) // 4)
-    return (lhs,), 2 * ctx.rep(1).x % ctx.pk(kexp)
-
-
-def _eval_cm(ctx, kexp, _):
-    pkv = ctx.pk(kexp)
-    m = (ctx.p - 5) // 12
-    t = ctx.tables(kexp)
-    rhs = 12 * pow(-432 % pkv, m, pkv) % pkv * t.binomial(2 * m, m) % pkv
-    return (t.binomial(ctx.n, (ctx.p - 1) // 4),), rhs
-
-
 def _eval_c_ahl(ctx, kexp, _):
-    p = ctx.p
-    pkv = ctx.pk(kexp)
-    n = ctx.n
-    # C(n,k)^2 C(n+k,k) (-1)^k = n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k), k <= n
+    """(-1|p) sum_{k<=n} C(n,k)^2 C(n+k,k) (-1)^k against 4x^2 - 2p, p = x^2 + 2y^2.
+
+    The summand n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k) has factors in n = (p-1)/2.
+    """
+    n, pkv = ctx.n, ctx.pk(kexp)
     terms = ctx.terms(kexp, -1, 0, ((0, n, 1), (1, n, 1), (1, 0, -3), (-1, n, -2)), hi=n)
-    lhs = ctx.legendre(-1) * ctx.total(kexp, terms) % pkv
-    if ctx.legendre(-2) == 1:
-        r = ctx.rep(2)
-        rhs = (4 * r.x * r.x - 2 * p) % pkv
-    else:
-        rhs = 0
-    return (lhs,), rhs
-
-
-_EVAL: dict[str, Callable] = {
-    "C1_1": _eval_c1_1,
-    "C1_2": _eval_c1_2,
-    "C1_5": _eval_c1_5,
-    "C1_6": _eval_c1_6,
-    "C1_7a": _eval_c1_7a,
-    "C1_7b": _eval_c1_7b,
-    "C1_8": _eval_c1_8,
-    "C1_9": _eval_c1_9,
-    "C1_10": _eval_c1_10,
-    "C1_11": _eval_c1_11,
-    "C1_12": _eval_c1_12,
-    "C1_13": _eval_c1_13,
-    "CR1_1": _eval_cr1_1,
-    "C1_14b": _eval_c1_14b,
-    "C1_14c": _eval_c1_14c,
-    "C1_15": _eval_c1_15,
-    "C1_19": _eval_c1_19,
-    "C1_20": _eval_c1_20,
-    "C1_21": _eval_c1_21,
-    "C1_22": _eval_c1_22,
-    "C1_23": _eval_c1_23,
-    "C1_24": _eval_c1_24,
-    "C1_25": _eval_c1_25,
-    "C1_26": _eval_c1_26,
-    "CL3_2": _eval_cl3_2,
-    "CL3_3": _eval_cl3_3,
-    "CGZ": _eval_cgz,
-    "CGZ_P4": _eval_cgz_p4,
-    "C3_2": _eval_c3_2,
-    "C3_3": _eval_c3_3,
-    "C3_4": _eval_c3_4,
-    "CR3_1": _eval_cr3_1,
-    "C3_5": _eval_c3_5,
-    "C4_1": _eval_c4_1,
-    "CG": _eval_cg,
-    "CM": _eval_cm,
-    "C_AHL": _eval_c_ahl,
-}
+    lhs = ctx.legendre(-1) * sum(ctx.residues(kexp, terms)) % pkv
+    return (lhs,), Closed(x2=4, p=-2, d=2)(ctx, kexp, None)
 
 
 def _qualifying_shifts(parity_of: Callable[[int], int]) -> Callable[[int], tuple[int, ...]]:
-    def values(p: int) -> tuple[int, ...]:
-        start = parity_of(p) % 2
-        return tuple(range(start, p, 2))
+    """The shifts d < p with d = parity_of(p) (mod 2)."""
+    return lambda p: tuple(range(parity_of(p) % 2, p, 2))
 
-    return values
 
+@dataclass(frozen=True)
+class RowSpec:
+    """Registry entry for one congruence family.
+
+    ``modulus_exp`` is the exponent K of the modulus p^K, either a constant
+    or a function of p for rows whose strength depends on the prime class.
+    ``statement`` is a ``Statement``, a map from each parameter value to its
+    ``Statement``, or a ``Custom`` function for a row outside the vocabulary.
+    """
+
+    id: str
+    modulus_exp: int | Callable[[int], int]
+    description: str
+    applies: Callable[[int], bool]
+    statement: Statement | dict[int, Statement] | Custom
+    param_name: str = ""
+    param_values: Callable[[int], tuple[int, ...]] | None = None
+    conjectural: Callable[[int, int | None], bool] = lambda p, v: False
+    experimental: bool = False
+
+    def exponent(self, p: int) -> int:
+        return self.modulus_exp(p) if callable(self.modulus_exp) else self.modulus_exp
+
+    @cached_property
+    def terms(self) -> tuple:
+        """Every term of the statement; for a ``Custom`` row, the summands it declares."""
+        st = self.statement
+        if isinstance(st, Custom):
+            return st.sums
+        parts = st.values() if isinstance(st, dict) else (st,)
+        return tuple(t for s in parts for m in (*s.lhs, s.rhs)
+                     for t in (m if type(m) is tuple else (m,)))
+
+    @cached_property
+    def table(self) -> bool:
+        """One report per parameter value, read from the columns of one lhs term and the rhs."""
+        st = self.statement
+        return (self.param_values is not None and isinstance(st, Statement) and len(st.lhs) == 1
+                and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
+
+    def limit(self, p: int) -> int:
+        """The largest factorial argument the row reads at p."""
+        return max([p] + [t.limit(p) for t in self.terms if hasattr(t, "limit")])
+
+
+_QUARTER_BINOMIAL = Binomial(lambda p, _: ((p - 1) // 2, (p - 1) // 4))
 
 _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_1", 2,
         "sum of cubed central binomials vs the x^2+7y^2 form",
         lambda p: p >= 5 and p != 7,
-        conjectural=lambda p, v: legendre_symbol(p, 7) == 1,
+        Statement((Sum(1, 3),), Closed(x2=4, p=-2, d=7)),
+        conjectural=lambda p, v: p % 7 in (1, 2, 4),
     ),
     RowSpec(
         "C1_2", 2,
         "C(n+k,2k) vs C(2k,k)/(-16)^k at n = (p-1)/2",
         lambda p: p >= 5,
+        Statement((Binomial(lambda p, k: ((p - 1) // 2 + k, 2 * k)),),
+                  Binomial(lambda p, k: (2 * k, k), -16)),
         param_name="k",
         param_values=lambda p: tuple(range((p - 1) // 2 + 1)),
     ),
@@ -890,60 +667,73 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C1_5", 2,
         "shifted squared-central sums over 64^k vanish at alternating shifts",
         lambda p: p >= 5,
+        Statement((Shift(64),), ZERO),
         param_name="d",
         param_values=_qualifying_shifts(lambda p: (p + 1) // 2),
-        sweep_base=64,
     ),
     RowSpec(
         "C1_6", 2,
         "shift-one squared-central sum over 64^k for p = 3 (mod 4)",
         lambda p: p % 4 == 3,
-        sweep_base=64,
+        Statement((Shift(64, 1),), lambda ctx, K, _: (2 * ctx.p + 2 - pow(2, ctx.p - 1, ctx.pk(K)))
+                  * ctx.tables(K).binomial(ctx.n, (ctx.p + 1) // 4) ** 2),
     ),
     RowSpec(
         "C1_7a", 2,
         "(k+1)-weighted squared-central sum over 8^k vs x",
         lambda p: p % 4 == 1,
+        Statement((Sum(8, 2, (1, 1), half=True),), Closed(x=1, sign=QUARTER)),
     ),
     RowSpec(
         "C1_7b", 2,
         "(2k+1)-weighted squared-central sum over (-16)^k vs x",
         lambda p: p % 4 == 1,
+        Statement((Sum(-16, 2, (1, 2), half=True),), Closed(x=1, sign=QUARTER)),
     ),
     RowSpec(
         "C1_8", 2,
         "central-times-Catalan sum over 8^k chain vs 2x - p/x",
         lambda p: p % 4 == 1,
+        Statement((Sum(8, 2, factors=_CATALAN, half=True), Sum(8, 2, (0, -2))),
+                  Closed(x=2, p_x=-1, sign=QUARTER)),
     ),
     RowSpec(
         "C1_9", 2,
         "central-times-Catalan sum over (-16)^k chain vs 2(2x - p/x)",
         lambda p: p % 4 == 1,
+        Statement((Delannoy(schroder=True), Sum(-16, 2, factors=_CATALAN, half=True),
+                   Sum(-16, 2, (0, -8), half=True)), Closed(x=4, p_x=-2, sign=QUARTER)),
     ),
     RowSpec(
         "C1_10", 2,
         "k^2-weighted squared-central sum over 8^k vs x - 3p/4x",
         lambda p: p % 4 == 1,
+        Statement((Sum(8, 2, (0, 0, 1), half=True),),
+                  Closed(x=1, p_x=Fraction(-3, 4), sign=QUARTER)),
     ),
     RowSpec(
         "C1_11", 2,
         "k^2-weighted squared-central sum over (-16)^k vs -p/16x",
         lambda p: p % 4 == 1,
+        Statement((Sum(-16, 2, (0, 0, 1), half=True),), Closed(p_x=Fraction(-1, 16), sign=QUARTER)),
     ),
     RowSpec(
         "C1_12", 2,
         "squared-central shift-one sum over (-8)^k vs 2p - 2x^2",
         lambda p: p % 4 == 1,
+        Statement((Sum(-8, 3, factors=_SHIFT1, lo=1),), Closed(x2=-2, p=2)),
     ),
     RowSpec(
         "C1_13", 2,
         "central times squared shift-one sum over (-8)^k vs -2p",
         lambda p: p % 4 == 1,
+        Statement((Sum(-8, 3, factors=_SHIFT1 * 2, lo=1),), Closed(p=-2)),
     ),
     RowSpec(
         "CR1_1", lambda p: 3 if p % 4 == 1 else 2,
         "combined (k+1)/8^k and (2k+1)/(-16)^k squared-central sums",
         lambda p: p >= 5,
+        Statement(((Sum(8, 2, (1, 1)), Sum(-16, 2, (1, 2), half=True)),), Closed(x=2, sign=2)),
         conjectural=lambda p, v: True,
         experimental=True,
     ),
@@ -951,77 +741,80 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C1_14b", 2,
         "C(2k,k)^2 C(3k,k)/108^k sum vs weight-3 eta-product coefficient",
         lambda p: p >= 5,
-        sweep_base=108,
+        Statement((Shift(108, 0),), Closed(x2=4, p=-2, d=3)),
     ),
     RowSpec(
         "C1_14c", 2,
         "C(2k,k)^2 C(4k,2k)/256^k sum vs weight-3 eta-product coefficient",
         lambda p: p >= 5,
-        sweep_base=256,
+        Statement((Shift(256, 0),), Closed(x2=4, p=-2, d=2)),
     ),
     RowSpec(
         "C1_15", 2,
         "C(2k,k) C(3k,k) C(6k,3k)/1728^k sum vs eta-product coefficient",
         lambda p: p >= 5,
-        sweep_base=1728,
+        Statement((Shift(1728, 0),), Closed(x2=4, p=-2, sign=-3)),  # (p|3) = (-3|p)
     ),
     RowSpec(
         "C1_19", 2,
         "shifted 108-family sums vanish at alternating shifts",
         lambda p: p >= 5,
+        Statement((Shift(108),), ZERO),
         param_name="d",
-        param_values=_qualifying_shifts(lambda p: (1 + legendre_symbol(p, 3)) // 2),
-        sweep_base=108,
+        param_values=_qualifying_shifts(lambda p: p % 3 == 1),
     ),
     RowSpec(
         "C1_20", 2,
         "shifted 256-family sums vanish at alternating shifts",
         lambda p: p >= 5,
+        Statement((Shift(256),), ZERO),
         param_name="d",
-        param_values=_qualifying_shifts(lambda p: (1 + legendre_symbol(-2, p)) // 2),
-        sweep_base=256,
+        param_values=_qualifying_shifts(lambda p: p % 8 in (1, 3)),
     ),
     RowSpec(
         "C1_21", 2,
         "shifted 1728-family sums vanish at alternating shifts",
         lambda p: p >= 5,
+        Statement((Shift(1728),), ZERO),
         param_name="d",
-        param_values=_qualifying_shifts(lambda p: (1 + legendre_symbol(-1, p)) // 2),
-        sweep_base=1728,
+        param_values=_qualifying_shifts(lambda p: p % 4 == 1),
     ),
     RowSpec(
         "C1_22", 2,
         "256-family sum at shift 0 vs the x^2+2y^2 form for p = 3 (mod 8)",
         lambda p: p % 8 == 3,
-        sweep_base=256,
+        Statement((Shift(256, 0),), Closed(x2=4, p=-2, d=2)),
     ),
     RowSpec(
         "C1_23", 2,
         "1728-family sum at shift 0 vs the x^2+y^2 form for p = 5 (mod 12)",
         lambda p: p % 12 == 5,
-        sweep_base=1728,
+        Statement((Shift(1728, 0),), Closed(x2=-4, p=2)),
     ),
     RowSpec(
         "C1_24", 2,
         "C(2k,k)^2 C(3k,k+1)/108^k sum vanishes for p = 1 (mod 3)",
         lambda p: p % 3 == 1,
+        # C(3k,k+1) = (3k)! / ((k+1)! (2k-1)!), zero at k = 0
+        Statement((Sum(108, 2, factors=((3, 0, 1), (1, 1, -1), (2, -1, -1)), lo=1),), ZERO),
     ),
     RowSpec(
         "C1_25", 2,
         "256-family sum at shift 1 vanishes for p = 1,3 (mod 8)",
         lambda p: p % 8 in (1, 3),
-        sweep_base=256,
+        Statement((Shift(256, 1),), ZERO),
     ),
     RowSpec(
         "C1_26", 2,
         "1728-family sum at shift 1 vanishes for p = 1 (mod 4)",
         lambda p: p % 4 == 1,
-        sweep_base=1728,
+        Statement((Shift(1728, 1),), ZERO),
     ),
     RowSpec(
         "CL3_2", 3,
         "double convolution sums of squared central binomials mod p^3",
         lambda p: p >= 5,
+        Custom(_eval_cl3_2, (Sum(8, 2), Sum(-16, 2))),
         param_name="part",
         param_values=lambda p: (1, 2),
     ),
@@ -1029,6 +822,14 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "CL3_3", 3,
         "weighted half-range squared-central sums mod p^3",
         lambda p: p >= 5,
+        {
+            1: Statement(((Sum(8, 2, (0, 2), half=True), Sum(8, 2, factors=_CATALAN, half=True)),),
+                         Closed(p2=2, sign=2)),
+            2: Statement(((Sum(-16, 2, (0, 8), half=True),
+                           Sum(-16, 2, factors=_CATALAN, half=True)),), Closed(p2=2, sign=-1)),
+            3: Statement((Sum(8, 2, (1, 4, 2), half=True),), Closed(p2=1, sign=2)),
+            4: Statement((Sum(-16, 2, (1, 4, 8), half=True),), Closed(p2=1, sign=-1)),
+        },
         param_name="part",
         param_values=lambda p: (1, 2, 3, 4),
     ),
@@ -1036,11 +837,14 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "CGZ", 3,
         "(3k+1) C(2k,k)^3/(-8)^k sum vs p(-1|p) mod p^3",
         lambda p: p >= 5,
+        Statement((Sum(-8, 3, (1, 3)),), Closed(p=1, sign=-1)),
     ),
     RowSpec(
         "CGZ_P4", 4,
         "(3k+1) C(2k,k)^3/(-8)^k sum with Euler-number correction mod p^4",
         lambda p: p >= 5,
+        Statement((Sum(-8, 3, (1, 3)),), lambda ctx, K, _: ctx.p * ctx.legendre(-1)
+                  + ctx.p**3 * euler_number_mod_p(ctx.p - 3, ctx.p)),
         conjectural=lambda p, v: True,
         experimental=True,
     ),
@@ -1048,31 +852,40 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C3_2", 2,
         "C(n,(p-1)/4) vs (2^(p-1)+1)/2 (2x - p/2x) for p = 1 (mod 4)",
         lambda p: p % 4 == 1,
+        Statement((_QUARTER_BINOMIAL,), lambda ctx, K, _: (pow(2, ctx.p - 1, ctx.pk(K)) + 1)
+                  * Closed(x=1, p_x=Fraction(-1, 4))(ctx, K, _)),
     ),
     RowSpec(
         "C3_3", 2,
         "squared-central sums over 8^k and (-16)^k chain vs 2x - p/2x",
         lambda p: p % 4 == 1,
+        Statement((Sum(8, 2, half=True), Sum(-16, 2, half=True)),
+                  Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
     ),
     RowSpec(
         "C3_4", 2,
         "central Delannoy number at (p-1)/2 vs 2x - p/2x",
         lambda p: p % 4 == 1,
+        Statement((Delannoy(),), Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
     ),
     RowSpec(
         "CR3_1", 1,
         "central Delannoy number at (p-1)/2 vanishes for p = 3 (mod 4)",
         lambda p: p % 4 == 3,
+        Statement((Delannoy(),), ZERO),
     ),
     RowSpec(
         "C3_5", 2,
         "cubed central binomials over (-8)^k vs the x^2+y^2 form",
         lambda p: p >= 5,
+        Statement((Sum(-8, 3),), Closed(x2=4, p=-2)),
     ),
     RowSpec(
         "C4_1", 1,
         "cubic-sum vs 256-family transformation at scaled arguments",
         lambda p: p >= 5,
+        # C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
+        Custom(_eval_c4_1, (Sum(1, 3), Sum(1, 2, factors=((4, 0, 1), (2, 0, -2))))),
         param_name="x",
         param_values=lambda p: (1, 2, 3, -2),
     ),
@@ -1080,16 +893,20 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "CG", 1,
         "C(n,(p-1)/4) vs 2x for p = x^2 + y^2, x = 1 (mod 4)",
         lambda p: p % 4 == 1,
+        Statement((_QUARTER_BINOMIAL,), Closed(x=2)),
     ),
     RowSpec(
         "CM", 1,
         "C(n,(p-1)/4) vs 12(-432)^m C(2m,m) for p = 12m + 5",
         lambda p: p % 12 == 5,
+        Statement((_QUARTER_BINOMIAL,), lambda ctx, K, _: 12 * pow(-432, ctx.p // 12, ctx.pk(K))
+                  * ctx.tables(K).binomial(ctx.p // 6, ctx.p // 12)),
     ),
     RowSpec(
         "C_AHL", 1,
         "alternating Apery-style sum vs the x^2+2y^2 form",
         lambda p: p >= 5,
+        Custom(_eval_c_ahl),
     ),
 )
 
@@ -1099,8 +916,7 @@ _ROW_INDEX = {row.id: i for i, row in enumerate(_REGISTRY)}
 def _check_table_rows() -> None:
     """``_row_reports`` gives a table row's reports pass or fail, so none may be conjectural."""
     for row in _REGISTRY:
-        table = row.id == "C1_2" or (row.sweep_base is not None and row.param_values is not None)
-        if table and row.conjectural is not RowSpec.conjectural:
+        if row.table and row.conjectural is not RowSpec.conjectural:
             raise ValueError(f"table row {row.id} cannot be conjectural")
 
 
@@ -1166,6 +982,45 @@ def _skipped(row: RowSpec, p: int, kexp: int, value: int | None = None) -> Congr
     )
 
 
+def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int, ...], int]:
+    """The members of ``row``'s left side and its right side, mod p^kexp at parameter v."""
+    st = row.statement
+    if isinstance(st, Custom):
+        return st.evaluate(ctx, kexp, v, *st.sums)
+    if isinstance(st, dict):
+        st = st[v]
+    pkv = ctx.pk(kexp)
+    members = tuple(
+        (sum(t(ctx, kexp, v) for t in m) if type(m) is tuple else m(ctx, kexp, v)) % pkv
+        for m in st.lhs
+    )
+    return members, st.rhs(ctx, kexp, v) % pkv
+
+
+def _plan_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
+    """Plan the prime's factorial tables for the applicable ``(row, exponent)`` pairs.
+
+    Each exponent gets the length of its rows' largest factorial argument,
+    and the top one the longest of all, so the table built there is the
+    prime's only build and every lower exponent reduces it once.
+    """
+    need = ctx.limits
+    for row, kexp in rows:
+        if row.applies(ctx.p):
+            need[kexp] = max(need.get(kexp, 0), row.limit(ctx.p))
+    if need:
+        need[max(need)] = max(need.values())
+
+
+def _located(exc: Exception, row_id: str, p: int) -> Exception:
+    """``exc`` again, as a new exception of its class naming the row and prime."""
+    where = f"row={row_id}, p={p}"
+    try:
+        return type(exc)(f"{exc} ({where})")
+    except TypeError:  # a class whose constructor wants other arguments
+        return RuntimeError(f"{type(exc).__name__}: {exc} ({where})")
+
+
 def check(
     congruence_id: str,
     p: int,
@@ -1179,6 +1034,7 @@ def check(
     weight x) and must be omitted for parameterless rows.  A prime the row
     does not apply to — or a parameter value outside the qualifying set —
     yields a ``skipped`` report.  ``mod_exp`` overrides the modulus exponent.
+    An exception raised while the row is evaluated names the row and prime.
     """
     if congruence_id not in _ROW_INDEX:
         raise ValueError(f"unknown congruence id {congruence_id!r}")
@@ -1198,43 +1054,34 @@ def check(
     if row.param_values is not None and param not in row.param_values(p):
         return _skipped(row, p, kexp, param)
     ctx = PrimeContext(p)
-    members, rhs = _EVAL[congruence_id](ctx, kexp, param)
-    return _report(row, ctx, kexp, param, members, rhs)
-
-
-def _located(exc: Exception, row_id: str, p: int) -> Exception:
-    """``exc`` again, as a new exception of its class naming the row and prime."""
-    where = f"row={row_id}, p={p}"
     try:
-        return type(exc)(f"{exc} ({where})")
-    except TypeError:  # a class whose constructor wants other arguments
-        return RuntimeError(f"{type(exc).__name__}: {exc} ({where})")
+        _plan_tables(ctx, [(row, kexp)])
+        members, rhs = _evaluate(row, ctx, kexp, param)
+    except Exception as exc:
+        raise _located(exc, row.id, p) from exc
+    return _report(row, ctx, kexp, param, members, rhs)
 
 
 def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
     """The reports of ``row`` at ``ctx.p`` mod p^kexp, in parameter order."""
-    p, pkv, table = ctx.p, ctx.pk(kexp), None
+    p, pkv = ctx.p, ctx.pk(kexp)
     if not row.applies(p):
         return [_skipped(row, p, kexp)]
-    if row.sweep_base is not None:  # one pass serves all rows of a family
-        sums = ctx.sweep((row.sweep_base,), kexp)[row.sweep_base]
-        if row.param_values is not None:  # table rows: lhs = S(d), rhs = 0
-            table = [(d, sums[d], 0) for d in row.param_values(p)]
-    elif row.id == "C1_2":  # table row: lhs = C(n+k, 2k), rhs = C(2k,k) / (-16)^k
-        t, n, rhs = ctx.tables(kexp), ctx.n, ctx.central_power(1, -16, kexp)[1]
-        unit, inv = t.unit, t.inv_unit  # n + k < p: every factorial here is a unit
-        table = [(k, unit[n + k] * inv[2 * k] % pkv * inv[n - k] % pkv, rhs[k])
-                 for k in range(n + 1)]
-    if table is not None:
-        # table rows are never conjectural (see _check_table_rows)
+    bases = [t.base for t in row.terms if isinstance(t, Shift)]
+    if bases:  # one engine pass serves every shifted sum of a family
+        ctx.sweep(bases, kexp)
+    values = (None,) if row.param_values is None else row.param_values(p)
+    if row.table:  # never conjectural (see _check_table_rows)
+        (term,), rhs = row.statement
+        table = zip(values, term.column(ctx, kexp, values), rhs.column(ctx, kexp, values))
         prefix, new, rid = f"{row.param_name}=", tuple.__new__, row.id
         return [new(CongruenceReport, (rid, p, f"{prefix}{v}", pkv, lhs, r,
                                        PASS if lhs == r else FAIL, 0))
                 for v, lhs, r in table]
     reports = []
-    for v in (None,) if row.param_values is None else row.param_values(p):
+    for v in values:
         start = time.perf_counter_ns() if timings else 0
-        members, rhs = _EVAL[row.id](ctx, kexp, v)
+        members, rhs = _evaluate(row, ctx, kexp, v)
         micros = (time.perf_counter_ns() - start) // 1000 if timings else 0
         reports.append(_report(row, ctx, kexp, v, members, rhs, micros))
     return reports
@@ -1248,24 +1095,18 @@ def _suite_for_prime(
 ) -> list[CongruenceReport]:
     """The reports of the rows ``ids`` at ``p``, in registry then parameter order.
 
+    The prime's factorial table is built once (``_plan_tables``).
     The rows are evaluated from the highest exponent down, in registry order
     within one exponent, so each lower exponent reads the prime's tables,
-    powers, menus and sweeps reduced from a higher one.  An exception raised
-    while a row is evaluated is raised again as the same class with
+    powers, summands and sweeps reduced from a higher one.  An exception
+    raised while a row is evaluated is raised again as the same class with
     ``row=<id>, p=<p>`` in its message, chained from the original; when two
     rows would raise, the one with the higher exponent is reported.
     """
     ctx = PrimeContext(p)
     rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
     kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
-    # lower exponents reduce the top one's factorial table; the shift engine
-    # gets a table sized up front for each exponent's widest family
-    widest: dict[int, int] = {}
-    for row, kexp in zip(rows, kexps):
-        if row.sweep_base is not None and row.applies(p):
-            widest[kexp] = max(widest.get(kexp, 0), SHIFT_FAMILIES[row.sweep_base].step)
-    for kexp in sorted(widest, reverse=True):
-        ctx.tables(kexp, widest[kexp] * p)
+    _plan_tables(ctx, zip(rows, kexps))
     parts: list[list[CongruenceReport]] = [[] for _ in rows]
     for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, represent
+from .arith import represent
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,11 @@ def coefficient_closed_form(name: str, p: int) -> int | None:
     """Prime coefficient of the named product from its quadratic form.
 
     Returns None at the excluded primes (2 for a and c, 2 and 3 for b) where
-    neither branch of the dichotomy applies.
+    neither branch of the dichotomy applies.  ``represent`` tests that p is
+    prime (ValueError if not).
     """
     if name not in ETA_PRODUCTS:
         raise ValueError(f"unknown eta product {name!r}; expected one of a, b, c")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
     if p in _EXCLUDED_PRIMES[name]:
         return None
     rep = represent(p, _FORM_D[name])

@@ -1,0 +1,85 @@
+"""Exact reference values that only the tests use.
+
+Each oracle is computed from a definition, independently of the engine: the
+named sequences from their defining sums, the secant Euler numbers from
+their recurrence, and binomial valuations from Kummer's carry count.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb
+
+from binomsums.sequences import delannoy_poly, schroder_poly
+
+KINDS = ("central_binomial", "catalan", "delannoy", "schroder", "euler")
+
+
+def euler_numbers(limit: int) -> list[int]:
+    """Secant Euler numbers E_0..E_limit.
+
+    E_0 = 1 and sum over even k <= n of C(n,k) E_{n-k} = 0 for n >= 1, which
+    forces E_n = 0 for odd n.
+    """
+    e = [0] * (limit + 1)
+    e[0] = 1
+    for n in range(1, limit + 1):
+        e[n] = -sum(comb(n, k) * e[n - k] for k in range(2, n + 1, 2))
+    return e
+
+
+@dataclass(frozen=True)
+class SequenceTable:
+    """An exact integer prefix of a named sequence, index 0..limit."""
+
+    kind: str
+    values: tuple[int, ...]
+
+    def __getitem__(self, i: int) -> int:
+        return self.values[i]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def sequence_table(kind: str, limit: int) -> SequenceTable:
+    """Exact values 0..limit of one of the named sequences.
+
+    Tables are built from the defining sums, not from the recurrences, so the
+    recurrence tests exercise something independent.
+    """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    if kind == "central_binomial":
+        vals = [comb(2 * n, n) for n in range(limit + 1)]
+    elif kind == "catalan":
+        vals = [comb(2 * n, n) // (n + 1) for n in range(limit + 1)]
+    elif kind == "delannoy":
+        vals = [delannoy_poly(n, 1) for n in range(limit + 1)]
+    elif kind == "schroder":
+        vals = [schroder_poly(n, 1) for n in range(limit + 1)]
+    elif kind == "euler":
+        vals = euler_numbers(limit)
+    else:
+        raise ValueError(f"unknown sequence kind {kind!r}; expected one of {KINDS}")
+    return SequenceTable(kind, tuple(vals))
+
+
+def binomial_valuation(n: int, r: int, p: int) -> int:
+    """p-adic valuation of C(n, r) = number of carries adding r and n-r base p."""
+    if r < 0 or r > n:
+        raise ValueError("binomial is zero")
+    carries, carry = 0, 0
+    a, b = r, n - r
+    while a or b or carry:
+        s = a % p + b % p + carry
+        carry = 1 if s >= p else 0
+        carries += carry
+        a //= p
+        b //= p
+    return carries
+
+
+def as_tuple(rep) -> tuple[int, int]:
+    """The (x, y) of a ``QuadraticRepresentation``."""
+    return (rep.x, rep.y)

@@ -14,7 +14,6 @@ import pytest
 
 from binomsums.arith import (
     FactorialTables,
-    binomial_valuation,
     legendre_symbol,
     primes_in_range,
     represent,
@@ -22,6 +21,7 @@ from binomsums.arith import (
 from binomsums.congruences import run_suite
 from binomsums.identities import SUITES, run_identity_suite
 from binomsums.qseries import coefficient_closed_form, coefficient_table
+from oracles import binomial_valuation
 
 PRIMES_5K = primes_in_range(5, 5000)
 PRIMES_10K = primes_in_range(5, 10_000)

@@ -176,12 +176,16 @@ def test_jobs_flag_matches_serial():
 def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
     from binomsums import cli, congruences
 
-    def broken(ctx, kexp, _):
+    inner = congruences._evaluate
+
+    def broken(row, ctx, kexp, v):
+        if row.id != "CGZ":
+            return inner(row, ctx, kexp, v)
         if ctx.p == 17:
             raise ZeroDivisionError("broken row")
         return (0,), 0
 
-    monkeypatch.setitem(congruences._EVAL, "CGZ", broken)
+    monkeypatch.setattr(congruences, "_evaluate", broken)
     out = tmp_path / "rows.csv"
     with pytest.raises(ZeroDivisionError, match=r"row=CGZ, p=17"):
         cli.main(["verify", "--primes", "5..40", "--ids", "CGZ", "--format", "csv",
@@ -202,11 +206,11 @@ def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
 def test_unwritable_output_path_is_a_usage_error(args, tmp_path, capsys, monkeypatch):
     from binomsums import cli, congruences
 
-    def never(ctx, kexp, _):
+    def never(*args):
         raise AssertionError("a row was computed before the output was opened")
 
-    for row_id in congruences.all_ids():
-        monkeypatch.setitem(congruences._EVAL, row_id, never)
+    # every row's reports, table rows included, are built by _row_reports
+    monkeypatch.setattr(congruences, "_row_reports", never)
     missing = tmp_path / "no_such_dir"
     argv = [a.format(missing=missing) for a in args]
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ The batched suite path is additionally pinned against the reference path.
 
 import dataclasses
 import multiprocessing
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,11 +15,12 @@ from math import comb
 
 import pytest
 
-from binomsums import _sweeps, congruences
+from binomsums import _sweeps, arith, congruences
 from binomsums.arith import FactorialTables, legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
     CongruenceReport,
     PrimeContext,
+    Sum,
     _reference_shift_sum,
     _REGISTRY,
     _ROW_INDEX,
@@ -257,8 +259,8 @@ def test_delannoy_rows():
     # Delannoy number at (p-1)/2 mod p^2
     for p in (5, 7, 11, 13, 17, 19, 23, 29):
         ctx = PrimeContext(p)
-        dn = ctx.delannoy_menu(2)["Dn"]
-        assert ctx.central_cube_menu(-8, 2)["A3"] == dn * dn % (p * p)
+        dn = ctx.delannoy(2)[0]
+        assert ctx.moment(2, Sum(-8, 3), 0) == dn * dn % (p * p)
 
 
 def test_suite_matches_reference_path():
@@ -323,31 +325,34 @@ def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
 
     monkeypatch.setattr(PrimeContext, "central", unit_central)
     p = 13
+    # (summand label, row named by check or None, call)
     cases = [
-        ("central_square_menu", lambda c: c.central_square_menu(8, 2, full=True)),
-        ("central_cube_menu", lambda c: c.central_cube_menu(-8, 2)),
-        ("_reference_shift_sum", lambda c: _reference_shift_sum(c, 2, 64, 1)),
-        ("_sum_square_shift1", lambda c: check("C1_12", p)),
-        ("C1_24", lambda c: check("C1_24", p)),
-        ("C4_1", lambda c: check("C4_1", p, 1)),
+        ("C(2k,k)^2/8^k", None, lambda c: c.moment(2, Sum(8, 2), 1)),
+        ("C(2k,k)^3/-8^k", None, lambda c: c.moment(2, Sum(-8, 3), 0)),
+        ("C(2k,k)^2/64^k", None, lambda c: _reference_shift_sum(c, 2, 64, 1)),
+        ("C(2k,k)^3/-8^k", "C1_12", lambda c: check("C1_12", p)),
+        ("C(2k,k)^2/108^k", "C1_24", lambda c: check("C1_24", p)),
+        ("C(2k,k)^3/1^k", "C4_1", lambda c: check("C4_1", p, 1)),
     ]
-    for stream, call in cases:
-        with pytest.raises(ArithmeticError, match=rf"{stream}.*p={p}, k=7"):
+    for stream, row, call in cases:
+        where = rf" \(row={row}, p={p}\)" if row else ""
+        message = rf"^{re.escape(stream)}: .* at p={p}, k=7{where}$"
+        with pytest.raises(ArithmeticError, match=message):
             call(PrimeContext(p))
 
 
 def test_tail_invariants_survive_optimize_flag():
     code = (
-        "from binomsums.congruences import PrimeContext\n"
+        "from binomsums.congruences import PrimeContext, Sum\n"
         "PrimeContext.central = lambda self, K: ([0] * self.p, [1] * self.p)\n"
         "try:\n"
-        "    PrimeContext(13).central_cube_menu(-8, 2)\n"
+        "    PrimeContext(13).moment(2, Sum(-8, 3), 0)\n"
         "except ArithmeticError as exc:\n"
         "    print(exc)\n"
     )
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert "central_cube_menu" in r.stdout and "p=13, k=7" in r.stdout
+    assert "C(2k,k)^3/-8^k" in r.stdout and "p=13, k=7" in r.stdout
 
 
 def test_import_does_not_load_numpy():
@@ -413,12 +418,16 @@ def test_row_errors_name_their_row_and_prime(monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the patched row only when forked")
 
-    def broken(ctx, kexp, _):
+    inner = congruences._evaluate
+
+    def broken(row, ctx, kexp, v):
+        if row.id != "CGZ":
+            return inner(row, ctx, kexp, v)
         if ctx.p == 17:
             raise ZeroDivisionError("broken row")
         return (0,), 0
 
-    monkeypatch.setitem(congruences._EVAL, "CGZ", broken)
+    monkeypatch.setattr(congruences, "_evaluate", broken)
     stream = iter_suite(primes_in_range(5, 30), ["C1_7a", "CGZ"], jobs=jobs)
     seen = []
     with pytest.raises(ZeroDivisionError, match=r"^broken row \(row=CGZ, p=17\)$") as err:
@@ -556,9 +565,9 @@ def test_context_reductions_equal_fresh_builds():
         return (
             ctx.central(kexp),
             ctx.central_power(2, -16, kexp),
-            ctx.central_square_menu(8, kexp, full=True),
-            ctx.central_cube_menu(-8, kexp),
-            ctx.delannoy_menu(kexp),
+            [ctx.moment(kexp, Sum(8, 2), j) for j in (0, 1, 2)],
+            [ctx.moment(kexp, Sum(-8, 3), j) for j in (0, 1)],
+            ctx.delannoy(kexp),
             ctx.weights(108, kexp),
             ctx.sweep((64, 1728), kexp),
         )
@@ -597,8 +606,23 @@ def test_one_factorial_table_per_prime(monkeypatch):
     for p in (1009, 10007):
         builds.clear()
         congruences._suite_for_prime(p, tuple(default_ids()), {}, False)
-        # p^3 at 2p for C(2k,k), and p^2 at 6p for the 1728 family's engine
-        assert len(builds) <= 2, builds
+        # p^3, long enough for the 1728 family's engine at p^2
+        assert builds == [(p, 3, 6 * p)], builds
+
+
+def test_primality_is_tested_once_per_public_call(monkeypatch):
+    calls = []
+    real = arith.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (arith, congruences):
+        monkeypatch.setattr(module, "is_prime", counting)
+    congruences._suite_for_prime(1009, tuple(all_ids()), {}, False)
+    # one for the context, one per quadratic form the rows read
+    assert 0 < len(calls) <= 16, len(calls)
 
 
 def test_corrupted_seed_raises_under_reduction(monkeypatch):

@@ -22,7 +22,7 @@ import pytest
 from binomsums.arith import primes_in_range
 from binomsums.congruences import all_ids, check, run_suite
 from binomsums.qseries import coefficient_table
-from binomsums.sequences import euler_numbers
+from oracles import euler_numbers
 
 PRIMES = primes_in_range(5, 59)
 ETA = {name: coefficient_table(name, 60) for name in "abc"}

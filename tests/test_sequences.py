@@ -5,14 +5,8 @@ import pytest
 
 from binomsums.arith import FactorialTables, primes_in_range
 from binomsums.congruences import PrimeContext
-from binomsums.sequences import (
-    delannoy_poly,
-    euler_number_mod_p,
-    euler_numbers,
-    f_poly,
-    schroder_poly,
-    sequence_table,
-)
+from binomsums.sequences import delannoy_poly, euler_number_mod_p, f_poly, schroder_poly
+from oracles import euler_numbers, sequence_table
 
 
 def test_delannoy_anchors():

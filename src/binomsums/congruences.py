@@ -287,7 +287,6 @@ class PrimeContext:
         self.n = (p - 1) // 2
         self._cache: dict = {}
         self._exps: set[int] = set()  # the exponents of the keys cached so far
-        self.limits: dict[int, int] = {}  # the table length planned per exponent
 
     # --- basic cached helpers -------------------------------------------
 
@@ -333,10 +332,9 @@ class PrimeContext:
 
         One table per prime: the cached table at kexp, else the lowest higher
         exponent's table that reaches far enough, reduced, else a new build,
-        which then serves every smaller request.  A table is made at least as
-        long as ``limits`` plans for its exponent.
+        which then serves every smaller request.
         """
-        limit = max(self.p, limit, self.limits.get(kexp, 0))
+        limit = max(self.p, limit)
         cached = self._cache.get(("tables", kexp))
         if cached is None or cached.limit < limit:
             higher = self._higher(("tables",), kexp, lambda t: t.limit >= limit)
@@ -997,19 +995,13 @@ def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int,
     return members, st.rhs(ctx, kexp, v) % pkv
 
 
-def _plan_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
-    """Plan the prime's factorial tables for the applicable ``(row, exponent)`` pairs.
-
-    Each exponent gets the length of its rows' largest factorial argument,
-    and the top one the longest of all, so the table built there is the
-    prime's only build and every lower exponent reduces it once.
-    """
-    need = ctx.limits
-    for row, kexp in rows:
-        if row.applies(ctx.p):
-            need[kexp] = max(need.get(kexp, 0), row.limit(ctx.p))
-    if need:
-        need[max(need)] = max(need.values())
+def _build_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
+    """Build the prime's one factorial table for the applicable ``(row, exponent)``
+    pairs: at their top exponent, and long enough for every row's largest
+    factorial argument, so each lower exponent reduces it instead."""
+    live = [(row, kexp) for row, kexp in rows if row.applies(ctx.p)]
+    if live:
+        ctx.tables(max(k for _, k in live), max(row.limit(ctx.p) for row, _ in live))
 
 
 def _located(exc: Exception, row_id: str, p: int) -> Exception:
@@ -1055,7 +1047,7 @@ def check(
         return _skipped(row, p, kexp, param)
     ctx = PrimeContext(p)
     try:
-        _plan_tables(ctx, [(row, kexp)])
+        _build_tables(ctx, [(row, kexp)])
         members, rhs = _evaluate(row, ctx, kexp, param)
     except Exception as exc:
         raise _located(exc, row.id, p) from exc
@@ -1095,7 +1087,7 @@ def _suite_for_prime(
 ) -> list[CongruenceReport]:
     """The reports of the rows ``ids`` at ``p``, in registry then parameter order.
 
-    The prime's factorial table is built once (``_plan_tables``).
+    The prime's factorial table is built once, up front (``_build_tables``).
     The rows are evaluated from the highest exponent down, in registry order
     within one exponent, so each lower exponent reads the prime's tables,
     powers, summands and sweeps reduced from a higher one.  An exception
@@ -1106,7 +1098,7 @@ def _suite_for_prime(
     ctx = PrimeContext(p)
     rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
     kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
-    _plan_tables(ctx, zip(rows, kexps))
+    _build_tables(ctx, zip(rows, kexps))
     parts: list[list[CongruenceReport]] = [[] for _ in rows]
     for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
         try:

@@ -165,7 +165,7 @@ class Binomial(NamedTuple):
 
     def column(self, ctx: PrimeContext, kexp: int, values) -> list[int]:
         t = ctx.tables(kexp)
-        col = [t.binomial(*self.args(ctx.p, v)) for v in values]
+        col = t.binomials([self.args(ctx.p, v) for v in values])
         if self.base == 1:
             return col
         scale = ctx.central_power(0, self.base, kexp)[1]  # base^-k for k < p
@@ -202,8 +202,8 @@ class Closed(NamedTuple):
                 return 0
             x = rep.x
             value += self.x2 * x * x + self.x * x
-            if self.p_x:
-                c = Fraction(self.p_x)
+            if self.p_x:  # an int has a numerator and a denominator too
+                c = self.p_x
                 value += c.numerator * mod_inverse(c.denominator * x % pk, pk) * p
         if self.sign == QUARTER:
             value *= 1 if p % 8 == 1 else -1
@@ -287,6 +287,7 @@ class PrimeContext:
         self.n = (p - 1) // 2
         self._cache: dict = {}
         self._exps: set[int] = set()  # the exponents of the keys cached so far
+        self.limits: dict[int, int] = {}  # the table length planned per exponent
 
     # --- basic cached helpers -------------------------------------------
 
@@ -332,9 +333,11 @@ class PrimeContext:
 
         One table per prime: the cached table at kexp, else the lowest higher
         exponent's table that reaches far enough, reduced, else a new build,
-        which then serves every smaller request.
+        which then serves every smaller request.  A table is made at least as
+        long as ``limits`` plans for its exponent, so each exponent reduces or
+        builds its table once.
         """
-        limit = max(self.p, limit)
+        limit = max(self.p, limit, self.limits.get(kexp, 0))
         cached = self._cache.get(("tables", kexp))
         if cached is None or cached.limit < limit:
             higher = self._higher(("tables",), kexp, lambda t: t.limit >= limit)
@@ -481,7 +484,7 @@ class PrimeContext:
             if d == 0:
                 return self.residues(kexp, self.central(kexp))
             t = self.tables(kexp, 2 * self.p)
-            return [t.binomial(2 * k, k + d) for k in range(d, self.p)]
+            return t.binomials([(2 * k, k + d) for k in range(d, self.p)])
 
         return self._at(("column", d), kexp, build)
 
@@ -995,13 +998,19 @@ def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int,
     return members, st.rhs(ctx, kexp, v) % pkv
 
 
-def _build_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
-    """Build the prime's one factorial table for the applicable ``(row, exponent)``
-    pairs: at their top exponent, and long enough for every row's largest
-    factorial argument, so each lower exponent reduces it instead."""
-    live = [(row, kexp) for row, kexp in rows if row.applies(ctx.p)]
-    if live:
-        ctx.tables(max(k for _, k in live), max(row.limit(ctx.p) for row, _ in live))
+def _plan_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
+    """Plan the prime's factorial tables for the applicable ``(row, exponent)`` pairs.
+
+    Each exponent's table is as long as its rows' largest factorial argument,
+    and the top exponent's as long as any row's, so the table built there is
+    the prime's only build and each lower exponent reduces it once, on first use.
+    """
+    need = ctx.limits
+    for row, kexp in rows:
+        if row.applies(ctx.p):
+            need[kexp] = max(need.get(kexp, 0), row.limit(ctx.p))
+    if need:
+        need[max(need)] = max(need.values())
 
 
 def _located(exc: Exception, row_id: str, p: int) -> Exception:
@@ -1047,7 +1056,7 @@ def check(
         return _skipped(row, p, kexp, param)
     ctx = PrimeContext(p)
     try:
-        _build_tables(ctx, [(row, kexp)])
+        _plan_tables(ctx, [(row, kexp)])
         members, rhs = _evaluate(row, ctx, kexp, param)
     except Exception as exc:
         raise _located(exc, row.id, p) from exc
@@ -1087,7 +1096,7 @@ def _suite_for_prime(
 ) -> list[CongruenceReport]:
     """The reports of the rows ``ids`` at ``p``, in registry then parameter order.
 
-    The prime's factorial table is built once, up front (``_build_tables``).
+    The prime's factorial table is built once (``_plan_tables``).
     The rows are evaluated from the highest exponent down, in registry order
     within one exponent, so each lower exponent reads the prime's tables,
     powers, summands and sweeps reduced from a higher one.  An exception
@@ -1098,7 +1107,7 @@ def _suite_for_prime(
     ctx = PrimeContext(p)
     rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
     kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
-    _build_tables(ctx, zip(rows, kexps))
+    _plan_tables(ctx, zip(rows, kexps))
     parts: list[list[CongruenceReport]] = [[] for _ in rows]
     for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
         try:

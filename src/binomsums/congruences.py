@@ -116,8 +116,10 @@ class Sum(NamedTuple):
 
     def limit(self, p: int) -> int:
         hi = (p - 1) // 2 if self.half else p - 1
-        return max([2 * p if self.central else p]
-                   + [a * k + b for a, b, _ in self.factors for k in (self.lo, hi)])
+        top = 2 * p if self.central else p
+        for a, b, _ in self.factors:
+            top = max(top, a * self.lo + b, a * hi + b)
+        return top
 
 
 class Shift(NamedTuple):
@@ -1068,9 +1070,6 @@ def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
     p, pkv = ctx.p, ctx.pk(kexp)
     if not row.applies(p):
         return [_skipped(row, p, kexp)]
-    bases = [t.base for t in row.terms if isinstance(t, Shift)]
-    if bases:  # one engine pass serves every shifted sum of a family
-        ctx.sweep(bases, kexp)
     values = (None,) if row.param_values is None else row.param_values(p)
     if row.table:  # never conjectural (see _check_table_rows)
         (term,), rhs = row.statement
@@ -1079,6 +1078,9 @@ def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
         return [new(CongruenceReport, (rid, p, f"{prefix}{v}", pkv, lhs, r,
                                        PASS if lhs == r else FAIL, 0))
                 for v, lhs, r in table]
+    bases = [t.base for t in row.terms if isinstance(t, Shift)]
+    if bases:  # one engine pass serves every shifted sum of a family
+        ctx.sweep(bases, kexp)
     reports = []
     for v in values:
         start = time.perf_counter_ns() if timings else 0

@@ -301,8 +301,11 @@ class PrimeContext:
 
     def _higher(self, key: tuple, kexp: int, fits: Callable = lambda v: True):
         """The cached value of ``key`` at the lowest exponent above kexp that ``fits``, or None."""
-        found = (self._cache.get((*key, j)) for j in sorted(self._exps) if j > kexp)
-        return next((v for v in found if v is not None and fits(v)), None)
+        for j in sorted(self._exps):
+            value = self._cache.get((*key, j)) if j > kexp else None
+            if value is not None and fits(value):
+                return value
+        return None
 
     def _at(self, key: tuple, kexp: int, build: Callable[[], object] | None = None):
         """The value for ``key`` mod p^kexp: cached, else the one of the lowest
@@ -311,7 +314,8 @@ class PrimeContext:
         numbers; valuation lists are shared, so their checks ran on them.
         """
         full = (*key, kexp)
-        if full not in self._cache:
+        value = self._cache.get(full)
+        if value is None:
             value, pkv = self._higher(key, kexp), self.pk(kexp)
             if isinstance(value, int):
                 value %= pkv
@@ -325,7 +329,7 @@ class PrimeContext:
                 value = build()
             self._cache[full] = value
             self._exps.add(kexp)
-        return self._cache[full]
+        return value
 
     def pk(self, kexp: int) -> int:
         return self.p**kexp

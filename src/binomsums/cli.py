@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 from . import __version__
 from .arith import is_prime, primes_in_range, represent
-from .congruences import FAIL, CongruenceReport, all_ids, default_ids, iter_suite
+from .congruences import FAIL, CongruenceReport, all_ids, default_ids, iter_blocks
 from .identities import SUITES, run_identity_suite
 from .qseries import ETA_PRODUCTS, coefficient_table
 
@@ -169,20 +171,30 @@ def _open_out(path, parser, mode="w"):
         parser.error(str(exc))
 
 
-def _emit(rows, columns, fmt, out, parser, command, human_row, footer=None):
-    """Write rows, each a sequence in column order, as they are produced.
+def _text(fmt, columns, rows, human_row) -> str:
+    """``rows``, each a sequence in column order, as text in ``fmt``, header left out."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)  # None is written as ""
+        return buf.getvalue()
+    if fmt == "jsonl":
+        return "".join(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n"
+                       for row in rows)
+    return "".join(human_row(row) + "\n" for row in rows)
+
+
+def _write(blocks, columns, fmt, out, parser, command, footer=None):
+    """Write the header, each block of formatted rows as it is produced, then the footer.
 
     The output file (stdout when ``out`` is None) is opened before the first
-    row is taken from ``rows``.  ``footer`` (human format only) is called
-    after the last row, so it can report totals counted while the rows went
-    out.  Only jsonl carries a timestamp.
+    block is taken from ``blocks``.  ``footer`` (human format only) is called
+    after the last block, so it can report totals counted while the blocks
+    went out.  Only jsonl carries a timestamp, in its meta line.
     """
     with _open_out(out, parser) as opened:
         sink = opened or sys.stdout
         if fmt == "csv":
-            writer = csv.writer(sink)
-            writer.writerow(columns)
-            writer.writerows(rows)  # None is written as ""
+            csv.writer(sink).writerow(columns)
         elif fmt == "jsonl":
             meta = {
                 "command": command,
@@ -190,12 +202,43 @@ def _emit(rows, columns, fmt, out, parser, command, human_row, footer=None):
                 "version": __version__,
             }
             print(json.dumps({"meta": meta}, sort_keys=True), file=sink)
-            sink.writelines(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n"
-                            for row in rows)
-        else:
-            sink.writelines(human_row(row) + "\n" for row in rows)
-            if footer:
-                print(footer(), file=sink)
+        sink.writelines(blocks)
+        if footer and fmt == "human":
+            print(footer(), file=sink)
+
+
+def _emit(rows, columns, fmt, out, parser, command, human_row, footer=None):
+    """Write ``rows``, each a sequence in column order, as one block (see ``_write``)."""
+    _write([_text(fmt, columns, rows, human_row)], columns, fmt, out, parser, command, footer)
+
+
+def _human_report(r: CongruenceReport) -> str:
+    head = f"{r.id} p={r.p}"
+    if r.params:
+        head += f" {r.params}"
+    if r.status == "skipped":
+        return f"{head}: skipped"
+    text = f"{head} mod {r.modulus}: {r.status} lhs={r.lhs} rhs={r.rhs}"
+    if r.micros:
+        text += f" ({r.micros}us)"
+    return text
+
+
+def _verify_block(fmt: str, log: bool, reports: list[CongruenceReport]):
+    """One prime's reports as (their rows in ``fmt``, their status counts, their
+    ``--log`` records, or "" without ``log``).
+
+    ``verify`` hands this to ``iter_blocks``, so under ``--jobs`` it runs in
+    the worker that made the reports and the parent only writes text.  Every
+    record of a block has the time the block was formatted as its ``ts``.
+    """
+    text = _text(fmt, CongruenceReport._fields, reports, _human_report)
+    records = ""
+    if log:
+        ts = datetime.now(timezone.utc).isoformat()
+        records = "".join(json.dumps({"ts": ts, "record": r._asdict()}, sort_keys=True) + "\n"
+                          for r in reports)
+    return text, Counter([r.status for r in reports]), records
 
 
 # --- subcommands ------------------------------------------------------------
@@ -241,9 +284,10 @@ def _cmd_verify(args, parser) -> int:
         )
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    reports = iter_suite(
+    blocks = iter_blocks(
         cfg.prime_iter(),
         cfg.ids,
+        encode=partial(_verify_block, cfg.fmt, bool(cfg.log)),
         jobs=cfg.jobs,
         mod_exp=cfg.mod_exp,
         timings=cfg.timings,
@@ -251,13 +295,12 @@ def _cmd_verify(args, parser) -> int:
     counts: Counter[str] = Counter()
 
     def tally(log):
-        """The reports as they arrive, counted and, with --log, logged."""
-        for r in reports:
-            counts[r.status] += 1
+        """Each prime's rows as they arrive, its statuses counted and, with --log, its records logged."""
+        for text, statuses, records in blocks:
+            counts.update(statuses)
             if log:
-                line = {"ts": datetime.now(timezone.utc).isoformat(), "record": r._asdict()}
-                print(json.dumps(line, sort_keys=True), file=log)
-            yield r
+                log.write(records)
+            yield text
 
     def footer():
         return "checked {} rows: {}".format(
@@ -265,20 +308,8 @@ def _cmd_verify(args, parser) -> int:
             ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing",
         )
 
-    def human(r):
-        head = f"{r.id} p={r.p}"
-        if r.params:
-            head += f" {r.params}"
-        if r.status == "skipped":
-            return f"{head}: skipped"
-        text = f"{head} mod {r.modulus}: {r.status} lhs={r.lhs} rhs={r.rhs}"
-        if r.micros:
-            text += f" ({r.micros}us)"
-        return text
-
     with _open_out(cfg.log, parser, "a") as log:
-        _emit(tally(log), CongruenceReport._fields, cfg.fmt, cfg.out, parser, "verify",
-              human, footer)
+        _write(tally(log), CongruenceReport._fields, cfg.fmt, cfg.out, parser, "verify", footer)
     return 1 if counts[FAIL] else 0
 
 
@@ -408,7 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, leaving out the shared per-prime tables, summands and sweeps "
         "(0 for table rows); off keeps output byte-identical",
     )
-    p_verify.add_argument("--log", help="append jsonl records with timestamps here")
+    p_verify.add_argument(
+        "--log",
+        help="append one jsonl record per row here, timestamped when its prime's rows "
+        "were formatted",
+    )
     p_verify.add_argument(
         "--mod-exp", action="append", metavar="ID=K",
         help="override modulus exponent for a row (repeatable)",

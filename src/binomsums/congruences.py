@@ -27,7 +27,9 @@ Two evaluation paths exist and are pinned against each other by the tests:
   The shift engine gives all S(d) of a family at once in O(p), stepping the
   certified d -> d+2 relations from seeds read from binomial columns that
   every family shares.  Reports are yielded one prime at a time;
-  ``run_suite`` collects them into a list.
+  ``run_suite`` collects them into a list, and ``iter_blocks`` yields each
+  prime's reports encoded by a given function, which a pooled run calls in
+  the worker.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
 ``experimental-fail`` for conjectural ones, and ``skipped`` when a row's side
@@ -38,7 +40,6 @@ verification run unsuccessful.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -111,15 +112,21 @@ class Sum(NamedTuple):
         """The summand without its weight: what its residues and moments are cached by."""
         return self.base, self.central, self.factors, self.lo, self.half
 
+    @property
+    def label(self) -> str:
+        """The summand as text, e.g. ``C(2k,k)^2 (1k+1)!^-1/8^k``, for error messages."""
+        parts = [f"C(2k,k)^{self.central}"] if self.central else []
+        parts += [f"({a}k{b:+d})!^{e}" for a, b, e in self.factors]
+        return " ".join(parts or ["1"]) + f"/{self.base}^k"
+
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
         return sum(w * ctx.moment(kexp, self, j) for j, w in enumerate(self.weight) if w)
 
     def limit(self, p: int) -> int:
+        """The largest factorial argument of its factors; C(2k,k) is planned per row
+        (``RowSpec.central``), since only its highest exponent reads a table."""
         hi = (p - 1) // 2 if self.half else p - 1
-        top = 2 * p if self.central else p
-        for a, b, _ in self.factors:
-            top = max(top, a * self.lo + b, a * hi + b)
-        return top
+        return max([p] + [a * k + b for a, b, _ in self.factors for k in (self.lo, hi)])
 
 
 class Shift(NamedTuple):
@@ -434,11 +441,23 @@ class PrimeContext:
                 units = [u * x**m % pk for u, x in zip(units, col)]
         return vals, units
 
-    def residues(self, kexp: int, terms: tuple[list[int], list[int]]) -> list[int]:
-        """p^val * unit mod p^kexp for each (val, unit) of ``terms``."""
+    def residues(self, kexp: int, terms: tuple[list[int], list[int]],
+                 s: Sum | None = None) -> list[int]:
+        """p^val * unit mod p^kexp for each (val, unit) of ``terms``, the summand of ``s`` if given.
+
+        A term with a negative valuation is not p-integral and has no residue:
+        ArithmeticError naming the summand, p and k.
+        """
+        vals, units = terms
         pk = self.pk(kexp)
-        pp = [self.p**i for i in range(kexp)]
-        return [(pp[v] * u % pk if v else u) if v < kexp else 0 for v, u in zip(*terms)]
+        pp = {v: self.p**v for v in range(1, kexp)}  # no key for a negative valuation
+        try:
+            return [(pp[v] * u % pk if v else u) if v < kexp else 0 for v, u in zip(vals, units)]
+        except KeyError:
+            i = next(i for i, v in enumerate(vals) if v < 0)
+            label, lo = (s.label, s.lo) if s else ("term", 0)
+            raise ArithmeticError(f"{label}: valuation {vals[i]} < 0, not p-integral, "
+                                  f"at p={self.p}, k={lo + i}") from None
 
     def summand(self, kexp: int, s: Sum) -> list[int]:
         """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k.
@@ -450,12 +469,13 @@ class PrimeContext:
         def build():
             terms = self.terms(kexp, s.base, s.central, s.factors, s.lo, self.n if s.half else None)
             if s.central >= 2 and not s.half:
-                cval, start = self.central(kexp)[0], (self.p + 1) // 2
-                if s.central * min(cval[start:]) < 2:
-                    k = next(k for k in range(start, self.p) if s.central * cval[k] < 2)
+                # valuations only: a lower exponent would reduce C(2k,k)'s units for nothing
+                cval, start = self.central_power(s.central, s.base, kexp)[0], (self.p + 1) // 2
+                if min(cval[start:]) < 2:
+                    k = next(k for k in range(start, self.p) if cval[k] < 2)
                     raise ArithmeticError(f"C(2k,k)^{s.central}/{s.base}^k: tail valuation "
-                                          f"{s.central * cval[k]} < 2 at p={self.p}, k={k}")
-            return self.residues(kexp, terms)
+                                          f"{cval[k]} < 2 at p={self.p}, k={k}")
+            return self.residues(kexp, terms, s)
 
         return self._at(("summand", s.key), kexp, build)
 
@@ -647,8 +667,13 @@ class RowSpec:
                 and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
 
     def limit(self, p: int) -> int:
-        """The largest factorial argument the row reads at p."""
+        """The largest factorial argument the row reads at p, C(2k,k) left out."""
         return max([p] + [t.limit(p) for t in self.terms if hasattr(t, "limit")])
+
+    @cached_property
+    def central(self) -> bool:
+        """Whether the row reads C(2k,k), which is built from (2k)! for k < p."""
+        return any(isinstance(t, Sum) and t.central for t in self.terms)
 
 
 _QUARTER_BINOMIAL = Binomial(lambda p, _: ((p - 1) // 2, (p - 1) // 4))
@@ -1010,11 +1035,17 @@ def _plan_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None
     Each exponent's table is as long as its rows' largest factorial argument,
     and the top exponent's as long as any row's, so the table built there is
     the prime's only build and each lower exponent reduces it once, on first use.
+    C(2k,k) reads (2k)! only where it is built, at the highest exponent of a
+    row that reads it; every lower exponent reduces it from there.
     """
-    need = ctx.limits
+    need, central = ctx.limits, 0
     for row, kexp in rows:
         if row.applies(ctx.p):
             need[kexp] = max(need.get(kexp, 0), row.limit(ctx.p))
+            if row.central:
+                central = max(central, kexp)
+    if central:
+        need[central] = max(need[central], 2 * ctx.p)
     if need:
         need[max(need)] = max(need.values())
 
@@ -1123,11 +1154,39 @@ def _suite_for_prime(
     return [r for part in parts for r in part]
 
 
-def _suite_worker(args) -> list[tuple]:
-    """One prime's reports as plain tuples: a named tuple would pickle through
-    a Python-level ``__getnewargs__`` call per report."""
-    p, ids, mod_exp_items, timings = args
-    return list(map(tuple, _suite_for_prime(p, ids, dict(mod_exp_items), timings)))
+def _suite_worker(args):
+    """``encode`` of one prime's reports, in the worker process that made them."""
+    p, ids, mod_exp_items, timings, encode = args
+    return encode(_suite_for_prime(p, ids, dict(mod_exp_items), timings))
+
+
+def _plain(reports: list[CongruenceReport]) -> list[tuple]:
+    """The reports as plain tuples: a named tuple would pickle through a
+    Python-level ``__getnewargs__`` call per report."""
+    return list(map(tuple, reports))
+
+
+def _arguments(primes, ids, jobs, mod_exp) -> tuple[list[int], tuple[str, ...], dict[str, int]]:
+    """The primes, row ids in registry order and exponent overrides of a suite run,
+    checked; ValueError for an unknown id, a jobs count below 1 or an exponent below 1."""
+    if ids is None:
+        id_list = all_ids()
+    else:
+        id_list = list(dict.fromkeys(ids))
+        for i in id_list:
+            if i not in _ROW_INDEX:
+                raise ValueError(f"unknown congruence id {i!r}")
+        id_list.sort(key=_ROW_INDEX.__getitem__)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    over = dict(mod_exp or {})
+    for i, k in over.items():
+        if i not in _ROW_INDEX:
+            raise ValueError(f"unknown congruence id {i!r}")
+        if k < 1:
+            raise ValueError("modulus exponent must be >= 1")
+    ps = sorted({p for p in primes if p >= 5 and is_prime(p)})
+    return ps, tuple(id_list), over
 
 
 def iter_suite(
@@ -1151,38 +1210,48 @@ def iter_suite(
     returns evaluates one prime at a time as it is consumed (with ``jobs``,
     each prime's reports as they arrive), so no run holds every report.
     """
-    if ids is None:
-        id_list = all_ids()
-    else:
-        id_list = list(dict.fromkeys(ids))
-        for i in id_list:
-            if i not in _ROW_INDEX:
-                raise ValueError(f"unknown congruence id {i!r}")
-        id_list.sort(key=_ROW_INDEX.__getitem__)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    over = dict(mod_exp or {})
-    for i, k in over.items():
-        if i not in _ROW_INDEX:
-            raise ValueError(f"unknown congruence id {i!r}")
-        if k < 1:
-            raise ValueError("modulus exponent must be >= 1")
-    ps = sorted({p for p in primes if p >= 5 and is_prime(p)})
-    return _stream(ps, tuple(id_list), over, jobs, timings)
+    ps, ids, over = _arguments(primes, ids, jobs, mod_exp)
+    if jobs == 1 or len(ps) <= 1:
+        return (r for p in ps for r in _suite_for_prime(p, ids, over, timings))
+    blocks = _stream(ps, ids, over, jobs, timings, _plain)
+    return (CongruenceReport._make(r) for block in blocks for r in block)
 
 
-def _stream(ps, ids, over, jobs, timings) -> Iterator[CongruenceReport]:
+def iter_blocks(
+    primes: Iterable[int],
+    ids: Iterable[str] | None = None,
+    *,
+    encode: Callable[[list[CongruenceReport]], object],
+    jobs: int = 1,
+    mod_exp: dict[str, int] | None = None,
+    timings: bool = False,
+) -> Iterator:
+    """``encode(reports)`` of each prime's reports, one prime at a time in order.
+
+    The arguments are those of ``iter_suite``, checked at the call.  With
+    ``jobs`` > 1, ``encode`` runs in the worker process that made the reports
+    and only its result is sent back, so it must pickle: a module-level
+    function, or a ``functools.partial`` of one.
+    """
+    ps, ids, over = _arguments(primes, ids, jobs, mod_exp)
+    return _stream(ps, ids, over, jobs, timings, encode)
+
+
+def _stream(ps, ids, over, jobs, timings, encode) -> Iterator:
     if jobs == 1 or len(ps) <= 1:
         for p in ps:
-            yield from _suite_for_prime(p, ids, over, timings)
+            yield encode(_suite_for_prime(p, ids, over, timings))
         return
-    work = [(p, ids, tuple(over.items()), timings) for p in ps]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for the import
+
+    work = [(p, ids, tuple(over.items()), timings, encode) for p in ps]
     chunk = max(1, len(work) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunks = -(-len(work) // chunk)
+    # the fork start method starts every worker up front: no more than there is work for
+    with ProcessPoolExecutor(max_workers=min(jobs, chunks)) as pool:
         parts = pool.map(_suite_worker, work, chunksize=chunk)
         try:
-            for part in parts:
-                yield from map(CongruenceReport._make, part)
+            yield from parts
         finally:
             parts.close()  # a stream dropped early cancels the primes not started
 

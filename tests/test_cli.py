@@ -1,6 +1,7 @@
 """End-to-end tests that drive the installed console entry point."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -167,14 +168,33 @@ def test_identities_subcommand():
 
 
 def test_jobs_flag_matches_serial():
-    serial = run_cli("verify", "--primes", "5..60", "--format", "csv")
-    parallel = run_cli("verify", "--primes", "5..60", "--jobs", "2", "--format", "csv")
-    assert serial.stdout == parallel.stdout
-    assert serial.returncode == parallel.returncode == 0
+    for fmt in ("csv", "human", "jsonl"):
+        serial = run_cli("verify", "--primes", "5..60", "--format", fmt)
+        parallel = run_cli("verify", "--primes", "5..60", "--jobs", "2", "--format", fmt)
+        assert serial.returncode == parallel.returncode == 0
+        skip = 1 if fmt == "jsonl" else 0  # the meta line carries a timestamp
+        lines = serial.stdout.splitlines()[skip:]
+        assert lines == parallel.stdout.splitlines()[skip:], fmt
+        assert len(lines) > 100
 
 
-def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
-    from binomsums import cli, congruences
+def test_jobs_flag_logs_the_serial_records(tmp_path):
+    logs = {}
+    for jobs in ("1", "2"):
+        logs[jobs] = tmp_path / f"run{jobs}.log"
+        out = run_cli("verify", "--primes", "5..60", "--ids", "C1_2,C1_7a,CGZ",
+                      "--format", "csv", "--jobs", jobs, "--log", str(logs[jobs]))
+        assert out.returncode == 0
+    rows = out.stdout.splitlines()[1:]
+    serial, parallel = ([json.loads(x) for x in logs[j].read_text().splitlines()]
+                        for j in ("1", "2"))
+    assert len(serial) == len(rows) > 100  # one record per row
+    assert all(set(line) == {"ts", "record"} for line in serial + parallel)
+    assert [line["record"] for line in parallel] == [line["record"] for line in serial]
+
+
+def _break_cgz_at_17(monkeypatch):
+    from binomsums import congruences
 
     inner = congruences._evaluate
 
@@ -186,13 +206,30 @@ def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
         return (0,), 0
 
     monkeypatch.setattr(congruences, "_evaluate", broken)
+
+
+def _verify_until_the_broken_prime(tmp_path, *jobs):
+    from binomsums import cli
+
     out = tmp_path / "rows.csv"
     with pytest.raises(ZeroDivisionError, match=r"row=CGZ, p=17"):
         cli.main(["verify", "--primes", "5..40", "--ids", "CGZ", "--format", "csv",
-                  "--out", str(out)])
+                  "--out", str(out), *jobs])
     lines = out.read_text().splitlines()
     assert lines[0] == "id,p,params,modulus,lhs,rhs,status,micros"
     assert [line.split(",")[1] for line in lines[1:]] == ["5", "7", "11", "13"]
+
+
+def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
+    _break_cgz_at_17(monkeypatch)
+    _verify_until_the_broken_prime(tmp_path)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched row only when forked")
+def test_verify_streams_rows_before_a_failing_prime_with_jobs(tmp_path, monkeypatch):
+    _break_cgz_at_17(monkeypatch)
+    _verify_until_the_broken_prime(tmp_path, "--jobs", "2")
 
 
 @pytest.mark.parametrize(

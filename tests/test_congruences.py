@@ -7,6 +7,7 @@ The batched suite path is additionally pinned against the reference path.
 
 import dataclasses
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -355,6 +356,25 @@ def test_tail_invariants_survive_optimize_flag():
     assert "C(2k,k)^3/-8^k" in r.stdout and "p=13, k=7" in r.stdout
 
 
+def test_residues_reject_a_term_that_is_not_p_integral():
+    # (k+1)!^-1 is 1/13! at k = 12: no residue mod 13^2
+    code = (
+        "from binomsums.congruences import PrimeContext, Sum\n"
+        "try:\n"
+        "    PrimeContext(13).summand(2, Sum(1, 0, factors=((1, 1, -1),)))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    message = "(1k+1)!^-1/1^k: valuation -1 < 0, not p-integral, at p=13, k=12"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        PrimeContext(13).summand(2, Sum(1, 0, factors=((1, 1, -1),)))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == message
+    # a factor that cancels its own p stays integral
+    assert PrimeContext(13).summand(2, Sum(1, 0, factors=((1, 0, 1), (1, 0, -1)))) == [1] * 13
+
+
 def test_import_does_not_load_numpy():
     code = "import sys, binomsums, binomsums.cli; print('numpy' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -404,6 +424,63 @@ def test_run_suite_is_the_listed_stream():
     serial = run_suite(ps, ids)
     assert serial == list(iter_suite(ps, ids))
     assert run_suite(ps, ids, jobs=2) == list(iter_suite(ps, ids, jobs=2)) == serial
+
+
+@pytest.mark.parametrize("primes,jobs,workers", [
+    ((5, 20), 64, 6),    # 6 primes, one a chunk: no more workers than chunks
+    ((5, 20), 2, 2),
+    ((5, 180), 4, 4),    # 39 primes in chunks of 2
+])
+def test_pool_is_capped_at_its_chunks(monkeypatch, primes, jobs, workers):
+    import concurrent.futures
+
+    started = []
+
+    class InProcess:
+        """A stand-in pool that records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return (fn(item) for item in items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    # and under the module's own name, should it ever import the pool eagerly
+    monkeypatch.setattr(congruences, "ProcessPoolExecutor", InProcess, raising=False)
+    ps, ids = primes_in_range(*primes), ["C1_7a", "CGZ"]
+    assert run_suite(ps, ids, jobs=jobs) == run_suite(ps, ids)
+    assert started == [workers]
+
+
+def _encoder_pid(reports):
+    return os.getpid()
+
+
+def test_iter_blocks_encodes_each_prime_in_order():
+    ps, ids = primes_in_range(5, 60), ["C1_5", "C1_7a", "CGZ"]
+    for jobs in (1, 2):
+        blocks = list(congruences.iter_blocks(ps, ids, encode=congruences._plain, jobs=jobs))
+        assert [b[0][1] for b in blocks] == ps
+        assert [r for b in blocks for r in b] == list(map(tuple, run_suite(ps, ids)))
+    if multiprocessing.get_start_method() == "fork":  # the workers import this module
+        pids = list(congruences.iter_blocks(ps, ids, encode=_encoder_pid, jobs=2))
+        assert len(pids) == len(ps) and os.getpid() not in pids  # encoded in the workers
+
+
+def test_import_does_not_load_the_process_pool():
+    code = ("import sys, binomsums, binomsums.cli\n"
+            "binomsums.run_suite([5, 7], ['C1_7a'])\n"
+            "print('concurrent.futures' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_iter_suite_rejects_bad_arguments_at_the_call():
@@ -608,6 +685,28 @@ def test_one_factorial_table_per_prime(monkeypatch):
         congruences._suite_for_prime(p, tuple(default_ids()), {}, False)
         # p^3, long enough for the 1728 family's engine at p^2
         assert builds == [(p, 3, 6 * p)], builds
+
+
+def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
+    # at p = 1201 the halfrange rows run at p^3, p^2 and p; only the p^3 rows
+    # build C(2k,k), so the p^2 table needs no (2k)! and stays p long
+    reductions, centrals = [], []
+    reduce, central = FactorialTables.reduced, PrimeContext.central
+
+    def reducing(self, k, limit):
+        reductions.append((k, limit))
+        return reduce(self, k, limit)
+
+    def reading(self, kexp):
+        centrals.append(kexp)
+        return central(self, kexp)
+
+    monkeypatch.setattr(FactorialTables, "reduced", reducing)
+    monkeypatch.setattr(PrimeContext, "central", reading)
+    p = 1201
+    congruences._suite_for_prime(p, _HALFRANGE_IDS, {}, False)
+    assert reductions == [(2, p), (1, p)]
+    assert set(centrals) == {3}
 
 
 def test_primality_is_tested_once_per_public_call(monkeypatch):

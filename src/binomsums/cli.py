@@ -295,7 +295,7 @@ def _cmd_verify(args, parser) -> int:
     counts: Counter[str] = Counter()
 
     def tally(log):
-        """Each prime's rows as they arrive, its statuses counted and, with --log, its records logged."""
+        """Each prime's rows as they arrive, its statuses counted and its records logged."""
         for text, statuses, records in blocks:
             counts.update(statuses)
             if log:

@@ -45,18 +45,20 @@ SHIFT_FAMILIES = {
 
 
 def direct_shift_sum(p: int, weights: list[int], d: int, tables: FactorialTables) -> int:
-    """sum_{d<=k<p} weights[k] * C(2k, k+d) mod p^K, one term at a time."""
+    """sum_{d<=k<p} weights[k] * C(2k, k+d) mod p^K, one term at a time.
+
+    C(2k, k+d) = p^v unit[2k] inv_unit[k+d] inv_unit[k-d] with
+    v = val[2k] - val[k+d] - val[k-d]; a term with w(k) = 0 or v >= K is 0.
+    """
     kexp, pk = tables.k, tables.pk
     val, unit, inv = tables.val, tables.unit, tables.inv_unit
     pp = [p**i for i in range(kexp)]
-    total = 0
-    for k in range(d, p):
-        w = weights[k]
-        if w:
-            v = val[2 * k] - val[k + d] - val[k - d]
-            if v < kexp:
-                total += w * pp[v] * unit[2 * k] % pk * inv[k + d] % pk * inv[k - d]
-    return total % pk
+    hi = p + d
+    return sum(w * pp[v] * u % pk * a % pk * b
+               for w, v2, u, va, a, vb, b in zip(
+                   weights[d:], val[2 * d : 2 * p : 2], unit[2 * d : 2 * p : 2],
+                   val[2 * d : hi], inv[2 * d : hi], val[: p - d], inv[: p - d])
+               if w and (v := v2 - va - vb) < kexp) % pk
 
 
 def column_shift_sum(weights: list[int], d: int, column: list[int], pk: int) -> int:
@@ -75,11 +77,17 @@ def shift_sums(
     they do not depend on the family, so one set serves all four.  The seeds
     S(0) and S(1) are read from them with ``column_shift_sum``; every further
     S(d+2) comes from the step relation, divided by c(d+1) through
-    1/m = inv_unit[m] * unit[m-1], except where p | c(d+1): there S(d+2) is
-    summed directly again (at most twice per family), and the relation at d
+    1/m = inv_unit[m] * unit[m-1], except where p | c(d+1).  Those re-seed
+    points are planned before stepping: c(d+1) = 0 (mod p) exactly when d+1
+    is a root x of c mod p, so there are at most two, at d = x-1.  Between
+    them the steps run with no divisibility test, and where S(d) = 0 and
+    ``front`` (the relation's right side) is 0, S(d+2) = 0 too and the step
+    is passed through without its product: a chain that vanishes, as one
+    parity does mod p^2 for every family, costs one test per shift.  At a
+    re-seed point S(d+2) is summed directly again, and the relation at d
     must hold with that direct value; c(d) is a unit there (save for base
-    1728 at p = 5), so this pins the stepped S(d).  C(2p, p+d+1)/p is a unit
-    for d <= p-2, read from the same tables.
+    1728 at p = 5), so this pins the stepped S(d).  C(2p, p+d+1)/p is a
+    unit for d <= p-2, read from the same tables.
 
     S((p-1)/2) is then read from its column, and S(p-1), S(p-2) and every
     S(x) whose coefficient c(x) is divisible by p (so a stepped error in it
@@ -105,24 +113,29 @@ def shift_sums(
         where = f"p={p}, base={base}, d={d}, K={kexp}"
         return ArithmeticError(f"shift engine mismatch at {where}: {what}")
 
+    # the roots x of c(x) = 0 (mod p): S(x + 1) is re-seeded and S(x) checked
+    roots = {-r * pow(step, -1, p) % p for r in (r1, r2)}
     out = [0] * p
     out[0] = column_shift_sum(weights, 0, columns[0], pk)
     out[1] = column_shift_sum(weights, 1, columns[1], pk)
-    for d in range(p - 2):
-        m1 = step * d + step + r1  # c(d+1) = m1 * m2
-        m2 = m1 + r2 - r1
-        if m1 % p == 0 or m2 % p == 0:
+    gap, lo = r2 - r1, 0
+    for stop in sorted({x - 1 for x in roots if 1 <= x <= p - 2} | {p - 2}):
+        # no coefficient c(d + 1) = m1 * m2 with lo <= d < stop is divisible by p
+        for d in range(lo, stop):
+            s = out[d]
+            if s or front:  # else S(d + 2) = 0 as well
+                m1 = step * d + step + r1
+                m2 = m1 + gap
+                acc = (m1 - step) * (m2 - step) * s
+                if front:
+                    acc -= rhs(d)
+                out[d + 2] = acc * inv[m1] * unit[m1 - 1] % pk * inv[m2] * unit[m2 - 1] % pk
+        if stop < p - 2:
+            d, lo = stop, stop + 1
             out[d + 2] = direct_shift_sum(p, weights, d + 2, tables)
-            if (fam.coeff(d) * out[d] - m1 * m2 * out[d + 2] - rhs(d)) % pk:
+            if (fam.coeff(d) * out[d] - fam.coeff(d + 1) * out[d + 2] - rhs(d)) % pk:
                 raise mismatch(d, f"the relation fails with the direct S({d + 2})")
-            continue
-        acc = (m1 - step) * (m2 - step) * out[d]
-        if front:
-            acc -= rhs(d)
-        out[d + 2] = acc % pk * inv[m1] % pk * unit[m1 - 1] % pk * inv[m2] % pk * unit[m2 - 1] % pk
-    # x with p | c(x): step*x + r = 0 (mod p) for r in the offsets
-    checked = {p - 1, p - 2, half}
-    checked.update(-r * pow(step, -1, p) % p for r in (r1, r2))
+    checked = {p - 1, p - 2, half} | roots
     for d in sorted(checked, reverse=True):
         if d == half:
             direct = column_shift_sum(weights, d, columns[d], pk)

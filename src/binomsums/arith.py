@@ -12,6 +12,7 @@ once; the helpers it calls take the prime as tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 from typing import Iterable
 
@@ -126,7 +127,11 @@ class FactorialTables:
 
     val[n] is the p-adic valuation of n!, unit[n] the p-free part of n! modulo
     p^k, inv_unit[n] its inverse.  ``binomial(n, r)`` reads C(n, r) mod p^k
-    from them.  Building is O(limit); intended to be built once per prime and
+    from them.  Building is O(limit) in whole-list passes: the multiples of p
+    are stripped of their factors p, one slice per power of p up to
+    ``limit``; ``unit`` and ``inv_unit`` are then the running products of the
+    stripped factors, up from 1 and down from the top inverse, and ``val``
+    the running sum of v_p(n).  Intended to be built once per prime and
     shared by many queries.
     """
 
@@ -135,25 +140,22 @@ class FactorialTables:
     def __init__(self, p: int, k: int, limit: int):
         self.p, self.k, self.pk, self.limit = p, k, p**k, limit
         pk = self.pk
-        val = [0] * (limit + 1)
-        unit = [1] * (limit + 1)
-        v, u = 0, 1
-        for n in range(1, limit + 1):
-            m = n
-            while m % p == 0:
-                m //= p
-                v += 1
-            u = u * m % pk
-            val[n] = v
-            unit[n] = u
-        inv = [1] * (limit + 1)
-        inv[limit] = mod_inverse(unit[limit], pk)
-        for n in range(limit, 1, -1):
-            m = n
-            while m % p == 0:
-                m //= p
-            inv[n - 1] = inv[n] * m % pk
-        self.val, self.unit, self.inv_unit = val, unit, inv
+        # m[n] is n with its factors p removed, e[n] = v_p(n)
+        m = list(range(limit + 1))
+        m[0] = 1
+        e = [0] * (limit + 1)
+        q = p
+        while q <= limit:
+            m[q::q] = [n // p for n in m[q::q]]
+            e[q::q] = [v + 1 for v in e[q::q]]
+            q *= p
+        self.val = list(accumulate(e))
+        u = 1
+        self.unit = [u := u * n % pk for n in m]
+        # inv_unit[n - 1] = inv_unit[n] * m[n], from the top down
+        x = top = mod_inverse(u, pk)
+        self.inv_unit = [x := x * n % pk for n in m[limit:0:-1]][::-1]
+        self.inv_unit.append(top)
 
     def reduced(self, k: int, limit: int) -> FactorialTables:
         """``FactorialTables(p, k, limit)`` for k <= self.k, limit <= self.limit,

@@ -83,3 +83,32 @@ def binomial_valuation(n: int, r: int, p: int) -> int:
 def as_tuple(rep) -> tuple[int, int]:
     """The (x, y) of a ``QuadraticRepresentation``."""
     return (rep.x, rep.y)
+
+
+def factorial_tables(p: int, k: int, limit: int) -> tuple[list[int], list[int], list[int]]:
+    """``val``, ``unit`` and ``inv_unit`` of ``FactorialTables(p, k, limit)``, one n at a time.
+
+    val[n] is v_p(n!), unit[n] the p-free part of n! mod p^k and inv_unit[n]
+    its inverse: every n is stripped of its factors p, then multiplied in
+    upwards, and the inverses are multiplied in downwards from the top.
+    """
+    pk = p**k
+    val = [0] * (limit + 1)
+    unit = [1] * (limit + 1)
+    v, u = 0, 1
+    for n in range(1, limit + 1):
+        m = n
+        while m % p == 0:
+            m //= p
+            v += 1
+        u = u * m % pk
+        val[n] = v
+        unit[n] = u
+    inv = [1] * (limit + 1)
+    inv[limit] = pow(unit[limit], -1, pk)
+    for n in range(limit, 1, -1):
+        m = n
+        while m % p == 0:
+            m //= p
+        inv[n - 1] = inv[n] * m % pk
+    return val, unit, inv

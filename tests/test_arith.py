@@ -14,7 +14,7 @@ from binomsums.arith import (
     represent,
     sqrt_mod,
 )
-from oracles import as_tuple, binomial_valuation
+from oracles import as_tuple, binomial_valuation, factorial_tables
 
 
 def exact_factored(n, p):
@@ -102,6 +102,21 @@ def test_factorial_factored_against_exact():
             assert tables.val[n] == e
             assert tables.unit[n] == u % p**k
             assert tables.unit[n] * tables.inv_unit[n] % p**k == 1
+
+
+def test_factorial_tables_equal_the_one_n_at_a_time_build():
+    # every limit up to p^3 + p: every edge between multiples of p, and every
+    # multiple of p^2 and p^3.  The oracle's lists do not depend on the limit
+    # beyond their length, so one build at the top serves every limit.
+    for p in (3, 5, 7, 11, 13):
+        top = p**3 + p
+        for k in (1, 2, 3, 4):
+            val, unit, inv = factorial_tables(p, k, top)
+            for limit in range(top + 1):
+                t = FactorialTables(p, k, limit)
+                n = limit + 1
+                assert (t.val, t.unit, t.inv_unit) == (val[:n], unit[:n], inv[:n]), (p, k, limit)
+            assert factorial_tables(p, k, p**2) == (val[: p**2 + 1], unit[: p**2 + 1], inv[: p**2 + 1])
 
 
 def test_binomial_factored_examples():

@@ -8,6 +8,7 @@ The batched suite path is additionally pinned against the reference path.
 import dataclasses
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -290,6 +291,45 @@ def test_sweep_matches_reference_all_shifts():
                     assert tables[base][d] == _reference_shift_sum(ctx, kexp, base, d), (
                         p, kexp, base, d,
                     )
+
+
+class _DoubledEntry(list):
+    """A table list whose entry ``at`` reads doubled mod ``pk`` when indexed
+    on its own; slices, which the direct sums read, see the true entries."""
+
+    def __init__(self, values, at, pk):
+        super().__init__(values)
+        self.at, self.pk = at, pk
+
+    def __getitem__(self, i):
+        value = super().__getitem__(i)
+        return 2 * value % self.pk if i == self.at else value
+
+
+def test_shift_engine_catches_a_corrupted_step():
+    # the step d -> d+2 divides by c(d+1) = m1 * m2 through
+    # 1/m1 = inv_unit[m1] * unit[m1-1]; no other step, relation check or
+    # direct sum reads unit[m1-1] on its own, so doubling it corrupts this
+    # one step: S(d+2) comes out off by (2 or 4 - 1) * S(d+2), not 0 mod p^K
+    rng = random.Random(20101)
+    for p in (13, 29, 101):
+        ctx = PrimeContext(p)
+        for kexp in (1, 2, 3):
+            columns = {d: ctx.shift_column(d, kexp) for d in (0, 1, ctx.n)}
+            for base, fam in _sweeps.SHIFT_FAMILIES.items():
+                tables = ctx.tables(kexp, fam.step * p)
+                weights = ctx.weights(base, kexp)
+                good = _sweeps.shift_sums(p, base, weights, tables, columns)
+                roots = {x for x in range(p) if fam.coeff(x) % p == 0}
+                steps = [d for d in range(p - 2)
+                         if good[d] and good[d + 2] and not {d, d + 1} & roots]
+                d = rng.choice(steps)
+                m1 = fam.step * (d + 1) + fam.offsets[0]
+                bent = tables.reduced(kexp, tables.limit)
+                bent.unit = _DoubledEntry(bent.unit, m1 - 1, bent.pk)
+                with pytest.raises(ArithmeticError, match=rf"p={p}, base={base}, d=\d+, K={kexp}"):
+                    _sweeps.shift_sums(p, base, weights, bent, columns)
+                assert _sweeps.shift_sums(p, base, weights, tables, columns) == good
 
 
 def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):

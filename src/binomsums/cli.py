@@ -7,10 +7,16 @@ Four subcommands:
 * ``eta``         print eta-product Fourier coefficient tables
 * ``repr``        print p = x^2 + d*y^2 representations
 
+Each subcommand's options are also the keys of its ``--config`` file: a line
+``key = value`` is parsed as ``--key=value`` by the same argparse option, and
+a flag on the command line replaces the file's value of its key.
+
 Output is deterministic: without ``--timings`` the emitted rows are
 byte-identical from run to run (the jsonl meta header carries the only
-timestamp).  Exit status is 0 for success, 1 if any proven row failed, and 2
-for usage errors.
+timestamp).  Exit status is 0 for success, 1 if any proven row failed, 2 for
+usage errors (a bad flag or config line, an unknown id, an output path that
+cannot be opened), and 141 (128 + SIGPIPE) when the reader of stdout closed
+it before the output ended.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 
@@ -35,123 +41,110 @@ from .qseries import ETA_PRODUCTS, coefficient_table
 FORMATS = ("human", "jsonl", "csv")
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for a ``verify`` run (flags > config file > defaults)."""
-
-    lo: int = 5
-    hi: int = 100
-    primes: list[int] | None = None  # explicit list wins over the range
-    ids: list[str] = field(default_factory=default_ids)
-    fmt: str = "human"
-    out: str | None = None
-    jobs: int = 1
-    timings: bool = False
-    log: str | None = None
-    mod_exp: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.primes is None:
-            if self.lo < 5:
-                raise ValueError("prime range must start at 5 or above")
-            if self.hi < self.lo:
-                raise ValueError("empty prime range")
-        elif not self.primes:
-            raise ValueError("explicit prime list is empty")
-        else:
-            bad = [q for q in self.primes if q < 5 or not is_prime(q)]
-            if bad:
-                raise ValueError(
-                    "prime list entries must be primes >= 5, got "
-                    + ", ".join(map(str, bad))
-                )
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        known = set(all_ids())
-        for i in list(self.ids) + list(self.mod_exp):
-            if i not in known:
-                raise ValueError(f"unknown congruence id {i!r}")
-        for i, k in self.mod_exp.items():
-            if k < 1:
-                raise ValueError(f"modulus exponent for {i} must be >= 1")
-
-    def prime_iter(self) -> list[int]:
-        if self.primes is not None:
-            return sorted(set(self.primes))
-        return primes_in_range(self.lo, self.hi)
+# --- option values ----------------------------------------------------------
+# Each converter is an option's ``type=``, so a config line goes through it too.
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _prime_range(text: str) -> list[int]:
+    """The primes in ``LO..HI``, a range that starts at 5 or above and holds a prime."""
     lo, sep, hi = text.partition("..")
     if not sep or not lo.isdigit() or not hi.isdigit():
-        raise ValueError(f"expected LO..HI, got {text!r}")
-    return int(lo), int(hi)
+        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
+    if int(lo) < 5:
+        raise argparse.ArgumentTypeError("prime range must start at 5 or above")
+    primes = primes_in_range(int(lo), int(hi))
+    if not primes:
+        raise argparse.ArgumentTypeError(f"no primes in {text}")
+    return primes
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _items(text: str) -> list[str]:
+    """Comma-separated items, at least one."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return items
+
+
+def _prime_list(text: str) -> list[int]:
+    """Comma-separated primes, at least one, each 5 or above."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        primes = list(map(int, _items(text)))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    bad = [q for q in primes if q < 5 or not is_prime(q)]
+    if bad:
+        raise argparse.ArgumentTypeError(
+            "prime list entries must be primes >= 5, got " + ", ".join(map(str, bad)))
+    return primes
 
 
-def _parse_mod_exp(chunks: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for chunk in chunks:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, sep, val = item.partition("=")
-            if not sep or not val.lstrip("-").isdigit():
-                raise ValueError(f"expected ID=K, got {item!r}")
-            out[name.strip()] = int(val)
-    return out
+def _mod_exp(text: str) -> list[tuple[str, int]]:
+    """Comma-separated ``ID=K`` pairs; the ids and exponents are checked by the suite."""
+    pairs = []
+    for item in _items(text):
+        name, sep, val = item.partition("=")
+        if not sep or not val.lstrip("-").isdigit():
+            raise argparse.ArgumentTypeError(f"expected ID=K, got {item!r}")
+        pairs.append((name.strip(), int(val)))
+    return pairs
 
 
-def _parse_bool(text: str) -> bool:
+def _boolean(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-_CONFIG_KEYS = {
-    "primes", "prime-list", "ids", "format", "out", "jobs",
-    "include-experimental", "timings", "log", "mod-exp",
-    "order", "grid-n", "grid-p", "d",
-}
+def _at_least(least: int):
+    """The converter of an integer option whose values start at ``least``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return convert
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config(path: str, keys: argparse.ArgumentParser) -> dict:
+    """The option values set by the ``key = value`` lines of the file ``path``.
+
+    ``keys`` parses each line as ``--key=value``, so a key is one of the
+    subcommand's long options, written out in full, and its value goes
+    through that option's conversion and choices.  A later line replaces an
+    earlier one of the same key; two keys of one value (``primes`` and
+    ``prime-list``) may not both be set.  ValueError names the file and line.
+    """
+    values: dict = {}
+    setter: dict[str, str] = {}  # the key that set each value
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, val = line.partition("=")
-            key = key.strip()
+            key, sep, value = (part.strip() for part in line.partition("="))
+            where = f"{path}:{lineno}"
             if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+                raise ValueError(f"{where}: expected key = value")
+            try:
+                parsed, unknown = keys.parse_known_args([f"--{key}={value}"])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if unknown:
+                raise ValueError(f"{where}: unknown key {key!r}")
+            for dest, val in vars(parsed).items():
+                if setter.setdefault(dest, key) != key:
+                    raise ValueError(
+                        f"{where}: argument --{key}: not allowed with argument --{setter[dest]}")
+                values[dest] = val
     return values
-
-
-def _setting(args, config: dict[str, str], flag: str, conv=str):
-    """Flag value if given, else config-file value, else None."""
-    val = getattr(args, flag.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if flag in config:
-        return conv(config[flag])
-    return None
 
 
 # --- output -----------------------------------------------------------------
@@ -245,53 +238,18 @@ def _verify_block(fmt: str, log: bool, reports: list[CongruenceReport]):
 
 
 def _cmd_verify(args, parser) -> int:
+    ids = args.ids or (all_ids() if args.include_experimental else default_ids())
     try:
-        config = _load_config(args.config) if args.config else {}
-        lo, hi = 5, 100
-        primes = None
-        rng = _setting(args, config, "primes")
-        if rng is not None:
-            lo, hi = _parse_range(rng) if isinstance(rng, str) else rng
-        lst = _setting(args, config, "prime-list")
-        if lst is not None:
-            primes = _parse_int_list(lst) if isinstance(lst, str) else lst
-        include_exp = _setting(args, config, "include-experimental", _parse_bool)
-        ids_setting = _setting(args, config, "ids")
-        if ids_setting is not None:
-            ids = [i.strip() for i in ids_setting.split(",") if i.strip()] \
-                if isinstance(ids_setting, str) else ids_setting
-        else:
-            ids = all_ids() if include_exp else default_ids()
-        mod_exp_setting = _setting(args, config, "mod-exp")
-        if mod_exp_setting is None:
-            mod_exp = {}
-        elif isinstance(mod_exp_setting, str):
-            mod_exp = _parse_mod_exp([mod_exp_setting])
-        else:
-            mod_exp = _parse_mod_exp(mod_exp_setting)
-        jobs = _setting(args, config, "jobs", int)
-        cfg = RunConfig(
-            lo=lo,
-            hi=hi,
-            primes=primes,
-            ids=ids,
-            fmt=_setting(args, config, "format") or "human",
-            out=_setting(args, config, "out"),
-            jobs=1 if jobs is None else jobs,
-            timings=bool(_setting(args, config, "timings", _parse_bool)),
-            log=_setting(args, config, "log"),
-            mod_exp=mod_exp,
+        blocks = iter_blocks(
+            args.primes,
+            ids,
+            encode=partial(_verify_block, args.format, bool(args.log)),
+            jobs=args.jobs,
+            mod_exp=dict(pair for chunk in args.mod_exp for pair in chunk),
+            timings=args.timings,
         )
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
-    blocks = iter_blocks(
-        cfg.prime_iter(),
-        cfg.ids,
-        encode=partial(_verify_block, cfg.fmt, bool(cfg.log)),
-        jobs=cfg.jobs,
-        mod_exp=cfg.mod_exp,
-        timings=cfg.timings,
-    )
     counts: Counter[str] = Counter()
 
     def tally(log):
@@ -308,33 +266,16 @@ def _cmd_verify(args, parser) -> int:
             ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing",
         )
 
-    with _open_out(cfg.log, parser, "a") as log:
-        _write(tally(log), CongruenceReport._fields, cfg.fmt, cfg.out, parser, "verify", footer)
+    with _open_out(args.log, parser, "a") as log:
+        _write(tally(log), CongruenceReport._fields, args.format, args.out, parser, "verify",
+               footer)
     return 1 if counts[FAIL] else 0
 
 
 def _cmd_identities(args, parser) -> int:
     try:
-        config = _load_config(args.config) if args.config else {}
-        grid_n = _setting(args, config, "grid-n", int)
-        grid_p = _setting(args, config, "grid-p", int)
-        fmt = _setting(args, config, "format") or "human"
-        out = _setting(args, config, "out")
-        names = None
-        ids_setting = _setting(args, config, "ids")
-        if ids_setting is not None:
-            names = [i.strip() for i in ids_setting.split(",") if i.strip()] \
-                if isinstance(ids_setting, str) else ids_setting
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r}")
-        if grid_n is not None and grid_n < 1:
-            raise ValueError("grid-n must be >= 1")
-        if grid_p is not None and grid_p < 2:
-            raise ValueError("grid-p must be >= 2")
-        records = run_identity_suite(grid_n=grid_n, grid_p=grid_p, names=names)
+        records = run_identity_suite(grid_n=args.grid_n, grid_p=args.grid_p, names=args.ids)
     except ValueError as exc:
-        parser.error(str(exc))
-    except OSError as exc:
         parser.error(str(exc))
     rows = [
         (r.name, r.params, r.checks, r.status,
@@ -351,61 +292,47 @@ def _cmd_identities(args, parser) -> int:
         return text
 
     _emit(rows, ["name", "params", "checks", "status", "witness"],
-          fmt, out, parser, "identities", human, lambda: f"{len(rows)} suites, {len(fails)} failing")
+          args.format, args.out, parser, "identities", human,
+          lambda: f"{len(rows)} suites, {len(fails)} failing")
     return 1 if fails else 0
 
 
 def _cmd_eta(args, parser) -> int:
-    try:
-        config = _load_config(args.config) if args.config else {}
-        order = _setting(args, config, "order", int)
-        order = 64 if order is None else order
-        fmt = _setting(args, config, "format") or "human"
-        out = _setting(args, config, "out")
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r}")
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
-    tables = {name: coefficient_table(name, order) for name in sorted(ETA_PRODUCTS)}
+    tables = {name: coefficient_table(name, args.order) for name in sorted(ETA_PRODUCTS)}
     rows = [
-        (n, tables["a"][n], tables["b"][n], tables["c"][n]) for n in range(1, order + 1)
+        (n, tables["a"][n], tables["b"][n], tables["c"][n]) for n in range(1, args.order + 1)
     ]
-    _emit(rows, ["n", "a(n)", "b(n)", "c(n)"], fmt, out, parser, "eta",
+    _emit(rows, ["n", "a(n)", "b(n)", "c(n)"], args.format, args.out, parser, "eta",
           lambda row: "n={} a={} b={} c={}".format(*row))
     return 0
 
 
 def _cmd_repr(args, parser) -> int:
-    try:
-        config = _load_config(args.config) if args.config else {}
-        d = _setting(args, config, "d", int)
-        d = 1 if d is None else d
-        fmt = _setting(args, config, "format") or "human"
-        out = _setting(args, config, "out")
-        rng = _setting(args, config, "primes")
-        lo, hi = _parse_range(rng) if isinstance(rng, str) else (rng or (5, 100))
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if lo < 5:
-            raise ValueError("prime range must start at 5 or above")
-        if hi < lo:
-            raise ValueError("empty prime range")
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r}")
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+    d = args.d
     rows = []
-    for p in primes_in_range(lo, hi):
+    for p in args.primes:
         if d > 1 and p % d == 0:
             continue  # p = x^2 + d y^2 with p | d has no primitive solution
         rep = represent(p, d)
         if rep is not None:
             rows.append((p, d, rep.x, rep.y))
-    _emit(rows, ["p", "d", "x", "y"], fmt, out, parser, "repr",
+    _emit(rows, ["p", "d", "x", "y"], args.format, args.out, parser, "repr",
           lambda row: "p={0}: x={2} y={3} (p = x^2 + {1}*y^2)".format(*row))
     return 0
+
+
+def _config_keys(command, run, **defaults) -> None:
+    """Make the options ``command`` has so far the keys of its ``--config`` file.
+
+    The keys' parser takes full option names only and raises its errors, so
+    ``_read_config`` can name the line.  ``defaults`` are the values of the
+    options that neither the file nor a flag sets.
+    """
+    keys = argparse.ArgumentParser(parents=[command], add_help=False, allow_abbrev=False,
+                                   exit_on_error=False)
+    command.add_argument("--config", metavar="FILE",
+                         help="key = value lines, each read as --key=value (flags win)")
+    command.set_defaults(spec=(keys, {"format": "human", "out": None, **defaults}, run))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,24 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"binomsums {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, help="output format")
+    # no option has an argparse default, so a parse holds only the keys it was given
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=FORMATS, help="output format (default human)")
     common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument("--config", help="key=value options file (flags win)")
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="check congruence rows over primes"
-    )
-    p_verify.add_argument("--primes", help="prime range LO..HI (default 5..100)")
-    p_verify.add_argument("--prime-list", help="comma-separated primes")
-    p_verify.add_argument("--ids", help="comma-separated row ids (default: proven rows)")
-    p_verify.add_argument(
-        "--include-experimental", action="store_const", const=True, default=None,
-        help="also run conjectural rows",
-    )
+    def subcommand(name, help_text):
+        return sub.add_parser(name, parents=[common], help=help_text,
+                              argument_default=argparse.SUPPRESS)
+
+    p_verify = subcommand("verify", "check congruence rows over primes")
+    primes = p_verify.add_mutually_exclusive_group()
+    primes.add_argument("--primes", type=_prime_range, metavar="LO..HI",
+                        help="prime range (default 5..100)")
+    primes.add_argument("--prime-list", dest="primes", type=_prime_list, metavar="P,...",
+                        help="comma-separated primes")
+    p_verify.add_argument("--ids", type=_items, help="comma-separated row ids (default: proven rows)")
+    p_verify.add_argument("--include-experimental", nargs="?", const=True, type=_boolean,
+                          metavar="BOOL", help="also run conjectural rows")
     p_verify.add_argument("--jobs", type=int, help="worker processes (default 1)")
     p_verify.add_argument(
-        "--timings", action="store_const", const=True, default=None,
+        "--timings", nargs="?", const=True, type=_boolean, metavar="BOOL",
         help="fill the micros column with each row's marginal cost: its own "
         "evaluation, leaving out the shared per-prime tables, summands and sweeps "
         "(0 for table rows); off keeps output byte-identical",
@@ -445,38 +375,47 @@ def build_parser() -> argparse.ArgumentParser:
         "were formatted",
     )
     p_verify.add_argument(
-        "--mod-exp", action="append", metavar="ID=K",
+        "--mod-exp", action="append", type=_mod_exp, metavar="ID=K",
         help="override modulus exponent for a row (repeatable)",
     )
-    p_verify.set_defaults(func=_cmd_verify)
+    _config_keys(p_verify, _cmd_verify, primes=_prime_range("5..100"), ids=None,
+                 include_experimental=False, jobs=1, timings=False, log=None, mod_exp=[])
 
-    p_ids = sub.add_parser(
-        "identities", parents=[common], help="run exact identity suites"
-    )
-    p_ids.add_argument("--ids", help=f"suite names (default all: {','.join(SUITES)})")
-    p_ids.add_argument("--grid-n", type=int, help="override polynomial degree bound")
-    p_ids.add_argument("--grid-p", type=int, help="override shift-relation prime bound")
-    p_ids.set_defaults(func=_cmd_identities)
+    p_ids = subcommand("identities", "run exact identity suites")
+    p_ids.add_argument("--ids", type=_items, help=f"suite names (default all: {','.join(SUITES)})")
+    p_ids.add_argument("--grid-n", type=_at_least(1), help="override polynomial degree bound")
+    p_ids.add_argument("--grid-p", type=_at_least(2), help="override shift-relation prime bound")
+    _config_keys(p_ids, _cmd_identities, ids=None, grid_n=None, grid_p=None)
 
-    p_eta = sub.add_parser(
-        "eta", parents=[common], help="tabulate eta-product coefficients"
-    )
-    p_eta.add_argument("--order", type=int, help="truncation order (default 64)")
-    p_eta.set_defaults(func=_cmd_eta)
+    p_eta = subcommand("eta", "tabulate eta-product coefficients")
+    p_eta.add_argument("--order", type=_at_least(1), help="truncation order (default 64)")
+    _config_keys(p_eta, _cmd_eta, order=64)
 
-    p_repr = sub.add_parser(
-        "repr", parents=[common], help="solve p = x^2 + d*y^2 over a prime range"
-    )
-    p_repr.add_argument("--primes", help="prime range LO..HI (default 5..100)")
-    p_repr.add_argument("--d", type=int, help="form coefficient d (default 1)")
-    p_repr.set_defaults(func=_cmd_repr)
+    p_repr = subcommand("repr", "solve p = x^2 + d*y^2 over a prime range")
+    p_repr.add_argument("--primes", type=_prime_range, metavar="LO..HI",
+                        help="prime range (default 5..100)")
+    p_repr.add_argument("--d", type=_at_least(1), help="form coefficient d (default 1)")
+    _config_keys(p_repr, _cmd_repr, primes=_prime_range("5..100"), d=1)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    flags = vars(parser.parse_args(argv))
+    keys, defaults, run = flags.pop("spec")
+    try:
+        config = _read_config(flags.pop("config"), keys) if "config" in flags else {}
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    try:
+        status = run(argparse.Namespace(**{**defaults, **config, **flags}), parser)
+        sys.stdout.flush()  # so a closed pipe is met here rather than at exit
+    except BrokenPipeError:
+        # the reader of stdout has gone: leave no traceback, and send the flush
+        # at interpreter exit to devnull so that it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status of a process that SIGPIPE ended
+    return status
 
 
 if __name__ == "__main__":

@@ -1169,22 +1169,17 @@ def _plain(reports: list[CongruenceReport]) -> list[tuple]:
 def _arguments(primes, ids, jobs, mod_exp) -> tuple[list[int], tuple[str, ...], dict[str, int]]:
     """The primes, row ids in registry order and exponent overrides of a suite run,
     checked; ValueError for an unknown id, a jobs count below 1 or an exponent below 1."""
-    if ids is None:
-        id_list = all_ids()
-    else:
-        id_list = list(dict.fromkeys(ids))
-        for i in id_list:
-            if i not in _ROW_INDEX:
-                raise ValueError(f"unknown congruence id {i!r}")
-        id_list.sort(key=_ROW_INDEX.__getitem__)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    id_list = all_ids() if ids is None else list(dict.fromkeys(ids))
     over = dict(mod_exp or {})
-    for i, k in over.items():
+    for i in [*id_list, *over]:
         if i not in _ROW_INDEX:
             raise ValueError(f"unknown congruence id {i!r}")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    for i, k in over.items():
         if k < 1:
-            raise ValueError("modulus exponent must be >= 1")
+            raise ValueError(f"modulus exponent for {i} must be >= 1")
+    id_list.sort(key=_ROW_INDEX.__getitem__)
     ps = sorted({p for p in primes if p >= 5 and is_prime(p)})
     return ps, tuple(id_list), over
 

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 
@@ -37,6 +38,12 @@ def test_verify_basic_run():
         ("eta", "--order", "0"),
         ("repr", "--primes", "4..9"),
         ("identities", "--ids", "no_such_suite"),
+        ("verify", "--primes", "5..13", "--prime-list", "7"),
+        ("verify", "--primes", "5..20", "--ids", ""),
+        ("identities", "--ids", " , "),
+        ("verify", "--primes", "24..28"),
+        ("repr", "--primes", "24..28"),
+        ("verify", "--prime-list", "5", "--mod-exp", ""),
     ],
 )
 def test_usage_errors_exit_2(args):
@@ -256,3 +263,107 @@ def test_unwritable_output_path_is_a_usage_error(args, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert str(missing) in err and "Traceback" not in err
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "command,lines,lineno",
+    [
+        pytest.param("verify", "primes = 5..20\norder = 5\n", 2, id="other-subcommands-key"),
+        pytest.param("repr", "grid-n = 3\n", 1, id="repr-grid-n"),
+        pytest.param("verify", "# workers\njobs = abc\n", 2, id="jobs-not-an-int"),
+        pytest.param("verify", "format = xml\n", 1, id="format-not-a-choice"),
+        pytest.param("verify", "primes = 5..13\nprime-list = 7\n", 2, id="both-prime-options"),
+        pytest.param("verify", "ids =\n", 1, id="verify-no-ids"),
+        pytest.param("identities", "ids =\n", 1, id="identities-no-ids"),
+        pytest.param("eta", "order = 0\n", 1, id="order-below-1"),
+        pytest.param("verify", "mod-exp C1_7a=3\n", 1, id="key-with-a-space"),
+    ],
+)
+def test_config_usage_errors_name_the_line(command, lines, lineno, tmp_path):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(lines)
+    r = run_cli(command, "--config", str(cfg))
+    assert r.returncode == 2, r.stderr
+    assert f"{cfg}:{lineno}: " in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+# (subcommand, config line, the same option as flags, flags both runs share);
+# {dir} is the run's own directory
+CONFIG_KEYS = [
+    ("verify", "primes = 5..40", ("--primes", "5..40"), ()),
+    ("verify", "prime-list = 29,5,13", ("--prime-list", "29,5,13"), ()),
+    ("verify", "ids = CGZ, C1_7a", ("--ids", "CGZ, C1_7a"), ()),
+    ("verify", "include-experimental = yes", ("--include-experimental",), ("--prime-list", "13")),
+    ("verify", "jobs = 2", ("--jobs", "2"), ("--primes", "5..60", "--format", "csv")),
+    ("verify", "timings = on", ("--timings",),
+     ("--prime-list", "5,13", "--ids", "C1_7a,CGZ", "--format", "csv")),
+    ("verify", "log = {dir}/run.log", ("--log", "{dir}/run.log"), ("--primes", "5..30")),
+    ("verify", "mod-exp = C1_12=3,CGZ=2", ("--mod-exp", "C1_12=3,CGZ=2"), ()),
+    ("verify", "format = csv", ("--format", "csv"), ()),
+    ("verify", "out = {dir}/rows.txt", ("--out", "{dir}/rows.txt"), ()),
+    ("identities", "ids = delannoy_square", ("--ids", "delannoy_square"), ()),
+    ("identities", "grid-n = 6", ("--grid-n", "6"), ()),
+    ("identities", "grid-p = 7", ("--grid-p", "7"), ()),
+    ("identities", "format = csv", ("--format", "csv"), ()),
+    ("identities", "out = {dir}/ids.txt", ("--out", "{dir}/ids.txt"), ()),
+    ("eta", "order = 12", ("--order", "12"), ()),
+    ("eta", "format = csv", ("--format", "csv"), ()),
+    ("eta", "out = {dir}/eta.txt", ("--out", "{dir}/eta.txt"), ()),
+    ("repr", "primes = 5..60", ("--primes", "5..60"), ()),
+    ("repr", "d = 2", ("--d", "2"), ()),
+    ("repr", "format = csv", ("--format", "csv"), ()),
+    ("repr", "out = {dir}/repr.txt", ("--out", "{dir}/repr.txt"), ()),
+]
+
+
+@pytest.mark.parametrize("command,line,flags,shared", CONFIG_KEYS,
+                         ids=[f"{c}-{line.split()[0]}" for c, line, *_ in CONFIG_KEYS])
+def test_config_key_gives_the_flags_bytes(command, line, flags, shared, tmp_path):
+    results = []
+    for side in ("file", "flag"):
+        where = tmp_path / side
+        where.mkdir()
+        if side == "file":
+            cfg = where / "opts.cfg"
+            cfg.write_text(line.format(dir=where) + "\n")
+            option = ("--config", str(cfg))
+        else:
+            option = tuple(a.format(dir=where) for a in flags)
+        r = run_cli(command, *shared, *option)
+        files = {f.name: f.read_text() for f in where.iterdir() if f.suffix != ".cfg"}
+        if "run.log" in files:  # a record's ts is the time it was formatted
+            files["run.log"] = [json.loads(x)["record"] for x in files["run.log"].splitlines()]
+        # with --timings the micros vary from run to run; it is enough that both are filled
+        stdout = re.sub(r",[1-9][0-9]*$", ",T", r.stdout, flags=re.M) if "--timings" in flags \
+            else r.stdout
+        results.append((r.returncode, r.stderr, stdout, files))
+    assert results[0] == results[1]
+    status, stderr, stdout, files = results[0]
+    assert status in (0, 1) and stderr == "" and (stdout or files)
+    if "--timings" in flags:
+        assert ",T" in stdout and ",0\n" not in stdout
+
+
+def test_flag_replaces_the_config_value_of_its_key(tmp_path):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("mod-exp = C1_12=3\nprimes = 5..30\nids = C1_12,C1_13\n")
+    r = run_cli("verify", "--config", str(cfg), "--mod-exp", "C1_13=3", "--prime-list", "5")
+    assert "C1_12 p=5 mod 25: pass" in r.stdout  # the file's C1_12=3 is replaced, not merged
+    assert "C1_13 p=5 mod 125:" in r.stdout
+    assert "p=7" not in r.stdout  # --prime-list replaces the file's primes
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_exits_without_a_traceback(jobs):
+    # the whole output is far larger than a pipe buffer, so the run meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "binomsums", "verify", "--primes", "5..200", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"C1_1 p=5 ")
+    proc.stdout.close()
+    # a worker left running would hold stderr open past the timeout
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode not in (0, 1, 2)

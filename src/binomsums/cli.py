@@ -332,7 +332,7 @@ def _config_keys(command, run, **defaults) -> None:
                                    exit_on_error=False)
     command.add_argument("--config", metavar="FILE",
                          help="key = value lines, each read as --key=value (flags win)")
-    command.set_defaults(spec=(keys, {"format": "human", "out": None, **defaults}, run))
+    command.set_defaults(spec=(keys, {"format": "human", "out": None, **defaults}, run, command))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,13 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     flags = vars(parser.parse_args(argv))
-    keys, defaults, run = flags.pop("spec")
+    # usage errors past this point print the subcommand's usage, as argparse's own do
+    keys, defaults, run, command = flags.pop("spec")
     try:
         config = _read_config(flags.pop("config"), keys) if "config" in flags else {}
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        command.error(str(exc))
     try:
-        status = run(argparse.Namespace(**{**defaults, **config, **flags}), parser)
+        status = run(argparse.Namespace(**{**defaults, **config, **flags}), command)
         sys.stdout.flush()  # so a closed pipe is met here rather than at exit
     except BrokenPipeError:
         # the reader of stdout has gone: leave no traceback, and send the flush

@@ -40,11 +40,12 @@ verification run unsuccessful.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, chain, repeat
+from operator import add, eq, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._sweeps import SHIFT_FAMILIES, shift_sums
@@ -147,7 +148,9 @@ class Shift(NamedTuple):
 
     def column(self, ctx: PrimeContext, kexp: int, values) -> list[int]:
         sums = ctx.sweep((self.base,), kexp)[self.base]
-        return [sums[v if self.d is None else self.d] for v in values]
+        if self.d is None:
+            return list(map(sums.__getitem__, values))
+        return [sums[self.d]] * len(values)
 
     def limit(self, p: int) -> int:
         return SHIFT_FAMILIES[self.base].step * p
@@ -257,6 +260,14 @@ def _family_sum(base: int, binomials) -> Sum:
 
 # each shift family's weight w(k) as a summand
 _FAMILY = {base: _family_sum(base, fam.binomials) for base, fam in SHIFT_FAMILIES.items()}
+_CENTRAL = Sum(1, 1)  # C(2k,k) itself
+
+
+def _shifted(d: int) -> tuple[tuple[int, int, int], ...]:
+    """C(2k, k+d) = (2k)! / ((k+d)! (k-d)!) as factors, for k >= d."""
+    return (2, 0, 1), (1, d, -1), (1, -d, -1)
+
+
 # C(2k,k+1) / C(2k,k) = k!^2 / ((k+1)! (k-1)!), for k >= 1
 _SHIFT1 = ((1, 0, 2), (1, 1, -1), (1, -1, -1))
 # Catalan(k) / C(2k,k) = k! / (k+1)!
@@ -271,17 +282,38 @@ def _column(table: list[int], a: int, b: int, lo: int, hi: int) -> list[int]:
     return table[a * lo + b : stop if stop >= 0 else None : a]
 
 
+def _product(cols: list[list[int]], pv: list[int] | None, pk: int) -> list[int]:
+    """pv[k] * prod_i cols[i][k] mod pk for every k, pv None standing for all 1.
+
+    Three columns are folded into one per pass until the last pass can take
+    the rest: four columns, or two or three and pv.  An entry whose pv is 0
+    is left at 0 without its product.
+    """
+    ones = pv is None
+    while len(cols) > 3 + ones:
+        cols[-3:] = [[q and x * y * z % pk for x, y, z, q in zip(*cols[-3:], pv or repeat(1))]]
+    if not ones:
+        if len(cols) == 3:
+            return [q and x * y * z * q % pk for x, y, z, q in zip(*cols, pv)]
+        return [q and x * y * q % pk for x, y, q in zip(*cols, pv)]
+    if len(cols) == 4:
+        return [x * y * z * w % pk for x, y, z, w in zip(*cols)]
+    if len(cols) == 3:
+        return [x * y * z % pk for x, y, z in zip(*cols)]
+    return [x * y % pk for x, y in zip(*cols)] if len(cols) == 2 else cols[0]
+
+
 class PrimeContext:
     """Shared per-prime state for congruence evaluation.
 
-    Every summand comes from one term engine, ``terms``: a product
+    Every summand comes from one term engine, ``_kernel``: a product
     C(2k,k)^c * prod (a k + b)!^e / base^k is read per k from the factorial
     tables as a sum of valuations and a product of units, with no ratio
     stream.  C(2k,k) is read from the tables once (``central``), which is
     also where the tail invariants get their valuations.  Summands, their
     moments, sweep outputs and quadratic representations are cached on first
-    use, so checking many rows at one prime costs one pass per distinct
-    summand and moment.
+    use, so checking many rows at one prime costs one kernel call per
+    distinct summand and one pass per moment.
 
     A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
     at K is reduced from the lowest higher exponent cached, and built only if
@@ -385,99 +417,88 @@ class PrimeContext:
         """Valuations and units mod p^kexp of C(2k,k)^central / base^k for k < p.
 
         ``base`` is inverted mod p^kexp, so negative and residue bases are
-        fine.  Cached: the rows that share a power and a base share one pass.
+        fine.  Cached: the summands that share a power and a base
+        (``_SHARED_POWERS``) share one pass; with central 0 it is base^-k.
         """
 
         def build():
             pk = self.pk(kexp)
-            cval, cunit = self.central(kexp)
-            if base == 1:
-                units = [u**central % pk for u in cunit]
-            elif central:
-                scale = self.central_power(0, base, kexp)[1]
-                units = [u**central * s % pk for u, s in zip(cunit, scale)]
-            else:
+            if not central:
                 binv, s = mod_inverse(base % pk, pk), 1
-                units = [1] + [(s := s * binv % pk) for _ in range(self.p - 1)]
-            return [central * v for v in cval], units
+                return [0] * self.p, [1] + [(s := s * binv % pk) for _ in range(self.p - 1)]
+            cval, cunit = self.central(kexp)
+            scale = [self.central_power(0, base, kexp)[1]] if base != 1 else []
+            return [central * v for v in cval], _product([cunit] * central + scale, None, pk)
 
         return self._at(("cpow", central, base), kexp, build)
 
-    def terms(
-        self,
-        kexp: int,
-        base: int = 1,
-        central: int = 0,
-        factors: tuple[tuple[int, int, int], ...] = (),
-        lo: int = 0,
-        hi: int | None = None,
-    ) -> tuple[list[int], list[int]]:
-        """Valuations and units of C(2k,k)^central prod (a k + b)!^e / base^k.
+    def summand(self, kexp: int, s: Sum) -> list[int]:
+        """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k."""
+        return self._at(("summand", s.key), kexp, lambda: self._kernel(kexp, s))
 
-        One entry per k in lo..hi (hi defaults to p-1), units mod p^kexp.
-        The summand starts from ``central_power`` and every factorial factor
-        is a table lookup; repeated (a, b) factors are merged by summing their
-        exponents, so each distinct factorial costs one pass.  The factorial
-        table is grown to the largest a k + b the factors reach.
+    def _kernel(self, kexp: int, s: Sum) -> list[int]:
+        """The residues of the summand of ``s``: its valuations first, then its units.
+
+        Its factors are columns over k in lo..hi: C(2k,k) c times and base^-k
+        (or their power from ``central_power``, where summands share it), and
+        each merged (a k + b)!^e |e| times.  A full-range summand with c >= 2
+        needs v_p(C(2k,k)^c) >= 2 at every (p+1)/2 <= k < p, and every
+        valuation must be >= 0: ArithmeticError naming the summand, p and k.
+        The unit columns and p^v (0 for v >= kexp, left out where every v
+        is 0) are then multiplied: by ``_product``, or, for a single unit
+        column, in the pass that reads p^v.
         """
-        hi = self.p - 1 if hi is None else hi
-        vals, units = self.central_power(central, base, kexp)
-        vals, units = vals[lo : hi + 1], units[lo : hi + 1]
-        t = self.tables(kexp, max([a * k + b for a, b, _ in factors for k in (lo, hi)], default=0))
-        pk = t.pk
+        p, lo = self.p, s.lo
+        hi = self.n if s.half else p - 1
+        t = self.tables(kexp, s.limit(p))
+        vcols, cols = [], []  # (valuation column, add or sub), unit columns
+
+        def factor(val: list[int], unit: list[int], op, times: int) -> None:
+            if any(val):  # (a k + b)! is often p-free over the whole range
+                vcols.extend([(val, op)] * times)
+            cols.extend([unit] * times)
+
+        shared = s.central and (s.base, s.central) in _SHARED_POWERS
+        if s.central:
+            val, unit = self.central_power(s.central, s.base, kexp) if shared else self.central(kexp)
+            times, start = 1 if shared else s.central, (p + 1) // 2
+            if s.central >= 2 and not s.half and times * min(val[start:]) < 2:
+                k = next(k for k in range(start, p) if times * val[k] < 2)
+                raise ArithmeticError(f"C(2k,k)^{s.central}/{s.base}^k: tail valuation "
+                                      f"{times * val[k]} < 2 at p={p}, k={k}")
+            factor(val[lo : hi + 1], unit[lo : hi + 1], add, times)
+        if s.base != 1 and not shared:
+            cols.append(self.central_power(0, s.base, kexp)[1][lo : hi + 1])
         merged: dict[tuple[int, int], int] = {}
-        for a, b, e in factors:
+        for a, b, e in s.factors:
             merged[a, b] = merged.get((a, b), 0) + e
         for (a, b), e in merged.items():
-            if not e:
-                continue
-            col = _column(t.val, a, b, lo, hi)
-            if any(col):  # (a k + b)! is often p-free over the whole range
-                vals = [v + e * x for v, x in zip(vals, col)]
-            col, m = _column(t.unit if e > 0 else t.inv_unit, a, b, lo, hi), abs(e)
-            if m == 1:
-                units = [u * x % pk for u, x in zip(units, col)]
-            else:
-                units = [u * x**m % pk for u, x in zip(units, col)]
-        return vals, units
+            if e:
+                factor(_column(t.val, a, b, lo, hi),
+                       _column(t.unit if e > 0 else t.inv_unit, a, b, lo, hi),
+                       add if e > 0 else sub, abs(e))
 
-    def residues(self, kexp: int, terms: tuple[list[int], list[int]],
-                 s: Sum | None = None) -> list[int]:
-        """p^val * unit mod p^kexp for each (val, unit) of ``terms``, the summand of ``s`` if given.
+        def valuations() -> Iterable[int]:
+            (vals, op), *rest = vcols
+            vals = vals if op is add else map(sub, repeat(0), vals)
+            for col, op in rest:
+                vals = map(op, vals, col)
+            return vals
 
-        A term with a negative valuation is not p-integral and has no residue:
-        ArithmeticError naming the summand, p and k.
-        """
-        vals, units = terms
-        pk = self.pk(kexp)
-        pp = {v: self.p**v for v in range(1, kexp)}  # no key for a negative valuation
-        try:
-            return [(pp[v] * u % pk if v else u) if v < kexp else 0 for v, u in zip(vals, units)]
-        except KeyError:
-            i = next(i for i, v in enumerate(vals) if v < 0)
-            label, lo = (s.label, s.lo) if s else ("term", 0)
-            raise ArithmeticError(f"{label}: valuation {vals[i]} < 0, not p-integral, "
-                                  f"at p={self.p}, k={lo + i}") from None
-
-    def summand(self, kexp: int, s: Sum) -> list[int]:
-        """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k.
-
-        A full-range summand carrying C(2k,k)^c with c >= 2 must have
-        v_p(C(2k,k)^c) >= 2 at every (p+1)/2 <= k < p; ArithmeticError if not.
-        """
-
-        def build():
-            terms = self.terms(kexp, s.base, s.central, s.factors, s.lo, self.n if s.half else None)
-            if s.central >= 2 and not s.half:
-                # valuations only: a lower exponent would reduce C(2k,k)'s units for nothing
-                cval, start = self.central_power(s.central, s.base, kexp)[0], (self.p + 1) // 2
-                if min(cval[start:]) < 2:
-                    k = next(k for k in range(start, self.p) if cval[k] < 2)
-                    raise ArithmeticError(f"C(2k,k)^{s.central}/{s.base}^k: tail valuation "
-                                          f"{cval[k]} < 2 at p={self.p}, k={k}")
-            return self.residues(kexp, terms, s)
-
-        return self._at(("summand", s.key), kexp, build)
+        pv, pk = None, t.pk
+        if vcols:
+            # v_p(m!) grows with m, so a column's largest entry is at one of its ends
+            top = sum(max(col[0], col[-1]) for col, op in vcols if op is add)
+            pp = {v: p**v if v < kexp else 0 for v in range(top + 1)}  # no key below 0
+            try:
+                if len(cols) == 1:
+                    return [x * pp[v] % pk if v else x for x, v in zip(*cols, valuations())]
+                pv = list(map(pp.__getitem__, valuations()))
+            except KeyError:
+                i, v = next((i, v) for i, v in enumerate(valuations()) if v < 0)
+                raise ArithmeticError(f"{s.label}: valuation {v} < 0, not p-integral, "
+                                      f"at p={p}, k={lo + i}") from None
+        return _product(cols or [[1] * (hi - lo + 1)], pv, pk)
 
     def moment(self, kexp: int, s: Sum, j: int) -> int:
         """sum_k k^j t_k mod p^kexp over the summand t of ``s``."""
@@ -502,17 +523,11 @@ class PrimeContext:
         """Residues of C(2k, k+d) for d <= k < p mod p^kexp.
 
         The shift engine reads its seeds S(0), S(1) and its check S((p-1)/2)
-        from these columns, which every family shares.  The d = 0 column is
-        C(2k,k) itself.
+        from these columns, which every family shares.  Each is a summand of
+        the term engine; the d = 0 column is C(2k,k) itself.
         """
-
-        def build():
-            if d == 0:
-                return self.residues(kexp, self.central(kexp))
-            t = self.tables(kexp, 2 * self.p)
-            return t.binomials([(2 * k, k + d) for k in range(d, self.p)])
-
-        return self._at(("column", d), kexp, build)
+        s = _CENTRAL if d == 0 else Sum(1, 0, factors=_shifted(d), lo=d)
+        return self._at(("column", d), kexp, lambda: self._kernel(kexp, s))
 
     def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
         """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp.
@@ -555,11 +570,7 @@ class PrimeContext:
 def _reference_shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
     """sum_{d<=k<p} w_base[k] * C(2k, k+d) mod p^kexp, summed term by term."""
     fam = _FAMILY[base]
-    if d == 0:  # C(2k, k) is one more central factor
-        summand = fam._replace(central=fam.central + 1)
-    else:
-        summand = fam._replace(factors=fam.factors + ((2, 0, 1), (1, d, -1), (1, -d, -1)), lo=d)
-    return ctx.moment(kexp, summand, 0)
+    return ctx.moment(kexp, fam._replace(factors=fam.factors + _shifted(d), lo=d), 0)
 
 
 # --- the rows that keep a function ----------------------------------------
@@ -610,14 +621,14 @@ def _eval_c4_1(ctx, kexp, x, *sums):
     return (lhs,), rhs
 
 
-def _eval_c_ahl(ctx, kexp, _):
-    """(-1|p) sum_{k<=n} C(n,k)^2 C(n+k,k) (-1)^k against 4x^2 - 2p, p = x^2 + 2y^2.
+def _ahl_sum(n: int) -> Sum:
+    """C(n,k)^2 C(n+k,k) (-1)^k = n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k) for k <= n = (p-1)/2."""
+    return Sum(-1, 0, factors=((0, n, 1), (1, n, 1), (1, 0, -3), (-1, n, -2)), half=True)
 
-    The summand n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k) has factors in n = (p-1)/2.
-    """
-    n, pkv = ctx.n, ctx.pk(kexp)
-    terms = ctx.terms(kexp, -1, 0, ((0, n, 1), (1, n, 1), (1, 0, -3), (-1, n, -2)), hi=n)
-    lhs = ctx.legendre(-1) * sum(ctx.residues(kexp, terms)) % pkv
+
+def _eval_c_ahl(ctx, kexp, _):
+    """(-1|p) sum_{k<=n} C(n,k)^2 C(n+k,k) (-1)^k against 4x^2 - 2p, p = x^2 + 2y^2."""
+    lhs = ctx.legendre(-1) * ctx.moment(kexp, _ahl_sum(ctx.n), 0) % ctx.pk(kexp)
     return (lhs,), Closed(x2=4, p=-2, d=2)(ctx, kexp, None)
 
 
@@ -666,9 +677,16 @@ class RowSpec:
         return (self.param_values is not None and isinstance(st, Statement) and len(st.lhs) == 1
                 and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
 
+    @cached_property
+    def _limited(self) -> tuple:
+        """The terms whose declared factorial argument may reach past p: a ``Sum``
+        without factors reads n! only for n <= p."""
+        return tuple(t for t in self.terms
+                     if hasattr(t, "limit") and not (isinstance(t, Sum) and not t.factors))
+
     def limit(self, p: int) -> int:
         """The largest factorial argument the row reads at p, C(2k,k) left out."""
-        return max([p] + [t.limit(p) for t in self.terms if hasattr(t, "limit")])
+        return max([t.limit(p) for t in self._limited], default=p)
 
     @cached_property
     def central(self) -> bool:
@@ -945,6 +963,14 @@ _REGISTRY: tuple[RowSpec, ...] = (
 _ROW_INDEX = {row.id: i for i, row in enumerate(_REGISTRY)}
 
 
+# the (base, c) of each power C(2k,k)^c / base^k that two or more summands of the
+# registry and the shift families read: ``_kernel`` reads these from ``central_power``'s
+# cache and multiplies any other into the summand's own pass
+_READERS = Counter(key[:2] for key in {s.key for s in _FAMILY.values()} | {
+    t.key for row in _REGISTRY for t in row.terms if isinstance(t, Sum)} if key[1])
+_SHARED_POWERS = frozenset(pair for pair, n in _READERS.items() if n > 1)
+
+
 def _check_table_rows() -> None:
     """``_row_reports`` gives a table row's reports pass or fail, so none may be conjectural."""
     for row in _REGISTRY:
@@ -975,6 +1001,19 @@ def _format_params(row: RowSpec, value: int | None) -> str:
     return f"{row.param_name}={value}"
 
 
+# "name=v" for v = 0, 1, ... per parameter name, grown as larger primes need more;
+# the strings never change, so every prime's table-row reports share them
+_PARAMS: dict[str, list[str]] = {}
+
+
+def _table_params(name: str, values) -> Iterator[str]:
+    """``name=v`` for each v of ``values``, integers >= 0 (a table row's shifts or
+    indices), read from ``_PARAMS``."""
+    strs = _PARAMS.setdefault(name, [])
+    strs.extend(f"{name}={v}" for v in range(len(strs), max(values, default=-1) + 1))
+    return map(strs.__getitem__, values)
+
+
 def _status(row: RowSpec, p: int, value: int | None, ok: bool) -> str:
     if row.conjectural(p, value):
         return XPASS if ok else XFAIL
@@ -990,28 +1029,12 @@ def _report(row, ctx, kexp, value, members, rhs, micros=0) -> CongruenceReport:
             if a != b:
                 lhs_out, rhs_out = a, b
                 break
-    return CongruenceReport(
-        id=row.id,
-        p=ctx.p,
-        params=_format_params(row, value),
-        modulus=ctx.pk(kexp),
-        lhs=lhs_out,
-        rhs=rhs_out,
-        status=_status(row, ctx.p, value, ok),
-        micros=micros,
-    )
+    return CongruenceReport(row.id, ctx.p, _format_params(row, value), ctx.pk(kexp),
+                            lhs_out, rhs_out, _status(row, ctx.p, value, ok), micros)
 
 
 def _skipped(row: RowSpec, p: int, kexp: int, value: int | None = None) -> CongruenceReport:
-    return CongruenceReport(
-        id=row.id,
-        p=p,
-        params=_format_params(row, value),
-        modulus=p**kexp,
-        lhs=None,
-        rhs=None,
-        status=SKIPPED,
-    )
+    return CongruenceReport(row.id, p, _format_params(row, value), p**kexp, None, None, SKIPPED)
 
 
 def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int, ...], int]:
@@ -1106,13 +1129,13 @@ def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
     if not row.applies(p):
         return [_skipped(row, p, kexp)]
     values = (None,) if row.param_values is None else row.param_values(p)
-    if row.table:  # never conjectural (see _check_table_rows)
+    if row.table:  # never conjectural (see _check_table_rows): built column by column
         (term,), rhs = row.statement
-        table = zip(values, term.column(ctx, kexp, values), rhs.column(ctx, kexp, values))
-        prefix, new, rid = f"{row.param_name}=", tuple.__new__, row.id
-        return [new(CongruenceReport, (rid, p, f"{prefix}{v}", pkv, lhs, r,
-                                       PASS if lhs == r else FAIL, 0))
-                for v, lhs, r in table]
+        lhs, rhs = term.column(ctx, kexp, values), rhs.column(ctx, kexp, values)
+        statuses = map((FAIL, PASS).__getitem__, map(eq, lhs, rhs))
+        fields = zip(repeat(row.id), repeat(p), _table_params(row.param_name, values),
+                     repeat(pkv), lhs, rhs, statuses, repeat(0))
+        return list(map(tuple.__new__, repeat(CongruenceReport), fields))
     bases = [t.base for t in row.terms if isinstance(t, Shift)]
     if bases:  # one engine pass serves every shifted sum of a family
         ctx.sweep(bases, kexp)
@@ -1151,7 +1174,7 @@ def _suite_for_prime(
             parts[i] = _row_reports(ctx, rows[i], kexps[i], timings)
         except Exception as exc:
             raise _located(exc, rows[i].id, p) from exc
-    return [r for part in parts for r in part]
+    return list(chain.from_iterable(parts))
 
 
 def _suite_worker(args):
@@ -1201,13 +1224,13 @@ def iter_suite(
     to overridden modulus exponents.  ``timings`` fills the per-row micros
     field (kept at 0 otherwise so repeated runs are byte-identical).
 
-    The arguments are checked here, when it is called; the generator it
+    The arguments are checked here, when it is called; the iterator it
     returns evaluates one prime at a time as it is consumed (with ``jobs``,
     each prime's reports as they arrive), so no run holds every report.
     """
     ps, ids, over = _arguments(primes, ids, jobs, mod_exp)
     if jobs == 1 or len(ps) <= 1:
-        return (r for p in ps for r in _suite_for_prime(p, ids, over, timings))
+        return chain.from_iterable(_suite_for_prime(p, ids, over, timings) for p in ps)
     blocks = _stream(ps, ids, over, jobs, timings, _plain)
     return (CongruenceReport._make(r) for block in blocks for r in block)
 

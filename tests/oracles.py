@@ -112,3 +112,39 @@ def factorial_tables(p: int, k: int, limit: int) -> tuple[list[int], list[int], 
             m //= p
         inv[n - 1] = inv[n] * m % pk
     return val, unit, inv
+
+
+def summand_residues(ctx, kexp: int, base: int, central: int, factors, lo: int, hi: int,
+                     label: str = "term") -> list[int]:
+    """Residues mod p^kexp of C(2k,k)^central prod (a k + b)!^e / base^k for lo <= k <= hi.
+
+    The multi-pass term engine the package used before its one-pass kernel:
+    the summand starts from ``ctx.central_power``; each distinct factorial,
+    its exponents merged, costs one pass for its units and one for its
+    valuations where they are not all 0; a last pass gives p^v * unit, 0 for
+    v >= kexp.  A negative valuation raises ArithmeticError naming ``label``,
+    p and k.
+    """
+    def column(table, a, b):
+        return [table[a * k + b] for k in range(lo, hi + 1)]
+
+    p, pk = ctx.p, ctx.pk(kexp)
+    vals, units = ctx.central_power(central, base, kexp)
+    vals, units = vals[lo : hi + 1], units[lo : hi + 1]
+    t = ctx.tables(kexp, max([a * k + b for a, b, _ in factors for k in (lo, hi)], default=0))
+    merged: dict = {}
+    for a, b, e in factors:
+        merged[a, b] = merged.get((a, b), 0) + e
+    for (a, b), e in merged.items():
+        if not e:
+            continue
+        col = column(t.val, a, b)
+        if any(col):
+            vals = [v + e * x for v, x in zip(vals, col)]
+        col = column(t.unit if e > 0 else t.inv_unit, a, b)
+        units = [u * x ** abs(e) % pk for u, x in zip(units, col)]
+    for i, v in enumerate(vals):
+        if v < 0:
+            raise ArithmeticError(f"{label}: valuation {v} < 0, not p-integral, "
+                                  f"at p={p}, k={lo + i}")
+    return [p**v * u % pk if v < kexp else 0 for v, u in zip(vals, units)]

@@ -288,6 +288,25 @@ def test_config_usage_errors_name_the_line(command, lines, lineno, tmp_path):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args,config",
+    [
+        pytest.param(("verify", "--config", "{cfg}"), "jobs = abc\n", id="config-line"),
+        pytest.param(("verify", "--prime-list", "5", "--ids", "NOPE"), None, id="unknown-id"),
+        pytest.param(("verify", "--prime-list", "5", "--out", "{dir}/no_such_dir/rows.csv"), None,
+                     id="unwritable-path"),
+    ],
+)
+def test_verify_usage_errors_print_the_subcommands_usage(args, config, tmp_path):
+    cfg = tmp_path / "opts.cfg"
+    if config:
+        cfg.write_text(config)
+    r = run_cli(*(a.format(cfg=cfg, dir=tmp_path) for a in args))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("usage: binomsums verify "), r.stderr
+    assert "binomsums verify: error: " in r.stderr and r.stdout == ""
+
+
 # (subcommand, config line, the same option as flags, flags both runs share);
 # {dir} is the run's own directory
 CONFIG_KEYS = [

@@ -33,6 +33,7 @@ from binomsums.congruences import (
     registry,
     run_suite,
 )
+from oracles import summand_residues
 
 
 def fm(fr, m):
@@ -415,6 +416,47 @@ def test_residues_reject_a_term_that_is_not_p_integral():
     assert PrimeContext(13).summand(2, Sum(1, 0, factors=((1, 0, 1), (1, 0, -1)))) == [1] * 13
 
 
+def test_kernel_matches_the_multipass_oracle():
+    # every summand the package reads: the registry's, the shift families'
+    # weights, C(2k,k) itself and C_AHL's, whose factors are in n = (p-1)/2
+    sums = {t.key: t for row in registry() for t in row.terms if isinstance(t, Sum)}
+    sums.update({s.key: s for s in (*congruences._FAMILY.values(), congruences._CENTRAL)})
+    for p in primes_in_range(5, 59):
+        n = (p - 1) // 2
+        for kexp in (1, 2, 3, 4):
+            ctx, ref = PrimeContext(p), PrimeContext(p)
+            for s in (*sums.values(), congruences._ahl_sum(n)):
+                hi = n if s.half else p - 1
+                want = summand_residues(ref, kexp, s.base, s.central, s.factors, s.lo, hi,
+                                        s.label)
+                assert ctx.summand(kexp, s) == want, (p, kexp, s)
+
+
+def test_kernel_and_oracle_reject_the_same_negative_valuation():
+    # (2k+1)!^-1 holds p^-1 from k = (p-1)/2, where C(2k,k) is still a unit
+    s = Sum(8, 1, factors=((2, 1, -1),))
+    for p in (13, 31):
+        for kexp in (1, 2, 3, 4):
+            with pytest.raises(ArithmeticError) as want:
+                summand_residues(PrimeContext(p), kexp, 8, 1, s.factors, 0, p - 1, s.label)
+            with pytest.raises(ArithmeticError) as got:
+                PrimeContext(p).summand(kexp, s)
+            assert str(got.value) == str(want.value), (p, kexp)
+            assert str(got.value).endswith(f"at p={p}, k={(p - 1) // 2}")
+    code = (
+        "from binomsums.congruences import PrimeContext, Sum\n"
+        "try:\n"
+        "    PrimeContext(13).summand(2, Sum(8, 1, factors=((2, 1, -1),)))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    with pytest.raises(ArithmeticError) as want:
+        summand_residues(PrimeContext(13), 2, 8, 1, s.factors, 0, 12, s.label)
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str(want.value)
+
+
 def test_import_does_not_load_numpy():
     code = "import sys, binomsums, binomsums.cli; print('numpy' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -702,6 +744,19 @@ def test_c1_2_table_row_matches_reference_path():
             suite = run_suite([p], ["C1_2"], mod_exp={"C1_2": kexp})
             ref = [check("C1_2", p, k, mod_exp=kexp) for k in range((p - 1) // 2 + 1)]
             assert suite == ref, (p, kexp)
+
+
+@pytest.mark.parametrize("rid", ["C1_5", "C1_19", "C1_20", "C1_21"])
+def test_shift_table_rows_match_reference_path(rid, monkeypatch):
+    # the params strings start empty and grow as the primes rise
+    monkeypatch.setattr(congruences, "_PARAMS", {})
+    row = _REGISTRY[_ROW_INDEX[rid]]
+    for p in primes_in_range(5, 59):
+        for kexp in (1, 2, 3, 4):
+            suite = run_suite([p], [rid], mod_exp={rid: kexp})
+            ref = [check(rid, p, d, mod_exp=kexp) for d in row.param_values(p)]
+            assert suite == ref, (p, kexp)
+            assert {type(r) for r in suite} == {CongruenceReport}, (p, kexp)
 
 
 _HALFRANGE_IDS = ("C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12",

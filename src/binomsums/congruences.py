@@ -39,6 +39,7 @@ verification run unsuccessful.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -446,12 +447,16 @@ class PrimeContext:
         valuation must be >= 0: ArithmeticError naming the summand, p and k.
         The unit columns and p^v (0 for v >= kexp, left out where every v
         is 0) are then multiplied: by ``_product``, or, for a single unit
-        column, in the pass that reads p^v.
+        column, in the pass that reads p^v.  An entry whose p^v is 0 is left
+        at 0 without its product.
         """
         p, lo = self.p, s.lo
         hi = self.n if s.half else p - 1
         t = self.tables(kexp, s.limit(p))
         vcols, cols = [], []  # (valuation column, add or sub), unit columns
+
+        def span(col: list[int]) -> list[int]:  # cached lists hold every k < p: no copy of all
+            return col if lo == 0 and hi == p - 1 else col[lo : hi + 1]
 
         def factor(val: list[int], unit: list[int], op, times: int) -> None:
             if any(val):  # (a k + b)! is often p-free over the whole range
@@ -466,9 +471,9 @@ class PrimeContext:
                 k = next(k for k in range(start, p) if times * val[k] < 2)
                 raise ArithmeticError(f"C(2k,k)^{s.central}/{s.base}^k: tail valuation "
                                       f"{times * val[k]} < 2 at p={p}, k={k}")
-            factor(val[lo : hi + 1], unit[lo : hi + 1], add, times)
+            factor(span(val), span(unit), add, times)
         if s.base != 1 and not shared:
-            cols.append(self.central_power(0, s.base, kexp)[1][lo : hi + 1])
+            cols.append(span(self.central_power(0, s.base, kexp)[1]))
         merged: dict[tuple[int, int], int] = {}
         for a, b, e in s.factors:
             merged[a, b] = merged.get((a, b), 0) + e
@@ -492,7 +497,8 @@ class PrimeContext:
             pp = {v: p**v if v < kexp else 0 for v in range(top + 1)}  # no key below 0
             try:
                 if len(cols) == 1:
-                    return [x * pp[v] % pk if v else x for x, v in zip(*cols, valuations())]
+                    return [(q := pp[v]) and x * q % pk if v else x
+                            for x, v in zip(*cols, valuations())]
                 pv = list(map(pp.__getitem__, valuations()))
             except KeyError:
                 i, v = next((i, v) for i, v in enumerate(valuations()) if v < 0)
@@ -683,6 +689,11 @@ class RowSpec:
         without factors reads n! only for n <= p."""
         return tuple(t for t in self.terms
                      if hasattr(t, "limit") and not (isinstance(t, Sum) and not t.factors))
+
+    @cached_property
+    def shift_bases(self) -> tuple[int, ...]:
+        """The bases of the row's shifted sums."""
+        return tuple(t.base for t in self.terms if isinstance(t, Shift))
 
     def limit(self, p: int) -> int:
         """The largest factorial argument the row reads at p, C(2k,k) left out."""
@@ -1136,9 +1147,8 @@ def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
         fields = zip(repeat(row.id), repeat(p), _table_params(row.param_name, values),
                      repeat(pkv), lhs, rhs, statuses, repeat(0))
         return list(map(tuple.__new__, repeat(CongruenceReport), fields))
-    bases = [t.base for t in row.terms if isinstance(t, Shift)]
-    if bases:  # one engine pass serves every shifted sum of a family
-        ctx.sweep(bases, kexp)
+    if row.shift_bases:  # one engine pass serves every shifted sum of a family
+        ctx.sweep(row.shift_bases, kexp)
     reports = []
     for v in values:
         start = time.perf_counter_ns() if timings else 0
@@ -1163,18 +1173,32 @@ def _suite_for_prime(
     raised while a row is evaluated is raised again as the same class with
     ``row=<id>, p=<p>`` in its message, chained from the original; when two
     rows would raise, the one with the higher exponent is reported.
+
+    The cyclic garbage collector is paused for the evaluation and left as the
+    caller had it on return or raise: the evaluation makes no reference
+    cycles, so its collections would find nothing but walk its young lists
+    and reports (a tuple subclass, never untracked).  The prime's context is
+    dropped first, to be freed by reference counting without a walk.  No
+    caller code runs in the pause.
     """
-    ctx = PrimeContext(p)
-    rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
-    kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
-    _plan_tables(ctx, zip(rows, kexps))
-    parts: list[list[CongruenceReport]] = [[] for _ in rows]
-    for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
-        try:
-            parts[i] = _row_reports(ctx, rows[i], kexps[i], timings)
-        except Exception as exc:
-            raise _located(exc, rows[i].id, p) from exc
-    return list(chain.from_iterable(parts))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = PrimeContext(p)
+        rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
+        kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
+        _plan_tables(ctx, zip(rows, kexps))
+        parts: list[list[CongruenceReport]] = [[] for _ in rows]
+        for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
+            try:
+                parts[i] = _row_reports(ctx, rows[i], kexps[i], timings)
+            except Exception as exc:
+                raise _located(exc, rows[i].id, p) from exc
+        return list(chain.from_iterable(parts))
+    finally:
+        ctx = None  # freed by reference counting, not walked by the collector
+        if collecting:
+            gc.enable()
 
 
 def _suite_worker(args):

@@ -6,18 +6,21 @@ The batched suite path is additionally pinned against the reference path.
 """
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import random
 import re
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 
-from binomsums import _sweeps, arith, congruences
+from binomsums import _sweeps, arith, cli, congruences
 from binomsums.arith import FactorialTables, legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
     CongruenceReport,
@@ -845,3 +848,63 @@ def test_corrupted_shared_column_raises_for_every_family(monkeypatch):
                 PrimeContext(13).sweep((base,), 2)
         with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=\d+, K=2.*\(row=C1_5, p=13\)"):
             run_suite([13], ["C1_5"])
+
+
+def test_the_suite_leaves_no_reference_cycles():
+    # the premise of evaluating each prime with the cyclic collector paused
+    ps = primes_in_range(5, 200)
+    csv_block = partial(cli._verify_block, "csv", False)
+    for drain in (lambda: iter_suite(ps), lambda: congruences.iter_blocks(ps, encode=csv_block)):
+        gc.collect()
+        gc.disable()
+        try:
+            deque(drain(), 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_the_collector_is_the_callers_at_every_hand_back(monkeypatch):
+    ps = primes_in_range(5, 60)
+    assert gc.isenabled()
+    reports = run_suite(ps)
+    assert gc.isenabled()
+    assert all(gc.isenabled() for _ in iter_suite(ps))  # at every yield of the stream
+    assert all(congruences.iter_blocks(ps, encode=lambda block: gc.isenabled()))
+    assert run_suite(ps, jobs=2) == reports and gc.isenabled()
+    gc.disable()
+    try:
+        assert run_suite(ps) == reports and not gc.isenabled()
+    finally:
+        gc.enable()
+    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_first_seed)
+    with pytest.raises(ArithmeticError, match=r"\(row=C1_5, p=13\)"):
+        run_suite([13], ["C1_5"])
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(ArithmeticError, match=r"\(row=C1_5, p=13\)"):
+            run_suite([13], ["C1_5"])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_a_prime_triggers_about_one_collection():
+    # a count, not a time: each prime's allocations are made with the collector
+    # paused, so it collects about once per prime; unpaused, three times as often
+    ps = primes_in_range(1009, 1100)
+    shift_ids = ["C1_5", "C1_6", "C1_19", "C1_20", "C1_21", "C1_22", "C1_23", "C1_24", "C1_25", "C1_26"]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_suite(ps, shift_ids)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(starts) <= len(ps) + 2, starts

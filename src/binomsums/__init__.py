@@ -7,7 +7,13 @@ Subpackages:
     identities   exact polynomial/rational identity and recursion checks
     congruences  the congruence registry, checker and batch runner
     cli          command-line front end
+
+``identities`` and ``qseries``, and ``IdentityRecord``, ``run_identity_suite``,
+``coefficient_closed_form`` and ``coefficient_table`` from them, load on first access
+(PEP 562): no ``verify`` run executes them, so ``import binomsums`` leaves them out.
 """
+
+import importlib
 
 from .arith import (
     FactorialTables,
@@ -29,10 +35,24 @@ from .congruences import (
     registry,
     run_suite,
 )
-from .identities import IdentityRecord, run_identity_suite
-from .qseries import coefficient_closed_form, coefficient_table
 
 __version__ = "0.1.0"
+
+_LAZY = {"identities": "identities", "IdentityRecord": "identities",
+         "run_identity_suite": "identities", "qseries": "qseries",
+         "coefficient_closed_form": "qseries", "coefficient_table": "qseries"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "CongruenceReport",

@@ -11,10 +11,9 @@ once; the helpers it calls take the prime as tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -182,8 +181,7 @@ class FactorialTables:
                 for n, r in pairs]
 
 
-@dataclass(frozen=True)
-class QuadraticRepresentation:
+class QuadraticRepresentation(NamedTuple):
     """p = x^2 + d*y^2 in normalized form.
 
     For d = 1 (so p ≡ 1 mod 4): x is odd with x ≡ 1 (mod 4) — the sign of x is

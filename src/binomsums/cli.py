@@ -35,8 +35,6 @@ from functools import partial
 from . import __version__
 from .arith import is_prime, primes_in_range, represent
 from .congruences import FAIL, CongruenceReport, all_ids, default_ids, iter_blocks
-from .identities import SUITES, run_identity_suite
-from .qseries import ETA_PRODUCTS, coefficient_table
 
 FORMATS = ("human", "jsonl", "csv")
 
@@ -273,6 +271,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_identities(args, parser) -> int:
+    from .identities import run_identity_suite
+
     try:
         records = run_identity_suite(grid_n=args.grid_n, grid_p=args.grid_p, names=args.ids)
     except ValueError as exc:
@@ -298,6 +298,8 @@ def _cmd_identities(args, parser) -> int:
 
 
 def _cmd_eta(args, parser) -> int:
+    from .qseries import ETA_PRODUCTS, coefficient_table
+
     tables = {name: coefficient_table(name, args.order) for name in sorted(ETA_PRODUCTS)}
     rows = [
         (n, tables["a"][n], tables["b"][n], tables["c"][n]) for n in range(1, args.order + 1)
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                  include_experimental=False, jobs=1, timings=False, log=None, mod_exp=[])
 
     p_ids = subcommand("identities", "run exact identity suites")
-    p_ids.add_argument("--ids", type=_items, help=f"suite names (default all: {','.join(SUITES)})")
+    p_ids.add_argument("--ids", type=_items, help="suite names (default all)")
     p_ids.add_argument("--grid-n", type=_at_least(1), help="override polynomial degree bound")
     p_ids.add_argument("--grid-p", type=_at_least(2), help="override shift-relation prime bound")
     _config_keys(p_ids, _cmd_identities, ids=None, grid_n=None, grid_p=None)

@@ -42,12 +42,11 @@ from __future__ import annotations
 import gc
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, eq, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._sweeps import SHIFT_FAMILIES, shift_sums
 from .arith import FactorialTables, _euler_criterion, is_prime, mod_inverse, represent
@@ -147,11 +146,11 @@ class Shift(NamedTuple):
         swept = ctx._cache.get(("sweep", self.base, kexp))
         return swept[d] if swept is not None else _reference_shift_sum(ctx, kexp, self.base, d)
 
-    def column(self, ctx: PrimeContext, kexp: int, values) -> list[int]:
+    def column(self, ctx: PrimeContext, kexp: int, values: range) -> list[int]:
         sums = ctx.sweep((self.base,), kexp)[self.base]
-        if self.d is None:
-            return list(map(sums.__getitem__, values))
-        return [sums[self.d]] * len(values)
+        if self.d is not None:
+            return [sums[self.d]] * len(values)
+        return sums[values.start:values.stop:values.step]
 
     def limit(self, p: int) -> int:
         return SHIFT_FAMILIES[self.base].step * p
@@ -638,30 +637,32 @@ def _eval_c_ahl(ctx, kexp, _):
     return (lhs,), Closed(x2=4, p=-2, d=2)(ctx, kexp, None)
 
 
-def _qualifying_shifts(parity_of: Callable[[int], int]) -> Callable[[int], tuple[int, ...]]:
+def _qualifying_shifts(parity_of: Callable[[int], int]) -> Callable[[int], range]:
     """The shifts d < p with d = parity_of(p) (mod 2)."""
-    return lambda p: tuple(range(parity_of(p) % 2, p, 2))
+    return lambda p: range(parity_of(p) % 2, p, 2)
 
 
-@dataclass(frozen=True)
-class RowSpec:
-    """Registry entry for one congruence family.
-
-    ``modulus_exp`` is the exponent K of the modulus p^K, either a constant
-    or a function of p for rows whose strength depends on the prime class.
-    ``statement`` is a ``Statement``, a map from each parameter value to its
-    ``Statement``, or a ``Custom`` function for a row outside the vocabulary.
-    """
-
+class _RowFields(NamedTuple):
     id: str
     modulus_exp: int | Callable[[int], int]
     description: str
     applies: Callable[[int], bool]
     statement: Statement | dict[int, Statement] | Custom
     param_name: str = ""
-    param_values: Callable[[int], tuple[int, ...]] | None = None
+    param_values: Callable[[int], Sequence[int]] | None = None
     conjectural: Callable[[int, int | None], bool] = lambda p, v: False
     experimental: bool = False
+
+
+class RowSpec(_RowFields):
+    """Registry entry for one congruence family.
+
+    ``modulus_exp`` is the exponent K of the modulus p^K, either a constant
+    or a function of p for rows whose strength depends on the prime class.
+    ``statement`` is a ``Statement``, a map from each parameter value to its
+    ``Statement``, or a ``Custom`` function for a row outside the vocabulary.
+    The fields are a named tuple's; the derived properties are cached in ``__dict__``.
+    """
 
     def exponent(self, p: int) -> int:
         return self.modulus_exp(p) if callable(self.modulus_exp) else self.modulus_exp
@@ -678,7 +679,8 @@ class RowSpec:
 
     @cached_property
     def table(self) -> bool:
-        """One report per parameter value, read from the columns of one lhs term and the rhs."""
+        """One report per parameter value, read from the columns of one lhs term and the rhs;
+        the values must be a ``range``, which the columns take as one slice."""
         st = self.statement
         return (self.param_values is not None and isinstance(st, Statement) and len(st.lhs) == 1
                 and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
@@ -722,7 +724,7 @@ _REGISTRY: tuple[RowSpec, ...] = (
         Statement((Binomial(lambda p, k: ((p - 1) // 2 + k, 2 * k)),),
                   Binomial(lambda p, k: (2 * k, k), -16)),
         param_name="k",
-        param_values=lambda p: tuple(range((p - 1) // 2 + 1)),
+        param_values=lambda p: range((p - 1) // 2 + 1),
     ),
     RowSpec(
         "C1_5", 2,
@@ -985,7 +987,7 @@ _SHARED_POWERS = frozenset(pair for pair, n in _READERS.items() if n > 1)
 def _check_table_rows() -> None:
     """``_row_reports`` gives a table row's reports pass or fail, so none may be conjectural."""
     for row in _REGISTRY:
-        if row.table and row.conjectural is not RowSpec.conjectural:
+        if row.table and row.conjectural is not RowSpec._field_defaults["conjectural"]:
             raise ValueError(f"table row {row.id} cannot be conjectural")
 
 
@@ -1017,12 +1019,12 @@ def _format_params(row: RowSpec, value: int | None) -> str:
 _PARAMS: dict[str, list[str]] = {}
 
 
-def _table_params(name: str, values) -> Iterator[str]:
-    """``name=v`` for each v of ``values``, integers >= 0 (a table row's shifts or
-    indices), read from ``_PARAMS``."""
+def _table_params(name: str, values: range) -> list[str]:
+    """``name=v`` for each v of ``values``, a range of integers >= 0 (a table row's
+    shifts or indices), as one slice of ``_PARAMS[name]``."""
     strs = _PARAMS.setdefault(name, [])
-    strs.extend(f"{name}={v}" for v in range(len(strs), max(values, default=-1) + 1))
-    return map(strs.__getitem__, values)
+    strs.extend(f"{name}={v}" for v in range(len(strs), values.stop))
+    return strs[values.start:values.stop:values.step]
 
 
 def _status(row: RowSpec, p: int, value: int | None, ok: bool) -> str:
@@ -1144,8 +1146,9 @@ def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
         (term,), rhs = row.statement
         lhs, rhs = term.column(ctx, kexp, values), rhs.column(ctx, kexp, values)
         statuses = map((FAIL, PASS).__getitem__, map(eq, lhs, rhs))
-        fields = zip(repeat(row.id), repeat(p), _table_params(row.param_name, values),
-                     repeat(pkv), lhs, rhs, statuses, repeat(0))
+        n = len(values)  # strict: a short column raises rather than drops reports
+        fields = zip(repeat(row.id, n), repeat(p, n), _table_params(row.param_name, values),
+                     repeat(pkv, n), lhs, rhs, statuses, repeat(0, n), strict=True)
         return list(map(tuple.__new__, repeat(CongruenceReport), fields))
     if row.shift_bases:  # one engine pass serves every shifted sum of a family
         ctx.sweep(row.shift_bases, kexp)

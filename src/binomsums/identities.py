@@ -569,7 +569,7 @@ def run_identity_suite(
     out = []
     for name in names if names is not None else SUITES:
         if name not in SUITES:
-            raise ValueError(f"unknown identity suite {name!r}")
+            raise ValueError(f"unknown identity suite {name!r} (known: {', '.join(SUITES)})")
         fn, kind, default = SUITES[name]
         bound = default
         if kind == "n" and grid_n is not None:

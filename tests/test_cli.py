@@ -174,6 +174,16 @@ def test_identities_subcommand():
     assert "0 failing" in r.stdout
 
 
+def test_unknown_identity_suite_names_the_known_ones():
+    from binomsums.identities import SUITES
+
+    r = run_cli("identities", "--ids", "nosuch")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert f"unknown identity suite 'nosuch' (known: {', '.join(SUITES)})" in r.stderr
+
+
 def test_jobs_flag_matches_serial():
     for fmt in ("csv", "human", "jsonl"):
         serial = run_cli("verify", "--primes", "5..60", "--format", fmt)

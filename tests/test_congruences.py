@@ -5,7 +5,6 @@ Fraction arithmetic, math.comb), then compared with the engine's residues.
 The batched suite path is additionally pinned against the reference path.
 """
 
-import dataclasses
 import gc
 import multiprocessing
 import os
@@ -467,6 +466,31 @@ def test_import_does_not_load_numpy():
     assert r.stdout.strip() == "False"
 
 
+def test_import_and_verify_load_no_identity_or_eta_code(tmp_path):
+    """``import binomsums`` and a ``verify`` run leave out the modules no verify
+    run executes; the lazy names still resolve on first access."""
+
+    def loaded(code, *names):
+        """Which of ``names`` are in ``sys.modules`` after ``code`` in a fresh interpreter."""
+        code = f"import sys; {code}; print(*set(sys.argv[1:]) & set(sys.modules))"
+        r = subprocess.run([sys.executable, "-c", code, *names], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        return set(r.stdout.split())
+
+    lazy = {"binomsums.identities", "binomsums.qseries"}
+    unused = lazy | {"dataclasses", "inspect"}
+    eager = {"binomsums.arith", "binomsums.congruences"}
+    start = loaded("pass", *unused)  # what the interpreter's own start-up loads
+    assert loaded("import binomsums", *unused, *eager) == start | eager
+    out = tmp_path / "verify.csv"
+    argv = ["verify", "--primes", "5..30", "--format", "csv", "--out", str(out)]
+    assert loaded(f"import binomsums.cli; binomsums.cli.main({argv!r})", *lazy) <= start
+    assert out.read_text().startswith("id,p,params,modulus,lhs,rhs,status,micros\n")
+    names = ["IdentityRecord", "run_identity_suite", "coefficient_closed_form",
+             "coefficient_table", "identities.SUITES", "qseries.ETA_PRODUCTS"]
+    assert loaded("import binomsums; " + "; ".join(f"binomsums.{n}" for n in names), *lazy) == lazy
+
+
 def test_parallel_matches_serial():
     ps = primes_in_range(5, 60)
     ids = ["C1_5", "C1_7a", "CL3_3", "CGZ", "C4_1", "CM"]
@@ -480,7 +504,7 @@ def test_parallel_matches_serial():
 @pytest.mark.parametrize("rid", ["C1_2", "C1_5", "C1_19", "C1_20", "C1_21"])
 def test_table_rows_cannot_be_conjectural(monkeypatch, rid):
     i = _ROW_INDEX[rid]
-    row = dataclasses.replace(_REGISTRY[i], conjectural=lambda p, v: True)
+    row = _REGISTRY[i]._replace(conjectural=lambda p, v: True)
     monkeypatch.setattr(congruences, "_REGISTRY", (*_REGISTRY[:i], row, *_REGISTRY[i + 1 :]))
     with pytest.raises(ValueError, match=f"table row {rid} cannot be conjectural"):
         congruences._check_table_rows()
@@ -762,7 +786,16 @@ def test_shift_table_rows_match_reference_path(rid, monkeypatch):
             assert {type(r) for r in suite} == {CongruenceReport}, (p, kexp)
 
 
-_HALFRANGE_IDS = ("C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12",
+def test_a_short_table_column_raises(monkeypatch):
+    """A table row's column shorter than its shifts raises instead of dropping reports."""
+    sweep = PrimeContext.sweep
+    monkeypatch.setattr(PrimeContext, "sweep", lambda self, bases, kexp: {
+        b: sums[:-2] for b, sums in sweep(self, bases, kexp).items()})
+    with pytest.raises(ValueError, match=r"shorter .*\(row=C1_5, p=31\)$"):
+        run_suite([31], ["C1_5"])
+
+
+_HALFRANGE_IDS =("C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12",
                   "C1_13", "C3_2", "C3_3", "C3_4", "C3_5", "CR3_1", "CG", "CM",
                   "CL3_2", "CL3_3", "CGZ")
 

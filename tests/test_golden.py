@@ -53,13 +53,41 @@ GOLDEN = [
         0,
         "7b9151faed2e6aeaaa762d0aeaf6922337259e2ae8dec51a7733e7ec5b31e4d3",
     ),
+    # p = x^2 + d y^2 over 5..400, taken while ``QuadraticRepresentation`` was
+    # a dataclass: d = 1 has the signed x = 1 (mod 4), d = 7 skips p = 7
+    (
+        ("repr", "--primes", "5..400", "--d", "1", "--format", "csv"),
+        0,
+        "39867e097e96344e3970810cae4ebc5e2303cc67016ad5d38d2f320bf5e290a1",
+    ),
+    (
+        ("repr", "--primes", "5..400", "--d", "2", "--format", "csv"),
+        0,
+        "0f29442f80c60b1e0ba31f0da3c4e59d458789b7549c4f1bb343e7665d39a183",
+    ),
+    (
+        ("repr", "--primes", "5..400", "--d", "3", "--format", "csv"),
+        0,
+        "41a92b46e1cde917f3bf8be07a006e3b7ea34a2a042e28c01a0a8569f02619f1",
+    ),
+    (
+        ("repr", "--primes", "5..400", "--d", "7", "--format", "csv"),
+        0,
+        "42de8c26c3a56b85a95297b70dd98ab999ea55ac9d3fcb64f55c2a9cc5ed90ae",
+    ),
+    (
+        ("repr", "--primes", "5..400", "--d", "1", "--format", "human"),
+        0,
+        "94d2febb4b62f6857478809eaabadb90548fb270b23b6b05f0a3b0aac77b4211",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "args,status,digest",
     GOLDEN,
-    ids=["all_rows", "shift_high_k", "identities", "eta", "human", "jsonl_body"],
+    ids=["all_rows", "shift_high_k", "identities", "eta", "human", "jsonl_body",
+         "repr_d1", "repr_d2", "repr_d3", "repr_d7", "repr_human"],
 )
 def test_golden_cli_output(args, status, digest):
     r = subprocess.run([sys.executable, "-m", "binomsums", *args], capture_output=True)

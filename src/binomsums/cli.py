@@ -30,11 +30,12 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from datetime import datetime, timezone
-from functools import partial
+from functools import lru_cache, partial
 
 from . import __version__
 from .arith import is_prime, primes_in_range, represent
-from .congruences import FAIL, CongruenceReport, all_ids, default_ids, iter_blocks
+from .congruences import (FAIL, SKIPPED, CongruenceReport, all_ids, block_rows, default_ids,
+                          iter_blocks)
 
 FORMATS = ("human", "jsonl", "csv")
 
@@ -203,33 +204,69 @@ def _emit(rows, columns, fmt, out, parser, command, human_row, footer=None):
     _write([_text(fmt, columns, rows, human_row)], columns, fmt, out, parser, command, footer)
 
 
-def _human_report(r: CongruenceReport) -> str:
-    head = f"{r.id} p={r.p}"
-    if r.params:
-        head += f" {r.params}"
-    if r.status == "skipped":
-        return f"{head}: skipped"
-    text = f"{head} mod {r.modulus}: {r.status} lhs={r.lhs} rhs={r.rhs}"
-    if r.micros:
-        text += f" ({r.micros}us)"
-    return text
+_quoted = lru_cache(maxsize=None)(json.dumps)  # each distinct string JSON-quoted once
+_spaced = lru_cache(maxsize=None)(lambda s: s and " " + s)  # the params of a human line
+
+# each format's fields in order: (index in a column block, text before, encoding or None: str)
+_CSV_FIELDS = [(i, "," if i else "", None) for i in range(8)]
+_JSON_FIELDS = [(i, ", " * bool(j) + f'"{name}": ', _quoted if i in (0, 2, 6) else None)
+                for j, (name, i) in enumerate(sorted(zip(CongruenceReport._fields, range(8))))]
+_HUMAN_FIELDS = [(0, "", None), (1, " p=", None), (2, "", _spaced), (3, " mod ", None),
+                 (6, ": ", None), (4, " lhs=", None), (5, " rhs=", None),
+                 (7, "", lambda us: f" ({us}us)" if us else "")]
 
 
-def _verify_block(fmt: str, log: bool, reports: list[CongruenceReport]):
-    """One prime's reports as (their rows in ``fmt``, their status counts, their
-    ``--log`` records, or "" without ``log``).
+def _lines(block, fields, head, end, none) -> str:
+    """The rows of a column block as lines of ``head``, ``fields`` and ``end``, None
+    as ``none``: a field with one value for every row is encoded once into the text
+    between the columns that vary, which a ``%`` template or, for one, a join fills in."""
+    parts, columns = [head], []
+    for i, before, encode in fields:
+        value = block[i]
+        if type(value) is list and value.count(value[0]) < len(value):
+            parts[-1] += before
+            parts.append("")
+            columns.append(value if encode is None else list(map(encode, value)))
+        else:
+            value = value[0] if type(value) is list else value
+            parts[-1] += before + (none if value is None else (encode or str)(value))
+    parts[-1] += end
+    if not columns:  # every row alike
+        return parts[0] * len(block[2])
+    if len(columns) == 1:  # rows that differ in one column: a join
+        return parts[0] + (parts[1] + parts[0]).join(map(str, columns[0])) + parts[1]
+    return "".join(map("%s".join(p.replace("%", "%%") for p in parts).__mod__, zip(*columns)))
 
-    ``verify`` hands this to ``iter_blocks``, so under ``--jobs`` it runs in
-    the worker that made the reports and the parent only writes text.  Every
-    record of a block has the time the block was formatted as its ``ts``.
-    """
-    text = _text(fmt, CongruenceReport._fields, reports, _human_report)
-    records = ""
-    if log:
-        ts = datetime.now(timezone.utc).isoformat()
-        records = "".join(json.dumps({"ts": ts, "record": r._asdict()}, sort_keys=True) + "\n"
-                          for r in reports)
-    return text, Counter([r.status for r in reports]), records
+
+def _csv_lines(block) -> str:
+    """csv.writer's lines for the block: its template's, unless a field holds a quote, a
+    comma, \\r or \\n, which csv.writer quotes and which add to the counts below."""
+    text, n = _lines(block, _CSV_FIELDS, "", "\r\n", ""), len(block[2])
+    if text.count(",") == 7 * n and text.count("\r") == text.count("\n") == n and '"' not in text:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf).writerows(block_rows(block))
+    return buf.getvalue()
+
+
+_ENCODERS = {
+    "csv": _csv_lines,
+    "jsonl": lambda block: _lines(block, _JSON_FIELDS, "{", "}\n", "null"),
+    "human": lambda block: (_lines(block, _HUMAN_FIELDS[:3], "", ": skipped\n", "None")
+                            if block[6] == SKIPPED else _lines(block, _HUMAN_FIELDS, "", "\n", "None")),
+}
+
+
+def _verify_block(fmt: str, log: bool, blocks: list[tuple]):
+    """One prime's column blocks as (their rows in ``fmt``, their status counts,
+    their ``--log`` records, each with the time of the call as its ``ts``, or
+    "" without ``log``), made in the pool worker under ``--jobs``."""
+    counts: Counter[str] = Counter()
+    for b in blocks:
+        counts.update(b[6] if type(b[6]) is list else {b[6]: len(b[2])})
+    end = '}, "ts": %s}\n' % json.dumps(datetime.now(timezone.utc).isoformat())
+    records = [_lines(b, _JSON_FIELDS, '{"record": {', end, "null") for b in blocks if log]
+    return "".join(map(_ENCODERS[fmt], blocks)), counts, "".join(records)
 
 
 # --- subcommands ------------------------------------------------------------

@@ -26,10 +26,13 @@ Two evaluation paths exist and are pinned against each other by the tests:
   exponent reads tables, summands and moments reduced from a higher one.
   The shift engine gives all S(d) of a family at once in O(p), stepping the
   certified d -> d+2 relations from seeds read from binomial columns that
-  every family shares.  Reports are yielded one prime at a time;
-  ``run_suite`` collects them into a list, and ``iter_blocks`` yields each
-  prime's reports encoded by a given function, which a pooled run calls in
-  the worker.
+  every family shares.  A row at a prime gives one column block: a report's
+  fields, ``id``, ``p`` and ``modulus`` one value each, ``params`` a list of
+  one entry per report, and ``lhs``, ``rhs``, ``status`` and ``micros`` each
+  a list as long or one value for every report (a skipped row: one report,
+  lhs and rhs None, status the one value ``skipped``).  ``iter_blocks`` hands
+  each prime's blocks to an encoder, in the worker on a pooled run;
+  ``iter_suite`` yields them as reports, and ``run_suite`` lists those.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
 ``experimental-fail`` for conjectural ones, and ``skipped`` when a row's side
@@ -985,7 +988,7 @@ _SHARED_POWERS = frozenset(pair for pair, n in _READERS.items() if n > 1)
 
 
 def _check_table_rows() -> None:
-    """``_row_reports`` gives a table row's reports pass or fail, so none may be conjectural."""
+    """``_row_block`` gives a table row's statuses pass or fail, so none may be conjectural."""
     for row in _REGISTRY:
         if row.table and row.conjectural is not RowSpec._field_defaults["conjectural"]:
             raise ValueError(f"table row {row.id} cannot be conjectural")
@@ -1033,21 +1036,13 @@ def _status(row: RowSpec, p: int, value: int | None, ok: bool) -> str:
     return PASS if ok else FAIL
 
 
-def _report(row, ctx, kexp, value, members, rhs, micros=0) -> CongruenceReport:
-    ok = all(m == rhs for m in members)
-    lhs_out, rhs_out = members[0], rhs
-    if not ok:
-        seq = (*members, rhs)
-        for a, b in zip(seq, seq[1:]):
-            if a != b:
-                lhs_out, rhs_out = a, b
-                break
-    return CongruenceReport(row.id, ctx.p, _format_params(row, value), ctx.pk(kexp),
-                            lhs_out, rhs_out, _status(row, ctx.p, value, ok), micros)
-
-
-def _skipped(row: RowSpec, p: int, kexp: int, value: int | None = None) -> CongruenceReport:
-    return CongruenceReport(row.id, p, _format_params(row, value), p**kexp, None, None, SKIPPED)
+def _outcome(row: RowSpec, p: int, value, members, rhs) -> tuple[int, int, str]:
+    """(lhs, rhs, status) of a report: on failure the chain's first differing pair."""
+    seq = (*members, rhs)
+    for a, b in zip(seq, seq[1:]):
+        if a != b:
+            return a, b, _status(row, p, value, False)
+    return members[0], rhs, _status(row, p, value, True)
 
 
 def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int, ...], int]:
@@ -1123,42 +1118,54 @@ def check(
             raise ValueError(f"{congruence_id} takes no parameter")
     elif param is None:
         raise ValueError(f"{congruence_id} needs parameter {row.param_name!r}")
-    if not row.applies(p):
-        return _skipped(row, p, kexp, param)
-    if row.param_values is not None and param not in row.param_values(p):
-        return _skipped(row, p, kexp, param)
+    head = (row.id, p, _format_params(row, param), p**kexp)
+    if not row.applies(p) or (row.param_values is not None and param not in row.param_values(p)):
+        return CongruenceReport(*head, None, None, SKIPPED)
     ctx = PrimeContext(p)
     try:
         _plan_tables(ctx, [(row, kexp)])
         members, rhs = _evaluate(row, ctx, kexp, param)
     except Exception as exc:
         raise _located(exc, row.id, p) from exc
-    return _report(row, ctx, kexp, param, members, rhs)
+    return CongruenceReport(*head, *_outcome(row, p, param, members, rhs))
 
 
-def _row_reports(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool):
-    """The reports of ``row`` at ``ctx.p`` mod p^kexp, in parameter order."""
+def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tuple:
+    """The column block of ``row`` at ``ctx.p`` mod p^kexp, in parameter order."""
     p, pkv = ctx.p, ctx.pk(kexp)
     if not row.applies(p):
-        return [_skipped(row, p, kexp)]
+        return row.id, p, [""], pkv, None, None, SKIPPED, 0
     values = (None,) if row.param_values is None else row.param_values(p)
-    if row.table:  # never conjectural (see _check_table_rows): built column by column
+    if row.table:  # never conjectural (see _check_table_rows): its columns as they come
         (term,), rhs = row.statement
         lhs, rhs = term.column(ctx, kexp, values), rhs.column(ctx, kexp, values)
-        statuses = map((FAIL, PASS).__getitem__, map(eq, lhs, rhs))
-        n = len(values)  # strict: a short column raises rather than drops reports
-        fields = zip(repeat(row.id, n), repeat(p, n), _table_params(row.param_name, values),
-                     repeat(pkv, n), lhs, rhs, statuses, repeat(0, n), strict=True)
-        return list(map(tuple.__new__, repeat(CongruenceReport), fields))
+        if not len(lhs) == len(rhs) == len(values):  # raise rather than drop or invent reports
+            raise ValueError(f"a column is shorter or longer than the {len(values)} values")
+        status = PASS if lhs == rhs else list(map((FAIL, PASS).__getitem__, map(eq, lhs, rhs)))
+        return row.id, p, _table_params(row.param_name, values), pkv, lhs, rhs, status, 0
     if row.shift_bases:  # one engine pass serves every shifted sum of a family
         ctx.sweep(row.shift_bases, kexp)
-    reports = []
+    outcomes, micros = [], []
     for v in values:
-        start = time.perf_counter_ns() if timings else 0
+        start = time.perf_counter_ns()
         members, rhs = _evaluate(row, ctx, kexp, v)
-        micros = (time.perf_counter_ns() - start) // 1000 if timings else 0
-        reports.append(_report(row, ctx, kexp, v, members, rhs, micros))
-    return reports
+        micros.append((time.perf_counter_ns() - start) // 1000)
+        outcomes.append(_outcome(row, p, v, members, rhs))
+    lhs, rhs, status = map(list, zip(*outcomes))
+    params = [_format_params(row, v) for v in values]
+    return row.id, p, params, pkv, lhs, rhs, status, micros if timings else 0
+
+
+def block_rows(block: tuple) -> Iterator[tuple]:
+    """The reports of a column block (see the module docstring) as plain tuples."""
+    n = len(block[2])
+    return zip(*[col if type(col) is list else repeat(col, n) for col in block])
+
+
+def _reports(blocks: list[tuple]) -> list[CongruenceReport]:
+    """The reports of a prime's column blocks."""
+    rows = chain.from_iterable(map(block_rows, blocks))
+    return list(map(tuple.__new__, repeat(CongruenceReport), rows))
 
 
 def _suite_for_prime(
@@ -1166,8 +1173,9 @@ def _suite_for_prime(
     ids: tuple[str, ...],
     mod_exp: dict[str, int],
     timings: bool,
-) -> list[CongruenceReport]:
-    """The reports of the rows ``ids`` at ``p``, in registry then parameter order.
+    finish: Callable[[list[tuple]], object] | None = None,
+) -> object:
+    """The column blocks of the rows ``ids`` at ``p``, in registry order, or ``finish(blocks)``.
 
     The prime's factorial table is built once (``_plan_tables``).
     The rows are evaluated from the highest exponent down, in registry order
@@ -1177,12 +1185,12 @@ def _suite_for_prime(
     ``row=<id>, p=<p>`` in its message, chained from the original; when two
     rows would raise, the one with the higher exponent is reported.
 
-    The cyclic garbage collector is paused for the evaluation and left as the
-    caller had it on return or raise: the evaluation makes no reference
-    cycles, so its collections would find nothing but walk its young lists
-    and reports (a tuple subclass, never untracked).  The prime's context is
-    dropped first, to be freed by reference counting without a walk.  No
-    caller code runs in the pause.
+    The cyclic garbage collector is paused for the evaluation and ``finish``
+    and left as the caller had it on return or raise: the evaluation makes no
+    reference cycles, so its collections would find nothing but walk its young
+    lists and any reports (a tuple subclass, never untracked).  The prime's
+    context is dropped first, to be freed by reference counting without a
+    walk.  No caller code runs in the pause.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -1191,13 +1199,13 @@ def _suite_for_prime(
         rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
         kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
         _plan_tables(ctx, zip(rows, kexps))
-        parts: list[list[CongruenceReport]] = [[] for _ in rows]
+        blocks: list = [None] * len(rows)
         for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
             try:
-                parts[i] = _row_reports(ctx, rows[i], kexps[i], timings)
+                blocks[i] = _row_block(ctx, rows[i], kexps[i], timings)
             except Exception as exc:
                 raise _located(exc, rows[i].id, p) from exc
-        return list(chain.from_iterable(parts))
+        return blocks if finish is None else finish(blocks)
     finally:
         ctx = None  # freed by reference counting, not walked by the collector
         if collecting:
@@ -1205,15 +1213,10 @@ def _suite_for_prime(
 
 
 def _suite_worker(args):
-    """``encode`` of one prime's reports, in the worker process that made them."""
+    """One prime's column blocks, which pickle as a few lists, or ``encode`` of them."""
     p, ids, mod_exp_items, timings, encode = args
-    return encode(_suite_for_prime(p, ids, dict(mod_exp_items), timings))
-
-
-def _plain(reports: list[CongruenceReport]) -> list[tuple]:
-    """The reports as plain tuples: a named tuple would pickle through a
-    Python-level ``__getnewargs__`` call per report."""
-    return list(map(tuple, reports))
+    blocks = _suite_for_prime(p, ids, dict(mod_exp_items), timings)
+    return blocks if encode is None else encode(blocks)
 
 
 def _arguments(primes, ids, jobs, mod_exp) -> tuple[list[int], tuple[str, ...], dict[str, int]]:
@@ -1256,27 +1259,27 @@ def iter_suite(
     each prime's reports as they arrive), so no run holds every report.
     """
     ps, ids, over = _arguments(primes, ids, jobs, mod_exp)
-    if jobs == 1 or len(ps) <= 1:
-        return chain.from_iterable(_suite_for_prime(p, ids, over, timings) for p in ps)
-    blocks = _stream(ps, ids, over, jobs, timings, _plain)
-    return (CongruenceReport._make(r) for block in blocks for r in block)
+    if jobs == 1 or len(ps) <= 1:  # each prime's reports are built in its collector pause
+        return chain.from_iterable(_suite_for_prime(p, ids, over, timings, _reports) for p in ps)
+    return chain.from_iterable(map(_reports, _stream(ps, ids, over, jobs, timings, None)))
 
 
 def iter_blocks(
     primes: Iterable[int],
     ids: Iterable[str] | None = None,
     *,
-    encode: Callable[[list[CongruenceReport]], object],
+    encode: Callable[[list[tuple]], object],
     jobs: int = 1,
     mod_exp: dict[str, int] | None = None,
     timings: bool = False,
 ) -> Iterator:
-    """``encode(reports)`` of each prime's reports, one prime at a time in order.
+    """``encode(blocks)`` of each prime's column blocks, one per row in registry
+    order (see the module docstring), one prime at a time in order.
 
-    The arguments are those of ``iter_suite``, checked at the call.  With
-    ``jobs`` > 1, ``encode`` runs in the worker process that made the reports
-    and only its result is sent back, so it must pickle: a module-level
-    function, or a ``functools.partial`` of one.
+    No report is built.  The arguments are those of ``iter_suite``, checked
+    at the call.  With ``jobs`` > 1, ``encode`` runs in the worker process
+    that made the blocks and only its result is sent back, so it must pickle:
+    a module-level function, or a ``functools.partial`` of one.
     """
     ps, ids, over = _arguments(primes, ids, jobs, mod_exp)
     return _stream(ps, ids, over, jobs, timings, encode)

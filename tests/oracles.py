@@ -2,11 +2,17 @@
 
 Each oracle is computed from a definition, independently of the engine: the
 named sequences from their defining sums, the secant Euler numbers from
-their recurrence, and binomial valuations from Kummer's carry count.
+their recurrence, and binomial valuations from Kummer's carry count.  The
+encoders of ``verify`` output format one report at a time through
+``csv.writer`` and ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -148,3 +154,33 @@ def summand_residues(ctx, kexp: int, base: int, central: int, factors, lo: int, 
             raise ArithmeticError(f"{label}: valuation {v} < 0, not p-integral, "
                                   f"at p={p}, k={lo + i}")
     return [p**v * u % pk if v < kexp else 0 for v, u in zip(vals, units)]
+
+
+def human_report(r) -> str:
+    """One ``CongruenceReport`` as a line of ``verify``'s human format, newline left out."""
+    head = f"{r.id} p={r.p}"
+    if r.params:
+        head += f" {r.params}"
+    if r.status == "skipped":
+        return f"{head}: skipped"
+    text = f"{head} mod {r.modulus}: {r.status} lhs={r.lhs} rhs={r.rhs}"
+    if r.micros:
+        text += f" ({r.micros}us)"
+    return text
+
+
+def verify_block(fmt: str, log: bool, reports, ts: str = "") -> tuple[str, Counter, str]:
+    """``verify``'s encoding of one prime's reports, report by report: (their
+    rows in ``fmt``, their status counts, their ``--log`` records stamped
+    ``ts``, or "" without ``log``)."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(reports)  # None is written as ""
+        text = buf.getvalue()
+    elif fmt == "jsonl":
+        text = "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in reports)
+    else:
+        text = "".join(human_report(r) + "\n" for r in reports)
+    records = "".join(json.dumps({"ts": ts, "record": r._asdict()}, sort_keys=True) + "\n"
+                      for r in reports) if log else ""
+    return text, Counter([r.status for r in reports]), records

@@ -1,5 +1,8 @@
-"""End-to-end tests that drive the installed console entry point."""
+"""End-to-end tests that drive the installed console entry point, and the
+``verify`` encoders pinned in process to the report-by-report oracle."""
 
+import csv
+import io
 import json
 import multiprocessing
 import re
@@ -7,6 +10,10 @@ import subprocess
 import sys
 
 import pytest
+
+from binomsums import cli, congruences
+from binomsums.congruences import CongruenceReport, all_ids, block_rows, run_suite
+from oracles import verify_block
 
 
 def run_cli(*args, **kw):
@@ -263,8 +270,8 @@ def test_unwritable_output_path_is_a_usage_error(args, tmp_path, capsys, monkeyp
     def never(*args):
         raise AssertionError("a row was computed before the output was opened")
 
-    # every row's reports, table rows included, are built by _row_reports
-    monkeypatch.setattr(congruences, "_row_reports", never)
+    # every row's block, table rows included, is built by _row_block
+    monkeypatch.setattr(congruences, "_row_block", never)
     missing = tmp_path / "no_such_dir"
     argv = [a.format(missing=missing) for a in args]
     with pytest.raises(SystemExit) as exc:
@@ -396,3 +403,69 @@ def test_closed_stdout_exits_without_a_traceback(jobs):
     _, err = proc.communicate(timeout=120)
     assert b"Traceback" not in err, err.decode()
     assert proc.returncode not in (0, 1, 2)
+
+
+# --- verify's encoders against the report-by-report oracle -----------------
+
+
+def _reports_of(blocks):
+    return [CongruenceReport._make(r) for b in blocks for r in block_rows(b)]
+
+
+def _assert_encoded_as_the_oracle(blocks):
+    """Every format's rows, counts and --log records of ``blocks`` are the
+    oracle's for their reports, byte for byte."""
+    reports = _reports_of(blocks)
+    for fmt in cli.FORMATS:
+        for log in (False, True):
+            text, counts, records = cli._verify_block(fmt, log, blocks)
+            ts = json.loads(records.split("\n", 1)[0])["ts"] if log else ""
+            assert (text, counts, records) == verify_block(fmt, log, reports, ts), (fmt, log)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 2003, 4001])
+def test_verify_blocks_encode_as_the_oracle(p):
+    blocks = congruences._suite_for_prime(p, tuple(all_ids()), {}, False)
+    assert _reports_of(blocks) == run_suite([p])  # the library's reports are the blocks' rows
+    assert {b[6] for b in blocks if type(b[6]) is str} >= {"skipped", "pass"}
+    _assert_encoded_as_the_oracle(blocks)
+
+
+@pytest.mark.parametrize("p", [13, 2003])
+def test_verify_blocks_encode_as_the_oracle_with_timings(p):
+    blocks = congruences._suite_for_prime(p, tuple(all_ids()), {}, True)
+    assert any(us for b in blocks if type(b[7]) is list for us in b[7])  # some micros > 0
+    _assert_encoded_as_the_oracle(blocks)
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_verify_blocks_encode_as_the_oracle_with_failing_shifts(p):
+    # the shift theorems hold mod p^2 only, so at p^3 and p^4 some shifts fail
+    mod_exp = {"C1_5": 3, "C1_19": 4}
+    blocks = congruences._suite_for_prime(p, tuple(all_ids()), mod_exp, False)
+    reports = _reports_of(blocks)
+    assert reports == run_suite([p], mod_exp=mod_exp)
+    for rid in mod_exp:
+        assert any(r.status == "fail" and r.lhs != r.rhs for r in reports if r.id == rid), rid
+    _assert_encoded_as_the_oracle(blocks)
+
+
+@pytest.mark.parametrize("text", [",", '"', "\r", "\n", 'a "b", c\r\n', "100%", ""])
+def test_csv_quotes_as_csv_writer_does(text):
+    # the registry's strings are plain ASCII: only hand-built blocks reach csv.writer
+    blocks = [
+        (f"X{text}", 7, ["k=0", "k=1"], 49, [1, 2], [1, 3], ["pass", "fail"], 0),
+        ("X", 7, ["k=0", f"k{text}1"], 49, [1, 2], [1, 2], "pass", [3, 0]),
+        ("X", 7, ["k=0", "k=1"], 343, [1, 2], [1, 2], ["pass", f"odd{text}"], 0),
+        (f"Y{text}", 11, [f"{text}"], 121, None, None, "skipped", 0),
+        ("Z", 11, [f"x={text}"], 121, [4], [5], f"fail{text}", 7),
+        # rows that differ in one column, and rows all alike
+        (f"W{text}", 7, ["k=0", "k=1"], 49, [0, 0], [0, 0], "pass", 0),
+        (f"U{text}", 7, ["k", "k"], 49, [1, 2], [3, 3], "fail", 0),
+        (f"V{text}", 7, ["k=0", "k=0"], 49, [0, 0], [0, 0], ["pass", "pass"], [0, 0]),
+    ]
+    for block in blocks:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(block_rows(block))
+        assert cli._verify_block("csv", False, [block])[0] == buf.getvalue(), block
+    _assert_encoded_as_the_oracle(blocks)

@@ -575,7 +575,7 @@ def _encoder_pid(reports):
 def test_iter_blocks_encodes_each_prime_in_order():
     ps, ids = primes_in_range(5, 60), ["C1_5", "C1_7a", "CGZ"]
     for jobs in (1, 2):
-        blocks = list(congruences.iter_blocks(ps, ids, encode=congruences._plain, jobs=jobs))
+        blocks = list(congruences.iter_blocks(ps, ids, encode=congruences._reports, jobs=jobs))
         assert [b[0][1] for b in blocks] == ps
         assert [r for b in blocks for r in b] == list(map(tuple, run_suite(ps, ids)))
     if multiprocessing.get_start_method() == "fork":  # the workers import this module
@@ -883,11 +883,19 @@ def test_corrupted_shared_column_raises_for_every_family(monkeypatch):
             run_suite([13], ["C1_5"])
 
 
+# every encoder of ``verify``: csv, jsonl and human rows, and the --log records
+_VERIFY_ENCODERS = [partial(cli._verify_block, fmt, log)
+                    for fmt, log in (("csv", False), ("jsonl", False), ("human", False),
+                                     ("csv", True))]
+
+
 def test_the_suite_leaves_no_reference_cycles():
     # the premise of evaluating each prime with the cyclic collector paused
     ps = primes_in_range(5, 200)
     csv_block = partial(cli._verify_block, "csv", False)
-    for drain in (lambda: iter_suite(ps), lambda: congruences.iter_blocks(ps, encode=csv_block)):
+    drains = [lambda: iter_suite(ps), lambda: congruences.iter_blocks(ps, encode=csv_block)]
+    drains += [lambda e=e: congruences.iter_blocks(ps, encode=e) for e in _VERIFY_ENCODERS[1:]]
+    for drain in drains:
         gc.collect()
         gc.disable()
         try:
@@ -904,6 +912,9 @@ def test_the_collector_is_the_callers_at_every_hand_back(monkeypatch):
     assert gc.isenabled()
     assert all(gc.isenabled() for _ in iter_suite(ps))  # at every yield of the stream
     assert all(congruences.iter_blocks(ps, encode=lambda block: gc.isenabled()))
+    for encode in _VERIFY_ENCODERS:  # at every yield of verify's blocks, and after them
+        assert all(gc.isenabled() for _ in congruences.iter_blocks(ps, encode=encode))
+        assert gc.isenabled()
     assert run_suite(ps, jobs=2) == reports and gc.isenabled()
     gc.disable()
     try:
@@ -941,3 +952,24 @@ def test_a_prime_triggers_about_one_collection():
     finally:
         gc.callbacks.remove(count)
     assert len(starts) <= len(ps) + 2, starts
+
+
+def test_the_cli_path_triggers_almost_no_collection():
+    # iter_blocks hands the encoder column blocks, a few lists per row, where
+    # run_suite builds a report per row: 16 collections over these primes
+    # when the encoder was given reports, none with blocks
+    ps = primes_in_range(1009, 1100)
+    shift_ids = ["C1_5", "C1_6", "C1_19", "C1_20", "C1_21", "C1_22", "C1_23", "C1_24", "C1_25", "C1_26"]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        deque(congruences.iter_blocks(ps, shift_ids, encode=_VERIFY_ENCODERS[0]), 0)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(starts) <= 2, starts

@@ -5,10 +5,12 @@ the Pascal-sweep engine that the step-relation shift engine replaced, the
 human and jsonl runs from the list-building ``run_suite`` path that the
 streaming ``iter_suite`` replaced.  A refactor that changes any residue,
 status, row order, footer or formatting byte changes the hash.  The jsonl
-meta line carries a timestamp, so only the body after it is hashed.
+meta line carries a timestamp, so only the body after it is hashed, and each
+``--log`` record's ``ts`` is cut out before its file is hashed.
 """
 
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -94,3 +96,21 @@ def test_golden_cli_output(args, status, digest):
     assert r.returncode == status, r.stderr.decode()
     body = r.stdout.split(b"\n", 1)[1] if "jsonl" in args else r.stdout
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+# the --log records of the human run above, each without its "ts", taken from
+# the report-tuple encoder that the column-block templates replaced
+LOG_DIGEST = "c8c7c093d3c85567427b02a3a221ab286b65ff483dc9119ed8bc06d82f82d023"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_golden_log_records(jobs, tmp_path):
+    log = tmp_path / "run.log"
+    r = subprocess.run([sys.executable, "-m", "binomsums", "verify", "--primes", "5..120",
+                        "--include-experimental", "--jobs", jobs, "--log", str(log)],
+                       capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+    body = log.read_bytes()
+    masked, cut = re.subn(rb', "ts": "[^"]*"\}\n', b"}\n", body)
+    assert cut == body.count(b"\n") > 5000  # one ts per record, each record one line
+    assert hashlib.sha256(masked).hexdigest() == LOG_DIGEST

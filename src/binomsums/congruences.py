@@ -597,14 +597,6 @@ def _eval_cl3_2(ctx, kexp, part, *sums):
     return (total % pkv,), ctx.p * ctx.legendre(-1) % pkv
 
 
-def _trimmed(res: list[int]) -> list[int]:
-    """``res`` without its trailing zeros."""
-    end = len(res)
-    while end and not res[end - 1]:
-        end -= 1
-    return res[:end]
-
-
 def _horner(coeffs: list[int], t: int, pk: int) -> int:
     """sum_k coeffs[k] * t^k mod pk."""
     acc = 0
@@ -616,13 +608,12 @@ def _horner(coeffs: list[int], t: int, pk: int) -> int:
 def _eval_c4_1(ctx, kexp, x, *sums):
     """sum C(2k,k)^3 (-x/64)^k against (x+1|p) sum C(2k,k)^2 C(4k,2k) (x/(64(x+1)^2))^k.
 
-    Both series have coefficients that do not depend on x; they are read once
-    per prime and exponent, without their trailing zeros (the tail
-    k > (p-1)/2 for K <= 2), and evaluated at x by Horner's rule.
+    Both series have coefficients that do not depend on x: they are the
+    cached summands, evaluated at x by Horner's rule, which passes over their
+    trailing zeros (the tail k > (p-1)/2 for K <= 2) without effect.
     """
     pkv = ctx.pk(kexp)
-    cube, quartic = (ctx._at(("series", s.key), kexp, lambda s=s: _trimmed(ctx.summand(kexp, s)))
-                     for s in sums)
+    cube, quartic = (ctx.summand(kexp, s) for s in sums)
     lhs = _horner(cube, (-x) * mod_inverse(64 % pkv, pkv) % pkv, pkv)
     mult_rhs = x * mod_inverse(64 * (x + 1) * (x + 1) % pkv, pkv) % pkv
     rhs = ctx.legendre(x + 1) * _horner(quartic, mult_rhs, pkv) % pkv

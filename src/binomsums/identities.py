@@ -4,11 +4,16 @@ Every identity here is checked either as a full polynomial-coefficient
 equality (PolynomialZ) or on an exact-rational grid — no sampling, no
 floating point.  These identities are what reduce the congruence checks to
 closed forms, so they are verified independently of any modular arithmetic.
+
+Each suite only states its checks: it is a generator of ``(witness, holds)``
+pairs.  One runner, ``_suite``, counts them up to the first that fails and
+builds the ``IdentityRecord``, whose witness names the failing case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from fractions import Fraction
 from math import comb
 
@@ -109,8 +114,33 @@ class IdentityRecord:
     witness: tuple | None = None
 
 
-def _record(name: str, params: str, checks: int, witness: tuple | None) -> IdentityRecord:
-    return IdentityRecord(name, params, checks, "fail" if witness else "pass", witness)
+def _suite(name: str, bound: str):
+    """Make a generator of checks into the verifier of suite ``name``.
+
+    The generator yields one ``(witness, holds)`` pair per check.  The
+    verifier counts the checks up to the first that does not hold and returns
+    the record: "fail" with that check's witness, else "pass".  Its params
+    read ``bound<=`` the generator's first argument.  A guard that a passing
+    run does not count is yielded only when it fails.  The verifier keeps the
+    generator's name, signature and docstring; the return annotation the
+    generator carries is the verifier's.
+    """
+
+    def decorate(checks):
+        first = checks.__code__.co_varnames[0]
+
+        @wraps(checks)
+        def verify(*args, **kwargs):
+            params = f"{bound}<={args[0] if args else kwargs[first]}"
+            count = 0
+            for count, (witness, holds) in enumerate(checks(*args, **kwargs), 1):
+                if not holds:
+                    return IdentityRecord(name, params, count, "fail", witness)
+            return IdentityRecord(name, params, count, "pass")
+
+        return verify
+
+    return decorate
 
 
 def _delannoy_polyz(n: int) -> PolynomialZ:
@@ -118,15 +148,12 @@ def _delannoy_polyz(n: int) -> PolynomialZ:
 
 
 def _schroder_polyz(n: int) -> PolynomialZ:
-    return PolynomialZ(
-        [comb(n + k, 2 * k) * comb(2 * k, k) // (k + 1) for k in range(n + 1)]
-    )
+    return PolynomialZ([comb(n + k, 2 * k) * comb(2 * k, k) // (k + 1) for k in range(n + 1)])
 
 
+@_suite("delannoy_square", "n")
 def verify_delannoy_square(n_max: int) -> IdentityRecord:
     """f_n(x(x+1)) = D_n(x)^2 as a full coefficient identity for n <= n_max."""
-    witness = None
-    checks = 0
     y = _X * _X1  # x(x+1)
     for n in range(n_max + 1):
         yp = PolynomialZ((1,))
@@ -135,17 +162,12 @@ def verify_delannoy_square(n_max: int) -> IdentityRecord:
             lhs = lhs + (comb(n + k, 2 * k) * comb(2 * k, k) ** 2) * yp
             yp = yp * y
         d = _delannoy_polyz(n)
-        checks += 1
-        if lhs != d * d:
-            witness = (n,)
-            break
-    return _record("delannoy_square", f"n<={n_max}", checks, witness)
+        yield (n,), lhs == d * d
 
 
+@_suite("schroder_square", "n")
 def verify_schroder_square(n_max: int) -> IdentityRecord:
     """sum_{k=1..n} C(n+k,2k)C(2k,k)C(2k,k+1) x^(k-1)(x+1)^(k+1) = n(n+1)S_n(x)^2."""
-    witness = None
-    checks = 0
     for n in range(1, n_max + 1):
         lhs = PolynomialZ()
         xp = PolynomialZ((1,))  # x^(k-1)
@@ -156,11 +178,7 @@ def verify_schroder_square(n_max: int) -> IdentityRecord:
             xp = xp * _X
             x1p = x1p * _X1
         s = _schroder_polyz(n)
-        checks += 1
-        if lhs != (n * (n + 1)) * (s * s):
-            witness = (n,)
-            break
-    return _record("schroder_square", f"n<={n_max}", checks, witness)
+        yield (n,), lhs == (n * (n + 1)) * (s * s)
 
 
 def _a_coeff(m: int, n: int) -> int:
@@ -183,6 +201,7 @@ def _b_coeff(m: int, n: int) -> int:
     )
 
 
+@_suite("schroder_square_coeffs", "n")
 def verify_schroder_square_coefficients(n_max: int, m_max: int | None = None) -> IdentityRecord:
     """Both coefficient families of the squared-Schroeder identity satisfy
 
@@ -192,15 +211,12 @@ def verify_schroder_square_coefficients(n_max: int, m_max: int | None = None) ->
 
     and the second family equals n(n+1) times the first.
     """
-    witness = None
-    checks = 0
     for n in range(1, n_max + 1):
         mm = 2 * n if m_max is None else m_max
         a = [_a_coeff(m, n) for m in range(mm + 3)]
         b = [_b_coeff(m, n) for m in range(mm + 3)]
         if a[0] != 1 or b[0] != n * (n + 1) or a[1] != n * (n + 1) or b[1] != (n * (n + 1)) ** 2:
-            witness = (n, "anchor")
-            break
+            yield (n, "anchor"), False
         for u, tag in ((a, "a"), (b, "b")):
             for m in range(mm + 1):
                 lhs = (m + 2) * (m + 3) * (m + 4) * u[m + 2]
@@ -208,27 +224,17 @@ def verify_schroder_square_coefficients(n_max: int, m_max: int | None = None) ->
                     2 * m * n * n + 5 * n * n + 2 * m * n + 5 * n
                     - m**3 - 6 * m * m - 11 * m - 6
                 ) * u[m + 1] - (m + 1) * (m - 2 * n) * (m + 2 * n + 2) * u[m]
-                checks += 1
-                if lhs != rhs:
-                    witness = (n, m, tag)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+                yield (n, m, tag), lhs == rhs
         if any(b[m] != n * (n + 1) * a[m] for m in range(mm + 3)):
-            witness = (n, "proportionality")
-            break
-    return _record("schroder_square_coeffs", f"n<={n_max}", checks, witness)
+            yield (n, "proportionality"), False
 
 
+@_suite("alternating_catalan_sum", "n")
 def verify_alternating_catalan_sum(n_max: int) -> IdentityRecord:
     """sum_k C(n+k,2k) C_k /(-2)^k is 0 for even n and (-1)^((n-1)/2) C_((n-1)/2)/2^n for odd n.
 
     Holds for n >= 1 (at n = 0 the sum is the single term 1).
     """
-    witness = None
-    checks = 0
     for n in range(1, n_max + 1):
         s = sum(
             Fraction(comb(n + k, 2 * k) * (comb(2 * k, k) // (k + 1)), (-2) ** k)
@@ -239,56 +245,31 @@ def verify_alternating_catalan_sum(n_max: int) -> IdentityRecord:
         else:
             h = (n - 1) // 2
             expect = Fraction((-1) ** h * (comb(2 * h, h) // (h + 1)), 2**n)
-        checks += 1
-        if s != expect:
-            witness = (n,)
-            break
-    return _record("alternating_catalan_sum", f"n<={n_max}", checks, witness)
+        yield (n,), s == expect
 
 
+@_suite("central_sum_reflection", "n")
 def verify_central_sum_reflection(n_max: int) -> IdentityRecord:
     """sum_k C(2k,k)^3 C(k,n-k)(-16)^(n-k) = sum_k C(2k,k)^2 C(2(n-k),n-k)^2,
 
     and both sides satisfy (n+2)^3 u_{n+2} = 8(2n+3)(2n^2+6n+5) u_{n+1} - 256(n+1)^3 u_n.
     """
-    lhs = [
-        sum(
-            comb(2 * k, k) ** 3 * comb(k, n - k) * (-16) ** (n - k)
-            for k in range((n + 1) // 2, n + 1)
-        )
-        for n in range(n_max + 1)
-    ]
-    rhs = [
-        sum(
-            comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2
-            for k in range(n + 1)
-        )
-        for n in range(n_max + 1)
-    ]
-    witness = None
-    checks = 0
+    lhs = [sum(comb(2 * k, k) ** 3 * comb(k, n - k) * (-16) ** (n - k)
+               for k in range((n + 1) // 2, n + 1)) for n in range(n_max + 1)]
+    rhs = [sum(comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2 for k in range(n + 1))
+           for n in range(n_max + 1)]
     if n_max >= 1 and (lhs[0] != 1 or lhs[1] != 8):
-        witness = ("anchor",)
-    if witness is None:
-        for n in range(n_max + 1):
-            checks += 1
-            if lhs[n] != rhs[n]:
-                witness = (n,)
-                break
-    if witness is None:
-        for u, tag in ((lhs, "lhs"), (rhs, "rhs")):
-            for n in range(n_max - 1):
-                checks += 1
-                if (n + 2) ** 3 * u[n + 2] != 8 * (2 * n + 3) * (
-                    2 * n * n + 6 * n + 5
-                ) * u[n + 1] - 256 * (n + 1) ** 3 * u[n]:
-                    witness = (n, tag)
-                    break
-            if witness:
-                break
-    return _record("central_sum_reflection", f"n<={n_max}", checks, witness)
+        yield ("anchor",), False
+    for n in range(n_max + 1):
+        yield (n,), lhs[n] == rhs[n]
+    for u, tag in ((lhs, "lhs"), (rhs, "rhs")):
+        for n in range(n_max - 1):
+            yield (n, tag), (n + 2) ** 3 * u[n + 2] == 8 * (2 * n + 3) * (
+                2 * n * n + 6 * n + 5
+            ) * u[n + 1] - 256 * (n + 1) ** 3 * u[n]
 
 
+@_suite("weighted_central_square_sums", "n")
 def verify_weighted_central_square_sums(n_max: int) -> IdentityRecord:
     """Four closed forms for weighted partial sums of C(2k,k)^2 over 8^k and (-16)^k:
 
@@ -297,8 +278,6 @@ def verify_weighted_central_square_sums(n_max: int) -> IdentityRecord:
         sum (2k^2+4k+1) C(2k,k)^2/8^k        = (2n+1)^2 C(2n,n)^2 / 8^n
         sum (8k^2+4k+1) C(2k,k)^2/(-16)^k    = (2n+1)^2 C(2n,n)^2 / (-16)^n
     """
-    witness = None
-    checks = 0
     s = [Fraction(0)] * 4
     for n in range(n_max + 1):
         c2 = comb(2 * n, n) ** 2
@@ -307,20 +286,10 @@ def verify_weighted_central_square_sums(n_max: int) -> IdentityRecord:
         s[2] += Fraction((2 * n * n + 4 * n + 1) * c2, 8**n)
         s[3] += Fraction((8 * n * n + 4 * n + 1) * c2, (-16) ** n)
         t = (2 * n + 1) ** 2 * c2
-        closed = (
-            Fraction(t, (n + 1) * 8**n),
-            Fraction(t, (n + 1) * (-16) ** n),
-            Fraction(t, 8**n),
-            Fraction(t, (-16) ** n),
-        )
+        closed = (Fraction(t, (n + 1) * 8**n), Fraction(t, (n + 1) * (-16) ** n),
+                  Fraction(t, 8**n), Fraction(t, (-16) ** n))
         for i in range(4):
-            checks += 1
-            if s[i] != closed[i]:
-                witness = (n, i)
-                break
-        if witness:
-            break
-    return _record("weighted_central_square_sums", f"n<={n_max}", checks, witness)
+            yield (n, i), s[i] == closed[i]
 
 
 def _recursion_poly(m: int, n: int) -> int:
@@ -355,6 +324,7 @@ def _d_coeff(m: int, n: int) -> Fraction:
     )
 
 
+@_suite("schroder_delannoy_product", "n")
 def verify_schroder_delannoy_product(n_max: int) -> IdentityRecord:
     """sum_k C(n+k,2k)C(2k,k)^2 (2k+1)/(k+1)^2 x^k(x+1)^(k+1)
           = S_n(x)(D_{n-1}(x)+D_{n+1}(x))/2,
@@ -364,74 +334,44 @@ def verify_schroder_delannoy_product(n_max: int) -> IdentityRecord:
         (m+2)(m+3)^2(m^2+5m+6+4n(n+1)) u_{m+2} + 2 P(m,n) u_{m+1}
             = (m+2)((2n+1)^2-m^2)(m^2+7m+12+4n(n+1)) u_m.
     """
-    witness = None
-    checks = 0
     for n in range(1, n_max + 1):
         lhs = PolynomialZ()
         xp = PolynomialZ((1,))
         x1p = _X1
         for k in range(n + 1):
-            c = Fraction(
-                comb(n + k, 2 * k) * comb(2 * k, k) ** 2 * (2 * k + 1), (k + 1) ** 2
-            )
+            c = Fraction(comb(n + k, 2 * k) * comb(2 * k, k) ** 2 * (2 * k + 1), (k + 1) ** 2)
             lhs = lhs + c * (xp * x1p)
             xp = xp * _X
             x1p = x1p * _X1
-        s = _schroder_polyz(n)
-        dsum = _delannoy_polyz(n - 1) + _delannoy_polyz(n + 1)
-        rhs = Fraction(1, 2) * (s * dsum)
-        checks += 1
-        if lhs != rhs:
-            witness = (n, "poly")
-            break
+        prod = _schroder_polyz(n) * (_delannoy_polyz(n - 1) + _delannoy_polyz(n + 1))
+        yield (n, "poly"), lhs == Fraction(1, 2) * prod
         # the c-family must also be the coefficient list of the product itself
         cs = [_c_coeff(m, n) for m in range(2 * n + 4)]
-        prod = s * dsum
         for m in range(2 * n + 2):
-            pm = prod.coeffs[m] if m <= prod.degree else 0
-            checks += 1
-            if cs[m] != pm:
-                witness = (n, m, "c-extraction")
-                break
-        if witness:
-            break
+            yield (n, m, "c-extraction"), cs[m] == (prod.coeffs[m] if m <= prod.degree else 0)
         ds = [_d_coeff(m, n) for m in range(2 * n + 4)]
         for u, tag in (([Fraction(c, 2) for c in cs], "c"), (ds, "d")):
             for m in range(2 * n + 2):
                 a2 = (m + 2) * (m + 3) ** 2 * (m * m + 5 * m + 6 + 4 * n * (n + 1))
-                a0 = (m + 2) * ((2 * n + 1) ** 2 - m * m) * (
-                    m * m + 7 * m + 12 + 4 * n * (n + 1)
-                )
-                checks += 1
-                if a2 * u[m + 2] + 2 * _recursion_poly(m, n) * u[m + 1] != a0 * u[m]:
-                    witness = (n, m, tag)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return _record("schroder_delannoy_product", f"n<={n_max}", checks, witness)
+                a0 = (m + 2) * ((2 * n + 1) ** 2 - m * m) * (m * m + 7 * m + 12 + 4 * n * (n + 1))
+                step = a2 * u[m + 2] + 2 * _recursion_poly(m, n) * u[m + 1]
+                yield (n, m, tag), step == a0 * u[m]
 
 
+@_suite("macmahon_cubes", "n")
 def verify_macmahon_cubes(n_max: int) -> IdentityRecord:
     """sum_k C(n,k)^3 x^k = sum_k C(n+k,2k)C(2k,k)C(n-k,k) x^k (1+x)^(n-2k)."""
-    witness = None
-    checks = 0
     for n in range(n_max + 1):
         lhs = PolynomialZ([comb(n, k) ** 3 for k in range(n + 1)])
         rhs = PolynomialZ()
         for k in range(n // 2 + 1):
             c = comb(n + k, 2 * k) * comb(2 * k, k) * comb(n - k, k)
             rhs = rhs + c * ((_X**k) * (_X1 ** (n - 2 * k)))
-        checks += 1
-        if lhs != rhs:
-            witness = (n,)
-            break
-    return _record("macmahon_cubes", f"n<={n_max}", checks, witness)
+        yield (n,), lhs == rhs
 
 
-def _shift_step_witness(base: int, P: int, d_max: int) -> tuple[int, int | None]:
-    """Check the step relation of ``SHIFT_FAMILIES[base]`` for d <= d_max.
+def _shift_steps(base: int, P: int, d_max: int, *tag: str):
+    """The checks of the step relation of ``SHIFT_FAMILIES[base]`` for d <= d_max.
 
     With W(k) the family's binomial product and u_d = sum_{k<P} C(2k,k+d)
     W(k)/base^k, the relation is
@@ -439,7 +379,7 @@ def _shift_step_witness(base: int, P: int, d_max: int) -> tuple[int, int | None]
         c(d) u_d - c(d+1) u_{d+2} = c(-P) (d+1) / (base^(P-1) P)
                                      * C(2P,P+d+1) W(P-1).
 
-    Returns (checks made, first failing d or None).
+    Each check's witness is (P, d, *tag).
     """
     fam = SHIFT_FAMILIES[base]
     (a, b), (c, e) = fam.binomials
@@ -447,21 +387,15 @@ def _shift_step_witness(base: int, P: int, d_max: int) -> tuple[int, int | None]
     def weight(k: int) -> int:
         return comb(a * k, b * k) * comb(c * k, e * k)
 
-    u = [
-        sum(Fraction(comb(2 * k, k + d) * weight(k), base**k) for k in range(P))
-        for d in range(d_max + 3)
-    ]
+    u = [sum(Fraction(comb(2 * k, k + d) * weight(k), base**k) for k in range(P))
+         for d in range(d_max + 3)]
     for d in range(d_max + 1):
-        rhs = (
-            Fraction(fam.coeff(-P) * (d + 1), base ** (P - 1) * P)
-            * comb(2 * P, P + d + 1)
-            * weight(P - 1)
-        )
-        if fam.coeff(d) * u[d] - fam.coeff(d + 1) * u[d + 2] != rhs:
-            return d + 1, d
-    return d_max + 1, None
+        rhs = (Fraction(fam.coeff(-P) * (d + 1), base ** (P - 1) * P)
+               * comb(2 * P, P + d + 1) * weight(P - 1))
+        yield (P, d, *tag), fam.coeff(d) * u[d] - fam.coeff(d + 1) * u[d + 2] == rhs
 
 
+@_suite("shift_step_base64", "P")
 def verify_shift_step_base64(p_max: int, d_max: int | None = None) -> IdentityRecord:
     """(2d+1)^2 u_d - (2d+3)^2 u_{d+2}
           = (2P-1)^2 (d+1) / (64^(P-1) P) * C(2P,P+d+1) C(2P-2,P-1)^2
@@ -469,17 +403,11 @@ def verify_shift_step_base64(p_max: int, d_max: int | None = None) -> IdentityRe
     for u_d = sum_{k<P} C(2k,k)^2 C(2k,k+d)/64^k, P a free integer parameter.
     The coefficients are read from the shift engine's ``SHIFT_FAMILIES``.
     """
-    witness = None
-    checks = 0
     for P in range(2, p_max + 1):
-        n, d = _shift_step_witness(64, P, 2 * P if d_max is None else d_max)
-        checks += n
-        if d is not None:
-            witness = (P, d)
-            break
-    return _record("shift_step_base64", f"P<={p_max}", checks, witness)
+        yield from _shift_steps(64, P, 2 * P if d_max is None else d_max)
 
 
+@_suite("shift_step_threeproduct", "P")
 def verify_shift_step_threeproduct(p_max: int, d_max: int | None = None) -> IdentityRecord:
     """The d -> d+2 step relations for the three-binomial sums over 108^k,
     256^k and 1728^k, e.g.
@@ -489,20 +417,12 @@ def verify_shift_step_threeproduct(p_max: int, d_max: int | None = None) -> Iden
 
     with the coefficients read from the shift engine's ``SHIFT_FAMILIES``.
     """
-    witness = None
-    checks = 0
     for P in range(2, p_max + 1):
         for base in (108, 256, 1728):
-            n, d = _shift_step_witness(base, P, 2 * P if d_max is None else d_max)
-            checks += n
-            if d is not None:
-                witness = (P, d, str(base))
-                break
-        if witness:
-            break
-    return _record("shift_step_threeproduct", f"P<={p_max}", checks, witness)
+            yield from _shift_steps(base, P, 2 * P if d_max is None else d_max, str(base))
 
 
+@_suite("small_identities", "k,n")
 def verify_small_identities(n_max: int) -> IdentityRecord:
     """Index-wise identities used to rewrite sums:
 
@@ -511,33 +431,16 @@ def verify_small_identities(n_max: int) -> IdentityRecord:
         (iii) D_{2n}(-1/2) = C(2n,n)/(-4)^n
         (iv)  n (D_{n-1} + D_{n+1}) = 2n (3 D_n - S_n)   at x = 1
     """
-    witness = None
-    checks = 0
     for k in range(n_max + 1):
-        checks += 2
-        if comb(2 * k, k) * comb(3 * k, k + 1) != 2 * comb(2 * k, k + 1) * comb(3 * k, k):
-            witness = ("i", k)
-            break
-        if Fraction(comb(2 * k, k + 1) ** 2) != (
-            1 - Fraction(2 * k + 1, (k + 1) ** 2)
-        ) * comb(2 * k, k) ** 2:
-            witness = ("ii", k)
-            break
-    if witness is None:
-        for n in range(n_max + 1):
-            checks += 1
-            if delannoy_poly(2 * n, Fraction(-1, 2)) != Fraction(comb(2 * n, n), (-4) ** n):
-                witness = ("iii", n)
-                break
-    if witness is None:
-        for n in range(1, n_max + 1):
-            dm, d0, dp = (delannoy_poly(m, 1) for m in (n - 1, n, n + 1))
-            sn = schroder_poly(n, 1)
-            checks += 1
-            if n * (dm + dp) != 2 * n * (3 * d0 - sn):
-                witness = ("iv", n)
-                break
-    return _record("small_identities", f"k,n<={n_max}", checks, witness)
+        c, c1 = comb(2 * k, k), comb(2 * k, k + 1)
+        yield ("i", k), c * comb(3 * k, k + 1) == 2 * c1 * comb(3 * k, k)
+        yield ("ii", k), Fraction(c1**2) == (1 - Fraction(2 * k + 1, (k + 1) ** 2)) * c**2
+    for n in range(n_max + 1):
+        expect = Fraction(comb(2 * n, n), (-4) ** n)
+        yield ("iii", n), delannoy_poly(2 * n, Fraction(-1, 2)) == expect
+    for n in range(1, n_max + 1):
+        dm, d0, dp = (delannoy_poly(m, 1) for m in (n - 1, n, n + 1))
+        yield ("iv", n), n * (dm + dp) == 2 * n * (3 * d0 - schroder_poly(n, 1))
 
 
 # suite name -> (verifier, kind of bound it consumes)
@@ -571,25 +474,17 @@ def run_identity_suite(
         if name not in SUITES:
             raise ValueError(f"unknown identity suite {name!r} (known: {', '.join(SUITES)})")
         fn, kind, default = SUITES[name]
-        bound = default
-        if kind == "n" and grid_n is not None:
-            bound = grid_n
-        if kind == "P" and grid_p is not None:
-            bound = grid_p
-        out.append(fn(bound))
+        bound = grid_n if kind == "n" else grid_p
+        out.append(fn(default if bound is None else bound))
     return out
 
 
 def cross_check_polynomials(n_max: int = 12) -> bool:
     """The polynomial builders here agree with the direct evaluators."""
-    pts = (1, 2, Fraction(-1, 2), Fraction(3, 7))
-    for n in range(n_max + 1):
-        for x in pts:
-            if _delannoy_polyz(n).evaluate(x) != delannoy_poly(n, x):
-                return False
-            if _schroder_polyz(n).evaluate(x) != schroder_poly(n, x):
-                return False
-            y = x * (x + 1)
-            if f_poly(n, y) != delannoy_poly(n, x) ** 2:
-                return False
-    return True
+    return all(
+        _delannoy_polyz(n).evaluate(x) == delannoy_poly(n, x)
+        and _schroder_polyz(n).evaluate(x) == schroder_poly(n, x)
+        and f_poly(n, x * (x + 1)) == delannoy_poly(n, x) ** 2
+        for n in range(n_max + 1)
+        for x in (1, 2, Fraction(-1, 2), Fraction(3, 7))
+    )

@@ -13,44 +13,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 Number = int | Fraction
 
 
-def delannoy_poly(n: int, x: Number) -> Number:
-    """D_n(x) = sum_{k=0..n} C(n+k,2k) C(2k,k) x^k."""
+def _central_series(n: int, x: Number, coeff: Callable[[int], int]) -> Number:
+    """sum_{k=0..n} C(n+k,2k) coeff(k) x^k, in the type of x^0."""
     if n < 0:
         raise ValueError("n must be >= 0")
     acc = 0
     xp = x**0
     for k in range(n + 1):
-        acc += comb(n + k, 2 * k) * comb(2 * k, k) * xp
+        acc += comb(n + k, 2 * k) * coeff(k) * xp
         xp = xp * x
     return acc
+
+
+def delannoy_poly(n: int, x: Number) -> Number:
+    """D_n(x) = sum_{k=0..n} C(n+k,2k) C(2k,k) x^k."""
+    return _central_series(n, x, lambda k: comb(2 * k, k))
 
 
 def schroder_poly(n: int, x: Number) -> Number:
     """S_n(x) = sum_{k=0..n} C(n+k,2k) C_k x^k with Catalan C_k."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = 0
-    xp = x**0
-    for k in range(n + 1):
-        acc += comb(n + k, 2 * k) * (comb(2 * k, k) // (k + 1)) * xp
-        xp = xp * x
-    return acc
+    return _central_series(n, x, lambda k: comb(2 * k, k) // (k + 1))
 
 
 def f_poly(n: int, x: Number) -> Number:
     """f_n(x) = sum_{k=0..n} C(n+k,2k) C(2k,k)^2 x^k."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = 0
-    xp = x**0
-    for k in range(n + 1):
-        acc += comb(n + k, 2 * k) * comb(2 * k, k) ** 2 * xp
-        xp = xp * x
-    return acc
+    return _central_series(n, x, lambda k: comb(2 * k, k) ** 2)
 
 
 def euler_number_mod_p(n: int, p: int) -> int:

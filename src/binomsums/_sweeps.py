@@ -66,81 +66,97 @@ def column_shift_sum(weights: list[int], d: int, column: list[int], pk: int) -> 
     return sum(map(mul, weights[d:], column)) % pk
 
 
-def shift_sums(
-    p: int, base: int, weights: list[int], tables: FactorialTables, columns: dict[int, list[int]]
-) -> list[int]:
-    """S(d) = sum_{k<p} weights[k] * C(2k, k+d) mod p^K for every d < p.
+def _mismatch(p: int, base: int, d: int, kexp: int, what: str) -> ArithmeticError:
+    return ArithmeticError(f"shift engine mismatch at p={p}, base={base}, d={d}, K={kexp}: {what}")
+
+
+def shift_seed(p: int, base: int, weights: list[int], tables: FactorialTables,
+               column: list[int], d: int) -> int:
+    """S(d) read from ``column`` (C(2k, k+d) for d <= k < p) and checked against
+    ``direct_shift_sum``: a seed read on its own has no chain to pin it."""
+    seed = column_shift_sum(weights, d, column, tables.pk)
+    direct = direct_shift_sum(p, weights, d, tables)
+    if seed != direct:
+        raise _mismatch(p, base, d, tables.k, f"its column gives {seed}, the direct sum {direct}")
+    return seed
+
+
+def shift_chain(p: int, base: int, weights: list[int], tables: FactorialTables,
+                columns: dict[int, list[int]], parity: int) -> list[int]:
+    """S(d) = sum_{k<p} weights[k] * C(2k, k+d) mod p^K for the d < p of one
+    parity, in order: entry d // 2 is S(d).  The steps never mix parities.
 
     ``weights`` are the residues of ``SHIFT_FAMILIES[base]`` at k < p and
-    ``tables`` must reach n! for n <= step*p.  ``columns`` maps each d in
-    {0, 1, (p-1)/2} to the residues of C(2k, k+d) for d <= k < p mod p^K;
-    they do not depend on the family, so one set serves all four.  The seeds
-    S(0) and S(1) are read from them with ``column_shift_sum``; every further
-    S(d+2) comes from the step relation, divided by c(d+1) through
-    1/m = inv_unit[m] * unit[m-1], except where p | c(d+1).  Those re-seed
-    points are planned before stepping: c(d+1) = 0 (mod p) exactly when d+1
-    is a root x of c mod p, so there are at most two, at d = x-1.  Between
-    them the steps run with no divisibility test, and where S(d) = 0 and
-    ``front`` (the relation's right side) is 0, S(d+2) = 0 too and the step
-    is passed through without its product: a chain that vanishes, as one
-    parity does mod p^2 for every family, costs one test per shift.  At a
-    re-seed point S(d+2) is summed directly again, and the relation at d
-    must hold with that direct value; c(d) is a unit there (save for base
-    1728 at p = 5), so this pins the stepped S(d).  C(2p, p+d+1)/p is a
-    unit for d <= p-2, read from the same tables.
+    ``tables`` must reach n! for n <= step*p.  ``columns`` maps d = ``parity``,
+    and d = (p-1)/2 if that has the parity, to the residues of C(2k, k+d) for
+    d <= k < p mod p^K, which every family shares.  The seed S(parity) is
+    read from its column with ``column_shift_sum``; every further S(d+2) comes
+    from the step relation, divided by c(d+1) through 1/m = inv_unit[m] *
+    unit[m-1], except where p | c(d+1), that is where d+1 is a root x of c mod
+    p: at most two re-seed points d = x-1, planned before stepping, so the
+    steps between them test no divisibility.  Where S(d) = 0 and ``front``
+    (the relation's right side) is 0, S(d+2) = 0 too and the step is passed
+    through: a chain that vanishes, as one parity does mod p^2 for every
+    family, costs one test per shift.  At a re-seed point S(d+2) is summed
+    directly, and the relation at d must hold with it; c(d) is a unit there
+    (save for base 1728 at p = 5), so this pins the stepped S(d).
 
-    S((p-1)/2) is then read from its column, and S(p-1), S(p-2) and every
-    S(x) whose coefficient c(x) is divisible by p (so a stepped error in it
-    would be lost) are summed directly, term by term from the tables, so a
-    wrong seed or step cannot certify itself.  A mismatch raises
-    ArithmeticError naming p, base, d and K.
+    Of S(p-1), S(p-2), S((p-1)/2) and every S(x) with p | c(x) (where a
+    stepped error would be lost), those of the chain's parity are then
+    checked: S((p-1)/2) against its column, the others against a direct sum
+    from the tables, so a wrong seed or step cannot certify itself.  A
+    mismatch raises ArithmeticError naming p, base, d and K.
     """
     fam = SHIFT_FAMILIES[base]
     kexp, pk = tables.k, tables.pk
     unit, inv = tables.unit, tables.inv_unit
-    if len(weights) != p or tables.limit < fam.step * p:
-        raise ValueError("need one weight per k < p and tables up to step*p")
+    if len(weights) != p or tables.limit < fam.step * p or parity not in (0, 1):
+        raise ValueError("need one weight per k < p, tables up to step*p and a parity 0 or 1")
     step, (r1, r2) = fam.step, fam.offsets
     half = (p - 1) // 2
     # c(-p) * w(p-1); w(p-1) has valuation >= 2, so this is 0 for K <= 2
     front = fam.coeff(-p) * weights[p - 1] % pk
 
     def rhs(d: int) -> int:
-        """The step relation's right side at d, mod p^K; 0 when ``front`` is."""
+        """The relation's right side at d mod p^K, 0 when ``front`` is; C(2p, p+d+1)/p
+        is a unit for d <= p-2."""
         return front * (d + 1) * unit[2 * p] % pk * inv[p + d + 1] * inv[p - d - 1] % pk
-
-    def mismatch(d: int, what: str) -> ArithmeticError:
-        where = f"p={p}, base={base}, d={d}, K={kexp}"
-        return ArithmeticError(f"shift engine mismatch at {where}: {what}")
 
     # the roots x of c(x) = 0 (mod p): S(x + 1) is re-seeded and S(x) checked
     roots = {-r * pow(step, -1, p) % p for r in (r1, r2)}
-    out = [0] * p
-    out[0] = column_shift_sum(weights, 0, columns[0], pk)
-    out[1] = column_shift_sum(weights, 1, columns[1], pk)
-    gap, lo = r2 - r1, 0
-    for stop in sorted({x - 1 for x in roots if 1 <= x <= p - 2} | {p - 2}):
+    out = [0] * ((p + 1 - parity) // 2)
+    out[0] = column_shift_sum(weights, parity, columns[parity], pk)
+    gap, lo = r2 - r1, parity
+    for stop in sorted({x - 1 for x in roots if 1 <= x <= p - 2 and x % 2 != parity} | {p - 2}):
         # no coefficient c(d + 1) = m1 * m2 with lo <= d < stop is divisible by p
-        for d in range(lo, stop):
-            s = out[d]
+        for d in range(lo, stop, 2):
+            s = out[d >> 1]
             if s or front:  # else S(d + 2) = 0 as well
                 m1 = step * d + step + r1
                 m2 = m1 + gap
                 acc = (m1 - step) * (m2 - step) * s
                 if front:
                     acc -= rhs(d)
-                out[d + 2] = acc * inv[m1] * unit[m1 - 1] % pk * inv[m2] * unit[m2 - 1] % pk
+                out[(d >> 1) + 1] = acc * inv[m1] * unit[m1 - 1] % pk * inv[m2] * unit[m2 - 1] % pk
         if stop < p - 2:
-            d, lo = stop, stop + 1
-            out[d + 2] = direct_shift_sum(p, weights, d + 2, tables)
-            if (fam.coeff(d) * out[d] - fam.coeff(d + 1) * out[d + 2] - rhs(d)) % pk:
-                raise mismatch(d, f"the relation fails with the direct S({d + 2})")
-    checked = {p - 1, p - 2, half} | roots
-    for d in sorted(checked, reverse=True):
-        if d == half:
-            direct = column_shift_sum(weights, d, columns[d], pk)
-        else:
-            direct = direct_shift_sum(p, weights, d, tables)
-        if direct != out[d]:
-            raise mismatch(d, f"step relation gives {out[d]}, direct sum gives {direct}")
+            d, lo = stop, stop + 2
+            out[(d >> 1) + 1] = direct_shift_sum(p, weights, d + 2, tables)
+            if (fam.coeff(d) * out[d >> 1] - fam.coeff(d + 1) * out[(d >> 1) + 1] - rhs(d)) % pk:
+                raise _mismatch(p, base, d, kexp, f"the relation fails with the direct S({d + 2})")
+    for d in sorted((x for x in {p - 1, p - 2, half} | roots if x % 2 == parity), reverse=True):
+        direct = (column_shift_sum(weights, d, columns[d], pk) if d == half
+                  else direct_shift_sum(p, weights, d, tables))
+        if direct != out[d >> 1]:
+            what = f"step relation gives {out[d >> 1]}, direct sum gives {direct}"
+            raise _mismatch(p, base, d, kexp, what)
+    return out
+
+
+def shift_sums(
+    p: int, base: int, weights: list[int], tables: FactorialTables, columns: dict[int, list[int]]
+) -> list[int]:
+    """S(d) for every d < p, the two ``shift_chain``s interleaved; ``columns`` holds
+    d = 0, 1 and (p-1)/2."""
+    out = [0] * p
+    out[::2], out[1::2] = (shift_chain(p, base, weights, tables, columns, q) for q in (0, 1))
     return out

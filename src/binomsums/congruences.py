@@ -24,15 +24,16 @@ Two evaluation paths exist and are pinned against each other by the tests:
   factorial table, long enough for every row's declared factorial
   arguments, and evaluates its rows from the top exponent down, so a lower
   exponent reads tables, summands and moments reduced from a higher one.
-  The shift engine gives all S(d) of a family at once in O(p), stepping the
-  certified d -> d+2 relations from seeds read from binomial columns that
-  every family shares.  A row at a prime gives one column block: a report's
-  fields, ``id``, ``p`` and ``modulus`` one value each, ``params`` a list of
-  one entry per report, and ``lhs``, ``rhs``, ``status`` and ``micros`` each
-  a list as long or one value for every report (a skipped row: one report,
-  lhs and rhs None, status the one value ``skipped``).  ``iter_blocks`` hands
-  each prime's blocks to an encoder, in the worker on a pooled run;
-  ``iter_suite`` yields them as reports, and ``run_suite`` lists those.
+  The shift engine steps the certified d -> d+2 relations in O(p) for each
+  (family, parity) chain of shifts that the rows read, from seeds read from
+  binomial columns that every family shares.  A row at a prime gives one
+  column block: a report's fields, ``id``, ``p`` and ``modulus`` one value
+  each, ``params`` a list of one entry per report, and ``lhs``, ``rhs``,
+  ``status`` and ``micros`` each a list as long or one value for every
+  report (a skipped row: one report, lhs and rhs None, status the one value
+  ``skipped``).  ``iter_blocks`` hands each prime's blocks to an encoder, in
+  the worker on a pooled run; ``iter_suite`` yields them as reports, and
+  ``run_suite`` lists those.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
 ``experimental-fail`` for conjectural ones, and ``skipped`` when a row's side
@@ -51,7 +52,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, eq, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._sweeps import SHIFT_FAMILIES, shift_sums
+from ._sweeps import SHIFT_FAMILIES, shift_chain, shift_seed, shift_sums
 from .arith import FactorialTables, _euler_criterion, is_prime, mod_inverse, represent
 from .sequences import euler_number_mod_p
 
@@ -136,9 +137,9 @@ class Sum(NamedTuple):
 class Shift(NamedTuple):
     """S_base(d) = sum_{k<p} w_base(k) C(2k, k+d) for the shift family of ``base``.
 
-    ``d`` None reads the row's parameter.  In the suite the sums come from the
-    shift engine's output for the whole family; ``check`` sums them term by
-    term (``_reference_shift_sum``).
+    ``d`` None reads the row's parameter.  In the suite a table row reads its
+    shifts' chain (``PrimeContext.chain``), a fixed shift is read before its row
+    (``PrimeContext.shift_sum``); ``check`` sums them term by term.
     """
 
     base: int
@@ -146,14 +147,16 @@ class Shift(NamedTuple):
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
         d = v if self.d is None else self.d
-        swept = ctx._cache.get(("sweep", self.base, kexp))
-        return swept[d] if swept is not None else _reference_shift_sum(ctx, kexp, self.base, d)
+        value = ctx._cache.get(("shift", self.base, d, kexp))
+        return value if value is not None else _reference_shift_sum(ctx, kexp, self.base, d)
 
     def column(self, ctx: PrimeContext, kexp: int, values: range) -> list[int]:
-        sums = ctx.sweep((self.base,), kexp)[self.base]
         if self.d is not None:
-            return [sums[self.d]] * len(values)
-        return sums[values.start:values.stop:values.step]
+            return [ctx.shift_sum(self.base, self.d, kexp)] * len(values)
+        if values.step != 2:
+            raise ValueError("a shift column reads the shifts of one parity, a range of step 2")
+        i = values.start // 2
+        return ctx.chain(self.base, values.start % 2, kexp)[i : i + len(values)]
 
     def limit(self, p: int) -> int:
         return SHIFT_FAMILIES[self.base].step * p
@@ -330,8 +333,9 @@ class PrimeContext:
         self.p = p
         self.n = (p - 1) // 2
         self._cache: dict = {}
-        self._exps: set[int] = set()  # the exponents of the keys cached so far
+        self._top = 0  # the highest exponent of the keys cached so far
         self.limits: dict[int, int] = {}  # the table length planned per exponent
+        self.chains: set[tuple[int, int, int]] = set()  # the planned (base, exponent, parity)
 
     # --- basic cached helpers -------------------------------------------
 
@@ -343,8 +347,8 @@ class PrimeContext:
 
     def _higher(self, key: tuple, kexp: int, fits: Callable = lambda v: True):
         """The cached value of ``key`` at the lowest exponent above kexp that ``fits``, or None."""
-        for j in sorted(self._exps):
-            value = self._cache.get((*key, j)) if j > kexp else None
+        for j in range(kexp + 1, self._top + 1):
+            value = self._cache.get((*key, j))
             if value is not None and fits(value):
                 return value
         return None
@@ -370,7 +374,7 @@ class PrimeContext:
             else:
                 value = build()
             self._cache[full] = value
-            self._exps.add(kexp)
+            self._top = max(self._top, kexp)
         return value
 
     def pk(self, kexp: int) -> int:
@@ -391,7 +395,7 @@ class PrimeContext:
             higher = self._higher(("tables",), kexp, lambda t: t.limit >= limit)
             cached = higher.reduced(kexp, limit) if higher else FactorialTables(self.p, kexp, limit)
             self._cache[("tables", kexp)] = cached
-            self._exps.add(kexp)
+            self._top = max(self._top, kexp)
         return cached
 
     def legendre(self, a: int) -> int:
@@ -532,16 +536,42 @@ class PrimeContext:
 
         The shift engine reads its seeds S(0), S(1) and its check S((p-1)/2)
         from these columns, which every family shares.  Each is a summand of
-        the term engine; the d = 0 column is C(2k,k) itself.
+        the term engine, built when first read; the d = 0 column is C(2k,k).
         """
         s = _CENTRAL if d == 0 else Sum(1, 0, factors=_shifted(d), lo=d)
         return self._at(("column", d), kexp, lambda: self._kernel(kexp, s))
 
+    def chain(self, base: int, parity: int, kexp: int) -> list[int]:
+        """S_base(d) mod p^kexp for the d < p of one parity, entry d // 2 being S(d),
+        from ``shift_chain``; the (p-1)/2 column is read only for its parity."""
+
+        def build():
+            tables = self.tables(kexp, SHIFT_FAMILIES[base].step * self.p)
+            columns = {d: self.shift_column(d, kexp) for d in (parity, self.n) if d % 2 == parity}
+            return shift_chain(self.p, base, self.weights(base, kexp), tables, columns, parity)
+
+        return self._at(("chain", base, parity), kexp, build)
+
+    def shift_sum(self, base: int, d: int, kexp: int) -> int:
+        """S_base(d) mod p^kexp for a row that reads the one shift d: from the
+        chain of d's parity if d > 1 or that chain is planned at kexp
+        (``chains``) or cached at kexp or above, else the seed S(d) checked by
+        a direct sum (``shift_seed``), with no chain stepped."""
+
+        def build():
+            q = d % 2
+            if d > 1 or (base, kexp, q) in self.chains or self._at(("chain", base, q), kexp):
+                return self.chain(base, q, kexp)[d // 2]
+            tables, column = self.tables(kexp, 2 * self.p), self.shift_column(d, kexp)
+            return shift_seed(self.p, base, self.weights(base, kexp), tables, column, d)
+
+        return self._at(("shift", base, d), kexp, build)
+
     def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
         """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp.
 
-        Each family's p sums come from the O(p) step-relation engine
-        ``shift_sums``; one factorial table, sized for the widest requested
+        Each family's p sums are its even and odd chains interleaved
+        (``shift_sums``); one factorial table, sized for the widest requested
         family, and one set of seed columns (``shift_column`` at d = 0, 1 and
         (p-1)/2) serve the weights and the engine of every family.  A family
         already swept at a higher exponent is reduced instead.
@@ -687,9 +717,9 @@ class RowSpec(_RowFields):
                      if hasattr(t, "limit") and not (isinstance(t, Sum) and not t.factors))
 
     @cached_property
-    def shift_bases(self) -> tuple[int, ...]:
-        """The bases of the row's shifted sums."""
-        return tuple(t.base for t in self.terms if isinstance(t, Shift))
+    def shifts(self) -> tuple[Shift, ...]:
+        """The row's shifted sums."""
+        return tuple(t for t in self.terms if isinstance(t, Shift))
 
     def limit(self, p: int) -> int:
         """The largest factorial argument the row reads at p, C(2k,k) left out."""
@@ -1058,7 +1088,8 @@ def _plan_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None
     and the top exponent's as long as any row's, so the table built there is
     the prime's only build and each lower exponent reduces it once, on first use.
     C(2k,k) reads (2k)! only where it is built, at the highest exponent of a
-    row that reads it; every lower exponent reduces it from there.
+    row that reads it; every lower exponent reduces it from there.  The shift
+    chain each table row reads goes to ``ctx.chains``, for fixed shifts to read.
     """
     need, central = ctx.limits, 0
     for row, kexp in rows:
@@ -1066,6 +1097,8 @@ def _plan_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None
             need[kexp] = max(need.get(kexp, 0), row.limit(ctx.p))
             if row.central:
                 central = max(central, kexp)
+            if row.table and row.shifts and row.shifts[0].d is None:  # one chain per table row
+                ctx.chains.add((row.shifts[0].base, kexp, row.param_values(ctx.p).start % 2))
     if central:
         need[central] = max(need[central], 2 * ctx.p)
     if need:
@@ -1134,13 +1167,15 @@ def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tup
             raise ValueError(f"a column is shorter or longer than the {len(values)} values")
         status = PASS if lhs == rhs else list(map((FAIL, PASS).__getitem__, map(eq, lhs, rhs)))
         return row.id, p, _table_params(row.param_name, values), pkv, lhs, rhs, status, 0
-    if row.shift_bases:  # one engine pass serves every shifted sum of a family
-        ctx.sweep(row.shift_bases, kexp)
+    for t in row.shifts:  # the engine runs before the row is timed
+        if t.d is not None:
+            ctx.shift_sum(t.base, t.d, kexp)
     outcomes, micros = [], []
     for v in values:
-        start = time.perf_counter_ns()
+        start = timings and time.perf_counter_ns()
         members, rhs = _evaluate(row, ctx, kexp, v)
-        micros.append((time.perf_counter_ns() - start) // 1000)
+        if timings:
+            micros.append((time.perf_counter_ns() - start) // 1000)
         outcomes.append(_outcome(row, p, v, members, rhs))
     lhs, rhs, status = map(list, zip(*outcomes))
     params = [_format_params(row, v) for v in values]

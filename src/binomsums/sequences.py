@@ -46,10 +46,13 @@ def f_poly(n: int, x: Number) -> Number:
 
 
 def euler_number_mod_p(n: int, p: int) -> int:
-    """E_n mod an odd prime p in O(p) modular powers, without the exact numbers.
+    """E_n mod an odd prime p in (p-1)/2 modular powers, without the exact numbers.
 
     E_n = 2^n E_n(1/2) and E_n(x) + E_n(x+1) = 2 x^n give
     sum_{k<p} (-1)^k (2k+1)^n = (E_n + 2^n E_n(1/2 + p)) / 2, and the Euler
-    polynomials have p-integral coefficients, so the sum is E_n mod p.
+    polynomials have p-integral coefficients, so the sum is E_n mod p.  Its
+    terms at k and p-1-k are equal for even n and cancel for odd n, and the
+    one at k = (p-1)/2 is (-1)^k p^n, so only the k < (p-1)/2 are summed.
     """
-    return sum((-1) ** k * pow(2 * k + 1, n, p) for k in range(p)) % p
+    powers = [pow(m, n, p) for m in range(1, p - 1, 2)] if n % 2 == 0 else []  # m = 2k+1
+    return (2 * (sum(powers[::2]) - sum(powers[1::2])) + (-1) ** (p // 2) * pow(p, n, p)) % p

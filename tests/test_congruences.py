@@ -625,15 +625,33 @@ def test_row_errors_name_their_row_and_prime(monkeypatch, jobs):
         assert str(err.value.__cause__) == "broken row"
 
 
-def _corrupt_first_seed(weights, d, column, pk, seed_sum=_sweeps.column_shift_sum):
-    """``column_shift_sum`` with S(0) off by one."""
-    s = seed_sum(weights, d, column, pk)
-    return (s + 1) % pk if d == 0 else s
+def _corrupt_seeds(*seeds):
+    """``column_shift_sum`` with S(d) off by one for each d of ``seeds``."""
+    seed_sum = _sweeps.column_shift_sum
+
+    def corrupt(weights, d, column, pk):
+        s = seed_sum(weights, d, column, pk)
+        return (s + 1) % pk if d in seeds else s
+
+    return corrupt
+
+
+def _corrupt_column(at):
+    """``PrimeContext.shift_column`` with the first entry of column ``at`` off by one."""
+    column = PrimeContext.shift_column
+
+    def corrupt(self, d, kexp):
+        col = column(self, d, kexp)
+        return [col[0] + 1, *col[1:]] if d == at else col
+
+    return corrupt
 
 
 def test_shift_engine_errors_name_their_row(monkeypatch):
-    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_first_seed)
-    with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=6, K=2.*\(row=C1_5, p=13\)"):
+    # at p = 13 C1_5 reads the odd chain of base 64, seeded by S(1); the chain
+    # re-seeds S(7) at d = 5 (c(6) = 13^2), where the relation then fails
+    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_seeds(1))
+    with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=5, K=2.*\(row=C1_5, p=13\)"):
         run_suite([13], ["C1_5"])
 
 
@@ -788,9 +806,9 @@ def test_shift_table_rows_match_reference_path(rid, monkeypatch):
 
 def test_a_short_table_column_raises(monkeypatch):
     """A table row's column shorter than its shifts raises instead of dropping reports."""
-    sweep = PrimeContext.sweep
-    monkeypatch.setattr(PrimeContext, "sweep", lambda self, bases, kexp: {
-        b: sums[:-2] for b, sums in sweep(self, bases, kexp).items()})
+    chain = PrimeContext.chain
+    monkeypatch.setattr(PrimeContext, "chain", lambda self, base, parity, kexp:
+                        chain(self, base, parity, kexp)[:-1])
     with pytest.raises(ValueError, match=r"shorter .*\(row=C1_5, p=31\)$"):
         run_suite([31], ["C1_5"])
 
@@ -855,8 +873,43 @@ def test_primality_is_tested_once_per_public_call(monkeypatch):
     assert 0 < len(calls) <= 16, len(calls)
 
 
+def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
+    direct, chains = [], []
+    direct_sum, chain = _sweeps.direct_shift_sum, congruences.shift_chain
+
+    def counting_direct(p, weights, d, tables):
+        direct.append(d)
+        return direct_sum(p, weights, d, tables)
+
+    def counting_chain(p, base, weights, tables, columns, parity):
+        chains.append((base, parity, sorted(columns)))
+        return chain(p, base, weights, tables, columns, parity)
+
+    monkeypatch.setattr(_sweeps, "direct_shift_sum", counting_direct)
+    monkeypatch.setattr(congruences, "shift_chain", counting_chain)
+    shift_ids = ("C1_5", "C1_6", "C1_19", "C1_20", "C1_21", "C1_22", "C1_23", "C1_24", "C1_25",
+                 "C1_26")
+    congruences._suite_for_prime(2003, shift_ids, {}, False)
+    # p = 2003 = 3 (mod 4), 2 (mod 3), 3 (mod 8): C1_5 reads the even chain of
+    # 64 ((p+1)/2 even), C1_19 the even chain of 108, C1_20 and C1_25 the odd
+    # chain of 256, C1_21 the even chain of 1728; C1_23 and C1_26 do not apply.
+    # C1_6 reads S_64(1) and C1_22 S_256(0) from chains nobody steps: two
+    # seeds, one direct sum each.  A chain sums its last shift (p-1 = 2002
+    # even, p-2 = 2001 odd) and re-seeds S(x+1) at each root x of c mod p with
+    # x+1 of its parity; here no root has the parity of its chain, so no S(x)
+    # is summed.  The roots: 64, x = (p-1)/2 = 1001 (double, so S(1002));
+    # 108, -1/3 = 1335 and -2/3 = 667; 256, -1/4 = 1502 and -3/4 = 500; 1728,
+    # -1/6 = 1669 and -5/6 = 333.  So 2 + 3 + 3 + 3 chain sums and 2 seed
+    # sums: 13 (21 when both chains of all four families were stepped), and
+    # only the odd 256 chain reads the column at (p-1)/2 = 1001.
+    assert sorted(direct) == [0, 1, 334, 501, 668, 1002, 1336, 1503, 1670, 2001, 2002, 2002, 2002]
+    assert chains == [(64, 0, [0]), (108, 0, [0]), (256, 1, [1, 1001]), (1728, 0, [0])]
+
+
 def test_corrupted_seed_raises_under_reduction(monkeypatch):
-    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_first_seed)
+    # C1_5 reads the odd chain of 64 at p = 13 and the even one at p = 31,
+    # where C1_6 reads the seed S(1) on its own
+    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_seeds(0, 1))
     with pytest.raises(ArithmeticError, match=r"base=64, .*K=2.*\(row=C1_5, p=13\)"):
         run_suite([13], default_ids())
     # the higher exponent is evaluated first, so its row is the one reported
@@ -866,7 +919,8 @@ def test_corrupted_seed_raises_under_reduction(monkeypatch):
 
 def test_corrupted_shared_column_raises_for_every_family(monkeypatch):
     # one wrong entry of a column read by every family: C(2k,k) and C(2k,k+1)
-    # give the seeds S(0) and S(1), C(2k,k+6) the check of S((p-1)/2)
+    # give the seeds S(0) and S(1), C(2k,k+6) the check of S((p-1)/2); at
+    # p = 13 C1_5 reads the odd chain of 64, C1_20 the even chain of 256
     column = PrimeContext.shift_column
     bad = {"d": 0}
 
@@ -879,8 +933,61 @@ def test_corrupted_shared_column_raises_for_every_family(monkeypatch):
         for base in (64, 108, 256, 1728):
             with pytest.raises(ArithmeticError, match=rf"p=13, base={base}, d=\d+, K=2"):
                 PrimeContext(13).sweep((base,), 2)
-        with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=\d+, K=2.*\(row=C1_5, p=13\)"):
-            run_suite([13], ["C1_5"])
+        rid, base = ("C1_5", 64) if bad["d"] % 2 else ("C1_20", 256)
+        with pytest.raises(ArithmeticError, match=rf"p=13, base={base}, d=\d+, K=2.*\(row={rid}, p=13\)"):
+            run_suite([13], [rid])
+
+
+# the table row that reads the chain of each (base, parity), at the primes
+# below 60 where it reads that parity
+_CHAIN_ROWS = {"C1_5": 64, "C1_19": 108, "C1_20": 256, "C1_21": 1728}
+_CHAIN_CASES = [(rid, base, parity, p) for rid, base in _CHAIN_ROWS.items() for parity in (0, 1)
+                for p in primes_in_range(11, 60)
+                if _REGISTRY[_ROW_INDEX[rid]].param_values(p).start == parity]
+
+
+@pytest.mark.parametrize("rid, base, parity", sorted({c[:3] for c in _CHAIN_CASES}))
+def test_a_corrupted_chain_raises_naming_its_row(rid, base, parity, monkeypatch):
+    rng = random.Random(base + parity)
+    fam = _sweeps.SHIFT_FAMILIES[base]
+    chain = congruences.shift_chain
+    for p in [c[3] for c in _CHAIN_CASES if c[:3] == (rid, base, parity)]:
+        where = rf"p={p}, base={base}, d=\d+, K=2.*\(row={rid}, p={p}\)$"
+        # the seed S(parity), and the first entry of the column it is read from
+        for owner, name, corrupt in ((_sweeps, "column_shift_sum", _corrupt_seeds(parity)),
+                                     (PrimeContext, "shift_column", _corrupt_column(parity))):
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, corrupt)
+                with pytest.raises(ArithmeticError, match=where):
+                    run_suite([p], [rid])
+        # one step d -> d+2 of the chain, at p^3, where the chain does not vanish
+        # (see test_shift_engine_catches_a_corrupted_step)
+        good = PrimeContext(p).chain(base, parity, 3)
+        roots = {x for x in range(p) if fam.coeff(x) % p == 0}
+        d = rng.choice([d for d in range(parity, p - 2, 2)
+                        if good[d // 2] and good[d // 2 + 1] and not {d, d + 1} & roots])
+        m1 = fam.step * (d + 1) + fam.offsets[0]
+
+        def bent(p, b, weights, tables, columns, q):
+            tables = tables.reduced(tables.k, tables.limit)
+            tables.unit = _DoubledEntry(tables.unit, m1 - 1, tables.pk)
+            return chain(p, b, weights, tables, columns, q)
+
+        with monkeypatch.context() as m:
+            m.setattr(congruences, "shift_chain", bent)
+            with pytest.raises(ArithmeticError, match=where.replace("K=2", "K=3")):
+                run_suite([p], [rid], mod_exp={rid: 3})
+
+
+@pytest.mark.parametrize("rid, base, d, p", [("C1_14b", 108, 0, 13), ("C1_15", 1728, 0, 11),
+                                             ("C1_25", 256, 1, 17), ("C1_6", 64, 1, 19)])
+def test_a_corrupted_seed_read_alone_fails_its_direct_sum(rid, base, d, p, monkeypatch):
+    # a row that reads S(0) or S(1) with no chain planned steps none: the seed
+    # read from its column is checked against a direct sum of the same shift
+    monkeypatch.setattr(PrimeContext, "shift_column", _corrupt_column(d))
+    with pytest.raises(ArithmeticError, match=rf"p={p}, base={base}, d={d}, K=2: its column "
+                                              rf"gives \d+, the direct sum \d+ \(row={rid}, p={p}\)$"):
+        run_suite([p], [rid])
 
 
 # every encoder of ``verify``: csv, jsonl and human rows, and the --log records
@@ -921,7 +1028,7 @@ def test_the_collector_is_the_callers_at_every_hand_back(monkeypatch):
         assert run_suite(ps) == reports and not gc.isenabled()
     finally:
         gc.enable()
-    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_first_seed)
+    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_seeds(1))  # C1_5's seed at 13
     with pytest.raises(ArithmeticError, match=r"\(row=C1_5, p=13\)"):
         run_suite([13], ["C1_5"])
     assert gc.isenabled()

@@ -7,9 +7,10 @@ For a base m in {64, 108, 256, 1728} and shift d, consider
 where w_m(k) is the matching product of central binomials.  The theorems
 say S(d) = 0 exactly when d has one specific parity, and that parity is a
 quadratic-residue datum of p (it differs from base to base).  The shift
-engine behind ``PrimeContext.sweep`` gets all p shifts of a base in O(p):
-it sums S(0) and S(1) directly and steps the rest through the certified
-relation c(d) S(d) - c(d+1) S(d+2) = R_d, e.g. c(d) = (2d+1)^2 for base 64.
+engine behind ``PrimeContext.chain`` gets the shifts of one parity of a
+base in O(p): it reads S(0) or S(1) from a binomial column that all four
+bases share and steps the rest through the relation
+c(d) S(d) - c(d+1) S(d+2) = R_d, e.g. c(d) = (2d+1)^2 for base 64.
 Below, each column is a shift d and a '.' marks a vanishing sum.
 """
 
@@ -32,7 +33,7 @@ def expected_parity(base: int, p: int) -> int:
 def main():
     for p in PRIMES:
         ctx = PrimeContext(p)
-        table = ctx.sweep(BASES, 2)
+        table = {base: [ctx.chain(base, d % 2, 2)[d // 2] for d in range(p)] for base in BASES}
         print(f"p = {p}   (d runs 0..{p - 1}; '.' means the sum is 0 mod p^2)")
         for base in BASES:
             marks = "".join("." if s == 0 else "*" for s in table[base])

@@ -1,9 +1,11 @@
 """The shift engine of the congruence checker.
 
-It produces, for every shift d < p at once, the weighted sums
-S(d) = sum_{k<p} w(k) C(2k, k+d)  (mod p^K)  in O(p), by stepping the
-creative-telescoping relations d -> d+2 that ``identities`` verifies exactly.
-It is exact; the test suite pins it against the direct evaluators.
+It produces S(d) = sum_{k<p} w(k) C(2k, k+d)  (mod p^K) for the shifts d < p
+of one parity in O(p), by stepping the creative-telescoping relations
+d -> d+2 (``shift_chain``), or for one d from its binomial column, checked by
+a direct sum (``shift_seed``).  ``identities`` checks the relations exactly
+only for small P, so each chain checks itself against direct sums; the test
+suite pins both paths against the direct evaluators.
 """
 
 from __future__ import annotations
@@ -151,12 +153,3 @@ def shift_chain(p: int, base: int, weights: list[int], tables: FactorialTables,
             raise _mismatch(p, base, d, kexp, what)
     return out
 
-
-def shift_sums(
-    p: int, base: int, weights: list[int], tables: FactorialTables, columns: dict[int, list[int]]
-) -> list[int]:
-    """S(d) for every d < p, the two ``shift_chain``s interleaved; ``columns`` holds
-    d = 0, 1 and (p-1)/2."""
-    out = [0] * p
-    out[::2], out[1::2] = (shift_chain(p, base, weights, tables, columns, q) for q in (0, 1))
-    return out

@@ -404,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, help="worker processes (default 1)")
     p_verify.add_argument(
         "--timings", nargs="?", const=True, type=_boolean, metavar="BOOL",
-        help="fill the micros column with each row's marginal cost: its own "
-        "evaluation, leaving out the shared per-prime tables, summands and sweeps "
-        "(0 for table rows); off keeps output byte-identical",
+        help="fill the micros column with each row's own evaluation time, which "
+        "includes building each per-prime table, summand, shift chain or seed it is "
+        "the first row to need (0 for table rows); off keeps output byte-identical",
     )
     p_verify.add_argument(
         "--log",

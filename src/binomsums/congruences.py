@@ -24,7 +24,7 @@ Two evaluation paths exist and are pinned against each other by the tests:
   factorial table, long enough for every row's declared factorial
   arguments, and evaluates its rows from the top exponent down, so a lower
   exponent reads tables, summands and moments reduced from a higher one.
-  The shift engine steps the certified d -> d+2 relations in O(p) for each
+  The shift engine steps the d -> d+2 relations in O(p) for each
   (family, parity) chain of shifts that the rows read, from seeds read from
   binomial columns that every family shares.  A row at a prime gives one
   column block: a report's fields, ``id``, ``p`` and ``modulus`` one value
@@ -52,7 +52,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, eq, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._sweeps import SHIFT_FAMILIES, shift_chain, shift_seed, shift_sums
+from ._sweeps import SHIFT_FAMILIES, shift_chain, shift_seed
 from .arith import FactorialTables, _euler_criterion, is_prime, mod_inverse, represent
 from .sequences import euler_number_mod_p
 
@@ -69,9 +69,9 @@ class CongruenceReport(NamedTuple):
     ``lhs``/``rhs`` are residues mod ``modulus`` (None when skipped).  For
     chained statements that assert several sums agree, ``lhs``/``rhs`` show
     the first differing pair on failure and (first member, closed form)
-    otherwise.  ``micros`` is filled only when timings were requested; it is
-    the marginal cost of the row's own evaluation, which leaves out the shared
-    per-prime tables, summands and sweeps, and it is 0 for table rows.
+    otherwise.  ``micros``, filled only when timings were requested, is the
+    row's own evaluation time, which includes building each per-prime table,
+    summand, shift chain or seed it is the first row to need; 0 for table rows.
     """
 
     id: str
@@ -137,23 +137,19 @@ class Sum(NamedTuple):
 class Shift(NamedTuple):
     """S_base(d) = sum_{k<p} w_base(k) C(2k, k+d) for the shift family of ``base``.
 
-    ``d`` None reads the row's parameter.  In the suite a table row reads its
-    shifts' chain (``PrimeContext.chain``), a fixed shift is read before its row
-    (``PrimeContext.shift_sum``); ``check`` sums them term by term.
+    ``d`` None reads the row's parameter.  A shift is read through
+    ``PrimeContext.shift_sum``, and a table row's shifts as a slice of their
+    chain (``PrimeContext.chain``); ``check``'s context sums them term by term.
     """
 
     base: int
     d: int | None = None
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
-        d = v if self.d is None else self.d
-        value = ctx._cache.get(("shift", self.base, d, kexp))
-        return value if value is not None else _reference_shift_sum(ctx, kexp, self.base, d)
+        return ctx.shift_sum(self.base, v if self.d is None else self.d, kexp)
 
     def column(self, ctx: PrimeContext, kexp: int, values: range) -> list[int]:
-        if self.d is not None:
-            return [ctx.shift_sum(self.base, self.d, kexp)] * len(values)
-        if values.step != 2:
+        if self.d is not None or values.step != 2:
             raise ValueError("a shift column reads the shifts of one parity, a range of step 2")
         i = values.start // 2
         return ctx.chain(self.base, values.start % 2, kexp)[i : i + len(values)]
@@ -317,9 +313,9 @@ class PrimeContext:
     tables as a sum of valuations and a product of units, with no ratio
     stream.  C(2k,k) is read from the tables once (``central``), which is
     also where the tail invariants get their valuations.  Summands, their
-    moments, sweep outputs and quadratic representations are cached on first
-    use, so checking many rows at one prime costs one kernel call per
-    distinct summand and one pass per moment.
+    moments, shift chains, shifted sums and quadratic representations are
+    cached on first use, so checking many rows at one prime costs one kernel
+    call per distinct summand and one pass per moment.
 
     A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
     at K is reduced from the lowest higher exponent cached, and built only if
@@ -554,37 +550,18 @@ class PrimeContext:
 
     def shift_sum(self, base: int, d: int, kexp: int) -> int:
         """S_base(d) mod p^kexp for a row that reads the one shift d: from the
-        chain of d's parity if d > 1 or that chain is planned at kexp
-        (``chains``) or cached at kexp or above, else the seed S(d) checked by
+        chain of d's parity if that chain is planned at kexp (``chains``) or
+        cached at kexp or above, else S(d) read from its column and checked by
         a direct sum (``shift_seed``), with no chain stepped."""
 
         def build():
             q = d % 2
-            if d > 1 or (base, kexp, q) in self.chains or self._at(("chain", base, q), kexp):
+            if (base, kexp, q) in self.chains or self._at(("chain", base, q), kexp):
                 return self.chain(base, q, kexp)[d // 2]
             tables, column = self.tables(kexp, 2 * self.p), self.shift_column(d, kexp)
             return shift_seed(self.p, base, self.weights(base, kexp), tables, column, d)
 
         return self._at(("shift", base, d), kexp, build)
-
-    def sweep(self, bases: Iterable[int], kexp: int) -> dict[int, list[int]]:
-        """All shifted sums S[base][d] = sum_k w_base[k] C(2k,k+d) mod p^kexp.
-
-        Each family's p sums are its even and odd chains interleaved
-        (``shift_sums``); one factorial table, sized for the widest requested
-        family, and one set of seed columns (``shift_column`` at d = 0, 1 and
-        (p-1)/2) serve the weights and the engine of every family.  A family
-        already swept at a higher exponent is reduced instead.
-        """
-        bases = tuple(bases)
-        missing = [b for b in bases if self._at(("sweep", b), kexp) is None]
-        if missing:
-            tables = self.tables(kexp, max(SHIFT_FAMILIES[b].step for b in missing) * self.p)
-            columns = {d: self.shift_column(d, kexp) for d in (0, 1, self.n)}
-            for b in missing:
-                self._at(("sweep", b), kexp,
-                         lambda: shift_sums(self.p, b, self.weights(b, kexp), tables, columns))
-        return {b: self._cache[("sweep", b, kexp)] for b in bases}
 
     def delannoy(self, kexp: int) -> list[int]:
         """[D_n, S_n] mod p^kexp: central Delannoy and Schroeder numbers at n = (p-1)/2.
@@ -605,10 +582,16 @@ class PrimeContext:
         return self._at(("delannoy",), kexp, build)
 
 
-def _reference_shift_sum(ctx: PrimeContext, kexp: int, base: int, d: int) -> int:
+def _reference_shift_sum(ctx: PrimeContext, base: int, d: int, kexp: int) -> int:
     """sum_{d<=k<p} w_base[k] * C(2k, k+d) mod p^kexp, summed term by term."""
     fam = _FAMILY[base]
     return ctx.moment(kexp, fam._replace(factors=fam.factors + _shifted(d), lo=d), 0)
+
+
+class _TermwiseContext(PrimeContext):
+    """``check``'s context: it sums every shifted sum term by term, with no shift engine."""
+
+    shift_sum = _reference_shift_sum
 
 
 # --- the rows that keep a function ----------------------------------------
@@ -1145,7 +1128,7 @@ def check(
     head = (row.id, p, _format_params(row, param), p**kexp)
     if not row.applies(p) or (row.param_values is not None and param not in row.param_values(p)):
         return CongruenceReport(*head, None, None, SKIPPED)
-    ctx = PrimeContext(p)
+    ctx = _TermwiseContext(p)
     try:
         _plan_tables(ctx, [(row, kexp)])
         members, rhs = _evaluate(row, ctx, kexp, param)
@@ -1167,9 +1150,6 @@ def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tup
             raise ValueError(f"a column is shorter or longer than the {len(values)} values")
         status = PASS if lhs == rhs else list(map((FAIL, PASS).__getitem__, map(eq, lhs, rhs)))
         return row.id, p, _table_params(row.param_name, values), pkv, lhs, rhs, status, 0
-    for t in row.shifts:  # the engine runs before the row is timed
-        if t.d is not None:
-            ctx.shift_sum(t.base, t.d, kexp)
     outcomes, micros = [], []
     for v in values:
         start = timings and time.perf_counter_ns()
@@ -1206,7 +1186,7 @@ def _suite_for_prime(
     The prime's factorial table is built once (``_plan_tables``).
     The rows are evaluated from the highest exponent down, in registry order
     within one exponent, so each lower exponent reads the prime's tables,
-    powers, summands and sweeps reduced from a higher one.  An exception
+    powers, summands and shift chains reduced from a higher one.  An exception
     raised while a row is evaluated is raised again as the same class with
     ``row=<id>, p=<p>`` in its message, chained from the original; when two
     rows would raise, the one with the higher exponent is reported.

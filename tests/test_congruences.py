@@ -288,12 +288,10 @@ def test_sweep_matches_reference_all_shifts():
     for p in primes_in_range(5, 99):
         for kexp in (1, 2, 3, 4):
             ctx = PrimeContext(p)
-            tables = ctx.sweep((64, 108, 256, 1728), kexp)
             for base in (64, 108, 256, 1728):
                 for d in range(p):
-                    assert tables[base][d] == _reference_shift_sum(ctx, kexp, base, d), (
-                        p, kexp, base, d,
-                    )
+                    assert ctx.chain(base, d % 2, kexp)[d // 2] == _reference_shift_sum(
+                        ctx, base, d, kexp), (p, kexp, base, d)
 
 
 class _DoubledEntry(list):
@@ -322,7 +320,8 @@ def test_shift_engine_catches_a_corrupted_step():
             for base, fam in _sweeps.SHIFT_FAMILIES.items():
                 tables = ctx.tables(kexp, fam.step * p)
                 weights = ctx.weights(base, kexp)
-                good = _sweeps.shift_sums(p, base, weights, tables, columns)
+                chains = [_sweeps.shift_chain(p, base, weights, tables, columns, q) for q in (0, 1)]
+                good = [chains[d % 2][d // 2] for d in range(p)]
                 roots = {x for x in range(p) if fam.coeff(x) % p == 0}
                 steps = [d for d in range(p - 2)
                          if good[d] and good[d + 2] and not {d, d + 1} & roots]
@@ -331,8 +330,9 @@ def test_shift_engine_catches_a_corrupted_step():
                 bent = tables.reduced(kexp, tables.limit)
                 bent.unit = _DoubledEntry(bent.unit, m1 - 1, bent.pk)
                 with pytest.raises(ArithmeticError, match=rf"p={p}, base={base}, d=\d+, K={kexp}"):
-                    _sweeps.shift_sums(p, base, weights, bent, columns)
-                assert _sweeps.shift_sums(p, base, weights, tables, columns) == good
+                    _sweeps.shift_chain(p, base, weights, bent, columns, d % 2)
+                for q in (0, 1):
+                    assert _sweeps.shift_chain(p, base, weights, tables, columns, q) == chains[q]
 
 
 def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
@@ -347,7 +347,7 @@ def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
     monkeypatch.setattr(_sweeps, "column_shift_sum", corrupt_seed)
     # the even chain from S(0) reaches S((p-1)/2) = S(6) before any reseed
     with pytest.raises(ArithmeticError, match=r"p=13, base=64, d=6, K=2"):
-        PrimeContext(13).sweep((64,), 2)
+        PrimeContext(13).chain(64, 0, 2)
     # a wrong S(0) or S(1) is caught whether its chain is re-summed at a
     # reseed, or multiplied by a coefficient c(x) divisible by p, first
     for seed in (0, 1):
@@ -358,7 +358,7 @@ def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
                     with pytest.raises(
                         ArithmeticError, match=rf"p={p}, base={base}, d=\d+, K={kexp}"
                     ):
-                        PrimeContext(p).sweep((base,), kexp)
+                        PrimeContext(p).chain(base, seed, kexp)
 
 
 def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
@@ -373,7 +373,7 @@ def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
     cases = [
         ("C(2k,k)^2/8^k", None, lambda c: c.moment(2, Sum(8, 2), 1)),
         ("C(2k,k)^3/-8^k", None, lambda c: c.moment(2, Sum(-8, 3), 0)),
-        ("C(2k,k)^2/64^k", None, lambda c: _reference_shift_sum(c, 2, 64, 1)),
+        ("C(2k,k)^2/64^k", None, lambda c: _reference_shift_sum(c, 64, 1, 2)),
         ("C(2k,k)^3/-8^k", "C1_12", lambda c: check("C1_12", p)),
         ("C(2k,k)^2/108^k", "C1_24", lambda c: check("C1_24", p)),
         ("C(2k,k)^3/1^k", "C4_1", lambda c: check("C4_1", p, 1)),
@@ -748,8 +748,8 @@ def test_timings_flag():
     assert quiet[0].lhs == timed[0].lhs
 
 
-# a mix of strengths: K = 4 -> 3 -> 2 -> 1 reductions, and a p^3 sweep of the
-# base-64 family that C1_6 reads reduced mod p^2
+# a mix of strengths: K = 4 -> 3 -> 2 -> 1 reductions, and C1_5's base-64 chain
+# at p^3, whose weights C1_6 reads reduced mod p^2 for its seed of the other parity
 _MIXED_EXPONENTS = {"C1_7a": 3, "C1_5": 3, "CGZ": 4, "C3_4": 4, "CG": 2}
 
 
@@ -773,7 +773,7 @@ def test_context_reductions_equal_fresh_builds():
             [ctx.moment(kexp, Sum(-8, 3), j) for j in (0, 1)],
             ctx.delannoy(kexp),
             ctx.weights(108, kexp),
-            ctx.sweep((64, 1728), kexp),
+            [ctx.chain(base, q, kexp) for base in (64, 1728) for q in (0, 1)],
         )
 
     for p in (13, 31):
@@ -932,7 +932,7 @@ def test_corrupted_shared_column_raises_for_every_family(monkeypatch):
     for bad["d"] in (0, 1, 6):
         for base in (64, 108, 256, 1728):
             with pytest.raises(ArithmeticError, match=rf"p=13, base={base}, d=\d+, K=2"):
-                PrimeContext(13).sweep((base,), 2)
+                PrimeContext(13).chain(base, bad["d"] % 2, 2)
         rid, base = ("C1_5", 64) if bad["d"] % 2 else ("C1_20", 256)
         with pytest.raises(ArithmeticError, match=rf"p=13, base={base}, d=\d+, K=2.*\(row={rid}, p=13\)"):
             run_suite([13], [rid])
@@ -988,6 +988,43 @@ def test_a_corrupted_seed_read_alone_fails_its_direct_sum(rid, base, d, p, monke
     with pytest.raises(ArithmeticError, match=rf"p={p}, base={base}, d={d}, K=2: its column "
                                               rf"gives \d+, the direct sum \d+ \(row={rid}, p={p}\)$"):
         run_suite([p], [rid])
+
+
+def test_a_shift_read_alone_equals_the_termwise_sum_at_every_shift():
+    # with no chain planned, shift_sum reads S(d) from its column, checked by a
+    # direct sum, and steps no chain; with its parity's chain planned, it reads
+    # that chain's entry
+    for p in (5, 7, 13, 17, 29, 31, 43, 59):
+        for kexp in (1, 2, 3, 4):
+            alone, planned = PrimeContext(p), PrimeContext(p)
+            planned.chains.update((base, kexp, q) for base in (64, 108, 256, 1728) for q in (0, 1))
+            for base in (64, 108, 256, 1728):
+                for d in range(p):
+                    ref = _reference_shift_sum(PrimeContext(p), base, d, kexp)
+                    assert alone.shift_sum(base, d, kexp) == ref, (p, kexp, base, d)
+                    chain = planned.chain(base, d % 2, kexp)[d // 2]
+                    assert planned.shift_sum(base, d, kexp) == chain == ref, (p, kexp, base, d)
+            assert not [key for key in alone._cache if key[0] == "chain"], (p, kexp)
+
+
+def test_check_sums_every_shift_without_the_shift_engine(monkeypatch):
+    # the suite-versus-check tests and the benchmark's re-check compare the
+    # engine with an evaluation that shares none of it
+    def refuse(*args):
+        raise AssertionError("check read the shift engine")
+
+    monkeypatch.setattr(congruences, "shift_chain", refuse)
+    monkeypatch.setattr(congruences, "shift_seed", refuse)
+    monkeypatch.setattr(_sweeps, "direct_shift_sum", refuse)
+    rows = [row for row in _REGISTRY if row.shifts]
+    assert [row.id for row in rows] == ["C1_5", "C1_6", "C1_14b", "C1_14c", "C1_15", "C1_19",
+                                        "C1_20", "C1_21", "C1_22", "C1_23", "C1_25", "C1_26"]
+    cases = [(row.id, p, v) for p in primes_in_range(5, 60) for row in rows if row.applies(p)
+             for v in ((None,) if row.param_values is None else row.param_values(p))]
+    assert len(cases) == 949
+    for rid, p, v in cases:
+        for kexp in (1, 2, 3, 4):
+            assert check(rid, p, v, mod_exp=kexp).status != "skipped", (rid, p, v, kexp)
 
 
 # every encoder of ``verify``: csv, jsonl and human rows, and the --log records

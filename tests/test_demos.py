@@ -26,6 +26,6 @@ def test_demo_runs(demo):
     assert r.returncode == 0, r.stderr
     assert r.stdout
     if demo.name == "03_shift_sweep.py":
-        # each family's vanishing parity, re-derived from PrimeContext.sweep
+        # each family's vanishing parity, re-derived from PrimeContext.chain
         assert "??" not in r.stdout
         assert r.stdout.count(" ok") == 16

@@ -48,7 +48,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, eq, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -102,7 +102,8 @@ class Sum(NamedTuple):
     k runs from ``lo`` to (p-1)/2 with ``half``, else to p-1, and ``weight``
     holds w_0, w_1, ...  The summand, everything but the weight, is cached
     with its moments, so the weighted sum is sum_j w_j * moment_j.  ``base``
-    is inverted mod p^K, so negative and residue bases are fine.
+    is inverted mod p^K, so negative and residue bases are fine.  Mod p^K the
+    summand ends at ``cutoff``: every later term is 0, and none is built.
     """
 
     base: int
@@ -128,10 +129,33 @@ class Sum(NamedTuple):
         return sum(w * ctx.moment(kexp, self, j) for j, w in enumerate(self.weight) if w)
 
     def limit(self, p: int) -> int:
-        """The largest factorial argument of its factors; C(2k,k) is planned per row
-        (``RowSpec.central``), since only its highest exponent reads a table."""
+        """The largest factorial argument of its factors over the whole range, the
+        dead tail included, whose valuations ``_kernel`` checks; C(2k,k) is planned
+        per row (``RowSpec.central``), since only its highest exponent reads a table."""
         hi = (p - 1) // 2 if self.half else p - 1
         return max([p] + [a * k + b for a, b, _ in self.factors for k in (self.lo, hi)])
+
+    def cutoff(self, p: int, kexp: int) -> int:
+        """The last k of the range whose term can be nonzero mod p^kexp (lo - 1 if none).
+
+        v_p(C(2k,k)^c prod (a k + b)!^e) is read at lo by Legendre's formula.
+        It changes only where 2k, k or some a k + b passes a multiple m of p,
+        by e v_p(m) for that factor, so it is stepped through those points and
+        no table is read.  Every term past the cutoff has v_p >= kexp.
+        """
+        lo, hi = self.lo, (p - 1) // 2 if self.half else p - 1
+        v, steps, cut = 0, {}, lo - 1
+        for a, b, e in ((2, 0, self.central), (1, 0, -2 * self.central), *self.factors):
+            if e:  # a k + b reaches m (a > 0) or drops below it (a < 0) at the k below
+                first, last = sorted((a * lo + b, a * hi + b))
+                v += e * _legendre(a * lo + b, p)
+                for m in range(first // p * p + p, last + 1, p):
+                    k = -((b - m) // a) if a > 0 else -((m - 1 - b) // -a)
+                    dv = _legendre(m, p) - _legendre(m - 1, p)  # v_p(m)
+                    steps[k] = steps.get(k, 0) + (dv * e if a > 0 else -dv * e)
+        for k in sorted(steps) + [hi + 1]:  # v holds from the last step up to k - 1
+            cut, v = k - 1 if v < kexp else cut, v + steps.get(k, 0)
+        return cut
 
 
 class Shift(NamedTuple):
@@ -248,6 +272,11 @@ class Custom(NamedTuple):
     sums: tuple[Sum, ...] = ()
 
 
+def _legendre(n: int, p: int) -> int:
+    """v_p(n!) = sum_j floor(n / p^j), Legendre's formula."""
+    return n // p + _legendre(n // p, p) if n >= p else 0
+
+
 def _family_sum(base: int, binomials) -> Sum:
     """A family weight prod C(a k, b k) / base^k as C(2k,k)^c times factorial factors (a, b, e)."""
     central, exps = 0, {}
@@ -311,8 +340,8 @@ class PrimeContext:
     Every summand comes from one term engine, ``_kernel``: a product
     C(2k,k)^c * prod (a k + b)!^e / base^k is read per k from the factorial
     tables as a sum of valuations and a product of units, with no ratio
-    stream.  C(2k,k) is read from the tables once (``central``), which is
-    also where the tail invariants get their valuations.  Summands, their
+    stream, up to ``Sum.cutoff``: past it only valuations are read, to show
+    every term is 0 mod p^K.  C(2k,k) is read once (``central``).  Summands, their
     moments, shift chains, shifted sums and quadratic representations are
     cached on first use, so checking many rows at one prime costs one kernel
     call per distinct summand and one pass per moment.
@@ -349,11 +378,13 @@ class PrimeContext:
                 return value
         return None
 
-    def _at(self, key: tuple, kexp: int, build: Callable[[], object] | None = None):
+    def _at(self, key: tuple, kexp: int, build: Callable[[], object] | None = None,
+            s: Sum | None = None):
         """The value for ``key`` mod p^kexp: cached, else the one of the lowest
         higher exponent cached reduced mod p^kexp, else ``build()`` (None
-        without ``build``).  Residues reduce entry by entry and moments as
-        numbers; valuation lists are shared, so their checks ran on them.
+        without ``build``).  Residues reduce entry by entry, a summand ``s``'s
+        cut to its cutoff at kexp, and moments as numbers; valuation lists are
+        shared, so their checks ran on them.
         """
         full = (*key, kexp)
         value = self._cache.get(full)
@@ -364,7 +395,8 @@ class PrimeContext:
             elif isinstance(value, tuple):  # (valuations, units)
                 value = (value[0], [u % pkv for u in value[1]])
             elif value is not None:
-                value = [r % pkv for r in value]
+                stop = s.cutoff(self.p, kexp) + 1 - s.lo if s else None
+                value = [r % pkv for r in value[:stop]]
             elif build is None:
                 return None
             else:
@@ -437,76 +469,76 @@ class PrimeContext:
 
     def summand(self, kexp: int, s: Sum) -> list[int]:
         """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k."""
-        return self._at(("summand", s.key), kexp, lambda: self._kernel(kexp, s))
+        return self._at(("summand", s.key), kexp, lambda: self._kernel(kexp, s), s)
 
     def _kernel(self, kexp: int, s: Sum) -> list[int]:
-        """The residues of the summand of ``s``: its valuations first, then its units.
+        """The residues of the summand of ``s`` for k = lo..``Sum.cutoff``, valuations first.
 
-        Its factors are columns over k in lo..hi: C(2k,k) c times and base^-k
-        (or their power from ``central_power``, where summands share it), and
-        each merged (a k + b)!^e |e| times.  A full-range summand with c >= 2
-        needs v_p(C(2k,k)^c) >= 2 at every (p+1)/2 <= k < p, and every
-        valuation must be >= 0: ArithmeticError naming the summand, p and k.
-        The unit columns and p^v (0 for v >= kexp, left out where every v
-        is 0) are then multiplied: by ``_product``, or, for a single unit
-        column, in the pass that reads p^v.  An entry whose p^v is 0 is left
-        at 0 without its product.
+        Its factors are columns: C(2k,k) c times and base^-k (or their power from
+        ``central_power``, where summands share it) and each merged (a k + b)!^e
+        |e| times, valuations over the whole range and units up to the cutoff.
+        A valuation below 0, or below kexp past the cutoff, raises ArithmeticError
+        naming the summand, p and k.  The unit columns and p^v (0 for v >= kexp,
+        left out where every v is 0) are multiplied by ``_product``, or, for a
+        single unit column, in the pass that reads p^v; an entry whose p^v is 0
+        is left at 0 without its product.
         """
         p, lo = self.p, s.lo
-        hi = self.n if s.half else p - 1
+        hi, cut = self.n if s.half else p - 1, s.cutoff(p, kexp)
         t = self.tables(kexp, s.limit(p))
-        vcols, cols = [], []  # (valuation column, add or sub), unit columns
-
-        def span(col: list[int]) -> list[int]:  # cached lists hold every k < p: no copy of all
-            return col if lo == 0 and hi == p - 1 else col[lo : hi + 1]
+        vcols, cols = [], []  # (valuation column, add or sub) over lo..hi, unit columns to cut
 
         def factor(val: list[int], unit: list[int], op, times: int) -> None:
             if any(val):  # (a k + b)! is often p-free over the whole range
                 vcols.extend([(val, op)] * times)
             cols.extend([unit] * times)
 
+        def span(col: list[int], stop: int) -> list[int]:  # cached lists hold every k < p
+            return col if lo == 0 and stop == p - 1 else col[lo : stop + 1]
+
         shared = s.central and (s.base, s.central) in _SHARED_POWERS
         if s.central:
             val, unit = self.central_power(s.central, s.base, kexp) if shared else self.central(kexp)
-            times, start = 1 if shared else s.central, (p + 1) // 2
-            if s.central >= 2 and not s.half and times * min(val[start:]) < 2:
-                k = next(k for k in range(start, p) if times * val[k] < 2)
-                raise ArithmeticError(f"C(2k,k)^{s.central}/{s.base}^k: tail valuation "
-                                      f"{times * val[k]} < 2 at p={p}, k={k}")
-            factor(span(val), span(unit), add, times)
+            factor(span(val, hi), span(unit, cut), add, 1 if shared else s.central)
         if s.base != 1 and not shared:
-            cols.append(span(self.central_power(0, s.base, kexp)[1]))
+            cols.append(span(self.central_power(0, s.base, kexp)[1], cut))
         merged: dict[tuple[int, int], int] = {}
         for a, b, e in s.factors:
             merged[a, b] = merged.get((a, b), 0) + e
         for (a, b), e in merged.items():
             if e:
                 factor(_column(t.val, a, b, lo, hi),
-                       _column(t.unit if e > 0 else t.inv_unit, a, b, lo, hi),
+                       _column(t.unit if e > 0 else t.inv_unit, a, b, lo, cut),
                        add if e > 0 else sub, abs(e))
 
-        def valuations() -> Iterable[int]:
+        def valuations() -> Iterator[int]:  # v_p of the terms k = lo..hi
             (vals, op), *rest = vcols
             vals = vals if op is add else map(sub, repeat(0), vals)
             for col, op in rest:
                 vals = map(op, vals, col)
-            return vals
+            return iter(vals)
 
-        pv, pk = None, t.pk
+        pv, pk, out = None, t.pk, None
+        vals = valuations() if vcols else repeat(0, hi - cut)  # no column: all 0, the tail's < kexp
         if vcols:
             # v_p(m!) grows with m, so a column's largest entry is at one of its ends
             top = sum(max(col[0], col[-1]) for col, op in vcols if op is add)
             pp = {v: p**v if v < kexp else 0 for v in range(top + 1)}  # no key below 0
-            try:
+            try:  # each pass stops ``vals`` at the cutoff: a zip stops at its first list
                 if len(cols) == 1:
-                    return [(q := pp[v]) and x * q % pk if v else x
-                            for x, v in zip(*cols, valuations())]
-                pv = list(map(pp.__getitem__, valuations()))
+                    out = [(q := pp[v]) and x * q % pk if v else x for x, v in zip(*cols, vals)]
+                else:
+                    pv = list(map(pp.__getitem__, islice(vals, cut + 1 - lo)))
             except KeyError:
-                i, v = next((i, v) for i, v in enumerate(valuations()) if v < 0)
+                k, v = next((k, v) for k, v in enumerate(valuations(), lo) if v < 0)
                 raise ArithmeticError(f"{s.label}: valuation {v} < 0, not p-integral, "
-                                      f"at p={p}, k={lo + i}") from None
-        return _product(cols or [[1] * (hi - lo + 1)], pv, pk)
+                                      f"at p={p}, k={k}") from None
+        tail = list(vals)  # what the passes left of ``vals``: the dead tail
+        if min(tail, default=kexp) < kexp:
+            k, v = next((k, v) for k, v in enumerate(tail, cut + 1) if v < kexp)
+            name = f"C(2k,k)^{s.central}/{s.base}^k" if s.central else s.label
+            raise ArithmeticError(f"{name}: tail valuation {v} < {kexp} at p={p}, k={k}")
+        return out if out is not None else _product(cols or [[1] * (cut + 1 - lo)], pv, pk)
 
     def moment(self, kexp: int, s: Sum, j: int) -> int:
         """sum_k k^j t_k mod p^kexp over the summand t of ``s``."""
@@ -535,7 +567,7 @@ class PrimeContext:
         the term engine, built when first read; the d = 0 column is C(2k,k).
         """
         s = _CENTRAL if d == 0 else Sum(1, 0, factors=_shifted(d), lo=d)
-        return self._at(("column", d), kexp, lambda: self._kernel(kexp, s))
+        return self._at(("column", d), kexp, lambda: self._kernel(kexp, s), s)
 
     def chain(self, base: int, parity: int, kexp: int) -> list[int]:
         """S_base(d) mod p^kexp for the d < p of one parity, entry d // 2 being S(d),
@@ -601,12 +633,15 @@ def _eval_cl3_2(ctx, kexp, part, *sums):
     """sum_{i+j<p} b_i b_j (s(i+j) + 1), b_i = C(2i,i)^2/base^i, against p (-1|p).
 
     Part 1 has (base, s) = (8, 1), part 2 (-16, 2).  By the (i, j) symmetry
-    the double sum is sum_i b_i (2si + 1) B(p-1-i), B the prefix sums of b.
+    the double sum is sum_i b_i (2si + 1) B(p-1-i), B the prefix sums of b,
+    which stay at their last value past the cutoff where b ends.
     """
     pkv = ctx.pk(kexp)
     b = ctx.summand(kexp, sums[part - 1])
+    prefix = list(accumulate(b))
+    prefix += prefix[-1:] * (ctx.p - len(prefix))
     weighted = map(mul, b, range(1, 2 * part * ctx.p, 2 * part))
-    total = sum(map(mul, weighted, reversed(list(accumulate(b)))))
+    total = sum(map(mul, weighted, reversed(prefix)))
     return (total % pkv,), ctx.p * ctx.legendre(-1) % pkv
 
 
@@ -622,8 +657,7 @@ def _eval_c4_1(ctx, kexp, x, *sums):
     """sum C(2k,k)^3 (-x/64)^k against (x+1|p) sum C(2k,k)^2 C(4k,2k) (x/(64(x+1)^2))^k.
 
     Both series have coefficients that do not depend on x: they are the
-    cached summands, evaluated at x by Horner's rule, which passes over their
-    trailing zeros (the tail k > (p-1)/2 for K <= 2) without effect.
+    cached summands, evaluated at x by Horner's rule up to their cutoffs.
     """
     pkv = ctx.pk(kexp)
     cube, quartic = (ctx.summand(kexp, s) for s in sums)
@@ -705,7 +739,7 @@ class RowSpec(_RowFields):
         return tuple(t for t in self.terms if isinstance(t, Shift))
 
     def limit(self, p: int) -> int:
-        """The largest factorial argument the row reads at p, C(2k,k) left out."""
+        """The largest factorial argument the row reads at p over whole ranges, C(2k,k) left out."""
         return max([t.limit(p) for t in self._limited], default=p)
 
     @cached_property

@@ -438,9 +438,9 @@ def verify_small_identities(n_max: int) -> IdentityRecord:
     for n in range(n_max + 1):
         expect = Fraction(comb(2 * n, n), (-4) ** n)
         yield ("iii", n), delannoy_poly(2 * n, Fraction(-1, 2)) == expect
+    d = [delannoy_poly(m, 1) for m in range(n_max + 2)]
     for n in range(1, n_max + 1):
-        dm, d0, dp = (delannoy_poly(m, 1) for m in (n - 1, n, n + 1))
-        yield ("iv", n), n * (dm + dp) == 2 * n * (3 * d0 - schroder_poly(n, 1))
+        yield ("iv", n), n * (d[n - 1] + d[n + 1]) == 2 * n * (3 * d[n] - schroder_poly(n, 1))
 
 
 # suite name -> (verifier, kind of bound it consumes)

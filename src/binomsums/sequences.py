@@ -19,15 +19,16 @@ Number = int | Fraction
 
 
 def _central_series(n: int, x: Number, coeff: Callable[[int], int]) -> Number:
-    """sum_{k=0..n} C(n+k,2k) coeff(k) x^k, in the type of x^0."""
+    """sum_{k=0..n} C(n+k,2k) coeff(k) x^k, in the type of x^0: for x = a/b, the integer
+    sum_k C(n+k,2k) coeff(k) a^k b^(n-k) by Horner's rule, divided by b^n once."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    acc = 0
-    xp = x**0
-    for k in range(n + 1):
-        acc += comb(n + k, 2 * k) * coeff(k) * xp
-        xp = xp * x
-    return acc
+    a, b = x.numerator, x.denominator
+    acc, bp = 0, 1
+    for k in range(n, -1, -1):
+        acc = acc * a + comb(n + k, 2 * k) * coeff(k) * bp
+        bp *= b
+    return Fraction(acc, bp // b) if isinstance(x, Fraction) else acc
 
 
 def delannoy_poly(n: int, x: Number) -> Number:

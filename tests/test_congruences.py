@@ -399,6 +399,57 @@ def test_tail_invariants_survive_optimize_flag():
     assert "C(2k,k)^3/-8^k" in r.stdout and "p=13, k=7" in r.stdout
 
 
+def _legendre(n, p):
+    """v_p(n!) = sum_j floor(n / p^j)."""
+    return n // p + _legendre(n // p, p) if n else 0
+
+
+def test_cutoff_is_the_last_term_below_the_exponent():
+    # every summand the package reads: the registry's, the four family weights,
+    # C(2k,k), C(2k,k+d) at d = 1 and (p-1)/2, and C_AHL's; the exact valuation
+    # of each term by Legendre's formula, with no factorial table
+    sums = {t.key: t for row in registry() for t in row.terms if isinstance(t, Sum)}
+    sums.update({s.key: s for s in (*congruences._FAMILY.values(), congruences._CENTRAL)})
+    for p in primes_in_range(5, 59):
+        n = (p - 1) // 2
+        shifted = [Sum(1, 0, factors=congruences._shifted(d), lo=d) for d in (1, n)]
+        for s in (*sums.values(), *shifted, congruences._ahl_sum(n)):
+            factors = ((2, 0, s.central), (1, 0, -2 * s.central), *s.factors)
+            vals = [sum(e * _legendre(a * k + b, p) for a, b, e in factors)
+                    for k in range(s.lo, (n if s.half else p - 1) + 1)]
+            for kexp in (1, 2, 3, 4):
+                live = [s.lo + i for i, v in enumerate(vals) if v < kexp]
+                assert s.cutoff(p, kexp) == (live[-1] if live else s.lo - 1), (p, kexp, s)
+
+
+_LOWERED_6K_CODE = """
+from binomsums.congruences import PrimeContext
+ctx = PrimeContext(13)
+ctx.tables(2, 6 * 13).val[6 * 11] -= 1
+try:
+    ctx.weights(1728, 2)
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+def test_a_dead_tail_below_its_exponent_raises_past_the_1728_cutoff():
+    # the 1728 weight (6k)!/(k! (2k)! (3k)!) has v_p = 2 for 5p/6 < k < p, so at
+    # p = 13 it ends at k = 10 mod p^2; one (6k)! valuation lowered at k = 11
+    # leaves a tail term of valuation 1, which the kernel must not drop unread
+    assert congruences._FAMILY[1728].cutoff(13, 2) == 10
+    message = ("(3k+0)!^-1 (1k+0)!^-1 (2k+0)!^-1 (6k+0)!^1/1728^k: "
+               "tail valuation 1 < 2 at p=13, k=11")
+    ctx = PrimeContext(13)
+    ctx.tables(2, 6 * 13).val[6 * 11] -= 1
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        ctx.weights(1728, 2)
+    r = subprocess.run([sys.executable, "-O", "-c", _LOWERED_6K_CODE],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == message
+
+
 def test_residues_reject_a_term_that_is_not_p_integral():
     # (k+1)!^-1 is 1/13! at k = 12: no residue mod 13^2
     code = (
@@ -431,7 +482,10 @@ def test_kernel_matches_the_multipass_oracle():
                 hi = n if s.half else p - 1
                 want = summand_residues(ref, kexp, s.base, s.central, s.factors, s.lo, hi,
                                         s.label)
-                assert ctx.summand(kexp, s) == want, (p, kexp, s)
+                # the kernel stops at the cutoff; the oracle's entries past it are all 0
+                live = s.cutoff(p, kexp) + 1 - s.lo
+                assert ctx.summand(kexp, s) == want[:live], (p, kexp, s)
+                assert not any(want[live:]), (p, kexp, s)
 
 
 def test_kernel_and_oracle_reject_the_same_negative_valuation():
@@ -874,36 +928,50 @@ def test_primality_is_tested_once_per_public_call(monkeypatch):
 
 
 def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
-    direct, chains = [], []
+    direct, chains, builds = [], [], []
     direct_sum, chain = _sweeps.direct_shift_sum, congruences.shift_chain
+    init = FactorialTables.__init__
 
     def counting_direct(p, weights, d, tables):
         direct.append(d)
         return direct_sum(p, weights, d, tables)
 
     def counting_chain(p, base, weights, tables, columns, parity):
-        chains.append((base, parity, sorted(columns)))
+        chains.append((base, parity, sorted(columns), len(weights)))
         return chain(p, base, weights, tables, columns, parity)
+
+    def counting_build(self, p, k, limit):
+        builds.append((k, limit))
+        init(self, p, k, limit)
 
     monkeypatch.setattr(_sweeps, "direct_shift_sum", counting_direct)
     monkeypatch.setattr(congruences, "shift_chain", counting_chain)
+    monkeypatch.setattr(FactorialTables, "__init__", counting_build)
     shift_ids = ("C1_5", "C1_6", "C1_19", "C1_20", "C1_21", "C1_22", "C1_23", "C1_24", "C1_25",
                  "C1_26")
     congruences._suite_for_prime(2003, shift_ids, {}, False)
     # p = 2003 = 3 (mod 4), 2 (mod 3), 3 (mod 8): C1_5 reads the even chain of
     # 64 ((p+1)/2 even), C1_19 the even chain of 108, C1_20 and C1_25 the odd
     # chain of 256, C1_21 the even chain of 1728; C1_23 and C1_26 do not apply.
+    # Each family's weights end at their cutoff c mod p^2: 64 at (p-1)/2 = 1001,
+    # 108 at 1335 (v_p = 2 from 3k >= 2p), 256 at 1502 (from 4k >= 3p) and
+    # 1728 at 1669 (from 6k >= 5p); past c every S(d) is 0 and nothing is summed.
     # C1_6 reads S_64(1) and C1_22 S_256(0) from chains nobody steps: two
-    # seeds, one direct sum each.  A chain sums its last shift (p-1 = 2002
-    # even, p-2 = 2001 odd) and re-seeds S(x+1) at each root x of c mod p with
-    # x+1 of its parity; here no root has the parity of its chain, so no S(x)
-    # is summed.  The roots: 64, x = (p-1)/2 = 1001 (double, so S(1002));
-    # 108, -1/3 = 1335 and -2/3 = 667; 256, -1/4 = 1502 and -3/4 = 500; 1728,
-    # -1/6 = 1669 and -5/6 = 333.  So 2 + 3 + 3 + 3 chain sums and 2 seed
-    # sums: 13 (21 when both chains of all four families were stepped), and
-    # only the odd 256 chain reads the column at (p-1)/2 = 1001.
-    assert sorted(direct) == [0, 1, 334, 501, 668, 1002, 1336, 1503, 1670, 2001, 2002, 2002, 2002]
-    assert chains == [(64, 0, [0]), (108, 0, [0]), (256, 1, [1, 1001]), (1728, 0, [0])]
+    # seeds, one direct sum each, over k <= c.  A chain sums its last stepped
+    # shift (c or c-1, whichever has its parity) and re-seeds S(x+1) at each
+    # root x < c of c(x) mod p with x+1 of its parity; here no root has the
+    # parity of its chain, so no S(x) is summed.  The roots: 64, x = (p-1)/2 =
+    # 1001 (double, at c); 108, -1/3 = 1335 (at c) and -2/3 = 667; 256,
+    # -1/4 = 1502 (at c) and -3/4 = 500; 1728, -1/6 = 1669 (at c) and -5/6 =
+    # 333.  So 1 + 2 + 2 + 2 chain sums and 2 seed sums: 9 (13 when every chain
+    # stepped to p-1, 21 when both chains of all four families were stepped),
+    # and only the odd 256 chain reads the column at (p-1)/2 = 1001.
+    assert sorted(direct) == [0, 1, 334, 501, 668, 1000, 1334, 1501, 1668]
+    assert chains == [(64, 0, [0], 1002), (108, 0, [0], 1336), (256, 1, [1, 1001], 1503),
+                      (1728, 0, [0], 1670)]
+    # one table, mod p^2: it still reaches (6k)! at every k < p, whose valuations
+    # the kernel reads to check the 1728 weights' dead tail
+    assert builds == [(2, 6 * 2003)]
 
 
 def test_corrupted_seed_raises_under_reduction(monkeypatch):

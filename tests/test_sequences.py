@@ -33,6 +33,23 @@ def test_delannoy_at_minus_half():
         )
 
 
+def test_polys_equal_the_term_by_term_sum_in_value_and_type():
+    # the literal term-by-term sum with x^k in the type of x^0: an int or bool
+    # point gives an int, a Fraction point a Fraction
+    coeffs = {delannoy_poly: lambda k: comb(2 * k, k),
+              schroder_poly: lambda k: comb(2 * k, k) // (k + 1),
+              f_poly: lambda k: comb(2 * k, k) ** 2}
+    points = (0, 1, -1, 3, -7, True, False,
+              Fraction(0), Fraction(5), Fraction(-1, 2), Fraction(3, 4), Fraction(-2, 7))
+    for poly, coeff in coeffs.items():
+        for n in range(30):
+            for x in points:
+                want = sum(comb(n + k, 2 * k) * coeff(k) * x**0 * x**k for k in range(n + 1))
+                got = poly(n, x)
+                assert got == want and type(got) is type(want), (poly.__name__, n, x)
+                assert type(got) is (Fraction if isinstance(x, Fraction) else int)
+
+
 def test_schroder_anchors():
     assert [schroder_poly(n, 1) for n in range(6)] == [1, 2, 6, 22, 90, 394]
     assert schroder_poly(2, 1) == 6

@@ -125,36 +125,47 @@ class FactorialTables:
     """Per-prime tables giving n! in factored form in O(1) per query.
 
     val[n] is the p-adic valuation of n!, unit[n] the p-free part of n! modulo
-    p^k, inv_unit[n] its inverse.  ``binomial(n, r)`` reads C(n, r) mod p^k
-    from them.  Building is O(limit) in whole-list passes: the multiples of p
-    are stripped of their factors p, one slice per power of p up to
-    ``limit``; ``unit`` and ``inv_unit`` are then the running products of the
-    stripped factors, up from 1 and down from the top inverse, and ``val``
-    the running sum of v_p(n).  Intended to be built once per prime and
-    shared by many queries.
+    p^k, inv_unit[n] its inverse, for n <= ``limit``.  ``binomial(n, r)``
+    reads C(n, r) mod p^k from them.  A table is built as 0! alone and grown to
+    its limit, and ``grow`` extends it in place, so one table per prime and
+    exponent serves readers that ask for ever longer reaches, and no entry is
+    made twice.  Growing is O(new entries) in whole-list passes: the new
+    multiples of p are stripped of their factors p, one slice per power of p;
+    ``unit`` continues as the running product of the stripped factors, the
+    new ``inv_unit`` entries run down from one inverse of the new top unit,
+    and ``val`` continues as the running sum of v_p(n).
     """
 
     __slots__ = ("p", "k", "pk", "limit", "val", "unit", "inv_unit")
 
     def __init__(self, p: int, k: int, limit: int):
-        self.p, self.k, self.pk, self.limit = p, k, p**k, limit
-        pk = self.pk
-        # m[n] is n with its factors p removed, e[n] = v_p(n)
-        m = list(range(limit + 1))
-        m[0] = 1
-        e = [0] * (limit + 1)
+        self.p, self.k, self.pk, self.limit = p, k, p**k, 0
+        self.val, self.unit, self.inv_unit = [0], [1], [1]  # 0! = 1
+        self.grow(limit)
+
+    def grow(self, limit: int) -> None:
+        """Extend the tables in place to n <= limit; a reach they have changes nothing."""
+        start, p, pk = self.limit + 1, self.p, self.pk
+        if limit < start:
+            return
+        # m[i] is n = start + i with its factors p removed, e[i] = v_p(n)
+        m = list(range(start, limit + 1))
+        e = [0] * len(m)
         q = p
         while q <= limit:
-            m[q::q] = [n // p for n in m[q::q]]
-            e[q::q] = [v + 1 for v in e[q::q]]
+            first = -start % q  # the index of the first multiple of q
+            m[first::q] = [n // p for n in m[first::q]]
+            e[first::q] = [v + 1 for v in e[first::q]]
             q *= p
-        self.val = list(accumulate(e))
-        u = 1
-        self.unit = [u := u * n % pk for n in m]
-        # inv_unit[n - 1] = inv_unit[n] * m[n], from the top down
+        e[0] += self.val[-1]
+        self.val += accumulate(e)
+        u = self.unit[-1]
+        self.unit += [u := u * n % pk for n in m]
+        # inv_unit[n - 1] = inv_unit[n] * m[n], from the new top down
         x = top = mod_inverse(u, pk)
-        self.inv_unit = [x := x * n % pk for n in m[limit:0:-1]][::-1]
+        self.inv_unit += [x := x * n % pk for n in m[:0:-1]][::-1]
         self.inv_unit.append(top)
+        self.limit = limit
 
     def reduced(self, k: int, limit: int) -> FactorialTables:
         """``FactorialTables(p, k, limit)`` for k <= self.k, limit <= self.limit,

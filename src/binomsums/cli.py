@@ -15,8 +15,8 @@ Output is deterministic: without ``--timings`` the emitted rows are
 byte-identical from run to run (the jsonl meta header carries the only
 timestamp).  Exit status is 0 for success, 1 if any proven row failed, 2 for
 usage errors (a bad flag or config line, an unknown id, an output path that
-cannot be opened), and 141 (128 + SIGPIPE) when the reader of stdout closed
-it before the output ended.
+cannot be opened, ``--out`` and ``--log`` naming one file), and 141
+(128 + SIGPIPE) when the reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
@@ -163,6 +163,15 @@ def _open_out(path, parser, mode="w"):
         parser.error(str(exc))
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths ``a`` and ``b`` name one file: the same device and inode
+    where both exist, else the same resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _text(fmt, columns, rows, human_row) -> str:
     """``rows``, each a sequence in column order, as text in ``fmt``, header left out."""
     if fmt == "csv":
@@ -273,6 +282,8 @@ def _verify_block(fmt: str, log: bool, blocks: list[tuple]):
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.out and args.log and _same_file(args.out, args.log):
+        parser.error("--out and --log name the same file")  # the rows would overwrite the log
     ids = args.ids or (all_ids() if args.include_experimental else default_ids())
     try:
         blocks = iter_blocks(
@@ -405,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--timings", nargs="?", const=True, type=_boolean, metavar="BOOL",
         help="fill the micros column with each row's own evaluation time, which "
-        "includes building each per-prime table, summand, shift chain or seed it is "
-        "the first row to need (0 for table rows); off keeps output byte-identical",
+        "includes building each per-prime summand, shift chain or seed it is the first "
+        "row to need, and building or growing each factorial table it is the first row "
+        "to need that far (0 for table rows); off keeps output byte-identical",
     )
     p_verify.add_argument(
         "--log",

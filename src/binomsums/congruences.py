@@ -20,10 +20,11 @@ Two evaluation paths exist and are pinned against each other by the tests:
 
 * ``check`` evaluates a single row at a single prime, summing each shifted
   sum term by term;
-* ``iter_suite`` batches rows over many primes.  Each prime builds one
-  factorial table, long enough for every row's declared factorial
-  arguments, and evaluates its rows from the top exponent down, so a lower
-  exponent reads tables, summands and moments reduced from a higher one.
+* ``iter_suite`` batches rows over many primes.  Each prime evaluates its
+  rows from the top exponent down, so a lower exponent reads tables,
+  summands and moments reduced from a higher one.  The prime builds one
+  factorial table, at its top exponent; each lower exponent reduces it once,
+  and every exponent's table grows to the reach its own readers ask for.
   The shift engine steps the d -> d+2 relations in O(p) for each
   (family, parity) chain of shifts that the rows read, from seeds read from
   binomial columns that every family shares.  A row at a prime gives one
@@ -49,7 +50,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
-from operator import add, eq, mul, sub
+from operator import add, eq, index, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._sweeps import SHIFT_FAMILIES, shift_chain, shift_seed
@@ -70,8 +71,9 @@ class CongruenceReport(NamedTuple):
     chained statements that assert several sums agree, ``lhs``/``rhs`` show
     the first differing pair on failure and (first member, closed form)
     otherwise.  ``micros``, filled only when timings were requested, is the
-    row's own evaluation time, which includes building each per-prime table,
-    summand, shift chain or seed it is the first row to need; 0 for table rows.
+    row's own evaluation time, which includes building each per-prime summand,
+    shift chain or seed it is the first row to need, and building or growing
+    each factorial table it is the first row to need that far; 0 for table rows.
     """
 
     id: str
@@ -92,8 +94,7 @@ class CongruenceReport(NamedTuple):
 #
 # Every term is called as term(ctx, kexp, v) -> int, v the row's parameter
 # (None for rows without one).  A term with a ``column`` gives its values at
-# many parameters at once; one with a ``limit`` declares the largest factorial
-# argument it reads at p.
+# many parameters at once.
 
 
 class Sum(NamedTuple):
@@ -130,8 +131,8 @@ class Sum(NamedTuple):
 
     def limit(self, p: int) -> int:
         """The largest factorial argument of its factors over the whole range, the
-        dead tail included, whose valuations ``_kernel`` checks; C(2k,k) is planned
-        per row (``RowSpec.central``), since only its highest exponent reads a table."""
+        dead tail included, whose valuations ``_kernel`` checks: the reach it asks
+        of the table.  C(2k,k) asks for its own, 2p, where it is built."""
         hi = (p - 1) // 2 if self.half else p - 1
         return max([p] + [a * k + b for a, b, _ in self.factors for k in (self.lo, hi)])
 
@@ -177,9 +178,6 @@ class Shift(NamedTuple):
             raise ValueError("a shift column reads the shifts of one parity, a range of step 2")
         i = values.start // 2
         return ctx.chain(self.base, values.start % 2, kexp)[i : i + len(values)]
-
-    def limit(self, p: int) -> int:
-        return SHIFT_FAMILIES[self.base].step * p
 
 
 class Delannoy(NamedTuple):
@@ -265,8 +263,8 @@ class Statement(NamedTuple):
 
 class Custom(NamedTuple):
     """A row outside the vocabulary: ``evaluate(ctx, kexp, v, *sums)`` gives its
-    (members, rhs).  ``sums`` are the summands it reads, declared so that their
-    factorial arguments size the prime's table like any other row's."""
+    (members, rhs).  ``sums`` are the summands it reads, declared so that the
+    powers C(2k,k)^c / base^k they share with other rows are found (``_SHARED_POWERS``)."""
 
     evaluate: Callable
     sums: tuple[Sum, ...] = ()
@@ -350,6 +348,8 @@ class PrimeContext:
     at K is reduced from the lowest higher exponent cached, and built only if
     there is none.  The suite evaluates rows from the top exponent down, so a
     prime builds its factorial table, C(2k,k), powers and summands once each.
+    Each exponent's table then grows to the reach its readers ask for
+    (``tables``); no plan sizes it in advance.
     """
 
     def __init__(self, p: int):
@@ -359,7 +359,6 @@ class PrimeContext:
         self.n = (p - 1) // 2
         self._cache: dict = {}
         self._top = 0  # the highest exponent of the keys cached so far
-        self.limits: dict[int, int] = {}  # the table length planned per exponent
         self.chains: set[tuple[int, int, int]] = set()  # the planned (base, exponent, parity)
 
     # --- basic cached helpers -------------------------------------------
@@ -370,11 +369,11 @@ class PrimeContext:
             self._cache[key] = build()
         return self._cache[key]
 
-    def _higher(self, key: tuple, kexp: int, fits: Callable = lambda v: True):
-        """The cached value of ``key`` at the lowest exponent above kexp that ``fits``, or None."""
+    def _higher(self, key: tuple, kexp: int):
+        """The cached value of ``key`` at the lowest exponent above kexp, or None."""
         for j in range(kexp + 1, self._top + 1):
             value = self._cache.get((*key, j))
-            if value is not None and fits(value):
+            if value is not None:
                 return value
         return None
 
@@ -411,20 +410,22 @@ class PrimeContext:
     def tables(self, kexp: int, limit: int = 0) -> FactorialTables:
         """Factorial tables mod p^kexp reaching n! for n <= max(p, limit).
 
-        One table per prime: the cached table at kexp, else the lowest higher
-        exponent's table that reaches far enough, reduced, else a new build,
-        which then serves every smaller request.  A table is made at least as
-        long as ``limits`` plans for its exponent, so each exponent reduces or
-        builds its table once.
+        Each exponent makes its table once, on first use: reduced from the
+        lowest higher exponent's table as far as that reaches and the caller
+        asks, else built.  It then grows in place to each caller's reach, so
+        an exponent's table is as long as its readers ask, and no entry of it
+        is made twice.
         """
-        limit = max(self.p, limit, self.limits.get(kexp, 0))
-        cached = self._cache.get(("tables", kexp))
-        if cached is None or cached.limit < limit:
-            higher = self._higher(("tables",), kexp, lambda t: t.limit >= limit)
-            cached = higher.reduced(kexp, limit) if higher else FactorialTables(self.p, kexp, limit)
-            self._cache[("tables", kexp)] = cached
+        limit = max(self.p, limit)
+        t = self._cache.get(("tables", kexp))
+        if t is None:
+            higher = self._higher(("tables",), kexp)
+            t = (higher.reduced(kexp, min(limit, higher.limit)) if higher
+                 else FactorialTables(self.p, kexp, limit))
+            self._cache[("tables", kexp)] = t
             self._top = max(self._top, kexp)
-        return cached
+        t.grow(limit)
+        return t
 
     def legendre(self, a: int) -> int:
         return self._cached(("leg", a), lambda: _euler_criterion(a, self.p))
@@ -485,7 +486,6 @@ class PrimeContext:
         """
         p, lo = self.p, s.lo
         hi, cut = self.n if s.half else p - 1, s.cutoff(p, kexp)
-        t = self.tables(kexp, s.limit(p))
         vcols, cols = [], []  # (valuation column, add or sub) over lo..hi, unit columns to cut
 
         def factor(val: list[int], unit: list[int], op, times: int) -> None:
@@ -502,6 +502,7 @@ class PrimeContext:
             factor(span(val, hi), span(unit, cut), add, 1 if shared else s.central)
         if s.base != 1 and not shared:
             cols.append(span(self.central_power(0, s.base, kexp)[1], cut))
+        t = self.tables(kexp, s.limit(p))  # after C(2k,k), which asks for its own reach
         merged: dict[tuple[int, int], int] = {}
         for a, b, e in s.factors:
             merged[a, b] = merged.get((a, b), 0) + e
@@ -727,25 +728,9 @@ class RowSpec(_RowFields):
                 and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
 
     @cached_property
-    def _limited(self) -> tuple:
-        """The terms whose declared factorial argument may reach past p: a ``Sum``
-        without factors reads n! only for n <= p."""
-        return tuple(t for t in self.terms
-                     if hasattr(t, "limit") and not (isinstance(t, Sum) and not t.factors))
-
-    @cached_property
     def shifts(self) -> tuple[Shift, ...]:
         """The row's shifted sums."""
         return tuple(t for t in self.terms if isinstance(t, Shift))
-
-    def limit(self, p: int) -> int:
-        """The largest factorial argument the row reads at p over whole ranges, C(2k,k) left out."""
-        return max([t.limit(p) for t in self._limited], default=p)
-
-    @cached_property
-    def central(self) -> bool:
-        """Whether the row reads C(2k,k), which is built from (2k)! for k < p."""
-        return any(isinstance(t, Sum) and t.central for t in self.terms)
 
 
 _QUARTER_BINOMIAL = Binomial(lambda p, _: ((p - 1) // 2, (p - 1) // 4))
@@ -1098,28 +1083,23 @@ def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int,
     return members, st.rhs(ctx, kexp, v) % pkv
 
 
-def _plan_tables(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
-    """Plan the prime's factorial tables for the applicable ``(row, exponent)`` pairs.
-
-    Each exponent's table is as long as its rows' largest factorial argument,
-    and the top exponent's as long as any row's, so the table built there is
-    the prime's only build and each lower exponent reduces it once, on first use.
-    C(2k,k) reads (2k)! only where it is built, at the highest exponent of a
-    row that reads it; every lower exponent reduces it from there.  The shift
-    chain each table row reads goes to ``ctx.chains``, for fixed shifts to read.
-    """
-    need, central = ctx.limits, 0
+def _plan_chains(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
+    """Add the shift chain that each applicable table row of the ``(row, exponent)``
+    pairs reads to ``ctx.chains``, for the rows that read one fixed shift."""
     for row, kexp in rows:
-        if row.applies(ctx.p):
-            need[kexp] = max(need.get(kexp, 0), row.limit(ctx.p))
-            if row.central:
-                central = max(central, kexp)
-            if row.table and row.shifts and row.shifts[0].d is None:  # one chain per table row
-                ctx.chains.add((row.shifts[0].base, kexp, row.param_values(ctx.p).start % 2))
-    if central:
-        need[central] = max(need[central], 2 * ctx.p)
-    if need:
-        need[max(need)] = max(need.values())
+        if row.applies(ctx.p) and row.table and row.shifts and row.shifts[0].d is None:
+            ctx.chains.add((row.shifts[0].base, kexp, row.param_values(ctx.p).start % 2))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; TypeError naming ``name`` for a bool or a value that is
+    not an integer, a whole float included."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _located(exc: Exception, row_id: str, p: int) -> Exception:
@@ -1144,8 +1124,12 @@ def check(
     weight x) and must be omitted for parameterless rows.  A prime the row
     does not apply to — or a parameter value outside the qualifying set —
     yields a ``skipped`` report.  ``mod_exp`` overrides the modulus exponent.
-    An exception raised while the row is evaluated names the row and prime.
+    ``p``, ``param`` and ``mod_exp`` must be integers: a bool or a float raises
+    TypeError.  An exception raised while the row is evaluated names the row and prime.
     """
+    p = _integer("p", p)
+    param = None if param is None else _integer("param", param)
+    mod_exp = None if mod_exp is None else _integer("mod_exp", mod_exp)
     if congruence_id not in _ROW_INDEX:
         raise ValueError(f"unknown congruence id {congruence_id!r}")
     row = _REGISTRY[_ROW_INDEX[congruence_id]]
@@ -1164,7 +1148,6 @@ def check(
         return CongruenceReport(*head, None, None, SKIPPED)
     ctx = _TermwiseContext(p)
     try:
-        _plan_tables(ctx, [(row, kexp)])
         members, rhs = _evaluate(row, ctx, kexp, param)
     except Exception as exc:
         raise _located(exc, row.id, p) from exc
@@ -1217,10 +1200,12 @@ def _suite_for_prime(
 ) -> object:
     """The column blocks of the rows ``ids`` at ``p``, in registry order, or ``finish(blocks)``.
 
-    The prime's factorial table is built once (``_plan_tables``).
     The rows are evaluated from the highest exponent down, in registry order
     within one exponent, so each lower exponent reads the prime's tables,
-    powers, summands and shift chains reduced from a higher one.  An exception
+    powers, summands and shift chains reduced from a higher one: the prime's
+    factorial table is built once, at the top exponent, and each exponent's
+    table grows to the reach its own readers ask for (``PrimeContext.tables``).
+    ``_plan_chains`` records the shift chains the table rows read.  An exception
     raised while a row is evaluated is raised again as the same class with
     ``row=<id>, p=<p>`` in its message, chained from the original; when two
     rows would raise, the one with the higher exponent is reported.
@@ -1238,7 +1223,7 @@ def _suite_for_prime(
         ctx = PrimeContext(p)
         rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
         kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
-        _plan_tables(ctx, zip(rows, kexps))
+        _plan_chains(ctx, zip(rows, kexps))
         blocks: list = [None] * len(rows)
         for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
             try:
@@ -1261,19 +1246,21 @@ def _suite_worker(args):
 
 def _arguments(primes, ids, jobs, mod_exp) -> tuple[list[int], tuple[str, ...], dict[str, int]]:
     """The primes, row ids in registry order and exponent overrides of a suite run,
-    checked; ValueError for an unknown id, a jobs count below 1 or an exponent below 1."""
+    checked; ValueError for an unknown id, a jobs count below 1 or an exponent below 1,
+    TypeError for a prime, exponent or jobs count that is a bool or no integer."""
     id_list = all_ids() if ids is None else list(dict.fromkeys(ids))
-    over = dict(mod_exp or {})
+    over = {i: _integer(f"mod_exp[{i!r}]", k) for i, k in (mod_exp or {}).items()}
     for i in [*id_list, *over]:
         if i not in _ROW_INDEX:
             raise ValueError(f"unknown congruence id {i!r}")
-    if jobs < 1:
+    if _integer("jobs", jobs) < 1:
         raise ValueError("jobs must be >= 1")
     for i, k in over.items():
         if k < 1:
             raise ValueError(f"modulus exponent for {i} must be >= 1")
     id_list.sort(key=_ROW_INDEX.__getitem__)
-    ps = sorted({p for p in primes if p >= 5 and is_prime(p)})
+    ps = sorted({p for p in map(_integer, repeat("a prime of primes"), primes)
+                 if p >= 5 and is_prime(p)})
     return ps, tuple(id_list), over
 
 

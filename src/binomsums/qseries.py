@@ -1,4 +1,4 @@
-"""Truncated integer q-series and the three eta products with CM closed forms.
+"""Truncated q-expansions of eta products, and the three with CM closed forms.
 
 The three weight-3 eta products tracked here all have a simple q-expansion
 q * prod(1 - q^(m n))^r and their prime Fourier coefficients are given by
@@ -18,64 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import represent
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Integer power series truncated past q^order."""
-
-    coeffs: tuple[int, ...]
-    order: int
-
-    @classmethod
-    def from_coeffs(cls, coeffs, order: int) -> "TruncatedSeries":
-        c = list(coeffs)[: order + 1]
-        c += [0] * (order + 1 - len(c))
-        return cls(tuple(c), order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([1], order)
-
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        out = [0] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: self.order + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out), self.order)
-
-    def shift(self, t: int) -> "TruncatedSeries":
-        """Multiply by q^t (t >= 0)."""
-        if t < 0:
-            raise ValueError("shift must be >= 0")
-        return TruncatedSeries(
-            tuple([0] * t + list(self.coeffs[: self.order + 1 - t])), self.order
-        )
-
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
 
 
 @dataclass(frozen=True)

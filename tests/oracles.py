@@ -4,7 +4,8 @@ Each oracle is computed from a definition, independently of the engine: the
 named sequences from their defining sums, the secant Euler numbers from
 their recurrence, and binomial valuations from Kummer's carry count.  The
 encoders of ``verify`` output format one report at a time through
-``csv.writer`` and ``json.dumps``.
+``csv.writer`` and ``json.dumps``, and ``TruncatedSeries`` expands an eta
+product by multiplying its factors one term at a time.
 """
 
 from __future__ import annotations
@@ -184,3 +185,62 @@ def verify_block(fmt: str, log: bool, reports, ts: str = "") -> tuple[str, Count
     records = "".join(json.dumps({"ts": ts, "record": r._asdict()}, sort_keys=True) + "\n"
                       for r in reports) if log else ""
     return text, Counter([r.status for r in reports]), records
+
+
+@dataclass(frozen=True)
+class TruncatedSeries:
+    """Integer power series truncated past q^order, multiplied term by term: the
+    naive-product oracle of the eta-product expansions."""
+
+    coeffs: tuple[int, ...]
+    order: int
+
+    @classmethod
+    def from_coeffs(cls, coeffs, order: int) -> "TruncatedSeries":
+        c = list(coeffs)[: order + 1]
+        c += [0] * (order + 1 - len(c))
+        return cls(tuple(c), order)
+
+    @classmethod
+    def one(cls, order: int) -> "TruncatedSeries":
+        return cls.from_coeffs([1], order)
+
+    def _check(self, other: "TruncatedSeries") -> None:
+        if self.order != other.order:
+            raise ValueError("truncation orders differ")
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check(other)
+        return TruncatedSeries(
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
+        )
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check(other)
+        return TruncatedSeries(
+            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
+        )
+
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check(other)
+        out = [0] * (self.order + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs[: self.order + 1 - i]):
+                if b:
+                    out[i + j] += a * b
+        return TruncatedSeries(tuple(out), self.order)
+
+    def shift(self, t: int) -> "TruncatedSeries":
+        """Multiply by q^t (t >= 0)."""
+        if t < 0:
+            raise ValueError("shift must be >= 0")
+        return TruncatedSeries(
+            tuple([0] * t + list(self.coeffs[: self.order + 1 - t])), self.order
+        )
+
+    def coefficient(self, n: int) -> int:
+        if not 0 <= n <= self.order:
+            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
+        return self.coeffs[n]

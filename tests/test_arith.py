@@ -119,6 +119,35 @@ def test_factorial_tables_equal_the_one_n_at_a_time_build():
             assert factorial_tables(p, k, p**2) == (val[: p**2 + 1], unit[: p**2 + 1], inv[: p**2 + 1])
 
 
+def test_grown_factorial_tables_equal_the_one_n_at_a_time_build():
+    # a table built to every L1 up to p^3 + p and grown to the top in one step,
+    # and tables grown in steps of 1, p - 1, p, p + 1 and p^2, each step checked
+    for p in (3, 5, 7, 11, 13):
+        top = p**3 + p
+        for k in (1, 2, 3, 4):
+            val, unit, inv = factorial_tables(p, k, top)
+            for limit in range(top + 1):
+                t = FactorialTables(p, k, limit)
+                t.grow(top)
+                got = t.limit, t.val, t.unit, t.inv_unit
+                assert got == (top, val, unit, inv), (p, k, limit)
+            for step in (1, p - 1, p, p + 1, p * p):
+                t = FactorialTables(p, k, 0)
+                while t.limit < top:
+                    t.grow(min(t.limit + step, top))
+                    n = t.limit + 1
+                    assert (t.val, t.unit, t.inv_unit) == (val[:n], unit[:n], inv[:n]), (p, k, n)
+
+
+def test_growing_to_a_reach_a_table_has_changes_nothing():
+    for p, k, limit in [(5, 2, 0), (5, 2, 10), (7, 3, 3 * 7 + 2), (13, 4, 200)]:
+        t = FactorialTables(p, k, limit)
+        want = [list(t.val), list(t.unit), list(t.inv_unit)]
+        for reach in {0, limit // 2, limit}:
+            t.grow(reach)
+            assert t.limit == limit and [t.val, t.unit, t.inv_unit] == want
+
+
 def test_binomial_factored_examples():
     t = FactorialTables(5, 2, 10)
     assert t.binomial(0, 1) == 0
@@ -250,3 +279,21 @@ def test_factorial_tables_reduced_equal_fresh_builds():
                 t.reduced(top + 1, big)
             with pytest.raises(ValueError):
                 t.reduced(1, big + 1)
+
+
+def test_reduced_grown_tables_equal_fresh_builds():
+    # the tables PrimeContext keeps: built short, grown, reduced, and grown again
+    for p in (5, 7, 13, 101):
+        big = 6 * p
+        for top in (2, 3, 4):
+            t = FactorialTables(p, top, p)
+            t.grow(2 * p)
+            t.grow(big)
+            for k in range(1, top + 1):
+                for limit in (0, p - 1, p, 2 * p + 1, big):
+                    got, want = t.reduced(k, limit), FactorialTables(p, k, limit)
+                    assert (got.limit, got.val, got.unit, got.inv_unit) == (
+                        limit, want.val, want.unit, want.inv_unit), (p, top, k, limit)
+                    got.grow(big + p)
+                    want = FactorialTables(p, k, big + p)
+                    assert (got.val, got.unit, got.inv_unit) == (want.val, want.unit, want.inv_unit)

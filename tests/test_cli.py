@@ -282,6 +282,28 @@ def test_unwritable_output_path_is_a_usage_error(args, tmp_path, capsys, monkeyp
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("exists", [False, True])
+def test_out_and_log_naming_one_file_is_a_usage_error(exists, tmp_path, capsys, monkeypatch):
+    # the "w" handle of --out would overwrite what the "a" handle of --log appended
+    def never(*args):
+        raise AssertionError("a row was computed before the paths were checked")
+
+    monkeypatch.setattr(congruences, "_row_block", never)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "rows.csv"
+    if exists:
+        target.write_text("kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    for log in (target, tmp_path / "sub" / ".." / "rows.csv", link):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--primes", "5..20", "--format", "csv",
+                      "--out", str(target), "--log", str(log)])
+        assert exc.value.code == 2
+        assert "--out and --log name the same file" in capsys.readouterr().err
+    assert target.read_text() == "kept\n" if exists else not target.exists()
+
+
 @pytest.mark.parametrize(
     "command,lines,lineno",
     [

@@ -653,6 +653,48 @@ def test_iter_suite_rejects_bad_arguments_at_the_call():
             iter_suite([13], **kwargs)  # raised before any next()
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("a row was evaluated before the arguments were checked")
+
+
+@pytest.mark.parametrize("args, kwargs, name", [
+    (("C1_5", 13, True), {}, "param"),  # a bool is an int to Python, and reads as d=True
+    (("C1_5", 13, 3.0), {}, "param"),
+    (("C1_7a", 13), {"mod_exp": True}, "mod_exp"),  # would run at K = 1
+    (("C1_7a", 13), {"mod_exp": 2.0}, "mod_exp"),
+    (("C1_7a", 13.0), {}, "p"),
+    (("C1_7a", True), {}, "p"),
+])
+def test_check_rejects_an_argument_that_is_no_integer(args, kwargs, name, monkeypatch):
+    monkeypatch.setattr(congruences, "_evaluate", _never)
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+        check(*args, **kwargs)
+
+
+@pytest.mark.parametrize("args, kwargs, name", [
+    (([13, 17], ["C1_7a"]), {"jobs": True}, "jobs"),  # would run serially
+    (([13], ["C1_7a"]), {"jobs": 2.0}, "jobs"),
+    (([13.0], ["C1_7a"]), {}, "a prime of primes"),  # would fail deep inside, as a row error
+    (([13, True], ["C1_7a"]), {}, "a prime of primes"),
+    (([13], ["C1_7a"]), {"mod_exp": {"C1_7a": True}}, "mod_exp['C1_7a']"),
+    (([13], ["C1_7a"]), {"mod_exp": {"C1_7a": 2.5}}, "mod_exp['C1_7a']"),
+])
+def test_suites_reject_an_argument_that_is_no_integer(args, kwargs, name, monkeypatch):
+    monkeypatch.setattr(congruences, "_suite_for_prime", _never)
+    for call in (run_suite, iter_suite, partial(congruences.iter_blocks, encode=list)):
+        with pytest.raises(TypeError, match="^" + re.escape(name) + " must be an integer, got "):
+            call(*args, **kwargs)  # raised at the call, before any next()
+
+
+def test_integers_of_other_types_are_taken_as_ints():
+    import numpy
+
+    want = check("C1_5", 13, 7, mod_exp=3)
+    got = check("C1_5", numpy.int64(13), numpy.int32(7), mod_exp=numpy.int8(3))
+    assert got == want and type(got.p) is type(got.modulus) is int
+    assert run_suite([numpy.int64(13)], ["C1_7a"]) == run_suite([13], ["C1_7a"])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_row_errors_name_their_row_and_prime(monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
@@ -873,21 +915,34 @@ _HALFRANGE_IDS =("C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12",
 
 
 def test_one_factorial_table_per_prime(monkeypatch):
-    builds = []
-    init = FactorialTables.__init__
+    # the top exponent builds the prime's one table; each lower exponent
+    # reduces it once from the exponent above, and every table then grows in
+    # place to the reach that its own readers ask for
+    made = []
+    init, reduce = FactorialTables.__init__, FactorialTables.reduced
 
     def counting(self, p, k, limit):
-        builds.append((p, k, limit))
+        made.append(("build", k, limit, self))
         init(self, p, k, limit)
 
+    def reducing(self, k, limit):
+        out = reduce(self, k, limit)
+        made.append(("reduce", k, limit, out))
+        return out
+
     monkeypatch.setattr(FactorialTables, "__init__", counting)
+    monkeypatch.setattr(FactorialTables, "reduced", reducing)
     congruences._suite_for_prime(1009, _HALFRANGE_IDS, {}, False)
-    assert builds == [(1009, 3, 2 * 1009)]  # the p^2 and p mod-p rows reduce it
+    assert [m[:2] for m in made] == [("build", 3), ("reduce", 2), ("reduce", 1)]
+    assert made[0][2] == 2 * 1009  # for C(2k,k), which reads (2k)! for k < p
     for p in (1009, 10007):
-        builds.clear()
+        made.clear()
         congruences._suite_for_prime(p, tuple(default_ids()), {}, False)
-        # p^3, long enough for the 1728 family's engine at p^2
-        assert builds == [(p, 3, 6 * p)], builds
+        assert [m[:2] for m in made] == [("build", 3), ("reduce", 2), ("reduce", 1)]
+        assert made[0][2] == 2 * p
+        # the reach each exponent's readers ask for: C(2k,k) at p^3, the 1728
+        # family's engine at p^2, (6k)!, and C4_1's (4k)! at k = p - 1 at p
+        assert {k: t.limit for _, k, _, t in made} == {3: 2 * p, 2: 6 * p, 1: 4 * p - 4}
 
 
 def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
@@ -941,7 +996,7 @@ def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
         return chain(p, base, weights, tables, columns, parity)
 
     def counting_build(self, p, k, limit):
-        builds.append((k, limit))
+        builds.append((k, limit, self))
         init(self, p, k, limit)
 
     monkeypatch.setattr(_sweeps, "direct_shift_sum", counting_direct)
@@ -969,9 +1024,11 @@ def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
     assert sorted(direct) == [0, 1, 334, 501, 668, 1000, 1334, 1501, 1668]
     assert chains == [(64, 0, [0], 1002), (108, 0, [0], 1336), (256, 1, [1, 1001], 1503),
                       (1728, 0, [0], 1670)]
-    # one table, mod p^2: it still reaches (6k)! at every k < p, whose valuations
-    # the kernel reads to check the 1728 weights' dead tail
-    assert builds == [(2, 6 * 2003)]
+    # one table, mod p^2, built for the 64 chain's (2k)! and grown in place: it
+    # still reaches (6k)! at every k < p, whose valuations the kernel reads to
+    # check the 1728 weights' dead tail
+    [(k, limit, table)] = builds
+    assert (k, limit, table.limit) == (2, 2 * 2003, 6 * 2003)
 
 
 def test_corrupted_seed_raises_under_reduction(monkeypatch):

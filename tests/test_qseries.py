@@ -6,11 +6,11 @@ from binomsums.arith import primes_in_range
 from binomsums.qseries import (
     ETA_PRODUCTS,
     EtaProductSpec,
-    TruncatedSeries,
     coefficient_closed_form,
     coefficient_table,
     eta_quotient,
 )
+from oracles import TruncatedSeries
 
 
 def naive_product_coeffs(spec: EtaProductSpec, order: int) -> list[int]:

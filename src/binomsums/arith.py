@@ -79,9 +79,10 @@ def legendre_symbol(a: int, p: int) -> int:
 def sqrt_mod(a: int, p: int) -> int | None:
     """Smallest square root of a modulo an odd prime p, or None.
 
-    Tonelli-Shanks, with the usual p % 4 == 3 shortcut.
+    Tonelli-Shanks, with the usual p % 4 == 3 shortcut.  ValueError if p is
+    not an odd prime, whatever a is.
     """
-    if a % p and (p == 2 or not is_prime(p)):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return _sqrt_mod(a, p)
 
@@ -133,12 +134,16 @@ class FactorialTables:
     multiples of p are stripped of their factors p, one slice per power of p;
     ``unit`` continues as the running product of the stripped factors, the
     new ``inv_unit`` entries run down from one inverse of the new top unit,
-    and ``val`` continues as the running sum of v_p(n).
+    and ``val`` continues as the running sum of v_p(n).  ValueError for
+    p < 2, k < 1 or limit < 0; that p is prime is the caller's to know.
     """
 
     __slots__ = ("p", "k", "pk", "limit", "val", "unit", "inv_unit")
 
     def __init__(self, p: int, k: int, limit: int):
+        for name, value, least in (("p", p, 2), ("k", k, 1), ("limit", limit, 0)):
+            if value < least:
+                raise ValueError(f"FactorialTables needs {name} >= {least}, got {value}")
         self.p, self.k, self.pk, self.limit = p, k, p**k, 0
         self.val, self.unit, self.inv_unit = [0], [1], [1]  # 0! = 1
         self.grow(limit)

@@ -416,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--timings", nargs="?", const=True, type=_boolean, metavar="BOOL",
         help="fill the micros column with each row's own evaluation time, which "
-        "includes building each per-prime summand, shift chain or seed it is the first "
-        "row to need, and building or growing each factorial table it is the first row "
-        "to need that far (0 for table rows); off keeps output byte-identical",
+        "includes building each per-prime summand or seed it is the first row to need, "
+        "and building or growing each factorial table it is the first row to need that "
+        "far (0 for table rows, which step the shift chains); off keeps output "
+        "byte-identical",
     )
     p_verify.add_argument(
         "--log",

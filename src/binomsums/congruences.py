@@ -26,8 +26,10 @@ Two evaluation paths exist and are pinned against each other by the tests:
   factorial table, at its top exponent; each lower exponent reduces it once,
   and every exponent's table grows to the reach its own readers ask for.
   The shift engine steps the d -> d+2 relations in O(p) for each
-  (family, parity) chain of shifts that the rows read, from seeds read from
-  binomial columns that every family shares.  A row at a prime gives one
+  (family, parity) chain of shifts that a table row reads, from seeds read
+  from binomial columns that every family shares.  Within one exponent the
+  table rows run first, so a row that reads one fixed shift reads it from
+  such a chain when one has its parity.  A row at a prime gives one
   column block: a report's fields, ``id``, ``p`` and ``modulus`` one value
   each, ``params`` a list of one entry per report, and ``lhs``, ``rhs``,
   ``status`` and ``micros`` each a list as long or one value for every
@@ -71,9 +73,10 @@ class CongruenceReport(NamedTuple):
     chained statements that assert several sums agree, ``lhs``/``rhs`` show
     the first differing pair on failure and (first member, closed form)
     otherwise.  ``micros``, filled only when timings were requested, is the
-    row's own evaluation time, which includes building each per-prime summand,
-    shift chain or seed it is the first row to need, and building or growing
-    each factorial table it is the first row to need that far; 0 for table rows.
+    row's own evaluation time, which includes building each per-prime summand
+    or seed it is the first row to need, and building or growing each
+    factorial table it is the first row to need that far; 0 for table rows,
+    which step the shift chains.
     """
 
     id: str
@@ -162,9 +165,10 @@ class Sum(NamedTuple):
 class Shift(NamedTuple):
     """S_base(d) = sum_{k<p} w_base(k) C(2k, k+d) for the shift family of ``base``.
 
-    ``d`` None reads the row's parameter.  A shift is read through
-    ``PrimeContext.shift_sum``, and a table row's shifts as a slice of their
-    chain (``PrimeContext.chain``); ``check``'s context sums them term by term.
+    ``d`` None reads the row's parameter.  A table row reads its shifts as a
+    slice of their chain (``PrimeContext.chain``), and any other row reads its
+    shift through ``PrimeContext.shift_sum``; ``check``'s context sums them
+    term by term.
     """
 
     base: int
@@ -349,7 +353,9 @@ class PrimeContext:
     there is none.  The suite evaluates rows from the top exponent down, so a
     prime builds its factorial table, C(2k,k), powers and summands once each.
     Each exponent's table then grows to the reach its readers ask for
-    (``tables``); no plan sizes it in advance.
+    (``tables``), and a shift chain is stepped only where a table row reads
+    it.  What a prime computes follows from what its rows read and the order
+    in which they run; no plan is made ahead.
     """
 
     def __init__(self, p: int):
@@ -359,7 +365,6 @@ class PrimeContext:
         self.n = (p - 1) // 2
         self._cache: dict = {}
         self._top = 0  # the highest exponent of the keys cached so far
-        self.chains: set[tuple[int, int, int]] = set()  # the planned (base, exponent, parity)
 
     # --- basic cached helpers -------------------------------------------
 
@@ -583,14 +588,14 @@ class PrimeContext:
 
     def shift_sum(self, base: int, d: int, kexp: int) -> int:
         """S_base(d) mod p^kexp for a row that reads the one shift d: from the
-        chain of d's parity if that chain is planned at kexp (``chains``) or
-        cached at kexp or above, else S(d) read from its column and checked by
-        a direct sum (``shift_seed``), with no chain stepped."""
+        chain of d's parity if one is cached at kexp or reduced from a higher
+        exponent, else S(d) read from its column and checked by a direct sum
+        (``shift_seed``), with no chain stepped."""
 
         def build():
-            q = d % 2
-            if (base, kexp, q) in self.chains or self._at(("chain", base, q), kexp):
-                return self.chain(base, q, kexp)[d // 2]
+            stepped = self._at(("chain", base, d % 2), kexp)
+            if stepped is not None:
+                return stepped[d // 2]
             tables, column = self.tables(kexp, 2 * self.p), self.shift_column(d, kexp)
             return shift_seed(self.p, base, self.weights(base, kexp), tables, column, d)
 
@@ -726,11 +731,6 @@ class RowSpec(_RowFields):
         st = self.statement
         return (self.param_values is not None and isinstance(st, Statement) and len(st.lhs) == 1
                 and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
-
-    @cached_property
-    def shifts(self) -> tuple[Shift, ...]:
-        """The row's shifted sums."""
-        return tuple(t for t in self.terms if isinstance(t, Shift))
 
 
 _QUARTER_BINOMIAL = Binomial(lambda p, _: ((p - 1) // 2, (p - 1) // 4))
@@ -1083,14 +1083,6 @@ def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int,
     return members, st.rhs(ctx, kexp, v) % pkv
 
 
-def _plan_chains(ctx: PrimeContext, rows: Iterable[tuple[RowSpec, int]]) -> None:
-    """Add the shift chain that each applicable table row of the ``(row, exponent)``
-    pairs reads to ``ctx.chains``, for the rows that read one fixed shift."""
-    for row, kexp in rows:
-        if row.applies(ctx.p) and row.table and row.shifts and row.shifts[0].d is None:
-            ctx.chains.add((row.shifts[0].base, kexp, row.param_values(ctx.p).start % 2))
-
-
 def _integer(name: str, value) -> int:
     """``value`` as an int; TypeError naming ``name`` for a bool or a value that is
     not an integer, a whole float included."""
@@ -1200,15 +1192,18 @@ def _suite_for_prime(
 ) -> object:
     """The column blocks of the rows ``ids`` at ``p``, in registry order, or ``finish(blocks)``.
 
-    The rows are evaluated from the highest exponent down, in registry order
-    within one exponent, so each lower exponent reads the prime's tables,
-    powers, summands and shift chains reduced from a higher one: the prime's
-    factorial table is built once, at the top exponent, and each exponent's
-    table grows to the reach its own readers ask for (``PrimeContext.tables``).
-    ``_plan_chains`` records the shift chains the table rows read.  An exception
-    raised while a row is evaluated is raised again as the same class with
-    ``row=<id>, p=<p>`` in its message, chained from the original; when two
-    rows would raise, the one with the higher exponent is reported.
+    The rows are evaluated from the highest exponent down, so each lower
+    exponent reads the prime's tables, powers, summands and shift chains
+    reduced from a higher one: the prime's factorial table is built once, at
+    the top exponent, and each exponent's table grows to the reach its own
+    readers ask for (``PrimeContext.tables``).  Within one exponent the table
+    rows run first, then the others, each in registry order, so every chain
+    stepped at an exponent is cached before a row of that exponent reads one
+    fixed shift (``PrimeContext.shift_sum``).  An exception raised while a row
+    is evaluated is raised again as the same class with ``row=<id>, p=<p>``
+    in its message, chained from the original; when two rows would raise, the
+    one that runs first is reported: the one with the higher exponent, and
+    within one exponent a table row before any other.
 
     The cyclic garbage collector is paused for the evaluation and ``finish``
     and left as the caller had it on return or raise: the evaluation makes no
@@ -1223,9 +1218,8 @@ def _suite_for_prime(
         ctx = PrimeContext(p)
         rows = [_REGISTRY[_ROW_INDEX[i]] for i in ids]
         kexps = [mod_exp.get(row.id, row.exponent(p)) for row in rows]
-        _plan_chains(ctx, zip(rows, kexps))
         blocks: list = [None] * len(rows)
-        for i in sorted(range(len(rows)), key=lambda i: -kexps[i]):
+        for i in sorted(range(len(rows)), key=lambda i: (-kexps[i], not rows[i].table)):
             try:
                 blocks[i] = _row_block(ctx, rows[i], kexps[i], timings)
             except Exception as exc:

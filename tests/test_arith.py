@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +79,10 @@ def test_sqrt_mod():
     assert sqrt_mod(2, 7) == 3
     assert sqrt_mod(3, 7) is None
     assert sqrt_mod(0, 13) == 0
+    # p is tested on every call, a = 0 (mod p) included
+    for a, p in [(0, 9), (9, 9), (0, 15), (0, 1), (4, 2), (0, 0), (3, 2), (5, -7)]:
+        with pytest.raises(ValueError, match=rf"^{p} is not an odd prime$"):
+            sqrt_mod(a, p)
     for p in primes_in_range(3, 300):
         for a in range(p):
             r = sqrt_mod(a, p)
@@ -146,6 +152,22 @@ def test_growing_to_a_reach_a_table_has_changes_nothing():
         for reach in {0, limit // 2, limit}:
             t.grow(reach)
             assert t.limit == limit and [t.val, t.unit, t.inv_unit] == want
+
+
+@pytest.mark.parametrize("args, name", [((0, 1, 5), "p"), ((-3, 1, 5), "p"), ((5, 0, 10), "k"),
+                                        ((5, -1, 10), "k"), ((5, 1, -1), "limit")])
+def test_factorial_tables_reject_bad_arguments(args, name):
+    with pytest.raises(ValueError, match=rf"^FactorialTables needs {name} >= "):
+        FactorialTables(*args)
+
+
+def test_factorial_tables_reject_p_1_without_hanging():
+    # a ``grow`` that never ends for p = 1 would hang the test: a child process bounds the wait
+    code = ("from binomsums.arith import FactorialTables\n"
+            "try:\n    FactorialTables(1, 1, 5)\n"
+            "except ValueError as e:\n    print(e)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.stdout == "FactorialTables needs p >= 2, got 1\n", out.stderr
 
 
 def test_binomial_factored_examples():

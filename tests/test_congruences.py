@@ -24,6 +24,7 @@ from binomsums.arith import FactorialTables, legendre_symbol, mod_inverse, prime
 from binomsums.congruences import (
     CongruenceReport,
     PrimeContext,
+    Shift,
     Sum,
     _reference_shift_sum,
     _REGISTRY,
@@ -1031,6 +1032,41 @@ def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
     assert (k, limit, table.limit) == (2, 2 * 2003, 6 * 2003)
 
 
+@pytest.mark.parametrize("fixed, table, p", [("C1_14b", "C1_19", 29), ("C1_14c", "C1_20", 13),
+                                             ("C1_15", "C1_21", 31)])
+def test_a_fixed_shift_before_its_table_row_reads_the_chain_it_steps(fixed, table, p, monkeypatch):
+    # the fixed row comes first in the registry and reads S(0); at p its table
+    # row reads the even chain of the same family.  The table row runs first,
+    # so the fixed row reads S(0) from that chain and makes no direct sum of
+    # its own: the pair makes the direct sums of the table row alone.
+    assert _REGISTRY[_ROW_INDEX[table]].param_values(p).start == 0
+    direct, direct_sum = [], _sweeps.direct_shift_sum
+
+    def counting_direct(p, weights, d, tables):
+        direct.append(d)
+        return direct_sum(p, weights, d, tables)
+
+    monkeypatch.setattr(_sweeps, "direct_shift_sum", counting_direct)
+    runs = []
+    for ids in ((table,), (fixed, table)):
+        direct.clear()
+        congruences._suite_for_prime(p, ids, {}, False)
+        runs.append(list(direct))
+    assert runs[0] == runs[1], runs
+
+
+def test_within_one_exponent_a_table_row_error_is_reported_first(monkeypatch):
+    # at p = 13 = 1 (mod 3) C1_19 reads the odd chain of 108, seeded by S(1),
+    # and C1_14b reads S_108(0) on its own; with both seeds wrong both rows
+    # raise, and the table row, run first, is reported although C1_14b comes
+    # first in the registry
+    monkeypatch.setattr(_sweeps, "column_shift_sum", _corrupt_seeds(0, 1))
+    with pytest.raises(ArithmeticError, match=r"base=108, d=0, K=2.*\(row=C1_14b, p=13\)"):
+        run_suite([13], ["C1_14b"])
+    with pytest.raises(ArithmeticError, match=r"base=108, .*K=2.*\(row=C1_19, p=13\)"):
+        run_suite([13], ["C1_14b", "C1_19"])
+
+
 def test_corrupted_seed_raises_under_reduction(monkeypatch):
     # C1_5 reads the odd chain of 64 at p = 13 and the even one at p = 31,
     # where C1_6 reads the seed S(1) on its own
@@ -1116,19 +1152,18 @@ def test_a_corrupted_seed_read_alone_fails_its_direct_sum(rid, base, d, p, monke
 
 
 def test_a_shift_read_alone_equals_the_termwise_sum_at_every_shift():
-    # with no chain planned, shift_sum reads S(d) from its column, checked by a
-    # direct sum, and steps no chain; with its parity's chain planned, it reads
+    # with no chain stepped, shift_sum reads S(d) from its column, checked by a
+    # direct sum, and steps no chain; with its parity's chain stepped, it reads
     # that chain's entry
     for p in (5, 7, 13, 17, 29, 31, 43, 59):
         for kexp in (1, 2, 3, 4):
-            alone, planned = PrimeContext(p), PrimeContext(p)
-            planned.chains.update((base, kexp, q) for base in (64, 108, 256, 1728) for q in (0, 1))
+            alone, stepped = PrimeContext(p), PrimeContext(p)
             for base in (64, 108, 256, 1728):
                 for d in range(p):
                     ref = _reference_shift_sum(PrimeContext(p), base, d, kexp)
                     assert alone.shift_sum(base, d, kexp) == ref, (p, kexp, base, d)
-                    chain = planned.chain(base, d % 2, kexp)[d // 2]
-                    assert planned.shift_sum(base, d, kexp) == chain == ref, (p, kexp, base, d)
+                    chain = stepped.chain(base, d % 2, kexp)[d // 2]
+                    assert stepped.shift_sum(base, d, kexp) == chain == ref, (p, kexp, base, d)
             assert not [key for key in alone._cache if key[0] == "chain"], (p, kexp)
 
 
@@ -1141,7 +1176,7 @@ def test_check_sums_every_shift_without_the_shift_engine(monkeypatch):
     monkeypatch.setattr(congruences, "shift_chain", refuse)
     monkeypatch.setattr(congruences, "shift_seed", refuse)
     monkeypatch.setattr(_sweeps, "direct_shift_sum", refuse)
-    rows = [row for row in _REGISTRY if row.shifts]
+    rows = [row for row in _REGISTRY if any(isinstance(t, Shift) for t in row.terms)]
     assert [row.id for row in rows] == ["C1_5", "C1_6", "C1_14b", "C1_14c", "C1_15", "C1_19",
                                         "C1_20", "C1_21", "C1_22", "C1_23", "C1_25", "C1_26"]
     cases = [(row.id, p, v) for p in primes_in_range(5, 60) for row in rows if row.applies(p)

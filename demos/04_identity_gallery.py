@@ -1,7 +1,8 @@
 """Tour of the exact identities behind the congruence rows.
 
-Everything here is checked in exact arithmetic (integers, rationals, or
-integer polynomials) — no floating point, no modulus.  The suites feed the
+Everything here is checked in exact arithmetic (integers and rationals) — no
+floating point, no modulus.  A polynomial identity is proved by evaluating
+both sides at more points than their degree.  The suites feed the
 congruence engine: each mod-p^k row reduces to one of these identities plus
 a p-adic argument, so the gallery doubles as a map of the codebase.
 """
@@ -35,7 +36,7 @@ def main():
     print("\nhalf-point values D_n(-1/2), the bridge to sums over (-16)^k:")
     print("  ", [delannoy_poly(n, half) for n in range(8)])
 
-    print("\npolynomial builders agree with the direct evaluators:",
+    print("\ncoefficient lists agree with the direct evaluators:",
           cross_check_polynomials())
 
     print("\nfull suite at default bounds:")

@@ -15,8 +15,10 @@ Output is deterministic: without ``--timings`` the emitted rows are
 byte-identical from run to run (the jsonl meta header carries the only
 timestamp).  Exit status is 0 for success, 1 if any proven row failed, 2 for
 usage errors (a bad flag or config line, an unknown id, an output path that
-cannot be opened, ``--out`` and ``--log`` naming one file), and 141
-(128 + SIGPIPE) when the reader of stdout closed it before the output ended.
+cannot be opened, ``--out`` and ``--log`` naming one file), 3 when the
+program failed rather than a congruence (a write to the output, the log or
+stdout failed, on a full disk say), and 141 (128 + SIGPIPE) when the reader
+of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import os
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from functools import lru_cache, partial
 
@@ -163,6 +165,17 @@ def _open_out(path, parser, mode="w"):
         parser.error(str(exc))
 
 
+@contextmanager
+def _naming(path):
+    """Name ``path`` in an OSError raised inside, a failed write say, that names no file."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
 def _same_file(a: str, b: str) -> bool:
     """Whether the paths ``a`` and ``b`` name one file: the same device and inode
     where both exist, else the same resolved path."""
@@ -192,7 +205,7 @@ def _write(blocks, columns, fmt, out, parser, command, footer=None):
     after the last block, so it can report totals counted while the blocks
     went out.  Only jsonl carries a timestamp, in its meta line.
     """
-    with _open_out(out, parser) as opened:
+    with _naming(out or "<stdout>"), _open_out(out, parser) as opened:
         sink = opened or sys.stdout
         if fmt == "csv":
             csv.writer(sink).writerow(columns)
@@ -303,7 +316,8 @@ def _cmd_verify(args, parser) -> int:
         for text, statuses, records in blocks:
             counts.update(statuses)
             if log:
-                log.write(records)
+                with _naming(args.log):
+                    log.write(records)
             yield text
 
     def footer():
@@ -312,7 +326,7 @@ def _cmd_verify(args, parser) -> int:
             ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "nothing",
         )
 
-    with _open_out(args.log, parser, "a") as log:
+    with _naming(args.log), _open_out(args.log, parser, "a") as log:
         _write(tally(log), CongruenceReport._fields, args.format, args.out, parser, "verify",
                footer)
     return 1 if counts[FAIL] else 0
@@ -462,12 +476,19 @@ def main(argv=None) -> int:
         command.error(str(exc))
     try:
         status = run(argparse.Namespace(**{**defaults, **config, **flags}), command)
-        sys.stdout.flush()  # so a closed pipe is met here rather than at exit
+        with _naming("<stdout>"):
+            sys.stdout.flush()  # so a closed pipe or a full disk is met here rather than at exit
     except BrokenPipeError:
         # the reader of stdout has gone: leave no traceback, and send the flush
         # at interpreter exit to devnull so that it cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the status of a process that SIGPIPE ended
+    except OSError as exc:
+        # a write failed: the program failed, not a congruence, so neither 1 nor a traceback
+        if exc.filename == "<stdout>":
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"binomsums: error: {exc}", file=sys.stderr)
+        return 3
     return status
 
 

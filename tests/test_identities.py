@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -7,11 +9,13 @@ from binomsums import identities
 from binomsums._sweeps import SHIFT_FAMILIES
 from binomsums.identities import (
     SUITES,
-    PolynomialZ,
     _a_coeff,
     _b_coeff,
     _c_coeff,
+    _convolve,
     _d_coeff,
+    _delannoy_coeffs,
+    _horner,
     _recursion_poly,
     cross_check_polynomials,
     run_identity_suite,
@@ -29,18 +33,14 @@ from binomsums.identities import (
 )
 
 
-def test_polynomial_ops():
-    x = PolynomialZ.x()
-    p = (x + PolynomialZ.const(1)) * (x + PolynomialZ.const(2))
-    assert p.coeffs == (2, 3, 1)
-    assert (p - p).coeffs == () and (p - p).degree == -1
-    assert (2 * x).coeffs == (0, 2)
-    assert (x**5).coeffs == (0, 0, 0, 0, 0, 1)
-    assert p.evaluate(3) == 20
-    assert p.evaluate(Fraction(1, 2)) == Fraction(15, 4)
-    assert PolynomialZ((1, 2, 0, 0)).coeffs == (1, 2)
-    with pytest.raises(ValueError):
-        x**-1
+def test_horner_and_convolution_expand_binomial_powers():
+    for a in range(6):
+        for b in range(6):
+            prod = _convolve([comb(a, i) for i in range(a + 1)], [comb(b, j) for j in range(b + 1)])
+            assert prod == [comb(a + b, k) for k in range(a + b + 1)]
+            for x in (0, 1, 3, -2, Fraction(1, 2)):
+                assert _horner(prod, x) == (1 + x) ** (a + b)
+    assert _horner([], 5) == 0
 
 
 def test_delannoy_square_small():
@@ -52,9 +52,6 @@ def test_delannoy_square_small():
 def test_schroder_square_small():
     rec = verify_schroder_square(8)
     assert rec.status == "pass"
-    # n=1 both sides are 2(x+1)^2
-    x1 = PolynomialZ((1, 1))
-    assert (2 * (x1 * x1)).coeffs == (2, 4, 2)
 
 
 def test_coefficient_anchors():
@@ -233,16 +230,64 @@ def test_the_default_suites_pass_with_their_counts():
     ]
     small = run_identity_suite(grid_n=6, grid_p=3)
     assert [r.checks for r in small] == [7, 6, 96, 6, 17, 28, 168, 7, 12, 36, 27]
-    # the optional second bounds, and the empty and one-term ranges
+    # a bound other than the default, and the empty and one-term ranges
     assert [(r.params, r.checks) for r in (
-        verify_schroder_square_coefficients(4, m_max=3),
-        verify_shift_step_base64(4, d_max=2),
-        verify_shift_step_threeproduct(3, 1),
+        verify_schroder_square_coefficients(4),
+        verify_shift_step_base64(4),
+        verify_shift_step_threeproduct(3),
         verify_central_sum_reflection(0),
         verify_central_sum_reflection(1),
         verify_schroder_square(0),
         verify_small_identities(0),
-    )] == [("n<=4", 32), ("P<=4", 9), ("P<=3", 12), ("n<=0", 1), ("n<=1", 2), ("n<=0", 0),
+    )] == [("n<=4", 48), ("P<=4", 21), ("P<=3", 36), ("n<=0", 1), ("n<=1", 2), ("n<=0", 0),
            ("k,n<=0", 3)]
-    assert verify_shift_step_base64(p_max=4, d_max=2) == verify_shift_step_base64(4, 2)
+    assert verify_shift_step_base64(p_max=4) == verify_shift_step_base64(4)
     assert verify_delannoy_square(n_max=3) == verify_delannoy_square(3)
+
+
+def test_the_grid_follows_the_degree_of_the_coefficient_lists(monkeypatch):
+    # D_n(x) + x(x-1)...(x-2n) agrees with D_n(x) at x = 0..2n, so a fixed grid of
+    # 2n + 1 points would pass it; the grid read from the list lengths does not
+    right = _delannoy_coeffs
+
+    def bent(n):
+        falling = [1]
+        for j in range(2 * n + 1):
+            falling = _convolve(falling, [-j, 1])
+        assert all(_horner(falling, x) == 0 for x in range(2 * n + 1))
+        return [u + v for u, v in zip_longest(right(n), falling, fillvalue=0)]
+
+    monkeypatch.setattr(identities, "_delannoy_coeffs", bent)
+    rec = verify_delannoy_square(25)
+    assert (rec.status, rec.witness, rec.checks) == ("fail", (0,), 1)
+
+
+@pytest.mark.parametrize("kwargs, error, text", [
+    ({"grid_n": -3, "grid_p": -1}, ValueError, "grid_n must be >= 1, got -3"),
+    ({"grid_n": 0}, ValueError, "grid_n must be >= 1, got 0"),
+    ({"grid_p": 1}, ValueError, "grid_p must be >= 2, got 1"),
+    ({"grid_n": True}, TypeError, "grid_n must be an integer, got True"),
+    ({"grid_n": 2.5}, TypeError, "grid_n must be an integer, got 2.5"),
+    ({"grid_p": "3"}, TypeError, "grid_p must be an integer, got '3'"),
+])
+def test_the_runner_rejects_the_bounds_the_cli_refuses(kwargs, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        run_identity_suite(**kwargs)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: verify_delannoy_square(-1), ValueError, "n_max must be >= 0, got -1"),
+    (lambda: verify_shift_step_base64(p_max=-2), ValueError, "p_max must be >= 0, got -2"),
+    (lambda: verify_macmahon_cubes(2.0), TypeError, "n_max must be an integer, got 2.0"),
+    (lambda: verify_small_identities(n_max=False), TypeError,
+     "n_max must be an integer, got False"),
+])
+def test_a_verifier_rejects_a_negative_or_non_integer_bound(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
+def test_a_suite_named_twice_runs_once():
+    recs = run_identity_suite(names=["macmahon_cubes", "delannoy_square", "macmahon_cubes"],
+                              grid_n=4)
+    assert [r.name for r in recs] == ["macmahon_cubes", "delannoy_square"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -186,15 +186,10 @@ class FactorialTables:
 
     def binomial(self, n: int, r: int) -> int:
         """C(n, r) mod p^k for n <= limit; 0 when r < 0 or r > n."""
-        return self.binomials([(n, r)])[0] if 0 <= r <= n else 0
-
-    def binomials(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
-        """C(n, r) mod p^k for each (n, r) of ``pairs``, 0 <= r <= n <= limit."""
-        val, unit, inv, k, pk = self.val, self.unit, self.inv_unit, self.k, self.pk
-        pp = [self.p**i for i in range(k)]
-        return [pp[v] * unit[n] * inv[r] % pk * inv[n - r] % pk
-                if (v := val[n] - val[r] - val[n - r]) < k else 0
-                for n, r in pairs]
+        if not 0 <= r <= n:
+            return 0
+        v = self.val[n] - self.val[r] - self.val[n - r]
+        return self.p**v * self.unit[n] * self.inv_unit[r] * self.inv_unit[n - r] % self.pk
 
 
 class QuadraticRepresentation(NamedTuple):

@@ -6,15 +6,16 @@ Every registry row states one congruence as data, e.g.
 
 A ``Statement``'s left side is a chain of members that must all agree, each
 a sum of terms: weighted summands (``Sum``), shifted family sums
-(``Shift``), central Delannoy or Schroeder numbers (``Delannoy``) and single
-binomials (``Binomial``).  Its right side is one ``Closed`` form in p and
-the x of p = x^2 + d y^2, times a sign, or a one-line function.  The three
-rows that fit none of this are ``Custom`` functions.  One evaluator,
-``_evaluate``, reads every statement.  Rows are checked exactly: each term
-is carried as p^v * unit with the unit reduced mod p^K, so equality of the
-reported residues decides the congruence.  ``PrimeContext`` reads every
-summand per k from the prime's factorial tables and caches its residues and
-its moments sum_k k^j t_k, of which a weighted sum is a combination.
+(``Shift``), central Delannoy or Schroeder numbers (``Delannoy``), a
+summand's terms as a column (``Terms``) and one-line functions.  Its right
+side is one ``Closed`` form in p and the x of p = x^2 + d y^2, times a
+sign, or a one-line function.  The three rows that fit none of this are
+``Custom`` functions.  One evaluator, ``_evaluate``, reads every statement.
+Rows are checked exactly: each term is carried as p^v * unit with the unit
+reduced mod p^K, so equality of the reported residues decides the
+congruence.  ``PrimeContext`` reads every summand per k from the prime's
+factorial tables and caches its residues and its moments sum_k k^j t_k, of
+which a weighted sum is a combination.
 
 Two evaluation paths exist and are pinned against each other by the tests:
 
@@ -185,31 +186,34 @@ class Shift(NamedTuple):
 
 
 class Delannoy(NamedTuple):
-    """D_n = sum_k C(n+k,2k) C(2k,k) at n = (p-1)/2, or with ``schroder`` the
-    large Schroeder number S_n = sum_k C(n+k,2k) C_k."""
+    """D_n = sum_k C(n+k,2k) C(2k,k) at n = (p-1)/2, or with ``schroder`` S_n = sum_k
+    C(n+k,2k) C_k: the sum over k <= n of ``summand(n)``, (n+k)! / ((n-k)! k! (k+s)!)."""
 
     schroder: bool = False
 
-    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
-        return ctx.delannoy(kexp)[self.schroder]
-
-
-class Binomial(NamedTuple):
-    """C(top, bottom) / base^v with (top, bottom) = args(p, v) and top < p."""
-
-    args: Callable[[int, int | None], tuple[int, int]]
-    base: int = 1
+    def summand(self, n: int) -> Sum:
+        return Sum(1, 0, factors=((1, n, 1), (-1, n, -1), (1, 0, -1), (1, int(self.schroder), -1)),
+                   half=True)
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
-        return self.column(ctx, kexp, (v,))[0]
+        return ctx.moment(kexp, self.summand(ctx.n), 0)
 
-    def column(self, ctx: PrimeContext, kexp: int, values) -> list[int]:
-        t = ctx.tables(kexp)
-        col = t.binomials([self.args(ctx.p, v) for v in values])
-        if self.base == 1:
-            return col
-        scale = ctx.central_power(0, self.base, kexp)[1]  # base^-k for k < p
-        return [c * scale[v] % t.pk for c, v in zip(col, values)]
+
+class Terms(NamedTuple):
+    """The terms of ``summand(n)``, n = (p-1)/2, as a column: entry v is its term at
+    k = v.  ValueError for a k below ``lo`` or past the cutoff, where no term is built."""
+
+    summand: Callable[[int], Sum]
+
+    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
+        return self.column(ctx, kexp, range(v, v + 1))[0]
+
+    def column(self, ctx: PrimeContext, kexp: int, values: range) -> list[int]:
+        s = self.summand(ctx.n)
+        col = ctx.summand(kexp, s)[values.start - s.lo : values.stop - s.lo : values.step]
+        if values.start < s.lo or len(col) != len(values):
+            raise ValueError(f"{s.label} has no term at some k of {values} mod p^{kexp}")
+        return col
 
 
 QUARTER = "(-1)^((p-1)/4)"  # a Closed sign, for p = 1 (mod 4)
@@ -343,10 +347,11 @@ class PrimeContext:
     C(2k,k)^c * prod (a k + b)!^e / base^k is read per k from the factorial
     tables as a sum of valuations and a product of units, with no ratio
     stream, up to ``Sum.cutoff``: past it only valuations are read, to show
-    every term is 0 mod p^K.  C(2k,k) is read once (``central``).  Summands, their
-    moments, shift chains, shifted sums and quadratic representations are
-    cached on first use, so checking many rows at one prime costs one kernel
-    call per distinct summand and one pass per moment.
+    every term is 0 mod p^K.  Only the shift engine and its direct-sum guard
+    compute terms per k outside it.  C(2k,k) is read once (``central``).
+    Summands, their moments, shift chains, shifted sums and quadratic
+    representations are cached on first use, so checking many rows at one
+    prime costs one kernel call per distinct summand and one pass per moment.
 
     A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
     at K is reduced from the lowest higher exponent cached, and built only if
@@ -605,24 +610,6 @@ class PrimeContext:
 
         return self._at(("shift", base, d), kexp, build)
 
-    def delannoy(self, kexp: int) -> list[int]:
-        """[D_n, S_n] mod p^kexp: central Delannoy and Schroeder numbers at n = (p-1)/2.
-
-        Uses (m+1) D_{m+1} = 3(2m+1) D_m - m D_{m-1} and the derivative
-        relation D_{n+1} - 3 D_n = 2n S_n; 1/m = inv_unit[m] * unit[m-1].
-        """
-
-        def build():
-            t = self.tables(kexp)
-            pkv, unit, inv = t.pk, t.unit, t.inv_unit
-            n = self.n
-            prev, cur = 1, 3 % pkv  # D_0, D_1
-            for m in range(1, n + 1):
-                prev, cur = cur, (3 * (2 * m + 1) * cur - m * prev) * inv[m + 1] * unit[m] % pkv
-            return [prev, (cur - 3 * prev) * inv[2 * n] * unit[2 * n - 1] % pkv]
-
-        return self._at(("delannoy",), kexp, build)
-
 
 def _reference_shift_sum(ctx: PrimeContext, base: int, d: int, kexp: int) -> int:
     """sum_{d<=k<p} w_base[k] * C(2k, k+d) mod p^kexp, summed term by term."""
@@ -737,7 +724,10 @@ class RowSpec(_RowFields):
                 and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
 
 
-_QUARTER_BINOMIAL = Binomial(lambda p, _: ((p - 1) // 2, (p - 1) // 4))
+def _quarter_binomial(ctx: PrimeContext, kexp: int, _) -> int:
+    """C((p-1)/2, (p-1)/4) mod p^kexp."""
+    return ctx.tables(kexp).binomial(ctx.n, ctx.n // 2)
+
 
 _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
@@ -751,8 +741,8 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C1_2", 2,
         "C(n+k,2k) vs C(2k,k)/(-16)^k at n = (p-1)/2",
         lambda p: p >= 5,
-        Statement((Binomial(lambda p, k: ((p - 1) // 2 + k, 2 * k)),),
-                  Binomial(lambda p, k: (2 * k, k), -16)),
+        Statement((Terms(lambda n: Sum(1, 0, factors=((1, n, 1), (2, 0, -1), (-1, n, -1)),
+                                       half=True)),), Terms(lambda n: Sum(-16, 1, half=True))),
         param_name="k",
         param_values=lambda p: range((p - 1) // 2 + 1),
     ),
@@ -945,7 +935,7 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C3_2", 2,
         "C(n,(p-1)/4) vs (2^(p-1)+1)/2 (2x - p/2x) for p = 1 (mod 4)",
         lambda p: p % 4 == 1,
-        Statement((_QUARTER_BINOMIAL,), lambda ctx, K, _: (pow(2, ctx.p - 1, ctx.pk(K)) + 1)
+        Statement((_quarter_binomial,), lambda ctx, K, _: (pow(2, ctx.p - 1, ctx.pk(K)) + 1)
                   * Closed(x=1, p_x=Fraction(-1, 4))(ctx, K, _)),
     ),
     RowSpec(
@@ -986,13 +976,13 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "CG", 1,
         "C(n,(p-1)/4) vs 2x for p = x^2 + y^2, x = 1 (mod 4)",
         lambda p: p % 4 == 1,
-        Statement((_QUARTER_BINOMIAL,), Closed(x=2)),
+        Statement((_quarter_binomial,), Closed(x=2)),
     ),
     RowSpec(
         "CM", 1,
         "C(n,(p-1)/4) vs 12(-432)^m C(2m,m) for p = 12m + 5",
         lambda p: p % 12 == 5,
-        Statement((_QUARTER_BINOMIAL,), lambda ctx, K, _: 12 * pow(-432, ctx.p // 12, ctx.pk(K))
+        Statement((_quarter_binomial,), lambda ctx, K, _: 12 * pow(-432, ctx.p // 12, ctx.pk(K))
                   * ctx.tables(K).binomial(ctx.p // 6, ctx.p // 12)),
     ),
     RowSpec(

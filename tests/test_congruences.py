@@ -23,6 +23,7 @@ from binomsums import _sweeps, arith, cli, congruences
 from binomsums.arith import FactorialTables, legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
     CongruenceReport,
+    Delannoy,
     PrimeContext,
     Shift,
     Sum,
@@ -36,6 +37,7 @@ from binomsums.congruences import (
     registry,
     run_suite,
 )
+from binomsums.sequences import delannoy_poly, schroder_poly
 from oracles import summand_residues
 
 
@@ -265,8 +267,53 @@ def test_delannoy_rows():
     # Delannoy number at (p-1)/2 mod p^2
     for p in (5, 7, 11, 13, 17, 19, 23, 29):
         ctx = PrimeContext(p)
-        dn = ctx.delannoy(2)[0]
+        dn = Delannoy()(ctx, 2, None)
         assert ctx.moment(2, Sum(-8, 3), 0) == dn * dn % (p * p)
+
+
+def test_delannoy_and_c1_2_terms_equal_their_exact_values():
+    # D_n, S_n and C1_2's two columns are read from the term engine
+    (lhs,), rhs = _REGISTRY[_ROW_INDEX["C1_2"]].statement
+    for p in primes_in_range(5, 59):
+        n, ks = (p - 1) // 2, range((p + 1) // 2)
+        for kexp in (1, 2, 3, 4):
+            m, ctx = p**kexp, PrimeContext(p)
+            assert Delannoy()(ctx, kexp, None) == delannoy_poly(n, 1) % m, (p, kexp)
+            assert Delannoy(True)(ctx, kexp, None) == schroder_poly(n, 1) % m, (p, kexp)
+            assert lhs.column(ctx, kexp, ks) == [comb(n + k, 2 * k) % m for k in ks], (p, kexp)
+            assert rhs.column(ctx, kexp, ks) == [
+                fm(Fraction(comb(2 * k, k), (-16) ** k), m) for k in ks], (p, kexp)
+            assert [lhs(ctx, kexp, k) for k in ks] == lhs.column(ctx, kexp, ks), (p, kexp)
+
+
+_OUT_OF_RANGE_CODE = """
+from binomsums.congruences import _REGISTRY, _ROW_INDEX, PrimeContext
+(lhs,), rhs = _REGISTRY[_ROW_INDEX["C1_2"]].statement
+for term, values in ((lhs, range(8)), (rhs, range(6, 8)), (lhs, range(-1, 1))):
+    try:
+        term.column(PrimeContext(13), 2, values)
+    except ValueError as exc:
+        print(exc)
+try:
+    rhs(PrimeContext(13), 2, 7)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_a_column_slice_past_the_summand_raises_also_under_O():
+    # at p = 13 C1_2's summands run over k = 0..6
+    (lhs,), rhs = _REGISTRY[_ROW_INDEX["C1_2"]].statement
+    for term, values in ((lhs, range(8)), (rhs, range(6, 8)), (lhs, range(-1, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"some k of {values} mod p^2")):
+            term.column(PrimeContext(13), 2, values)
+    with pytest.raises(ValueError, match=re.escape("some k of range(7, 8)")):
+        rhs(PrimeContext(13), 2, 7)
+    r = subprocess.run([sys.executable, "-O", "-c", _OUT_OF_RANGE_CODE],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 4 and all(line.endswith("mod p^2") for line in lines), r.stdout
 
 
 def test_suite_matches_reference_path():
@@ -405,16 +452,24 @@ def _legendre(n, p):
     return n // p + _legendre(n // p, p) if n else 0
 
 
+def summands_of_n(n):
+    """The summands whose factors read n = (p-1)/2: C_AHL's, D_n's, S_n's and C1_2's two."""
+    (lhs,), rhs = _REGISTRY[_ROW_INDEX["C1_2"]].statement
+    return (congruences._ahl_sum(n), Delannoy().summand(n), Delannoy(True).summand(n),
+            lhs.summand(n), rhs.summand(n))
+
+
 def test_cutoff_is_the_last_term_below_the_exponent():
     # every summand the package reads: the registry's, the four family weights,
-    # C(2k,k), C(2k,k+d) at d = 1 and (p-1)/2, and C_AHL's; the exact valuation
-    # of each term by Legendre's formula, with no factorial table
+    # C(2k,k), C(2k,k+d) at d = 1 and (p-1)/2, and those whose factors are in
+    # n = (p-1)/2: C_AHL's, D_n's, S_n's and C1_2's two; the exact valuation of
+    # each term by Legendre's formula, with no factorial table
     sums = {t.key: t for row in registry() for t in row.terms if isinstance(t, Sum)}
     sums.update({s.key: s for s in (*congruences._FAMILY.values(), congruences._CENTRAL)})
     for p in primes_in_range(5, 59):
         n = (p - 1) // 2
         shifted = [Sum(1, 0, factors=congruences._shifted(d), lo=d) for d in (1, n)]
-        for s in (*sums.values(), *shifted, congruences._ahl_sum(n)):
+        for s in (*sums.values(), *shifted, *summands_of_n(n)):
             factors = ((2, 0, s.central), (1, 0, -2 * s.central), *s.factors)
             vals = [sum(e * _legendre(a * k + b, p) for a, b, e in factors)
                     for k in range(s.lo, (n if s.half else p - 1) + 1)]
@@ -472,14 +527,15 @@ def test_residues_reject_a_term_that_is_not_p_integral():
 
 def test_kernel_matches_the_multipass_oracle():
     # every summand the package reads: the registry's, the shift families'
-    # weights, C(2k,k) itself and C_AHL's, whose factors are in n = (p-1)/2
+    # weights, C(2k,k) itself, and those whose factors are in n = (p-1)/2:
+    # C_AHL's, D_n's, S_n's and C1_2's two
     sums = {t.key: t for row in registry() for t in row.terms if isinstance(t, Sum)}
     sums.update({s.key: s for s in (*congruences._FAMILY.values(), congruences._CENTRAL)})
     for p in primes_in_range(5, 59):
         n = (p - 1) // 2
         for kexp in (1, 2, 3, 4):
             ctx, ref = PrimeContext(p), PrimeContext(p)
-            for s in (*sums.values(), congruences._ahl_sum(n)):
+            for s in (*sums.values(), *summands_of_n(n)):
                 hi = n if s.half else p - 1
                 want = summand_residues(ref, kexp, s.base, s.central, s.factors, s.lo, hi,
                                         s.label)
@@ -868,7 +924,7 @@ def test_context_reductions_equal_fresh_builds():
             ctx.central_power(2, -16, kexp),
             [ctx.moment(kexp, Sum(8, 2), j) for j in (0, 1, 2)],
             [ctx.moment(kexp, Sum(-8, 3), j) for j in (0, 1)],
-            ctx.delannoy(kexp),
+            [Delannoy(schroder)(ctx, kexp, None) for schroder in (False, True)],
             ctx.weights(108, kexp),
             [ctx.chain(base, q, kexp) for base in (64, 1728) for q in (0, 1)],
         )

@@ -13,9 +13,21 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
+from operator import index
 from typing import NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; TypeError naming ``name`` for a bool or a value that is
+    not an integer, a whole float included."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def is_prime(n: int) -> bool:

@@ -6,11 +6,12 @@ Every registry row states one congruence as data, e.g.
 
 A ``Statement``'s left side is a chain of members that must all agree, each
 a sum of terms: weighted summands (``Sum``), shifted family sums
-(``Shift``), central Delannoy or Schroeder numbers (``Delannoy``), a
-summand's terms as a column (``Terms``) and one-line functions.  Its right
-side is one ``Closed`` form in p and the x of p = x^2 + d y^2, times a
-sign, or a one-line function.  The three rows that fit none of this are
-``Custom`` functions.  One evaluator, ``_evaluate``, reads every statement.
+(``Shift``), a summand's terms as a column (``Terms``) and short functions
+of the row's parameter.  Its right side is one ``Closed`` form in p and the
+x of p = x^2 + d y^2, times a sign, or such a function.  Every summand is a
+constant, the same at every prime: a factor that reads n = (p-1)/2, as in
+the central Delannoy number D_n, is declared so and made plain by
+``Sum.at(p)``.  One evaluator, ``_evaluate``, reads every statement.
 Rows are checked exactly: each term is carried as p^v * unit with the unit
 reduced mod p^K, so equality of the reported residues decides the
 congruence.  ``PrimeContext`` reads every summand per k from the prime's
@@ -53,11 +54,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
-from operator import add, eq, index, mul, sub
+from operator import add, eq, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._sweeps import SHIFT_FAMILIES, shift_chain, shift_seed
-from .arith import FactorialTables, _euler_criterion, is_prime, mod_inverse, represent
+from .arith import FactorialTables, _euler_criterion, _integer, is_prime, mod_inverse, represent
 from .sequences import euler_number_mod_p
 
 PASS = "pass"
@@ -105,10 +106,13 @@ class Sum(NamedTuple):
     """sum_k (w_0 + w_1 k + w_2 k^2 + ...) C(2k,k)^central prod (a k + b)!^e / base^k.
 
     k runs from ``lo`` to (p-1)/2 with ``half``, else to p-1, and ``weight``
-    holds w_0, w_1, ...  The summand, everything but the weight, is cached
-    with its moments, so the weighted sum is sum_j w_j * moment_j.  ``base``
-    is inverted mod p^K, so negative and residue bases are fine.  Mod p^K the
-    summand ends at ``cutoff``: every later term is 0, and none is built.
+    holds w_0, w_1, ...  A factor (a, b, e) of ``factors`` is (a k + b)!^e, and
+    a pair (a, e) of ``n_factors`` is (a k + n)!^e at n = (p-1)/2, which
+    ``at(p)`` makes a factor (a, n, e): a summand is a constant at every prime.
+    The summand, everything but the weight, is cached with its moments, so
+    the weighted sum is sum_j w_j * moment_j.  ``base`` is inverted mod p^K,
+    so negative and residue bases are fine.  Mod p^K the summand ends at
+    ``cutoff``: every later term is 0, and none is built.
     """
 
     base: int
@@ -117,28 +121,38 @@ class Sum(NamedTuple):
     factors: tuple[tuple[int, int, int], ...] = ()
     lo: int = 0
     half: bool = False
+    n_factors: tuple[tuple[int, int], ...] = ()
 
     @property
     def key(self) -> tuple:
         """The summand without its weight: what its residues and moments are cached by."""
-        return self.base, self.central, self.factors, self.lo, self.half
+        return self.base, self.central, self.factors, self.n_factors, self.lo, self.half
 
     @property
     def label(self) -> str:
         """The summand as text, e.g. ``C(2k,k)^2 (1k+1)!^-1/8^k``, for error messages."""
         parts = [f"C(2k,k)^{self.central}"] if self.central else []
         parts += [f"({a}k{b:+d})!^{e}" for a, b, e in self.factors]
+        parts += [f"({a}k+n)!^{e}" for a, e in self.n_factors]
         return " ".join(parts or ["1"]) + f"/{self.base}^k"
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
         return sum(w * ctx.moment(kexp, self, j) for j, w in enumerate(self.weight) if w)
+
+    def at(self, p: int) -> Sum:
+        """The summand at the prime p: each n-factor (a, e) a factor (a, (p-1)/2, e)."""
+        if not self.n_factors:
+            return self
+        n = (p - 1) // 2
+        return self._replace(factors=self.factors + tuple((a, n, e) for a, e in self.n_factors),
+                             n_factors=())
 
     def limit(self, p: int) -> int:
         """The largest factorial argument of its factors over the whole range, the
         dead tail included, whose valuations ``_kernel`` checks: the reach it asks
         of the table.  C(2k,k) asks for its own, 2p, where it is built."""
         hi = (p - 1) // 2 if self.half else p - 1
-        return max([p] + [a * k + b for a, b, _ in self.factors for k in (self.lo, hi)])
+        return max([p] + [a * k + b for a, b, _ in self.at(p).factors for k in (self.lo, hi)])
 
     def cutoff(self, p: int, kexp: int) -> int:
         """The last k of the range whose term can be nonzero mod p^kexp (lo - 1 if none).
@@ -150,7 +164,7 @@ class Sum(NamedTuple):
         """
         lo, hi = self.lo, (p - 1) // 2 if self.half else p - 1
         v, steps, cut = 0, {}, lo - 1
-        for a, b, e in ((2, 0, self.central), (1, 0, -2 * self.central), *self.factors):
+        for a, b, e in ((2, 0, self.central), (1, 0, -2 * self.central), *self.at(p).factors):
             if e:  # a k + b reaches m (a > 0) or drops below it (a < 0) at the k below
                 first, last = sorted((a * lo + b, a * hi + b))
                 v += e * _legendre(a * lo + b, p)
@@ -185,31 +199,17 @@ class Shift(NamedTuple):
         return ctx.chain(self.base, values.start % 2, kexp)[i : i + len(values)]
 
 
-class Delannoy(NamedTuple):
-    """D_n = sum_k C(n+k,2k) C(2k,k) at n = (p-1)/2, or with ``schroder`` S_n = sum_k
-    C(n+k,2k) C_k: the sum over k <= n of ``summand(n)``, (n+k)! / ((n-k)! k! (k+s)!)."""
-
-    schroder: bool = False
-
-    def summand(self, n: int) -> Sum:
-        return Sum(1, 0, factors=((1, n, 1), (-1, n, -1), (1, 0, -1), (1, int(self.schroder), -1)),
-                   half=True)
-
-    def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
-        return ctx.moment(kexp, self.summand(ctx.n), 0)
-
-
 class Terms(NamedTuple):
-    """The terms of ``summand(n)``, n = (p-1)/2, as a column: entry v is its term at
-    k = v.  ValueError for a k below ``lo`` or past the cutoff, where no term is built."""
+    """The terms of ``summand`` as a column: entry v is its term at k = v.  ValueError
+    for a k below ``lo`` or past the cutoff, where no term is built."""
 
-    summand: Callable[[int], Sum]
+    summand: Sum
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
         return self.column(ctx, kexp, range(v, v + 1))[0]
 
     def column(self, ctx: PrimeContext, kexp: int, values: range) -> list[int]:
-        s = self.summand(ctx.n)
+        s = self.summand
         col = ctx.summand(kexp, s)[values.start - s.lo : values.stop - s.lo : values.step]
         if values.start < s.lo or len(col) != len(values):
             raise ValueError(f"{s.label} has no term at some k of {values} mod p^{kexp}")
@@ -267,15 +267,6 @@ class Statement(NamedTuple):
 
     lhs: tuple
     rhs: Callable
-
-
-class Custom(NamedTuple):
-    """A row outside the vocabulary: ``evaluate(ctx, kexp, v, *sums)`` gives its
-    (members, rhs).  ``sums`` are the summands it reads, declared so that the
-    powers C(2k,k)^c / base^k they share with other rows are found (``_SHARED_POWERS``)."""
-
-    evaluate: Callable
-    sums: tuple[Sum, ...] = ()
 
 
 def _legendre(n: int, p: int) -> int:
@@ -498,7 +489,7 @@ class PrimeContext:
         single unit column, in the pass that reads p^v; an entry whose p^v is 0
         is left at 0 without its product.
         """
-        p, lo = self.p, s.lo
+        p, lo, s = self.p, s.lo, s.at(self.p)
         hi, cut = self.n if s.half else p - 1, s.cutoff(p, kexp)
         vcols, cols = [], []  # (valuation column, add or sub) over lo..hi, unit columns to cut
 
@@ -623,56 +614,50 @@ class _TermwiseContext(PrimeContext):
     shift_sum = _reference_shift_sum
 
 
-# --- the rows that keep a function ----------------------------------------
+# --- the summands whose factors read n = (p-1)/2, and the function members ----
+
+# D_n = sum_k C(n+k,2k) C(2k,k) and S_n = sum_k C(n+k,2k) C_k at n = (p-1)/2:
+# sums over k <= n of (n+k)! / ((n-k)! k! (k+s)!), s = 0 for D_n and 1 for S_n
+_DELANNOY = Sum(1, 0, factors=((1, 0, -1), (1, 0, -1)), half=True, n_factors=((1, 1), (-1, -1)))
+_SCHRODER = Sum(1, 0, factors=((1, 0, -1), (1, 1, -1)), half=True, n_factors=((1, 1), (-1, -1)))
+# C1_2's columns: C(n+k,2k) = (n+k)! / ((2k)! (n-k)!) and C(2k,k)/(-16)^k
+_C1_2 = (Sum(1, 0, factors=((2, 0, -1),), half=True, n_factors=((1, 1), (-1, -1))),
+         Sum(-16, 1, half=True))
+# C(n,k)^2 C(n+k,k) (-1)^k = n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k) for k <= n
+_AHL = Sum(-1, 0, factors=((1, 0, -3),), half=True, n_factors=((0, 1), (1, 1), (-1, -2)))
+# CL3_2's b_i = C(2i,i)^2/base^i for each part: 8^i, (-16)^i
+_CL3_2 = (Sum(8, 2), Sum(-16, 2))
+# C4_1's two series: C(2k,k)^3 and C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
+_C4_1 = (Sum(1, 3), Sum(1, 2, factors=((4, 0, 1), (2, 0, -2))))
 
 
-def _eval_cl3_2(ctx, kexp, part, *sums):
-    """sum_{i+j<p} b_i b_j (s(i+j) + 1), b_i = C(2i,i)^2/base^i, against p (-1|p).
+def _cl3_2(ctx: PrimeContext, kexp: int, part: int) -> int:
+    """sum_{i+j<p} b_i b_j (s(i+j) + 1), b_i = C(2i,i)^2/base^i.
 
     Part 1 has (base, s) = (8, 1), part 2 (-16, 2).  By the (i, j) symmetry
     the double sum is sum_i b_i (2si + 1) B(p-1-i), B the prefix sums of b,
     which stay at their last value past the cutoff where b ends.
     """
-    pkv = ctx.pk(kexp)
-    b = ctx.summand(kexp, sums[part - 1])
+    b = ctx.summand(kexp, _CL3_2[part - 1])
     prefix = list(accumulate(b))
     prefix += prefix[-1:] * (ctx.p - len(prefix))
     weighted = map(mul, b, range(1, 2 * part * ctx.p, 2 * part))
-    total = sum(map(mul, weighted, reversed(prefix)))
-    return (total % pkv,), ctx.p * ctx.legendre(-1) % pkv
+    return sum(map(mul, weighted, reversed(prefix)))
 
 
-def _horner(coeffs: list[int], t: int, pk: int) -> int:
-    """sum_k coeffs[k] * t^k mod pk."""
-    acc = 0
-    for c in reversed(coeffs):
+def _series(ctx: PrimeContext, kexp: int, s: Sum, num: int, den: int) -> int:
+    """sum_k t_k (num/den)^k mod p^kexp over the summand t of ``s``, by Horner's rule
+    up to its cutoff; ``den`` is prime to p.  C4_1 evaluates two series at scaled
+    arguments this way: their coefficients do not depend on x."""
+    pk = ctx.pk(kexp)
+    t, acc = num * mod_inverse(den % pk, pk) % pk, 0
+    for c in reversed(ctx.summand(kexp, s)):
         acc = (acc * t + c) % pk
     return acc
 
 
-def _eval_c4_1(ctx, kexp, x, *sums):
-    """sum C(2k,k)^3 (-x/64)^k against (x+1|p) sum C(2k,k)^2 C(4k,2k) (x/(64(x+1)^2))^k.
-
-    Both series have coefficients that do not depend on x: they are the
-    cached summands, evaluated at x by Horner's rule up to their cutoffs.
-    """
-    pkv = ctx.pk(kexp)
-    cube, quartic = (ctx.summand(kexp, s) for s in sums)
-    lhs = _horner(cube, (-x) * mod_inverse(64 % pkv, pkv) % pkv, pkv)
-    mult_rhs = x * mod_inverse(64 * (x + 1) * (x + 1) % pkv, pkv) % pkv
-    rhs = ctx.legendre(x + 1) * _horner(quartic, mult_rhs, pkv) % pkv
-    return (lhs,), rhs
-
-
-def _ahl_sum(n: int) -> Sum:
-    """C(n,k)^2 C(n+k,k) (-1)^k = n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k) for k <= n = (p-1)/2."""
-    return Sum(-1, 0, factors=((0, n, 1), (1, n, 1), (1, 0, -3), (-1, n, -2)), half=True)
-
-
-def _eval_c_ahl(ctx, kexp, _):
-    """(-1|p) sum_{k<=n} C(n,k)^2 C(n+k,k) (-1)^k against 4x^2 - 2p, p = x^2 + 2y^2."""
-    lhs = ctx.legendre(-1) * ctx.moment(kexp, _ahl_sum(ctx.n), 0) % ctx.pk(kexp)
-    return (lhs,), Closed(x2=4, p=-2, d=2)(ctx, kexp, None)
+# the summands that the registry's function members read
+_MEMBER_SUMS = (*_CL3_2, *_C4_1, _AHL)
 
 
 def _qualifying_shifts(parity_of: Callable[[int], int]) -> Callable[[int], range]:
@@ -685,7 +670,7 @@ class _RowFields(NamedTuple):
     modulus_exp: int | Callable[[int], int]
     description: str
     applies: Callable[[int], bool]
-    statement: Statement | dict[int, Statement] | Custom
+    statement: Statement | dict[int, Statement]
     param_name: str = ""
     param_values: Callable[[int], Sequence[int]] | None = None
     conjectural: Callable[[int, int | None], bool] = lambda p, v: False
@@ -697,8 +682,8 @@ class RowSpec(_RowFields):
 
     ``modulus_exp`` is the exponent K of the modulus p^K, either a constant
     or a function of p for rows whose strength depends on the prime class.
-    ``statement`` is a ``Statement``, a map from each parameter value to its
-    ``Statement``, or a ``Custom`` function for a row outside the vocabulary.
+    ``statement`` is a ``Statement`` or a map from each parameter value to its
+    ``Statement``.
     The fields are a named tuple's; the derived properties are cached in ``__dict__``.
     """
 
@@ -707,10 +692,8 @@ class RowSpec(_RowFields):
 
     @cached_property
     def terms(self) -> tuple:
-        """Every term of the statement; for a ``Custom`` row, the summands it declares."""
+        """Every term of the statement."""
         st = self.statement
-        if isinstance(st, Custom):
-            return st.sums
         parts = st.values() if isinstance(st, dict) else (st,)
         return tuple(t for s in parts for m in (*s.lhs, s.rhs)
                      for t in (m if type(m) is tuple else (m,)))
@@ -741,8 +724,7 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C1_2", 2,
         "C(n+k,2k) vs C(2k,k)/(-16)^k at n = (p-1)/2",
         lambda p: p >= 5,
-        Statement((Terms(lambda n: Sum(1, 0, factors=((1, n, 1), (2, 0, -1), (-1, n, -1)),
-                                       half=True)),), Terms(lambda n: Sum(-16, 1, half=True))),
+        Statement((Terms(_C1_2[0]),), Terms(_C1_2[1])),
         param_name="k",
         param_values=lambda p: range((p - 1) // 2 + 1),
     ),
@@ -784,7 +766,7 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C1_9", 2,
         "central-times-Catalan sum over (-16)^k chain vs 2(2x - p/x)",
         lambda p: p % 4 == 1,
-        Statement((Delannoy(schroder=True), Sum(-16, 2, factors=_CATALAN, half=True),
+        Statement((_SCHRODER, Sum(-16, 2, factors=_CATALAN, half=True),
                    Sum(-16, 2, (0, -8), half=True)), Closed(x=4, p_x=-2, sign=QUARTER)),
     ),
     RowSpec(
@@ -897,7 +879,7 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "CL3_2", 3,
         "double convolution sums of squared central binomials mod p^3",
         lambda p: p >= 5,
-        Custom(_eval_cl3_2, (Sum(8, 2), Sum(-16, 2))),
+        Statement((_cl3_2,), Closed(p=1, sign=-1)),
         param_name="part",
         param_values=lambda p: (1, 2),
     ),
@@ -949,13 +931,13 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C3_4", 2,
         "central Delannoy number at (p-1)/2 vs 2x - p/2x",
         lambda p: p % 4 == 1,
-        Statement((Delannoy(),), Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
+        Statement((_DELANNOY,), Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
     ),
     RowSpec(
         "CR3_1", 1,
         "central Delannoy number at (p-1)/2 vanishes for p = 3 (mod 4)",
         lambda p: p % 4 == 3,
-        Statement((Delannoy(),), ZERO),
+        Statement((_DELANNOY,), ZERO),
     ),
     RowSpec(
         "C3_5", 2,
@@ -967,8 +949,8 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C4_1", 1,
         "cubic-sum vs 256-family transformation at scaled arguments",
         lambda p: p >= 5,
-        # C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
-        Custom(_eval_c4_1, (Sum(1, 3), Sum(1, 2, factors=((4, 0, 1), (2, 0, -2))))),
+        Statement((lambda ctx, K, x: _series(ctx, K, _C4_1[0], -x, 64),), lambda ctx, K, x:
+                  ctx.legendre(x + 1) * _series(ctx, K, _C4_1[1], x, 64 * (x + 1) * (x + 1))),
         param_name="x",
         param_values=lambda p: (1, 2, 3, -2),
     ),
@@ -989,18 +971,24 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C_AHL", 1,
         "alternating Apery-style sum vs the x^2+2y^2 form",
         lambda p: p >= 5,
-        Custom(_eval_c_ahl),
+        Statement((lambda ctx, K, _: ctx.legendre(-1) * _AHL(ctx, K, _),),
+                  Closed(x2=4, p=-2, d=2)),
     ),
 )
 
 _ROW_INDEX = {row.id: i for i, row in enumerate(_REGISTRY)}
 
 
-# the (base, c) of each power C(2k,k)^c / base^k that two or more summands of the
-# registry and the shift families read: ``_kernel`` reads these from ``central_power``'s
-# cache and multiplies any other into the summand's own pass
-_READERS = Counter(key[:2] for key in {s.key for s in _FAMILY.values()} | {
-    t.key for row in _REGISTRY for t in row.terms if isinstance(t, Sum)} if key[1])
+# every summand the engine reads, by its cache key: the shift families' weights,
+# the registry's ``Sum`` terms, the summands of its ``Terms`` and those its
+# function members read
+_SUMMANDS = {s.key: s for s in (*_FAMILY.values(), *_MEMBER_SUMS, *(
+    t.summand if isinstance(t, Terms) else t
+    for row in _REGISTRY for t in row.terms if isinstance(t, (Sum, Terms))))}
+# the (base, c) of each power C(2k,k)^c / base^k that two or more of them read:
+# ``_kernel`` reads these from ``central_power``'s cache and multiplies any other
+# into the summand's own pass
+_READERS = Counter(key[:2] for key in _SUMMANDS if key[1])
 _SHARED_POWERS = frozenset(pair for pair, n in _READERS.items() if n > 1)
 
 
@@ -1065,8 +1053,6 @@ def _outcome(row: RowSpec, p: int, value, members, rhs) -> tuple[int, int, str]:
 def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int, ...], int]:
     """The members of ``row``'s left side and its right side, mod p^kexp at parameter v."""
     st = row.statement
-    if isinstance(st, Custom):
-        return st.evaluate(ctx, kexp, v, *st.sums)
     if isinstance(st, dict):
         st = st[v]
     pkv = ctx.pk(kexp)
@@ -1075,17 +1061,6 @@ def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int,
         for m in st.lhs
     )
     return members, st.rhs(ctx, kexp, v) % pkv
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; TypeError naming ``name`` for a bool or a value that is
-    not an integer, a whole float included."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _located(exc: Exception, row_id: str, p: int) -> Exception:

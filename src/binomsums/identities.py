@@ -23,6 +23,7 @@ from itertools import zip_longest
 from math import comb
 
 from ._sweeps import SHIFT_FAMILIES
+from .arith import _integer
 from .sequences import delannoy_poly, f_poly, schroder_poly
 
 
@@ -42,9 +43,8 @@ SUITES: dict[str, tuple] = {}
 
 
 def _bound(name: str, value, least: int) -> int:
-    """``value``, the bound named ``name``, if it is an integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+    """``value``, the bound named ``name``, as an int if it is an integer >= ``least``."""
+    value = _integer(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
@@ -58,9 +58,10 @@ def _suite(name: str, bound: str, default: int):
     verifier counts the checks up to the first that does not hold and returns
     the record: "fail" with that check's witness, else "pass".  Its params
     read ``bound<=`` the generator's first argument, which must be an integer
-    >= 0.  A guard that a passing run does not count is yielded only when it
-    fails.  The verifier keeps the generator's name, signature and docstring;
-    the return annotation the generator carries is the verifier's.
+    >= 0 and is passed on as an int.  A guard that a passing run does not
+    count is yielded only when it fails.  The verifier keeps the generator's
+    name, signature and docstring; the return annotation the generator
+    carries is the verifier's.
     """
 
     def decorate(checks):
@@ -68,9 +69,9 @@ def _suite(name: str, bound: str, default: int):
 
         @wraps(checks)
         def verify(*args, **kwargs):
-            params = f"{bound}<={_bound(first, args[0] if args else kwargs[first], 0)}"
-            count = 0
-            for count, (witness, holds) in enumerate(checks(*args, **kwargs), 1):
+            top = _bound(first, args[0] if args else kwargs.pop(first), 0)
+            params, count = f"{bound}<={top}", 0
+            for count, (witness, holds) in enumerate(checks(top, *args[1:], **kwargs), 1):
                 if not holds:
                     return IdentityRecord(name, params, count, "fail", witness)
             return IdentityRecord(name, params, count, "pass")
@@ -240,9 +241,9 @@ def _c_coeff(m: int, n: int) -> int:
                for k in range(m + 1))
 
 
-def _d_coeff(m: int, n: int) -> Fraction:
-    return sum(Fraction(comb(n + k, 2 * k) * comb(2 * k, k) ** 2 * comb(k + 1, m - k) * (2 * k + 1),
-                        (k + 1) ** 2) for k in range(m + 1))
+def _d_coeff(m: int, n: int) -> int:
+    return sum(comb(n + k, 2 * k) * (comb(2 * k, k) // (k + 1)) ** 2 * comb(k + 1, m - k)
+               * (2 * k + 1) for k in range(m + 1))
 
 
 @_suite("schroder_delannoy_product", "n", 15)
@@ -254,9 +255,13 @@ def verify_schroder_delannoy_product(n_max: int) -> IdentityRecord:
 
         (m+2)(m+3)^2(m^2+5m+6+4n(n+1)) u_{m+2} + 2 P(m,n) u_{m+1}
             = (m+2)((2n+1)^2-m^2)(m^2+7m+12+4n(n+1)) u_m.
+
+    Checked in integers: C(2k,k)^2/(k+1)^2 is the squared Catalan number C_k^2,
+    and the c-family's recursion, linear and homogeneous, is checked on the
+    coefficients of the product itself, twice the left side's.
     """
     for n in range(1, n_max + 1):
-        c = [Fraction(comb(n + k, 2 * k) * comb(2 * k, k) ** 2 * (2 * k + 1), (k + 1) ** 2)
+        c = [comb(n + k, 2 * k) * (comb(2 * k, k) // (k + 1)) ** 2 * (2 * k + 1)
              for k in range(n + 1)]
         prod = _convolve(_schroder_coeffs(n), [u + v for u, v in zip_longest(
             _delannoy_coeffs(n - 1), _delannoy_coeffs(n + 1), fillvalue=0)])
@@ -269,7 +274,7 @@ def verify_schroder_delannoy_product(n_max: int) -> IdentityRecord:
         for m in range(2 * n + 2):
             yield (n, m, "c-extraction"), cs[m] == (prod[m] if m < len(prod) else 0)
         ds = [_d_coeff(m, n) for m in range(2 * n + 4)]
-        for u, tag in (([Fraction(c, 2) for c in cs], "c"), (ds, "d")):
+        for u, tag in ((cs, "c"), (ds, "d")):
             for m in range(2 * n + 2):
                 a2 = (m + 2) * (m + 3) ** 2 * (m * m + 5 * m + 6 + 4 * n * (n + 1))
                 a0 = (m + 2) * ((2 * n + 1) ** 2 - m * m) * (m * m + 7 * m + 12 + 4 * n * (n + 1))
@@ -372,9 +377,8 @@ def run_identity_suite(grid_n: int | None = None, grid_p: int | None = None,
     the per-suite values in SUITES.  A name given twice runs once, where it
     first appears.
     """
-    for arg, value, least in (("grid_n", grid_n, 1), ("grid_p", grid_p, 2)):
-        if value is not None:
-            _bound(arg, value, least)
+    grid_n = None if grid_n is None else _bound("grid_n", grid_n, 1)
+    grid_p = None if grid_p is None else _bound("grid_p", grid_p, 2)
     out = []
     for name in SUITES if names is None else dict.fromkeys(names):
         if name not in SUITES:

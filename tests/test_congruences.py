@@ -23,7 +23,6 @@ from binomsums import _sweeps, arith, cli, congruences
 from binomsums.arith import FactorialTables, legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
     CongruenceReport,
-    Delannoy,
     PrimeContext,
     Shift,
     Sum,
@@ -267,7 +266,7 @@ def test_delannoy_rows():
     # Delannoy number at (p-1)/2 mod p^2
     for p in (5, 7, 11, 13, 17, 19, 23, 29):
         ctx = PrimeContext(p)
-        dn = Delannoy()(ctx, 2, None)
+        dn = congruences._DELANNOY(ctx, 2, None)
         assert ctx.moment(2, Sum(-8, 3), 0) == dn * dn % (p * p)
 
 
@@ -278,8 +277,8 @@ def test_delannoy_and_c1_2_terms_equal_their_exact_values():
         n, ks = (p - 1) // 2, range((p + 1) // 2)
         for kexp in (1, 2, 3, 4):
             m, ctx = p**kexp, PrimeContext(p)
-            assert Delannoy()(ctx, kexp, None) == delannoy_poly(n, 1) % m, (p, kexp)
-            assert Delannoy(True)(ctx, kexp, None) == schroder_poly(n, 1) % m, (p, kexp)
+            assert congruences._DELANNOY(ctx, kexp, None) == delannoy_poly(n, 1) % m, (p, kexp)
+            assert congruences._SCHRODER(ctx, kexp, None) == schroder_poly(n, 1) % m, (p, kexp)
             assert lhs.column(ctx, kexp, ks) == [comb(n + k, 2 * k) % m for k in ks], (p, kexp)
             assert rhs.column(ctx, kexp, ks) == [
                 fm(Fraction(comb(2 * k, k), (-16) ** k), m) for k in ks], (p, kexp)
@@ -452,25 +451,49 @@ def _legendre(n, p):
     return n // p + _legendre(n // p, p) if n else 0
 
 
-def summands_of_n(n):
-    """The summands whose factors read n = (p-1)/2: C_AHL's, D_n's, S_n's and C1_2's two."""
-    (lhs,), rhs = _REGISTRY[_ROW_INDEX["C1_2"]].statement
-    return (congruences._ahl_sum(n), Delannoy().summand(n), Delannoy(True).summand(n),
-            lhs.summand(n), rhs.summand(n))
+def every_summand():
+    """Every summand the registry and the shift families read, by key: the registry's
+    ``Sum`` terms (D_n and S_n among them), the summands of its ``Terms`` (C1_2's two),
+    those its function members read (CL3_2's, C4_1's and C_AHL's) and the family weights."""
+    terms = [t for row in registry() for t in row.terms]
+    sums = [t for t in terms if isinstance(t, Sum)]
+    sums += [t.summand for t in terms if isinstance(t, congruences.Terms)]
+    sums += [*congruences._MEMBER_SUMS, *congruences._FAMILY.values()]
+    return {s.key: s for s in sums}
+
+
+def test_every_summand_is_a_constant():
+    # the factors that read n = (p-1)/2 are declared, not built per prime: every
+    # summand hashes, and the cache keys it leaves are the same at every prime
+    sums = every_summand()
+    assert all(type(s) is Sum for s in sums.values())
+    assert set(sums) == set(congruences._SUMMANDS)
+    assert {s.key for s in sums.values() if s.n_factors} == {
+        s.key for s in (congruences._DELANNOY, congruences._SCHRODER, congruences._AHL,
+                        congruences._C1_2[0])}
+    assert congruences._SHARED_POWERS == {(-16, 2), (-8, 3), (8, 2)}
+    for s in sums.values():
+        hash(s)
+        keys = set()
+        for p in (5, 7, 13, 31):
+            ctx = PrimeContext(p)
+            ctx.moment(2, s, 0)
+            keys.add(frozenset(k for k in ctx._cache if k[0] in ("summand", "moment")))
+        assert keys == {frozenset({("summand", s.key, 2), ("moment", s.key, 0, 2)})}, s
 
 
 def test_cutoff_is_the_last_term_below_the_exponent():
-    # every summand the package reads: the registry's, the four family weights,
-    # C(2k,k), C(2k,k+d) at d = 1 and (p-1)/2, and those whose factors are in
-    # n = (p-1)/2: C_AHL's, D_n's, S_n's and C1_2's two; the exact valuation of
-    # each term by Legendre's formula, with no factorial table
-    sums = {t.key: t for row in registry() for t in row.terms if isinstance(t, Sum)}
-    sums.update({s.key: s for s in (*congruences._FAMILY.values(), congruences._CENTRAL)})
+    # every summand the package reads: the registry's, those of its columns and
+    # function members, the four family weights, C(2k,k) and C(2k,k+d) at d = 1
+    # and (p-1)/2, D_n, S_n, C1_2's and C_AHL's read at p through ``Sum.at``; the
+    # exact valuation of each term by Legendre's formula, with no factorial table
+    sums = every_summand()
+    sums[congruences._CENTRAL.key] = congruences._CENTRAL
     for p in primes_in_range(5, 59):
         n = (p - 1) // 2
         shifted = [Sum(1, 0, factors=congruences._shifted(d), lo=d) for d in (1, n)]
-        for s in (*sums.values(), *shifted, *summands_of_n(n)):
-            factors = ((2, 0, s.central), (1, 0, -2 * s.central), *s.factors)
+        for s in (*sums.values(), *shifted):
+            factors = ((2, 0, s.central), (1, 0, -2 * s.central), *s.at(p).factors)
             vals = [sum(e * _legendre(a * k + b, p) for a, b, e in factors)
                     for k in range(s.lo, (n if s.half else p - 1) + 1)]
             for kexp in (1, 2, 3, 4):
@@ -526,19 +549,19 @@ def test_residues_reject_a_term_that_is_not_p_integral():
 
 
 def test_kernel_matches_the_multipass_oracle():
-    # every summand the package reads: the registry's, the shift families'
-    # weights, C(2k,k) itself, and those whose factors are in n = (p-1)/2:
-    # C_AHL's, D_n's, S_n's and C1_2's two
-    sums = {t.key: t for row in registry() for t in row.terms if isinstance(t, Sum)}
-    sums.update({s.key: s for s in (*congruences._FAMILY.values(), congruences._CENTRAL)})
+    # every summand the package reads: the registry's, those of its columns and
+    # function members, the shift families' weights and C(2k,k) itself, those
+    # whose factors read n = (p-1)/2 made plain by ``Sum.at``
+    sums = every_summand()
+    sums[congruences._CENTRAL.key] = congruences._CENTRAL
     for p in primes_in_range(5, 59):
         n = (p - 1) // 2
         for kexp in (1, 2, 3, 4):
             ctx, ref = PrimeContext(p), PrimeContext(p)
-            for s in (*sums.values(), *summands_of_n(n)):
-                hi = n if s.half else p - 1
-                want = summand_residues(ref, kexp, s.base, s.central, s.factors, s.lo, hi,
-                                        s.label)
+            for s in sums.values():
+                hi, plain = n if s.half else p - 1, s.at(p)
+                want = summand_residues(ref, kexp, s.base, s.central, plain.factors, s.lo, hi,
+                                        plain.label)
                 # the kernel stops at the cutoff; the oracle's entries past it are all 0
                 live = s.cutoff(p, kexp) + 1 - s.lo
                 assert ctx.summand(kexp, s) == want[:live], (p, kexp, s)
@@ -924,7 +947,7 @@ def test_context_reductions_equal_fresh_builds():
             ctx.central_power(2, -16, kexp),
             [ctx.moment(kexp, Sum(8, 2), j) for j in (0, 1, 2)],
             [ctx.moment(kexp, Sum(-8, 3), j) for j in (0, 1)],
-            [Delannoy(schroder)(ctx, kexp, None) for schroder in (False, True)],
+            [s(ctx, kexp, None) for s in (congruences._DELANNOY, congruences._SCHRODER)],
             ctx.weights(108, kexp),
             [ctx.chain(base, q, kexp) for base in (64, 1728) for q in (0, 1)],
         )

@@ -32,6 +32,15 @@ GOLDEN = [
         1,
         "53ded0fcde76e8dbc79acf79ee796ad3e889fd2b6b337721a840fcf2aa18e71d",
     ),
+    # the rows whose summands read n = (p-1)/2 or that a function member
+    # evaluates, at raised exponents; most fail past their proven exponent,
+    # so the run exits 1
+    (
+        ("verify", "--primes", "5..300", "--ids", "C1_2,C1_9,C3_4,CR3_1,CL3_2,C4_1,C_AHL",
+         "--mod-exp", "C1_2=4,C1_9=3,C3_4=4,CR3_1=3,CL3_2=4,C4_1=2,C_AHL=3", "--format", "csv"),
+        1,
+        "ddec266a40dbfd1f134e9122fbb0806f3681fccb2c13cee31e9379e80d1b4d7a",
+    ),
     # the exact identity suites, whose step relations the shift engine uses
     (
         ("identities", "--format", "csv"),
@@ -88,7 +97,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "args,status,digest",
     GOLDEN,
-    ids=["all_rows", "shift_high_k", "identities", "eta", "human", "jsonl_body",
+    ids=["all_rows", "shift_high_k", "raised_n_rows", "identities", "eta", "human", "jsonl_body",
          "repr_d1", "repr_d2", "repr_d3", "repr_d7", "repr_human"],
 )
 def test_golden_cli_output(args, status, digest):

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import gc
 import time
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
@@ -1200,11 +1200,19 @@ def _suite_for_prime(
             gc.enable()
 
 
-def _suite_worker(args):
-    """One prime's column blocks, which pickle as a few lists, or ``encode`` of them."""
-    p, ids, mod_exp_items, timings, encode = args
-    blocks = _suite_for_prime(p, ids, dict(mod_exp_items), timings)
-    return blocks if encode is None else encode(blocks)
+def _chunk_worker(ps, ids, mod_exp, timings, encode) -> tuple[list, Exception | None, str]:
+    """``encode`` of each prime's column blocks (with None the blocks, a few lists to pickle)
+    up to a defect; then the exception that stopped them and its traceback, or None, ""."""
+    done = []
+    for p in ps:
+        try:
+            blocks = _suite_for_prime(p, ids, mod_exp, timings)
+            done.append(blocks if encode is None else encode(blocks))
+        except Exception as exc:
+            from traceback import format_exc
+
+            return done, exc, format_exc()
+    return done, None, ""
 
 
 def _arguments(primes, ids, jobs, mod_exp) -> tuple[list[int], tuple[str, ...], dict[str, int]]:
@@ -1269,29 +1277,48 @@ def iter_blocks(
     No report is built.  The arguments are those of ``iter_suite``, checked
     at the call.  With ``jobs`` > 1, ``encode`` runs in the worker process
     that made the blocks and only its result is sent back, so it must pickle:
-    a module-level function, or a ``functools.partial`` of one.
+    a module-level function, or a ``functools.partial`` of one.  The workers
+    take the primes in chunks of bounded work, a few chunks ahead of the
+    consumer (``_stream``), so memory does not grow with the range; a defect
+    at a prime is raised after the results of every prime before it.
     """
     ps, ids, over = _arguments(primes, ids, jobs, mod_exp)
     return _stream(ps, ids, over, jobs, timings, encode)
 
 
 def _stream(ps, ids, over, jobs, timings, encode) -> Iterator:
+    """``encode(blocks)`` of each prime in order; with ``jobs`` > 1 made in worker
+    processes, where ``encode`` None sends the bare blocks.  A chunk is a run of consecutive
+    primes (at least one) summing to at most twice the largest prime: a prime's work
+    and output grow as p, so a chunk's output is bounded, and small primes batch.  At
+    most 2 * workers chunks are submitted and not yet taken, so a slow consumer holds
+    the workers back.  A defect at a prime yields the primes before it, then raises."""
     if jobs == 1 or len(ps) <= 1:
         for p in ps:
             yield encode(_suite_for_prime(p, ids, over, timings))
         return
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for the import
 
-    work = [(p, ids, tuple(over.items()), timings, encode) for p in ps]
-    chunk = max(1, len(work) // (jobs * 4))
-    chunks = -(-len(work) // chunk)
+    chunks = [[]]
+    for p in ps:
+        if sum(chunks[-1]) + p > 2 * ps[-1]:
+            chunks.append([])
+        chunks[-1].append(p)
+    workers = min(jobs, len(chunks))
     # the fork start method starts every worker up front: no more than there is work for
-    with ProcessPoolExecutor(max_workers=min(jobs, chunks)) as pool:
-        parts = pool.map(_suite_worker, work, chunksize=chunk)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        submits = (pool.submit(_chunk_worker, c, ids, over, timings, encode) for c in chunks)
+        window = deque(islice(submits, 2 * workers))
         try:
-            yield from parts
+            while window:
+                done, exc, trace = window.popleft().result()
+                window.extend(islice(submits, 1))
+                yield from done
+                if exc is not None:  # chained to the worker's traceback, as the pool does
+                    raise exc from RuntimeError(f"in a pool worker:\n{trace}")
         finally:
-            parts.close()  # a stream dropped early cancels the primes not started
+            for future in window:  # a stream closed early cancels the chunks not started
+                future.cancel()
 
 
 def run_suite(

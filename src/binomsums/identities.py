@@ -69,6 +69,9 @@ def _suite(name: str, bound: str, default: int):
 
         @wraps(checks)
         def verify(*args, **kwargs):
+            if not args and first not in kwargs:  # as a plain call would say
+                raise TypeError(f"{verify.__name__}() missing 1 required positional "
+                                f"argument: {first!r}")
             top = _bound(first, args[0] if args else kwargs.pop(first), 0)
             params, count = f"{bound}<={top}", 0
             for count, (witness, holds) in enumerate(checks(top, *args[1:], **kwargs), 1):

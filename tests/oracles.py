@@ -5,7 +5,8 @@ named sequences from their defining sums, the secant Euler numbers from
 their recurrence, and binomial valuations from Kummer's carry count.  The
 encoders of ``verify`` output format one report at a time through
 ``csv.writer`` and ``json.dumps``, and ``TruncatedSeries`` expands an eta
-product by multiplying its factors one term at a time.
+product by multiplying its factors one term at a time.  ``Index`` is an
+integer of a type other than int, as numpy's integers are.
 """
 
 from __future__ import annotations
@@ -20,6 +21,19 @@ from math import comb
 from binomsums.sequences import delannoy_poly, schroder_poly
 
 KINDS = ("central_binomial", "catalan", "delannoy", "schroder", "euler")
+
+
+class Index:
+    """An integer that is no int: ``operator.index`` reads it, as it reads numpy's."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"Index({self.value})"
 
 
 def euler_numbers(limit: int) -> list[int]:

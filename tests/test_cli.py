@@ -225,7 +225,7 @@ def test_jobs_flag_logs_the_serial_records(tmp_path):
     assert [line["record"] for line in parallel] == [line["record"] for line in serial]
 
 
-def _break_cgz_at_17(monkeypatch):
+def _break_cgz_at(monkeypatch, p):
     from binomsums import congruences
 
     inner = congruences._evaluate
@@ -233,7 +233,7 @@ def _break_cgz_at_17(monkeypatch):
     def broken(row, ctx, kexp, v):
         if row.id != "CGZ":
             return inner(row, ctx, kexp, v)
-        if ctx.p == 17:
+        if ctx.p == p:
             raise ZeroDivisionError("broken row")
         return (0,), 0
 
@@ -253,15 +253,32 @@ def _verify_until_the_broken_prime(tmp_path, *jobs):
 
 
 def test_verify_streams_rows_before_a_failing_prime(tmp_path, monkeypatch):
-    _break_cgz_at_17(monkeypatch)
+    _break_cgz_at(monkeypatch, 17)
     _verify_until_the_broken_prime(tmp_path)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers see the patched row only when forked")
 def test_verify_streams_rows_before_a_failing_prime_with_jobs(tmp_path, monkeypatch):
-    _break_cgz_at_17(monkeypatch)
+    _break_cgz_at(monkeypatch, 17)
     _verify_until_the_broken_prime(tmp_path, "--jobs", "2")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched row only when forked")
+def test_verify_with_jobs_writes_the_serial_bytes_before_a_failing_prime(tmp_path, monkeypatch):
+    # 101's chunk, 83..109 of 5..400, starts with primes before the defect
+    from binomsums import cli
+
+    _break_cgz_at(monkeypatch, 101)
+    written = []
+    for jobs in ((), ("--jobs", "2")):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(ZeroDivisionError, match=r"row=CGZ, p=101"):
+            cli.main(["verify", "--primes", "5..400", "--format", "csv", "--out", str(out), *jobs])
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].decode().splitlines()[-1].split(",")[1] == "97"
 
 
 @pytest.mark.parametrize(

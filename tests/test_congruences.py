@@ -37,7 +37,7 @@ from binomsums.congruences import (
     run_suite,
 )
 from binomsums.sequences import delannoy_poly, schroder_poly
-from oracles import summand_residues
+from oracles import Index, summand_residues
 
 
 def fm(fr, m):
@@ -298,6 +298,17 @@ try:
 except ValueError as exc:
     print(exc)
 """
+
+
+def test_a_shift_column_reads_one_parity_of_a_free_shift():
+    ctx = PrimeContext(13)
+    want = [_reference_shift_sum(PrimeContext(13), 64, d, 2) for d in (1, 3, 5)]
+    assert Shift(64).column(ctx, 2, range(1, 7, 2)) == want
+    text = "a shift column reads the shifts of one parity, a range of step 2"
+    for shift, values in ((Shift(64), range(0, 6)), (Shift(64), range(0, 12, 4)),
+                          (Shift(64, 1), range(1, 7, 2))):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            shift.column(ctx, 2, values)
 
 
 def test_a_column_slice_past_the_summand_raises_also_under_O():
@@ -669,21 +680,35 @@ def test_run_suite_is_the_listed_stream():
     assert run_suite(ps, ids, jobs=2) == list(iter_suite(ps, ids, jobs=2)) == serial
 
 
-@pytest.mark.parametrize("primes,jobs,workers", [
-    ((5, 20), 64, 6),    # 6 primes, one a chunk: no more workers than chunks
-    ((5, 20), 2, 2),
-    ((5, 180), 4, 4),    # 39 primes in chunks of 2
-])
-def test_pool_is_capped_at_its_chunks(monkeypatch, primes, jobs, workers):
+class _Deferred:
+    """A stand-in future: its call runs in this process when its result is taken."""
+
+    def __init__(self, pool, call):
+        self.pool, self.call = pool, call
+
+    def result(self):
+        self.pool.taken += 1
+        return self.call()
+
+    def cancel(self):
+        self.pool.cancelled += 1
+        return True
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """The stand-in pools a test starts, in order: each records its size, the primes
+    of each chunk submitted, and how many chunks were submitted and not yet taken
+    after each submit."""
     import concurrent.futures
 
-    started = []
+    pools = []
 
     class InProcess:
-        """A stand-in pool that records its size and maps in this process."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.workers, self.chunks, self.outstanding = max_workers, [], []
+            self.taken = self.cancelled = 0
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -691,15 +716,81 @@ def test_pool_is_capped_at_its_chunks(monkeypatch, primes, jobs, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return (fn(item) for item in items)
+        def submit(self, fn, ps, *args):
+            self.chunks.append(list(ps))
+            self.outstanding.append(len(self.chunks) - self.taken)
+            return _Deferred(self, partial(fn, ps, *args))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     # and under the module's own name, should it ever import the pool eagerly
     monkeypatch.setattr(congruences, "ProcessPoolExecutor", InProcess, raising=False)
+    return pools
+
+
+@pytest.mark.parametrize("primes,jobs,workers", [
+    ((5, 20), 64, 2),    # chunks 5..13 and 17..19: no more workers than chunks
+    ((5, 20), 2, 2),
+    ((5, 40), 8, 3),     # chunks 5..19, 23..29 and 31..37
+    ((5, 180), 4, 4),    # 11 chunks, the last 179 alone
+])
+def test_pool_is_capped_at_its_chunks(in_process_pool, primes, jobs, workers):
     ps, ids = primes_in_range(*primes), ["C1_7a", "CGZ"]
     assert run_suite(ps, ids, jobs=jobs) == run_suite(ps, ids)
-    assert started == [workers]
+    [pool] = in_process_pool
+    assert pool.workers == workers <= len(pool.chunks)
+
+
+@pytest.mark.parametrize("primes,jobs,chunks", [((5, 400), 2, 21), ((5, 491), 3, 25)])
+def test_pool_chunks_are_work_sized_in_a_bounded_window(in_process_pool, primes, jobs, chunks):
+    ps, ids = primes_in_range(*primes), ["C1_7a", "CGZ"]
+    assert run_suite(ps, ids, jobs=jobs) == run_suite(ps, ids)
+    [pool] = in_process_pool
+    assert [p for c in pool.chunks for p in c] == ps and len(pool.chunks) == chunks
+    budget = 2 * ps[-1]
+    for c in pool.chunks:  # consecutive primes summing to at most twice the largest
+        assert len(c) == 1 or sum(c) <= budget
+    for c, after in zip(pool.chunks, pool.chunks[1:]):  # and as many as fit
+        assert sum(c) + after[0] > budget
+    assert pool.workers == min(jobs, chunks)
+    assert max(pool.outstanding) == 2 * pool.workers  # the window, filled and never passed
+    assert pool.taken == chunks and pool.cancelled == 0
+
+
+def test_a_pooled_stream_closed_early_submits_nothing_more(in_process_pool):
+    ps = primes_in_range(5, 491)
+    stream = iter_suite(ps, ["C1_7a"], jobs=2)
+    assert next(stream).p == 5
+    [pool] = in_process_pool
+    submitted = len(pool.chunks)
+    assert pool.taken == 1 and submitted == 2 * pool.workers + 1
+    del stream  # dropped: the pool's stream is closed
+    assert len(pool.chunks) == submitted and pool.taken == 1
+    assert pool.cancelled == submitted - 1  # every chunk submitted and not taken
+    blocks = congruences.iter_blocks(ps, ["C1_7a"], encode=len, jobs=2)
+    assert next(blocks) == 1
+    blocks.close()
+    second = in_process_pool[1]
+    assert len(second.chunks) == submitted and second.cancelled == submitted - 1
+
+
+def test_a_pooled_stream_yields_the_primes_before_a_failing_one(in_process_pool, monkeypatch):
+    inner = congruences._suite_for_prime
+
+    def broken(p, *args):
+        if p == 17:
+            raise ZeroDivisionError("broken prime")
+        return inner(p, *args)
+
+    monkeypatch.setattr(congruences, "_suite_for_prime", broken)
+    stream = congruences.iter_blocks(primes_in_range(5, 40), ["C1_7a"], jobs=2,
+                                     encode=lambda blocks: blocks[0][1])
+    seen = []
+    with pytest.raises(ZeroDivisionError, match="^broken prime$"):
+        for p in stream:
+            seen.append(p)
+    [pool] = in_process_pool
+    assert pool.chunks[0] == [5, 7, 11, 13, 17, 19] and seen == [5, 7, 11, 13]
+    assert pool.cancelled == len(pool.chunks) - 1
 
 
 def _encoder_pid(reports):
@@ -767,12 +858,10 @@ def test_suites_reject_an_argument_that_is_no_integer(args, kwargs, name, monkey
 
 
 def test_integers_of_other_types_are_taken_as_ints():
-    import numpy
-
     want = check("C1_5", 13, 7, mod_exp=3)
-    got = check("C1_5", numpy.int64(13), numpy.int32(7), mod_exp=numpy.int8(3))
+    got = check("C1_5", Index(13), Index(7), mod_exp=Index(3))
     assert got == want and type(got.p) is type(got.modulus) is int
-    assert run_suite([numpy.int64(13)], ["C1_7a"]) == run_suite([13], ["C1_7a"])
+    assert run_suite([Index(13)], ["C1_7a"]) == run_suite([13], ["C1_7a"])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -799,6 +888,8 @@ def test_row_errors_name_their_row_and_prime(monkeypatch, jobs):
     if jobs == 1:
         assert isinstance(err.value.__cause__, ZeroDivisionError)
         assert str(err.value.__cause__) == "broken row"
+    else:  # the cause carries the worker's traceback, down to the original raise
+        assert 'raise ZeroDivisionError("broken row")' in str(err.value.__cause__)
 
 
 def _corrupt_seeds(*seeds):

@@ -31,6 +31,7 @@ from binomsums.identities import (
     verify_small_identities,
     verify_weighted_central_square_sums,
 )
+from oracles import Index
 
 
 def test_horner_and_convolution_expand_binomial_powers():
@@ -275,20 +276,13 @@ def test_the_runner_rejects_the_bounds_the_cli_refuses(kwargs, error, text):
         run_identity_suite(**kwargs)
 
 
-def _numpy(name, value):
-    """numpy's integer type ``name`` at ``value``, imported when a test calls it."""
-    import numpy
-
-    return getattr(numpy, name)(value)
-
-
 @pytest.mark.parametrize("call, error, text", [
     (lambda: verify_delannoy_square(-1), ValueError, "n_max must be >= 0, got -1"),
-    (lambda: verify_macmahon_cubes(_numpy("int64", -1)), ValueError,
+    (lambda: verify_macmahon_cubes(Index(-1)), ValueError,
      "n_max must be >= 0, got -1"),
-    (lambda: run_identity_suite(grid_n=_numpy("int64", 0)), ValueError,
+    (lambda: run_identity_suite(grid_n=Index(0)), ValueError,
      "grid_n must be >= 1, got 0"),
-    (lambda: run_identity_suite(grid_n=3, grid_p=_numpy("int32", 1)), ValueError,
+    (lambda: run_identity_suite(grid_n=3, grid_p=Index(1)), ValueError,
      "grid_p must be >= 2, got 1"),
     (lambda: verify_shift_step_base64(p_max=-2), ValueError, "p_max must be >= 0, got -2"),
     (lambda: verify_macmahon_cubes(2.0), TypeError, "n_max must be an integer, got 2.0"),
@@ -300,11 +294,22 @@ def test_a_verifier_rejects_a_negative_or_non_integer_bound(call, error, text):
         call()
 
 
+def test_a_verifier_called_without_its_bound_raises_as_a_plain_call_would():
+    with pytest.raises(TypeError, match=re.escape(
+            "verify_delannoy_square() missing 1 required positional argument: 'n_max'")):
+        verify_delannoy_square()
+    for verify, _, _ in SUITES.values():
+        with pytest.raises(TypeError) as plain:
+            verify.__wrapped__()  # the generator of checks, undecorated
+        with pytest.raises(TypeError, match=f"^{re.escape(str(plain.value))}$"):
+            verify()
+
+
 def test_a_bound_of_another_integer_type_is_taken_as_an_int():
     # the congruence API's rule: whatever ``operator.index`` takes, a bool aside
-    assert verify_macmahon_cubes(_numpy("int64", 3)) == verify_macmahon_cubes(3)
-    assert verify_shift_step_base64(p_max=_numpy("int8", 4)) == verify_shift_step_base64(4)
-    assert (run_identity_suite(grid_n=_numpy("int64", 3), grid_p=_numpy("int32", 2))
+    assert verify_macmahon_cubes(Index(3)) == verify_macmahon_cubes(3)
+    assert verify_shift_step_base64(p_max=Index(4)) == verify_shift_step_base64(4)
+    assert (run_identity_suite(grid_n=Index(3), grid_p=Index(2))
             == run_identity_suite(grid_n=3, grid_p=2))
 
 

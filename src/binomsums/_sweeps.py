@@ -52,11 +52,13 @@ def direct_shift_sum(p: int, weights: list[int], d: int, tables: FactorialTables
 
     C(2k, k+d) = p^v unit[2k] inv_unit[k+d] inv_unit[k-d] with
     v = val[2k] - val[k+d] - val[k-d]; a term with w(k) = 0 or v >= K is 0.
+    ``tables`` grow as far as these read.
     """
     kexp, pk, n = tables.k, tables.pk, len(weights)
-    val, unit, inv = tables.val, tables.unit, tables.inv_unit
     if d >= n:
         return 0
+    tables.grow(2 * n - 2, 2 * n - 2, n - 1 + d)
+    val, unit, inv = tables.val, tables.unit, tables.inv_unit
     pp = [p**i for i in range(kexp)]
     return sum(w * pp[v] * u % pk * a % pk * b
                for w, v2, u, va, a, vb, b in zip(
@@ -93,7 +95,10 @@ def shift_chain(p: int, base: int, weights: list[int], tables: FactorialTables,
 
     ``weights`` are the residues of ``SHIFT_FAMILIES[base]`` for k <= c, their
     cutoff: w(k) = 0 mod p^K for c < k < p, so S(d) = 0 for d > c, where no
-    step is taken.  ``tables`` must reach n! for n <= step*p.  ``columns`` maps
+    step is taken.  ``tables`` grow as far as the chain reads: a segment between
+    re-seed points asks for its steps' reach, about step*d at its last d, only if it
+    steps (S(d) or ``front`` nonzero where it starts), and the relation's right
+    side asks for its entries only where ``front`` is nonzero.  ``columns`` maps
     d = ``parity``, and d = (p-1)/2 if that has the parity, to C(2k, k+d) for
     d <= k < p mod p^K, which every family shares.  The seed S(parity) is
     read from its column with ``column_shift_sum``; every further S(d+2) comes
@@ -115,19 +120,21 @@ def shift_chain(p: int, base: int, weights: list[int], tables: FactorialTables,
     """
     fam = SHIFT_FAMILIES[base]
     kexp, pk = tables.k, tables.pk
-    unit, inv = tables.unit, tables.inv_unit
+    unit, inv = tables.unit, tables.inv_unit  # grown in place below
     top = len(weights) - 1  # the cutoff c
-    if top >= p or tables.limit < fam.step * p or parity not in (0, 1):
-        raise ValueError("need at most p weights, tables up to step*p and a parity 0 or 1")
+    if top >= p or parity not in (0, 1):
+        raise ValueError("need at most p weights and a parity 0 or 1")
     step, (r1, r2) = fam.step, fam.offsets
     half = (p - 1) // 2
     # c(-p) * w(p-1): w(p-1) has valuation >= 2, so it is past the cutoff for K <= 2
     front = fam.coeff(-p) * weights[p - 1] % pk if top == p - 1 else 0
+    if front:  # then top = p-1, and rhs reads inv_unit up to p+top-1
+        tables.grow(0, 2 * p, 2 * p - 2)
 
     def rhs(d: int) -> int:
-        """The relation's right side at d mod p^K, 0 when ``front`` is; C(2p, p+d+1)/p
-        is a unit for d <= p-2."""
-        return front * (d + 1) * unit[2 * p] % pk * inv[p + d + 1] * inv[p - d - 1] % pk
+        """The relation's right side at d mod p^K, 0 with no table read when ``front``
+        is; C(2p, p+d+1)/p is a unit for d <= p-2."""
+        return front and front * (d + 1) * unit[2 * p] % pk * inv[p + d + 1] * inv[p - d - 1] % pk
 
     # the roots x of c(x) = 0 (mod p): S(x + 1) is re-seeded and S(x) checked
     roots = {-r * pow(step, -1, p) % p for r in (r1, r2)}
@@ -136,7 +143,10 @@ def shift_chain(p: int, base: int, weights: list[int], tables: FactorialTables,
     gap, lo = r2 - r1, parity
     for stop in sorted({x - 1 for x in roots if 1 <= x < top and x % 2 != parity} | {top - 1}):
         # no coefficient c(d + 1) = m1 * m2 with lo <= d < stop is divisible by p
-        for d in range(lo, stop, 2):
+        steps = range(lo, stop, 2)
+        if steps and (front or out[lo >> 1]):  # else every S(d) of the segment is 0
+            tables.grow(0, 0, step * steps[-1] + step + r2)  # inv_unit[m2] at the last d
+        for d in steps:
             s = out[d >> 1]
             if s or front:  # else S(d + 2) = 0 as well
                 m1 = step * d + step + r1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
-from operator import index
+from operator import gt, index
 from typing import NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -138,68 +138,94 @@ class FactorialTables:
     """Per-prime tables giving n! in factored form in O(1) per query.
 
     val[n] is the p-adic valuation of n!, unit[n] the p-free part of n! modulo
-    p^k, inv_unit[n] its inverse, for n <= ``limit``.  ``binomial(n, r)``
-    reads C(n, r) mod p^k from them.  A table is built as 0! alone and grown to
-    its limit, and ``grow`` extends it in place, so one table per prime and
-    exponent serves readers that ask for ever longer reaches, and no entry is
-    made twice.  Growing is O(new entries) in whole-list passes: the new
-    multiples of p are stripped of their factors p, one slice per power of p;
-    ``unit`` continues as the running product of the stripped factors, the
-    new ``inv_unit`` entries run down from one inverse of the new top unit,
-    and ``val`` continues as the running sum of v_p(n).  ValueError for
-    p < 2, k < 1 or limit < 0; that p is prime is the caller's to know.
+    p^k and inv_unit[n] its inverse.  ``FactorialTables(p, k, limit)`` holds
+    all three for n <= ``limit``; ``binomial(n, r)`` reads C(n, r) mod p^k from
+    them.  Each list has a reach of its own: a table starts at 0! alone, and
+    ``grow`` extends each list in place as far as its readers ask, so one
+    table per prime and exponent serves them all, and no entry is made twice.
+    Growing is O(new entries) in whole-list passes: the new multiples of p are
+    stripped of their factors p, one slice per power of p; ``val`` continues
+    as the running sum of v_p(n), ``unit`` as the running product of the
+    stripped factors, and the new ``inv_unit`` entries run down from one
+    inverse of their top unit.  ValueError for p < 2, k < 1 or limit < 0;
+    that p is prime is the caller's to know.
     """
 
-    __slots__ = ("p", "k", "pk", "limit", "val", "unit", "inv_unit")
+    __slots__ = ("p", "k", "pk", "val", "unit", "inv_unit")
 
     def __init__(self, p: int, k: int, limit: int):
         for name, value, least in (("p", p, 2), ("k", k, 1), ("limit", limit, 0)):
             if value < least:
                 raise ValueError(f"FactorialTables needs {name} >= {least}, got {value}")
-        self.p, self.k, self.pk, self.limit = p, k, p**k, 0
+        self.p, self.k, self.pk = p, k, p**k
         self.val, self.unit, self.inv_unit = [0], [1], [1]  # 0! = 1
         self.grow(limit)
 
-    def grow(self, limit: int) -> None:
-        """Extend the tables in place to n <= limit; a reach they have changes nothing."""
-        start, p, pk = self.limit + 1, self.p, self.pk
-        if limit < start:
-            return
-        # m[i] is n = start + i with its factors p removed, e[i] = v_p(n)
-        m = list(range(start, limit + 1))
-        e = [0] * len(m)
-        q = p
-        while q <= limit:
-            first = -start % q  # the index of the first multiple of q
-            m[first::q] = [n // p for n in m[first::q]]
-            e[first::q] = [v + 1 for v in e[first::q]]
-            q *= p
-        e[0] += self.val[-1]
-        self.val += accumulate(e)
-        u = self.unit[-1]
-        self.unit += [u := u * n % pk for n in m]
-        # inv_unit[n - 1] = inv_unit[n] * m[n], from the new top down
-        x = top = mod_inverse(u, pk)
-        self.inv_unit += [x := x * n % pk for n in m[:0:-1]][::-1]
-        self.inv_unit.append(top)
-        self.limit = limit
+    @property
+    def reaches(self) -> tuple[int, int, int]:
+        """The largest n that ``val``, ``unit`` and ``inv_unit`` each hold."""
+        return len(self.val) - 1, len(self.unit) - 1, len(self.inv_unit) - 1
 
-    def reduced(self, k: int, limit: int) -> FactorialTables:
-        """``FactorialTables(p, k, limit)`` for k <= self.k, limit <= self.limit,
-        without a rebuild: the units are reduced mod p^k, the valuations kept."""
-        if not 1 <= k <= self.k or limit > self.limit:
+    @property
+    def limit(self) -> int:
+        """The largest n whose n! every list holds (``unit`` reaches as far as ``inv_unit``)."""
+        return min(len(self.val), len(self.inv_unit)) - 1
+
+    def grow(self, limit: int, unit: int | None = None, inv: int | None = None) -> None:
+        """Extend in place ``val`` to n <= limit, ``unit`` to n <= ``unit`` (``limit`` if
+        None) and ``inv_unit`` to n <= ``inv`` (``unit`` if None), and ``unit`` to ``inv``:
+        the inverses run down from the top unit.  A reach a list has changes nothing."""
+        p, pk, start = self.p, self.pk, len(self.val)
+        unit = limit if unit is None else unit
+        inv = unit if inv is None else inv
+        if limit >= start:  # e[i] = v_p(start + i)
+            e = [0] * (limit + 1 - start)
+            q = p
+            while q <= limit:
+                e[-start % q :: q] = [v + 1 for v in e[-start % q :: q]]
+                q *= p
+            e[0] += self.val[-1]
+            self.val += accumulate(e)
+        top, start = max(unit, inv), len(self.inv_unit)
+        if inv < start:  # no inverse to add
+            start = len(self.unit)
+        if top < start:
+            return
+        # m[i] is n = start + i with its factors p removed
+        m = list(range(start, top + 1))
+        q = p
+        while q <= top:
+            m[-start % q :: q] = [n // p for n in m[-start % q :: q]]
+            q *= p
+        u = self.unit[-1]
+        self.unit += [u := u * n % pk for n in m[len(self.unit) - start :]]
+        if inv >= start:  # inv_unit[n - 1] = inv_unit[n] * m[n], from the new top down
+            x = last = mod_inverse(self.unit[inv], pk)
+            self.inv_unit += [x := x * n % pk for n in m[inv - start : 0 : -1]][::-1]
+            self.inv_unit.append(last)
+
+    def reduced(self, k: int, limit: int, unit: int | None = None,
+                inv: int | None = None) -> FactorialTables:
+        """These tables mod p^k for k <= self.k, without a rebuild: ``val`` kept to
+        n <= limit, ``unit`` to n <= ``unit`` and ``inv_unit`` to n <= ``inv``, as in
+        ``grow``, the units reduced mod p^k.  ``reduced(k, limit)`` is
+        ``FactorialTables(p, k, limit)``; ValueError for a reach these tables lack."""
+        unit = limit if unit is None else unit
+        inv = unit if inv is None else inv
+        if not 1 <= k <= self.k or any(map(gt, (limit, max(unit, inv), inv), self.reaches)):
             raise ValueError(f"cannot reduce tables mod p^{self.k} to p^{k} up to {limit}")
         out = object.__new__(FactorialTables)
-        out.p, out.k, out.pk, out.limit = self.p, k, self.p**k, limit
+        out.p, out.k, out.pk = self.p, k, self.p**k
         out.val = self.val[: limit + 1]
-        out.unit = [u % out.pk for u in self.unit[: limit + 1]]
-        out.inv_unit = [u % out.pk for u in self.inv_unit[: limit + 1]]
+        out.unit = [u % out.pk for u in self.unit[: max(unit, inv) + 1]]
+        out.inv_unit = [u % out.pk for u in self.inv_unit[: inv + 1]]
         return out
 
     def binomial(self, n: int, r: int) -> int:
-        """C(n, r) mod p^k for n <= limit; 0 when r < 0 or r > n."""
+        """C(n, r) mod p^k, the tables grown as far as it reads; 0 when r < 0 or r > n."""
         if not 0 <= r <= n:
             return 0
+        self.grow(n, n, max(r, n - r))
         v = self.val[n] - self.val[r] - self.val[n - r]
         return self.p**v * self.unit[n] * self.inv_unit[r] * self.inv_unit[n - r] % self.pk
 

@@ -26,7 +26,8 @@ Two evaluation paths exist and are pinned against each other by the tests:
   rows from the top exponent down, so a lower exponent reads tables,
   summands and moments reduced from a higher one.  The prime builds one
   factorial table, at its top exponent; each lower exponent reduces it once,
-  and every exponent's table grows to the reach its own readers ask for.
+  and each list of every exponent's table (valuations, units, inverses), like
+  each base^-k list, grows to the reach its own readers ask for.
   The shift engine steps the d -> d+2 relations in O(p) for each
   (family, parity) chain of shifts that a table row reads, from seeds read
   from binomial columns that every family shares.  Within one exponent the
@@ -146,13 +147,6 @@ class Sum(NamedTuple):
         n = (p - 1) // 2
         return self._replace(factors=self.factors + tuple((a, n, e) for a, e in self.n_factors),
                              n_factors=())
-
-    def limit(self, p: int) -> int:
-        """The largest factorial argument of its factors over the whole range, the
-        dead tail included, whose valuations ``_kernel`` checks: the reach it asks
-        of the table.  C(2k,k) asks for its own, 2p, where it is built."""
-        hi = (p - 1) // 2 if self.half else p - 1
-        return max([p] + [a * k + b for a, b, _ in self.at(p).factors for k in (self.lo, hi)])
 
     def cutoff(self, p: int, kexp: int) -> int:
         """The last k of the range whose term can be nonzero mod p^kexp (lo - 1 if none).
@@ -348,14 +342,17 @@ class PrimeContext:
     at K is reduced from the lowest higher exponent cached, and built only if
     there is none.  The suite evaluates rows from the top exponent down, so a
     prime builds its factorial table, C(2k,k), powers and summands once each.
-    Each exponent's table then grows to the reach its readers ask for
-    (``tables``), and a shift chain is stepped only where a table row reads
-    it.  What a prime computes follows from what its rows read and the order
-    in which they run, with one choice fixed at import: a power C(2k,k)^c /
-    base^k that two or more summands read (``_SHARED_POWERS``) gets a cached
-    pass of its own, any other is multiplied into its summand's pass.  Sharing
-    every power gives the same output with more ``_product`` multiplications:
-    +8.6% on 10 shift rows at 21 primes from 2003, +7.2% on all rows to 491.
+    Each list of an exponent's table then grows to the reach its own readers
+    ask for (``tables``): valuations over a summand's whole range, units and
+    inverses only to its cutoff, and the shift engine's inverses only where a
+    chain steps; base^-k grows to its readers' cutoffs (``base_powers``).  A
+    shift chain is stepped only where a table row reads it.  What a prime
+    computes follows from what its rows read and the order in which they run,
+    with one choice fixed at import: a power C(2k,k)^c / base^k that two or
+    more summands read (``_SHARED_POWERS``) gets a cached pass of its own, any
+    other is multiplied into its summand's pass.  Sharing every power gives
+    the same output with more ``_product`` multiplications: +8.6% on 10 shift
+    rows at 21 primes from 2003, +7.2% on all rows to 491.
     """
 
     def __init__(self, p: int):
@@ -412,24 +409,23 @@ class PrimeContext:
     def pk(self, kexp: int) -> int:
         return self.p**kexp
 
-    def tables(self, kexp: int, limit: int = 0) -> FactorialTables:
-        """Factorial tables mod p^kexp reaching n! for n <= max(p, limit).
-
-        Each exponent makes its table once, on first use: reduced from the
-        lowest higher exponent's table as far as that reaches and the caller
-        asks, else built.  It then grows in place to each caller's reach, so
-        an exponent's table is as long as its readers ask, and no entry of it
-        is made twice.
-        """
-        limit = max(self.p, limit)
+    def tables(self, kexp: int, limit: int = 0, unit: int | None = None,
+               inv: int | None = None) -> FactorialTables:
+        """Factorial tables mod p^kexp whose lists reach n <= limit, ``unit`` and ``inv``
+        at least, as ``FactorialTables.grow`` takes them.  Each exponent makes its
+        table once, on first use: each list reduced from the lowest higher
+        exponent's as far as that reaches and the caller asks, else from 0!; each
+        then grows in place to its own readers' furthest reach."""
+        unit = limit if unit is None else unit
+        reach = (limit, unit, unit if inv is None else inv)
         t = self._cache.get(("tables", kexp))
         if t is None:
             higher = self._higher(("tables",), kexp)
-            t = (higher.reduced(kexp, min(limit, higher.limit)) if higher
-                 else FactorialTables(self.p, kexp, limit))
+            t = (higher.reduced(kexp, *map(min, reach, higher.reaches)) if higher
+                 else FactorialTables(self.p, kexp, 0))
             self._cache[("tables", kexp)] = t
             self._top = max(self._top, kexp)
-        t.grow(limit)
+        t.grow(*reach)
         return t
 
     def legendre(self, a: int) -> int:
@@ -445,7 +441,7 @@ class PrimeContext:
 
         def build():
             p = self.p
-            t = self.tables(kexp, 2 * p)
+            t = self.tables(kexp, 2 * p - 2, 2 * p - 2, p - 1)
             pk, inv = t.pk, t.inv_unit
             return (
                 [a - 2 * b for a, b in zip(t.val[: 2 * p : 2], t.val[:p])],
@@ -455,23 +451,28 @@ class PrimeContext:
         return self._at(("central",), kexp, build)
 
     def central_power(self, central: int, base: int, kexp: int) -> tuple[list[int], list[int]]:
-        """Valuations and units mod p^kexp of C(2k,k)^central / base^k for k < p.
+        """Valuations and units mod p^kexp of C(2k,k)^central / base^k for k < p, central > 0.
 
-        ``base`` is inverted mod p^kexp, so negative and residue bases are
-        fine.  Cached: the summands that share a power and a base
-        (``_SHARED_POWERS``) share one pass; with central 0 it is base^-k.
+        Cached: the summands that share a power and a base (``_SHARED_POWERS``)
+        share one pass, which reads base^-k for every k < p (``base_powers``).
         """
 
         def build():
-            pk = self.pk(kexp)
-            if not central:
-                binv, s = mod_inverse(base % pk, pk), 1
-                return [0] * self.p, [1] + [(s := s * binv % pk) for _ in range(self.p - 1)]
-            cval, cunit = self.central(kexp)
-            scale = [self.central_power(0, base, kexp)[1]] if base != 1 else []
+            pk, (cval, cunit) = self.pk(kexp), self.central(kexp)
+            scale = [self.base_powers(base, kexp, self.p)] if base != 1 else []
             return [central * v for v in cval], _product([cunit] * central + scale, None, pk)
 
         return self._at(("cpow", central, base), kexp, build)
+
+    def base_powers(self, base: int, kexp: int, stop: int) -> list[int]:
+        """base^-k mod p^kexp for k < stop at least (negative and residue bases are
+        fine): one list per base and exponent, grown in place to its readers'
+        furthest stop."""
+        pk, powers = self.pk(kexp), self._cached(("powers", base, kexp), lambda: [1])
+        if len(powers) < stop:
+            binv, s = mod_inverse(base % pk, pk), powers[-1]
+            powers += [(s := s * binv % pk) for _ in range(stop - len(powers))]
+        return powers
 
     def summand(self, kexp: int, s: Sum) -> list[int]:
         """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k."""
@@ -506,11 +507,17 @@ class PrimeContext:
             val, unit = self.central_power(s.central, s.base, kexp) if shared else self.central(kexp)
             factor(span(val, hi), span(unit, cut), add, 1 if shared else s.central)
         if s.base != 1 and not shared:
-            cols.append(span(self.central_power(0, s.base, kexp)[1], cut))
-        t = self.tables(kexp, s.limit(p))  # after C(2k,k), which asks for its own reach
+            cols.append(span(self.base_powers(s.base, kexp, cut + 1), cut))
         merged: dict[tuple[int, int], int] = {}
         for a, b, e in s.factors:
             merged[a, b] = merged.get((a, b), 0) + e
+        reach = [0, 0, 0]  # val over lo..hi, and unit (e > 0) or inv_unit (e < 0) to cut
+        for (a, b), e in merged.items():
+            i = 1 if e > 0 else 2
+            if e:
+                reach[0] = max(reach[0], a * lo + b, a * hi + b)
+                reach[i] = max(reach[i], a * lo + b, a * cut + b)
+        t = self.tables(kexp, *reach)
         for (a, b), e in merged.items():
             if e:
                 factor(_column(t.val, a, b, lo, hi),
@@ -579,10 +586,10 @@ class PrimeContext:
         """S_base(d) mod p^kexp for the d < p of one parity, entry d // 2 being S(d),
         from ``shift_chain``; the (p-1)/2 column is read only for its parity."""
 
-        def build():
-            tables = self.tables(kexp, SHIFT_FAMILIES[base].step * self.p)
+        def build():  # the weights first: the table then holds what their kernel asked
             columns = {d: self.shift_column(d, kexp) for d in (parity, self.n) if d % 2 == parity}
-            return shift_chain(self.p, base, self.weights(base, kexp), tables, columns, parity)
+            return shift_chain(self.p, base, self.weights(base, kexp), self.tables(kexp), columns,
+                               parity)
 
         return self._at(("chain", base, parity), kexp, build)
 
@@ -596,8 +603,8 @@ class PrimeContext:
             stepped = self._at(("chain", base, d % 2), kexp)
             if stepped is not None:
                 return stepped[d // 2]
-            tables, column = self.tables(kexp, 2 * self.p), self.shift_column(d, kexp)
-            return shift_seed(self.p, base, self.weights(base, kexp), tables, column, d)
+            column = self.shift_column(d, kexp)
+            return shift_seed(self.p, base, self.weights(base, kexp), self.tables(kexp), column, d)
 
         return self._at(("shift", base, d), kexp, build)
 
@@ -1164,9 +1171,9 @@ def _suite_for_prime(
     The rows are evaluated from the highest exponent down, so each lower
     exponent reads the prime's tables, powers, summands and shift chains
     reduced from a higher one: the prime's factorial table is built once, at
-    the top exponent, and each exponent's table grows to the reach its own
-    readers ask for (``PrimeContext.tables``).  Within one exponent the table
-    rows run first, then the others, each in registry order, so every chain
+    the top exponent, and each list of each exponent's table grows to the
+    reach its own readers ask for (``PrimeContext.tables``).  Within one
+    exponent the table rows run first, then the others, each in registry order, so every chain
     stepped at an exponent is cached before a row of that exponent reads one
     fixed shift (``PrimeContext.shift_sum``).  An exception raised while a row
     is evaluated is raised again as the same class with ``row=<id>, p=<p>``
@@ -1254,12 +1261,14 @@ def iter_suite(
 
     The arguments are checked here, when it is called; the iterator it
     returns evaluates one prime at a time as it is consumed (with ``jobs``,
-    each prime's reports as they arrive), so no run holds every report.
+    each prime's reports as they arrive), so no run holds every report.  With
+    ``jobs`` it is a generator: closing it cancels the chunks not yet started.
     """
     ps, ids, over = _arguments(primes, ids, jobs, mod_exp)
     if jobs == 1 or len(ps) <= 1:  # each prime's reports are built in its collector pause
         return chain.from_iterable(_suite_for_prime(p, ids, over, timings, _reports) for p in ps)
-    return chain.from_iterable(map(_reports, _stream(ps, ids, over, jobs, timings, None)))
+    # closed, it drops the stream, whose finaliser closes the pool
+    return (r for blocks in _stream(ps, ids, over, jobs, timings, None) for r in _reports(blocks))
 
 
 def iter_blocks(

@@ -154,6 +154,65 @@ def test_growing_to_a_reach_a_table_has_changes_nothing():
             assert t.limit == limit and [t.val, t.unit, t.inv_unit] == want
 
 
+def _agrees(t, tables) -> bool:
+    """Every entry each list of ``t`` holds equals the one-n-at-a-time build's."""
+    return all(got == want[: len(got)] for got, want in zip((t.val, t.unit, t.inv_unit), tables))
+
+
+def test_each_list_grows_to_its_own_reach_in_any_order():
+    # val, unit and inv_unit grown in a random order to reaches of their own,
+    # and partly grown tables reduced and grown on: each list reaches exactly the
+    # furthest n asked of it (units at least as far as inverses, which run down
+    # from the top unit) and equals the one-n-at-a-time build on every entry
+    rng = random.Random(27)
+    for p in (3, 5, 7, 13):
+        top = p**3 + p
+        built = {k: factorial_tables(p, k, top) for k in (1, 2, 3)}
+        for k in (1, 2, 3):
+            for _ in range(25):
+                start = rng.choice([0, 1, p - 1, p, rng.randrange(top + 1)])
+                t = FactorialTables(p, k, start)
+                want = [start, start, start]
+                for _ in range(rng.randrange(1, 6)):
+                    asked = [rng.choice([0, rng.randrange(top + 1)]) for _ in range(3)]
+                    t.grow(*asked)
+                    want = [max(w, a) for w, a in zip(want, asked)]
+                    want[1] = max(want[1], want[2])
+                    assert list(t.reaches) == want
+                    assert t.limit == min(want[0], want[2]) and _agrees(t, built[k]), (p, k)
+                for j in range(1, k + 1):
+                    reach = [rng.randrange(w + 1) for w in want]
+                    got = t.reduced(j, *reach)
+                    reach[1] = max(reach[1], reach[2])
+                    assert (got.k, got.pk) == (j, p**j)
+                    assert list(got.reaches) == reach
+                    assert _agrees(got, built[j]), (p, k, j, reach)
+                    got.grow(*(rng.randrange(top + 1) for _ in range(3)))
+                    assert _agrees(got, built[j]), (p, k, j)
+                    for past in ((want[0] + 1,), (0, want[1] + 1, 0), (0, 0, want[2] + 1)):
+                        with pytest.raises(ValueError):
+                            t.reduced(j, *past)
+
+
+def test_binomial_grows_the_lists_it_reads():
+    # a table whose inverses stop short of r or n - r grows them as far as the
+    # binomial reads, and C(n, r) matches math.comb mod p^k
+    rng = random.Random(2027)
+    for p in (3, 5, 13):
+        for k in (1, 2, 3):
+            t = FactorialTables(p, k, 10)
+            t.grow(300, 300, 0)
+            assert t.reaches == (300, 300, 10)
+            assert t.binomial(200, 60) == math.comb(200, 60) % p**k
+            assert t.reaches == (300, 300, 140)
+            t = FactorialTables(p, k, 0)
+            for _ in range(200):
+                n = rng.randrange(400)
+                r = rng.randrange(-2, n + 3)
+                want = math.comb(n, r) % p**k if 0 <= r <= n else 0
+                assert t.binomial(n, r) == want, (p, k, n, r)
+
+
 @pytest.mark.parametrize("args, name", [((0, 1, 5), "p"), ((-3, 1, 5), "p"), ((5, 0, 10), "k"),
                                         ((5, -1, 10), "k"), ((5, 1, -1), "limit")])
 def test_factorial_tables_reject_bad_arguments(args, name):

@@ -773,6 +773,19 @@ def test_a_pooled_stream_closed_early_submits_nothing_more(in_process_pool):
     assert len(second.chunks) == submitted and second.cancelled == submitted - 1
 
 
+def test_a_pooled_report_stream_closed_early_cancels_the_chunks_not_started(in_process_pool):
+    ps = primes_in_range(5, 491)
+    stream = iter_suite(ps, ["C1_7a"], jobs=2)
+    assert next(stream).p == 5
+    [pool] = in_process_pool
+    submitted = len(pool.chunks)
+    stream.close()  # with the stream still referenced: close() itself cancels
+    assert len(pool.chunks) == submitted and pool.taken == 1
+    assert pool.cancelled == submitted - 1
+    with pytest.raises(StopIteration):
+        next(stream)
+
+
 def test_a_pooled_stream_yields_the_primes_before_a_failing_one(in_process_pool, monkeypatch):
     inner = congruences._suite_for_prime
 
@@ -1086,9 +1099,10 @@ _HALFRANGE_IDS =("C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12",
 
 
 def test_one_factorial_table_per_prime(monkeypatch):
-    # the top exponent builds the prime's one table; each lower exponent
-    # reduces it once from the exponent above, and every table then grows in
-    # place to the reach that its own readers ask for
+    # the top exponent builds the prime's one table from 0!; each lower exponent
+    # reduces it once from the exponent above, each list as far as it reaches
+    # there and the first reader asks, and every list then grows in place to the
+    # furthest reach that its own readers ask for
     made = []
     init, reduce = FactorialTables.__init__, FactorialTables.reduced
 
@@ -1096,24 +1110,84 @@ def test_one_factorial_table_per_prime(monkeypatch):
         made.append(("build", k, limit, self))
         init(self, p, k, limit)
 
-    def reducing(self, k, limit):
-        out = reduce(self, k, limit)
-        made.append(("reduce", k, limit, out))
+    def reducing(self, k, *reach):
+        out = reduce(self, k, *reach)
+        made.append(("reduce", k, reach, out))
         return out
 
     monkeypatch.setattr(FactorialTables, "__init__", counting)
     monkeypatch.setattr(FactorialTables, "reduced", reducing)
-    congruences._suite_for_prime(1009, _HALFRANGE_IDS, {}, False)
-    assert [m[:2] for m in made] == [("build", 3), ("reduce", 2), ("reduce", 1)]
-    assert made[0][2] == 2 * 1009  # for C(2k,k), which reads (2k)! for k < p
-    for p in (1009, 10007):
+    p = 1009
+    congruences._suite_for_prime(p, _HALFRANGE_IDS, {}, False)
+    assert [m[:3] for m in made] == [("build", 3, 0), ("reduce", 2, (p - 1, p - 1, 505)),
+                                     ("reduce", 1, (0, 0, 0))]
+    # C(2k,k) for k < p reads (2k)! and 1/k!; the p^2 rows read nothing past p
+    assert {k: t.reaches for _, k, _, t in made} == {
+        3: (2 * p - 2, 2 * p - 2, p - 1), 2: (p, p, p), 1: ((p - 1) // 2, (p - 1) // 2, 252)}
+    for p, c in ((1009, 840), (10007, 8339)):
+        assert congruences._FAMILY[1728].cutoff(p, 2) == c
         made.clear()
         congruences._suite_for_prime(p, tuple(default_ids()), {}, False)
         assert [m[:2] for m in made] == [("build", 3), ("reduce", 2), ("reduce", 1)]
-        assert made[0][2] == 2 * p
-        # the reach each exponent's readers ask for: C(2k,k) at p^3, the 1728
-        # family's engine at p^2, (6k)!, and C4_1's (4k)! at k = p - 1 at p
-        assert {k: t.limit for _, k, _, t in made} == {3: 2 * p, 2: 6 * p, 1: 4 * p - 4}
+        # each list's reach at each exponent: C(2k,k) at p^3; at p^2 the 1728
+        # weights' valuations over k < p, their (6k)! to the cutoff c and 1/(3k)!
+        # to c (no chain steps: every one vanishes or stops at c); at p, C4_1's
+        # (4k)! whose valuations run to k = p - 1 and whose terms end at (p-1)/4
+        assert {k: t.reaches for _, k, _, t in made} == {
+            3: (2 * p - 2, 2 * p - 2, p - 1), 2: (6 * p - 6, 6 * c, 3 * c),
+            1: (4 * p - 4, p - 1, (p - 1) // 2)}
+
+
+def test_base_powers_grow_to_their_readers_cutoffs():
+    # base^-k is one list per base and exponent, as long as its furthest reader
+    # asks: at p = 2003 each family's weights mod p^2 read it to their cutoff
+    # (see test_the_suite_steps_only_the_chains_its_rows_read), and a power that
+    # summands share, such as C(2k,k)^2/8^k, to p - 1.  Each exponent's list
+    # grows on its own.
+    p, pk = 2003, 2003**2
+    ctx = PrimeContext(p)
+    assert ctx.base_powers(1728, 3, 100) == [pow(1728, -k, p**3) for k in range(100)]
+    assert ctx.base_powers(1728, 2, 10) == [pow(1728, -k, pk) for k in range(10)]
+    for base, c in ((64, 1001), (108, 1335), (256, 1502), (1728, 1669)):
+        assert len(ctx.weights(base, 2)) == c + 1
+        assert ctx.base_powers(base, 2, 0) == [pow(base, -k, pk) for k in range(c + 1)]
+    assert len(ctx.base_powers(1728, 3, 0)) == 100
+    ctx.summand(2, Sum(8, 2))
+    assert len(ctx.base_powers(8, 2, 0)) == p
+    assert ctx.base_powers(108, 1, 0) == [1]  # no entry asked: base^0 alone
+    assert ctx.base_powers(108, 1, 3) == [1, pow(108, -1, p), pow(108, -2, p)]
+
+
+def test_a_vanishing_chain_reads_no_inverse_past_its_guards(monkeypatch):
+    # at p = 1009 = 1 (mod 4) C1_21 reads the odd chain of 1728, which vanishes
+    # mod p^2: no segment steps, and with ``front`` 0 the relation's right side
+    # reads nothing, so the chain reads the tables only in its guards' direct
+    # sums, to (2k)! and 1/(k+d)! for k <= c, the weights' cutoff
+    p, direct = 1009, []
+    direct_sum = _sweeps.direct_shift_sum
+
+    def counting_direct(p, weights, d, tables):
+        direct.append(d)
+        return direct_sum(p, weights, d, tables)
+
+    monkeypatch.setattr(_sweeps, "direct_shift_sum", counting_direct)
+    ctx = PrimeContext(p)
+    weights = ctx.weights(1728, 2)
+    c = len(weights) - 1
+    tables = FactorialTables(p, 2, 0)
+    chain = _sweeps.shift_chain(p, 1728, weights, tables, {1: ctx.shift_column(1, 2)}, 1)
+    assert c == 840 and not any(chain) and direct
+    assert tables.reaches == (2 * c, 2 * c, c + max(direct))
+    # mod p^3 ``front`` is not 0: every segment steps, and the chain grows its
+    # inverses to its step reach, 1/m2 = 1/(6(d+1) + 5) at the last step d = p - 4
+    ctx = PrimeContext(p)
+    weights, tables = ctx.weights(1728, 3), FactorialTables(p, 3, 0)
+    chain = _sweeps.shift_chain(p, 1728, weights, tables, {1: ctx.shift_column(1, 3)}, 1)
+    assert len(weights) == p and tables.reaches == (2 * p - 2, 6 * (p - 3) + 5, 6 * (p - 3) + 5)
+    row = _REGISTRY[_ROW_INDEX["C1_21"]]
+    reports = run_suite([p], ["C1_21"], mod_exp={"C1_21": 3})
+    assert [r.lhs for r in reports] == chain
+    assert reports == [check("C1_21", p, d, mod_exp=3) for d in row.param_values(p)]
 
 
 def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
@@ -1122,9 +1196,10 @@ def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
     reductions, centrals = [], []
     reduce, central = FactorialTables.reduced, PrimeContext.central
 
-    def reducing(self, k, limit):
-        reductions.append((k, limit))
-        return reduce(self, k, limit)
+    def reducing(self, k, *reach):
+        out = reduce(self, k, *reach)
+        reductions.append((k, reach, out))
+        return out
 
     def reading(self, kexp):
         centrals.append(kexp)
@@ -1134,7 +1209,8 @@ def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
     monkeypatch.setattr(PrimeContext, "central", reading)
     p = 1201
     congruences._suite_for_prime(p, _HALFRANGE_IDS, {}, False)
-    assert reductions == [(2, p), (1, p)]
+    assert [r[:2] for r in reductions] == [(2, (p - 1, p - 1, (p + 1) // 2)), (1, (0, 0, 0))]
+    assert [max(t.reaches) for _, _, t in reductions] == [p, (p - 1) // 2]
     assert set(centrals) == {3}
 
 
@@ -1195,11 +1271,12 @@ def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
     assert sorted(direct) == [0, 1, 334, 501, 668, 1000, 1334, 1501, 1668]
     assert chains == [(64, 0, [0], 1002), (108, 0, [0], 1336), (256, 1, [1, 1001], 1503),
                       (1728, 0, [0], 1670)]
-    # one table, mod p^2, built for the 64 chain's (2k)! and grown in place: it
-    # still reaches (6k)! at every k < p, whose valuations the kernel reads to
-    # check the 1728 weights' dead tail
+    # one table, mod p^2, built from 0! and grown in place: its valuations reach
+    # (6k)! at every k < p, which the kernel reads to check the 1728 weights'
+    # dead tail; its units reach (6k)! and its inverses 1/(3k)! only at the 1728
+    # cutoff c = 1669, as no chain steps
     [(k, limit, table)] = builds
-    assert (k, limit, table.limit) == (2, 2 * 2003, 6 * 2003)
+    assert (k, limit, table.reaches) == (2, 0, (6 * 2002, 6 * 1669, 3 * 1669))
 
 
 @pytest.mark.parametrize("fixed, table, p", [("C1_14b", "C1_19", 29), ("C1_14c", "C1_20", 13),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
-from operator import gt, index
+from operator import index
 from typing import NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -143,22 +143,30 @@ class FactorialTables:
     them.  Each list has a reach of its own: a table starts at 0! alone, and
     ``grow`` extends each list in place as far as its readers ask, so one
     table per prime and exponent serves them all, and no entry is made twice.
-    Growing is O(new entries) in whole-list passes: the new multiples of p are
-    stripped of their factors p, one slice per power of p; ``val`` continues
-    as the running sum of v_p(n), ``unit`` as the running product of the
-    stripped factors, and the new ``inv_unit`` entries run down from one
-    inverse of their top unit.  ValueError for p < 2, k < 1 or limit < 0;
-    that p is prime is the caller's to know.
+    A table made with a ``source``, a table of the same prime mod a higher
+    power, shares the source's ``val`` list, since v_p(n!) is the same at
+    every exponent, and takes the source's units and inverses reduced mod p^k
+    as far as the source holds them.  Growing is O(new entries) in whole-list
+    passes: the new multiples of p are stripped of their factors p, one slice
+    per power of p; ``val`` continues as the running sum of v_p(n), ``unit``
+    as the running product of the stripped factors, and the new ``inv_unit``
+    entries run down from one inverse of their top unit.  ValueError for
+    p < 2, k < 1, limit < 0, or a source of another prime or of no higher
+    power; that p is prime is the caller's to know.
     """
 
-    __slots__ = ("p", "k", "pk", "val", "unit", "inv_unit")
+    __slots__ = ("p", "k", "pk", "val", "unit", "inv_unit", "source")
 
-    def __init__(self, p: int, k: int, limit: int):
+    def __init__(self, p: int, k: int, limit: int, source: FactorialTables | None = None):
         for name, value, least in (("p", p, 2), ("k", k, 1), ("limit", limit, 0)):
             if value < least:
                 raise ValueError(f"FactorialTables needs {name} >= {least}, got {value}")
-        self.p, self.k, self.pk = p, k, p**k
-        self.val, self.unit, self.inv_unit = [0], [1], [1]  # 0! = 1
+        if source is not None and (source.p != p or source.k <= k):
+            raise ValueError(f"FactorialTables mod {p}^{k} needs a source of the same prime "
+                             f"mod a higher power, got mod {source.p}^{source.k}")
+        self.p, self.k, self.pk, self.source = p, k, p**k, source
+        self.val = [0] if source is None else source.val
+        self.unit, self.inv_unit = [1], [1]  # 0! = 1
         self.grow(limit)
 
     @property
@@ -174,7 +182,9 @@ class FactorialTables:
     def grow(self, limit: int, unit: int | None = None, inv: int | None = None) -> None:
         """Extend in place ``val`` to n <= limit, ``unit`` to n <= ``unit`` (``limit`` if
         None) and ``inv_unit`` to n <= ``inv`` (``unit`` if None), and ``unit`` to ``inv``:
-        the inverses run down from the top unit.  A reach a list has changes nothing."""
+        the inverses run down from the top unit.  A reach a list has changes nothing.
+        With a ``source``, the units and inverses it holds are taken first, reduced
+        mod p^k, and only the entries past them are built."""
         p, pk, start = self.p, self.pk, len(self.val)
         unit = limit if unit is None else unit
         inv = unit if inv is None else inv
@@ -186,7 +196,11 @@ class FactorialTables:
                 q *= p
             e[0] += self.val[-1]
             self.val += accumulate(e)
-        top, start = max(unit, inv), len(self.inv_unit)
+        top = max(unit, inv)
+        if self.source is not None:
+            self.unit += [u % pk for u in self.source.unit[len(self.unit) : top + 1]]
+            self.inv_unit += [u % pk for u in self.source.inv_unit[len(self.inv_unit) : inv + 1]]
+        start = len(self.inv_unit)
         if inv < start:  # no inverse to add
             start = len(self.unit)
         if top < start:
@@ -203,23 +217,6 @@ class FactorialTables:
             x = last = mod_inverse(self.unit[inv], pk)
             self.inv_unit += [x := x * n % pk for n in m[inv - start : 0 : -1]][::-1]
             self.inv_unit.append(last)
-
-    def reduced(self, k: int, limit: int, unit: int | None = None,
-                inv: int | None = None) -> FactorialTables:
-        """These tables mod p^k for k <= self.k, without a rebuild: ``val`` kept to
-        n <= limit, ``unit`` to n <= ``unit`` and ``inv_unit`` to n <= ``inv``, as in
-        ``grow``, the units reduced mod p^k.  ``reduced(k, limit)`` is
-        ``FactorialTables(p, k, limit)``; ValueError for a reach these tables lack."""
-        unit = limit if unit is None else unit
-        inv = unit if inv is None else inv
-        if not 1 <= k <= self.k or any(map(gt, (limit, max(unit, inv), inv), self.reaches)):
-            raise ValueError(f"cannot reduce tables mod p^{self.k} to p^{k} up to {limit}")
-        out = object.__new__(FactorialTables)
-        out.p, out.k, out.pk = self.p, k, self.p**k
-        out.val = self.val[: limit + 1]
-        out.unit = [u % out.pk for u in self.unit[: max(unit, inv) + 1]]
-        out.inv_unit = [u % out.pk for u in self.inv_unit[: inv + 1]]
-        return out
 
     def binomial(self, n: int, r: int) -> int:
         """C(n, r) mod p^k, the tables grown as far as it reads; 0 when r < 0 or r > n."""

@@ -49,7 +49,7 @@ FORMATS = ("human", "jsonl", "csv")
 def _prime_range(text: str) -> list[int]:
     """The primes in ``LO..HI``, a range that starts at 5 or above and holds a prime."""
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
     if int(lo) < 5:
         raise argparse.ArgumentTypeError("prime range must start at 5 or above")
@@ -86,7 +86,7 @@ def _mod_exp(text: str) -> list[tuple[str, int]]:
     pairs = []
     for item in _items(text):
         name, sep, val = item.partition("=")
-        if not sep or not val.lstrip("-").isdigit():
+        if not sep or not val.removeprefix("-").isdecimal():
             raise argparse.ArgumentTypeError(f"expected ID=K, got {item!r}")
         pairs.append((name.strip(), int(val)))
     return pairs

@@ -24,10 +24,11 @@ Two evaluation paths exist and are pinned against each other by the tests:
   sum term by term;
 * ``iter_suite`` batches rows over many primes.  Each prime evaluates its
   rows from the top exponent down, so a lower exponent reads tables,
-  summands and moments reduced from a higher one.  The prime builds one
-  factorial table, at its top exponent; each lower exponent reduces it once,
-  and each list of every exponent's table (valuations, units, inverses), like
-  each base^-k list, grows to the reach its own readers ask for.
+  summands and moments reduced from a higher one.  Each exponent has one
+  factorial table, and each of its lists (valuations, units, inverses), like
+  each base^-k list, grows to the reach its own readers ask for; a lower
+  exponent's table shares the valuations of the table above it and takes
+  the units and inverses that one holds, building only the rest.
   The shift engine steps the d -> d+2 relations in O(p) for each
   (family, parity) chain of shifts that a table row reads, from seeds read
   from binomial columns that every family shares.  Within one exponent the
@@ -341,11 +342,13 @@ class PrimeContext:
     A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
     at K is reduced from the lowest higher exponent cached, and built only if
     there is none.  The suite evaluates rows from the top exponent down, so a
-    prime builds its factorial table, C(2k,k), powers and summands once each.
-    Each list of an exponent's table then grows to the reach its own readers
-    ask for (``tables``): valuations over a summand's whole range, units and
-    inverses only to its cutoff, and the shift engine's inverses only where a
-    chain steps; base^-k grows to its readers' cutoffs (``base_powers``).  A
+    prime builds C(2k,k), powers and summands once each, and a lower
+    exponent's factorial table takes the entries that the one above it holds
+    and builds only the rest.  Each list of an exponent's table grows to the
+    reach its own readers ask for (``tables``): valuations over a summand's
+    whole range, units and inverses only to its cutoff, and the shift
+    engine's inverses only where a chain steps; base^-k grows to its
+    readers' cutoffs (``base_powers``).  A
     shift chain is stepped only where a table row reads it.  What a prime
     computes follows from what its rows read and the order in which they run,
     with one choice fixed at import: a power C(2k,k)^c / base^k that two or
@@ -413,19 +416,15 @@ class PrimeContext:
                inv: int | None = None) -> FactorialTables:
         """Factorial tables mod p^kexp whose lists reach n <= limit, ``unit`` and ``inv``
         at least, as ``FactorialTables.grow`` takes them.  Each exponent makes its
-        table once, on first use: each list reduced from the lowest higher
-        exponent's as far as that reaches and the caller asks, else from 0!; each
-        then grows in place to its own readers' furthest reach."""
-        unit = limit if unit is None else unit
-        reach = (limit, unit, unit if inv is None else inv)
+        table once, on first use, from 0! with the lowest higher exponent's table
+        cached as its source; each list then grows in place to its own readers'
+        furthest reach, taking from the source what that holds."""
         t = self._cache.get(("tables", kexp))
         if t is None:
-            higher = self._higher(("tables",), kexp)
-            t = (higher.reduced(kexp, *map(min, reach, higher.reaches)) if higher
-                 else FactorialTables(self.p, kexp, 0))
+            t = FactorialTables(self.p, kexp, 0, self._higher(("tables",), kexp))
             self._cache[("tables", kexp)] = t
             self._top = max(self._top, kexp)
-        t.grow(*reach)
+        t.grow(limit, unit, inv)
         return t
 
     def legendre(self, a: int) -> int:
@@ -676,11 +675,11 @@ class _RowFields(NamedTuple):
     id: str
     modulus_exp: int | Callable[[int], int]
     description: str
-    applies: Callable[[int], bool]
     statement: Statement | dict[int, Statement]
+    applies: Callable[[int], bool] = lambda p: True
     param_name: str = ""
     param_values: Callable[[int], Sequence[int]] | None = None
-    conjectural: Callable[[int, int | None], bool] = lambda p, v: False
+    conjectural: Callable[[int], bool] = lambda p: False
     experimental: bool = False
 
 
@@ -690,7 +689,9 @@ class RowSpec(_RowFields):
     ``modulus_exp`` is the exponent K of the modulus p^K, either a constant
     or a function of p for rows whose strength depends on the prime class.
     ``statement`` is a ``Statement`` or a map from each parameter value to its
-    ``Statement``.
+    ``Statement``.  ``applies`` says at which primes the row holds, every
+    prime by default (p >= 5, as the engine and ``check`` require), and
+    ``conjectural`` at which its statuses are experimental, none by default.
     The fields are a named tuple's; the derived properties are cached in ``__dict__``.
     """
 
@@ -723,14 +724,13 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_1", 2,
         "sum of cubed central binomials vs the x^2+7y^2 form",
-        lambda p: p >= 5 and p != 7,
         Statement((Sum(1, 3),), Closed(x2=4, p=-2, d=7)),
-        conjectural=lambda p, v: p % 7 in (1, 2, 4),
+        applies=lambda p: p != 7,
+        conjectural=lambda p: p % 7 in (1, 2, 4),
     ),
     RowSpec(
         "C1_2", 2,
         "C(n+k,2k) vs C(2k,k)/(-16)^k at n = (p-1)/2",
-        lambda p: p >= 5,
         Statement((Terms(_C1_2[0]),), Terms(_C1_2[1])),
         param_name="k",
         param_values=lambda p: range((p - 1) // 2 + 1),
@@ -738,7 +738,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_5", 2,
         "shifted squared-central sums over 64^k vanish at alternating shifts",
-        lambda p: p >= 5,
         Statement((Shift(64),), ZERO),
         param_name="d",
         param_values=_qualifying_shifts(lambda p: (p + 1) // 2),
@@ -746,91 +745,86 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_6", 2,
         "shift-one squared-central sum over 64^k for p = 3 (mod 4)",
-        lambda p: p % 4 == 3,
         Statement((Shift(64, 1),), lambda ctx, K, _: (2 * ctx.p + 2 - pow(2, ctx.p - 1, ctx.pk(K)))
                   * ctx.tables(K).binomial(ctx.n, (ctx.p + 1) // 4) ** 2),
+        applies=lambda p: p % 4 == 3,
     ),
     RowSpec(
         "C1_7a", 2,
         "(k+1)-weighted squared-central sum over 8^k vs x",
-        lambda p: p % 4 == 1,
         Statement((Sum(8, 2, (1, 1), half=True),), Closed(x=1, sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_7b", 2,
         "(2k+1)-weighted squared-central sum over (-16)^k vs x",
-        lambda p: p % 4 == 1,
         Statement((Sum(-16, 2, (1, 2), half=True),), Closed(x=1, sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_8", 2,
         "central-times-Catalan sum over 8^k chain vs 2x - p/x",
-        lambda p: p % 4 == 1,
         Statement((Sum(8, 2, factors=_CATALAN, half=True), Sum(8, 2, (0, -2))),
                   Closed(x=2, p_x=-1, sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_9", 2,
         "central-times-Catalan sum over (-16)^k chain vs 2(2x - p/x)",
-        lambda p: p % 4 == 1,
         Statement((_SCHRODER, Sum(-16, 2, factors=_CATALAN, half=True),
                    Sum(-16, 2, (0, -8), half=True)), Closed(x=4, p_x=-2, sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_10", 2,
         "k^2-weighted squared-central sum over 8^k vs x - 3p/4x",
-        lambda p: p % 4 == 1,
         Statement((Sum(8, 2, (0, 0, 1), half=True),),
                   Closed(x=1, p_x=Fraction(-3, 4), sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_11", 2,
         "k^2-weighted squared-central sum over (-16)^k vs -p/16x",
-        lambda p: p % 4 == 1,
         Statement((Sum(-16, 2, (0, 0, 1), half=True),), Closed(p_x=Fraction(-1, 16), sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_12", 2,
         "squared-central shift-one sum over (-8)^k vs 2p - 2x^2",
-        lambda p: p % 4 == 1,
         Statement((Sum(-8, 3, factors=_SHIFT1, lo=1),), Closed(x2=-2, p=2)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_13", 2,
         "central times squared shift-one sum over (-8)^k vs -2p",
-        lambda p: p % 4 == 1,
         Statement((Sum(-8, 3, factors=_SHIFT1 * 2, lo=1),), Closed(p=-2)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "CR1_1", lambda p: 3 if p % 4 == 1 else 2,
         "combined (k+1)/8^k and (2k+1)/(-16)^k squared-central sums",
-        lambda p: p >= 5,
         Statement(((Sum(8, 2, (1, 1)), Sum(-16, 2, (1, 2), half=True)),), Closed(x=2, sign=2)),
-        conjectural=lambda p, v: True,
+        conjectural=lambda p: True,
         experimental=True,
     ),
     RowSpec(
         "C1_14b", 2,
         "C(2k,k)^2 C(3k,k)/108^k sum vs weight-3 eta-product coefficient",
-        lambda p: p >= 5,
         Statement((Shift(108, 0),), Closed(x2=4, p=-2, d=3)),
     ),
     RowSpec(
         "C1_14c", 2,
         "C(2k,k)^2 C(4k,2k)/256^k sum vs weight-3 eta-product coefficient",
-        lambda p: p >= 5,
         Statement((Shift(256, 0),), Closed(x2=4, p=-2, d=2)),
     ),
     RowSpec(
         "C1_15", 2,
         "C(2k,k) C(3k,k) C(6k,3k)/1728^k sum vs eta-product coefficient",
-        lambda p: p >= 5,
         Statement((Shift(1728, 0),), Closed(x2=4, p=-2, sign=-3)),  # (p|3) = (-3|p)
     ),
     RowSpec(
         "C1_19", 2,
         "shifted 108-family sums vanish at alternating shifts",
-        lambda p: p >= 5,
         Statement((Shift(108),), ZERO),
         param_name="d",
         param_values=_qualifying_shifts(lambda p: p % 3 == 1),
@@ -838,7 +832,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_20", 2,
         "shifted 256-family sums vanish at alternating shifts",
-        lambda p: p >= 5,
         Statement((Shift(256),), ZERO),
         param_name="d",
         param_values=_qualifying_shifts(lambda p: p % 8 in (1, 3)),
@@ -846,7 +839,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_21", 2,
         "shifted 1728-family sums vanish at alternating shifts",
-        lambda p: p >= 5,
         Statement((Shift(1728),), ZERO),
         param_name="d",
         param_values=_qualifying_shifts(lambda p: p % 4 == 1),
@@ -854,38 +846,37 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_22", 2,
         "256-family sum at shift 0 vs the x^2+2y^2 form for p = 3 (mod 8)",
-        lambda p: p % 8 == 3,
         Statement((Shift(256, 0),), Closed(x2=4, p=-2, d=2)),
+        applies=lambda p: p % 8 == 3,
     ),
     RowSpec(
         "C1_23", 2,
         "1728-family sum at shift 0 vs the x^2+y^2 form for p = 5 (mod 12)",
-        lambda p: p % 12 == 5,
         Statement((Shift(1728, 0),), Closed(x2=-4, p=2)),
+        applies=lambda p: p % 12 == 5,
     ),
     RowSpec(
         "C1_24", 2,
         "C(2k,k)^2 C(3k,k+1)/108^k sum vanishes for p = 1 (mod 3)",
-        lambda p: p % 3 == 1,
         # C(3k,k+1) = (3k)! / ((k+1)! (2k-1)!), zero at k = 0
         Statement((Sum(108, 2, factors=((3, 0, 1), (1, 1, -1), (2, -1, -1)), lo=1),), ZERO),
+        applies=lambda p: p % 3 == 1,
     ),
     RowSpec(
         "C1_25", 2,
         "256-family sum at shift 1 vanishes for p = 1,3 (mod 8)",
-        lambda p: p % 8 in (1, 3),
         Statement((Shift(256, 1),), ZERO),
+        applies=lambda p: p % 8 in (1, 3),
     ),
     RowSpec(
         "C1_26", 2,
         "1728-family sum at shift 1 vanishes for p = 1 (mod 4)",
-        lambda p: p % 4 == 1,
         Statement((Shift(1728, 1),), ZERO),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "CL3_2", 3,
         "double convolution sums of squared central binomials mod p^3",
-        lambda p: p >= 5,
         Statement((_cl3_2,), Closed(p=1, sign=-1)),
         param_name="part",
         param_values=lambda p: (1, 2),
@@ -893,7 +884,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "CL3_3", 3,
         "weighted half-range squared-central sums mod p^3",
-        lambda p: p >= 5,
         {
             1: Statement(((Sum(8, 2, (0, 2), half=True), Sum(8, 2, factors=_CATALAN, half=True)),),
                          Closed(p2=2, sign=2)),
@@ -908,54 +898,50 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "CGZ", 3,
         "(3k+1) C(2k,k)^3/(-8)^k sum vs p(-1|p) mod p^3",
-        lambda p: p >= 5,
         Statement((Sum(-8, 3, (1, 3)),), Closed(p=1, sign=-1)),
     ),
     RowSpec(
         "CGZ_P4", 4,
         "(3k+1) C(2k,k)^3/(-8)^k sum with Euler-number correction mod p^4",
-        lambda p: p >= 5,
         Statement((Sum(-8, 3, (1, 3)),), lambda ctx, K, _: ctx.p * ctx.legendre(-1)
                   + ctx.p**3 * euler_number_mod_p(ctx.p - 3, ctx.p)),
-        conjectural=lambda p, v: True,
+        conjectural=lambda p: True,
         experimental=True,
     ),
     RowSpec(
         "C3_2", 2,
         "C(n,(p-1)/4) vs (2^(p-1)+1)/2 (2x - p/2x) for p = 1 (mod 4)",
-        lambda p: p % 4 == 1,
         Statement((_quarter_binomial,), lambda ctx, K, _: (pow(2, ctx.p - 1, ctx.pk(K)) + 1)
                   * Closed(x=1, p_x=Fraction(-1, 4))(ctx, K, _)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C3_3", 2,
         "squared-central sums over 8^k and (-16)^k chain vs 2x - p/2x",
-        lambda p: p % 4 == 1,
         Statement((Sum(8, 2, half=True), Sum(-16, 2, half=True)),
                   Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C3_4", 2,
         "central Delannoy number at (p-1)/2 vs 2x - p/2x",
-        lambda p: p % 4 == 1,
         Statement((_DELANNOY,), Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "CR3_1", 1,
         "central Delannoy number at (p-1)/2 vanishes for p = 3 (mod 4)",
-        lambda p: p % 4 == 3,
         Statement((_DELANNOY,), ZERO),
+        applies=lambda p: p % 4 == 3,
     ),
     RowSpec(
         "C3_5", 2,
         "cubed central binomials over (-8)^k vs the x^2+y^2 form",
-        lambda p: p >= 5,
         Statement((Sum(-8, 3),), Closed(x2=4, p=-2)),
     ),
     RowSpec(
         "C4_1", 1,
         "cubic-sum vs 256-family transformation at scaled arguments",
-        lambda p: p >= 5,
         Statement((lambda ctx, K, x: _series(ctx, K, _C4_1[0], -x, 64),), lambda ctx, K, x:
                   ctx.legendre(x + 1) * _series(ctx, K, _C4_1[1], x, 64 * (x + 1) * (x + 1))),
         param_name="x",
@@ -964,20 +950,19 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "CG", 1,
         "C(n,(p-1)/4) vs 2x for p = x^2 + y^2, x = 1 (mod 4)",
-        lambda p: p % 4 == 1,
         Statement((_quarter_binomial,), Closed(x=2)),
+        applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "CM", 1,
         "C(n,(p-1)/4) vs 12(-432)^m C(2m,m) for p = 12m + 5",
-        lambda p: p % 12 == 5,
         Statement((_quarter_binomial,), lambda ctx, K, _: 12 * pow(-432, ctx.p // 12, ctx.pk(K))
                   * ctx.tables(K).binomial(ctx.p // 6, ctx.p // 12)),
+        applies=lambda p: p % 12 == 5,
     ),
     RowSpec(
         "C_AHL", 1,
         "alternating Apery-style sum vs the x^2+2y^2 form",
-        lambda p: p >= 5,
         Statement((lambda ctx, K, _: ctx.legendre(-1) * _AHL(ctx, K, _),),
                   Closed(x2=4, p=-2, d=2)),
     ),
@@ -1042,19 +1027,19 @@ def _table_params(name: str, values: range) -> list[str]:
     return strs[values.start:values.stop:values.step]
 
 
-def _status(row: RowSpec, p: int, value: int | None, ok: bool) -> str:
-    if row.conjectural(p, value):
+def _status(row: RowSpec, p: int, ok: bool) -> str:
+    if row.conjectural(p):
         return XPASS if ok else XFAIL
     return PASS if ok else FAIL
 
 
-def _outcome(row: RowSpec, p: int, value, members, rhs) -> tuple[int, int, str]:
+def _outcome(row: RowSpec, p: int, members, rhs) -> tuple[int, int, str]:
     """(lhs, rhs, status) of a report: on failure the chain's first differing pair."""
     seq = (*members, rhs)
     for a, b in zip(seq, seq[1:]):
         if a != b:
-            return a, b, _status(row, p, value, False)
-    return members[0], rhs, _status(row, p, value, True)
+            return a, b, _status(row, p, False)
+    return members[0], rhs, _status(row, p, True)
 
 
 def _evaluate(row: RowSpec, ctx: PrimeContext, kexp: int, v) -> tuple[tuple[int, ...], int]:
@@ -1119,7 +1104,7 @@ def check(
         members, rhs = _evaluate(row, ctx, kexp, param)
     except Exception as exc:
         raise _located(exc, row.id, p) from exc
-    return CongruenceReport(*head, *_outcome(row, p, param, members, rhs))
+    return CongruenceReport(*head, *_outcome(row, p, members, rhs))
 
 
 def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tuple:
@@ -1141,7 +1126,7 @@ def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tup
         members, rhs = _evaluate(row, ctx, kexp, v)
         if timings:
             micros.append((time.perf_counter_ns() - start) // 1000)
-        outcomes.append(_outcome(row, p, v, members, rhs))
+        outcomes.append(_outcome(row, p, members, rhs))
     lhs, rhs, status = map(list, zip(*outcomes))
     params = [_format_params(row, v) for v in values]
     return row.id, p, params, pkv, lhs, rhs, status, micros if timings else 0
@@ -1170,9 +1155,9 @@ def _suite_for_prime(
 
     The rows are evaluated from the highest exponent down, so each lower
     exponent reads the prime's tables, powers, summands and shift chains
-    reduced from a higher one: the prime's factorial table is built once, at
-    the top exponent, and each list of each exponent's table grows to the
-    reach its own readers ask for (``PrimeContext.tables``).  Within one
+    reduced from a higher one: a lower exponent's factorial table takes the
+    entries of the table above it, and each list of each exponent's table
+    grows to the reach its own readers ask for (``PrimeContext.tables``).  Within one
     exponent the table rows run first, then the others, each in registry order, so every chain
     stepped at an exponent is cached before a row of that exponent reads one
     fixed shift (``PrimeContext.shift_sum``).  An exception raised while a row

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from binomsums import arith
 from binomsums.arith import (
     FactorialTables,
     is_prime,
@@ -161,9 +162,10 @@ def _agrees(t, tables) -> bool:
 
 def test_each_list_grows_to_its_own_reach_in_any_order():
     # val, unit and inv_unit grown in a random order to reaches of their own,
-    # and partly grown tables reduced and grown on: each list reaches exactly the
-    # furthest n asked of it (units at least as far as inverses, which run down
-    # from the top unit) and equals the one-n-at-a-time build on every entry
+    # and lower exponents' tables grown from a partly grown source: each list
+    # reaches exactly the furthest n asked of it (units at least as far as
+    # inverses, which run down from the top unit; a sourced table's valuations
+    # are its source's) and equals the one-n-at-a-time build on every entry
     rng = random.Random(27)
     for p in (3, 5, 7, 13):
         top = p**3 + p
@@ -180,18 +182,64 @@ def test_each_list_grows_to_its_own_reach_in_any_order():
                     want[1] = max(want[1], want[2])
                     assert list(t.reaches) == want
                     assert t.limit == min(want[0], want[2]) and _agrees(t, built[k]), (p, k)
-                for j in range(1, k + 1):
-                    reach = [rng.randrange(w + 1) for w in want]
-                    got = t.reduced(j, *reach)
-                    reach[1] = max(reach[1], reach[2])
-                    assert (got.k, got.pk) == (j, p**j)
-                    assert list(got.reaches) == reach
-                    assert _agrees(got, built[j]), (p, k, j, reach)
-                    got.grow(*(rng.randrange(top + 1) for _ in range(3)))
-                    assert _agrees(got, built[j]), (p, k, j)
-                    for past in ((want[0] + 1,), (0, want[1] + 1, 0), (0, 0, want[2] + 1)):
-                        with pytest.raises(ValueError):
-                            t.reduced(j, *past)
+                for j in range(1, k):
+                    reach = [rng.randrange(top + 1) for _ in range(3)]
+                    got = FactorialTables(p, j, 0, t)
+                    got.grow(*reach)
+                    assert (got.k, got.pk) == (j, p**j) and got.val is t.val
+                    assert got.reaches[1:] == (max(reach[1:]), reach[2])
+                    assert _agrees(got, built[j]) and _agrees(t, built[k]), (p, k, j, reach)
+                    want[0] = max(want[0], reach[0])
+                    assert t.reaches == tuple(want)
+
+
+def test_tables_from_a_source_equal_fresh_builds():
+    # a lower exponent's table takes what it asks of its source, which holds more
+    for p in (5, 7, 13, 101):
+        big = 3 * p + 2
+        for top in (2, 3, 4):
+            source = FactorialTables(p, top, big)
+            for k in range(1, top):
+                for limit in (0, 1, p - 1, p, 2 * p + 1, big):
+                    got, want = FactorialTables(p, k, limit, source), FactorialTables(p, k, limit)
+                    assert (got.p, got.k, got.pk, got.source) == (p, k, p**k, source)
+                    assert got.reaches == (big, limit, limit) and got.val is source.val
+                    assert got.val[: limit + 1] == want.val
+                    assert (got.unit, got.inv_unit) == (want.unit, want.inv_unit)
+
+
+@pytest.mark.parametrize("p, k, source", [(7, 1, (5, 2)), (7, 2, (7, 1)), (7, 2, (7, 2))])
+def test_a_source_of_another_prime_or_no_higher_power_is_refused(p, k, source):
+    with pytest.raises(ValueError, match=rf"^FactorialTables mod {p}\^{k} needs a source "):
+        FactorialTables(p, k, 0, FactorialTables(*source, 10))
+
+
+def test_tables_grown_from_a_grown_source_equal_fresh_builds(monkeypatch):
+    # the tables PrimeContext keeps: a source built short and grown, a lower
+    # exponent made from it, the source grown after that, and the lower table
+    # grown past the source.  What the source holds is taken, not built: only
+    # growing the inverses past the source's inverts a unit.
+    inverted = []
+    monkeypatch.setattr(arith, "mod_inverse", lambda a, m: inverted.append(m) or pow(a, -1, m))
+    for p in (5, 7, 13, 101):
+        big = 6 * p
+        for top in (2, 3, 4):
+            for k in range(1, top):
+                for limit in (0, p - 1, p, 2 * p + 1):
+                    source = FactorialTables(p, top, p)
+                    source.grow(2 * p + 1)
+                    got = FactorialTables(p, k, 0, source)
+                    inverted.clear()
+                    got.grow(limit)
+                    assert inverted == [] and got.reaches == (2 * p + 1, limit, limit)
+                    source.grow(big)
+                    inverted.clear()
+                    got.grow(big)
+                    assert inverted == [] and got.reaches == (big, big, big)
+                    got.grow(big + p)
+                    assert inverted == [p**k] and source.reaches == (big + p, big, big)
+                    want = FactorialTables(p, k, big + p)
+                    assert (got.val, got.unit, got.inv_unit) == (want.val, want.unit, want.inv_unit)
 
 
 def test_binomial_grows_the_lists_it_reads():
@@ -341,40 +389,3 @@ def test_factorial_tables_give_reciprocals():
         for i in range(1, 201):
             if i % p:
                 assert i * t.inv_unit[i] * t.unit[i - 1] % t.pk == 1
-
-
-
-def test_factorial_tables_reduced_equal_fresh_builds():
-    for p in (5, 7, 13, 101):
-        big = 3 * p + 2
-        for top in (2, 3, 4):
-            t = FactorialTables(p, top, big)
-            for k in range(1, top):
-                for limit in (0, 1, p - 1, p, 2 * p + 1, big):
-                    got, want = t.reduced(k, limit), FactorialTables(p, k, limit)
-                    assert (got.p, got.k, got.pk, got.limit) == (p, k, p**k, limit)
-                    assert got.val == want.val
-                    assert got.unit == want.unit
-                    assert got.inv_unit == want.inv_unit
-            with pytest.raises(ValueError):
-                t.reduced(top + 1, big)
-            with pytest.raises(ValueError):
-                t.reduced(1, big + 1)
-
-
-def test_reduced_grown_tables_equal_fresh_builds():
-    # the tables PrimeContext keeps: built short, grown, reduced, and grown again
-    for p in (5, 7, 13, 101):
-        big = 6 * p
-        for top in (2, 3, 4):
-            t = FactorialTables(p, top, p)
-            t.grow(2 * p)
-            t.grow(big)
-            for k in range(1, top + 1):
-                for limit in (0, p - 1, p, 2 * p + 1, big):
-                    got, want = t.reduced(k, limit), FactorialTables(p, k, limit)
-                    assert (got.limit, got.val, got.unit, got.inv_unit) == (
-                        limit, want.val, want.unit, want.inv_unit), (p, top, k, limit)
-                    got.grow(big + p)
-                    want = FactorialTables(p, k, big + p)
-                    assert (got.val, got.unit, got.inv_unit) == (want.val, want.unit, want.inv_unit)

@@ -59,6 +59,21 @@ def test_usage_errors_exit_2(args):
     assert r.returncode == 2, r.stderr
 
 
+def test_digits_that_are_not_decimal_get_the_converters_own_messages(capsys):
+    # '²' is a digit that is not decimal, and a second sign is no sign at all:
+    # each is refused with the converter's own message, not argparse's
+    # "invalid ... value" naming the converter
+    for args, message in ((("--primes", "5..3²"), "expected LO..HI, got '5..3²'"),
+                          (("--primes", "²..7"), "expected LO..HI, got '²..7'"),
+                          (("--prime-list", "5", "--mod-exp", "C1_12=²"), "expected ID=K, got 'C1_12=²'"),
+                          (("--prime-list", "5", "--mod-exp", "C1_12=--5"),
+                           "expected ID=K, got 'C1_12=--5'")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *args])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and message in err and "invalid" not in err, (args, err)
+
+
 def test_prime_list_rejects_composites_and_small_entries():
     r = run_cli("verify", "--prime-list", "9,15")
     assert r.returncode == 2

@@ -385,7 +385,7 @@ def test_shift_engine_catches_a_corrupted_step():
                          if good[d] and good[d + 2] and not {d, d + 1} & roots]
                 d = rng.choice(steps)
                 m1 = fam.step * (d + 1) + fam.offsets[0]
-                bent = tables.reduced(kexp, tables.limit)
+                bent = FactorialTables(p, kexp, tables.limit)
                 bent.unit = _DoubledEntry(bent.unit, m1 - 1, bent.pk)
                 with pytest.raises(ArithmeticError, match=rf"p={p}, base={base}, d=\d+, K={kexp}"):
                     _sweeps.shift_chain(p, base, weights, bent, columns, d % 2)
@@ -649,7 +649,7 @@ def test_parallel_matches_serial():
 @pytest.mark.parametrize("rid", ["C1_2", "C1_5", "C1_19", "C1_20", "C1_21"])
 def test_table_rows_cannot_be_conjectural(monkeypatch, rid):
     i = _ROW_INDEX[rid]
-    row = _REGISTRY[i]._replace(conjectural=lambda p, v: True)
+    row = _REGISTRY[i]._replace(conjectural=lambda p: True)
     monkeypatch.setattr(congruences, "_REGISTRY", (*_REGISTRY[:i], row, *_REGISTRY[i + 1 :]))
     with pytest.raises(ValueError, match=f"table row {rid} cannot be conjectural"):
         congruences._check_table_rows()
@@ -1098,44 +1098,61 @@ _HALFRANGE_IDS =("C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12",
                   "CL3_2", "CL3_3", "CGZ")
 
 
+def _growth(monkeypatch) -> dict:
+    """Count, per exponent, what ``FactorialTables.grow`` does to the prime's one
+    table there: {k: (table, taken, built)}, in the order the tables are made,
+    with the entries of (val, unit, inv_unit) taken from the table's source and
+    those built.  The valuations are shared with the source, so none is taken."""
+    seen, grow = {}, FactorialTables.grow
+
+    def counting(self, *reach):
+        before = self.reaches
+        grow(self, *reach)
+        held = self.source.reaches if self.source else (-1, -1, -1)
+        table, taken, built = seen.setdefault(self.k, (self, [0, 0, 0], [0, 0, 0]))
+        assert table is self, "a second table at one exponent"
+        for i, (was, now, has) in enumerate(zip(before, self.reaches, held)):
+            took = i and max(0, min(now, has) - was)
+            taken[i] += took
+            built[i] += now - was - took
+
+    monkeypatch.setattr(FactorialTables, "grow", counting)
+    return seen
+
+
 def test_one_factorial_table_per_prime(monkeypatch):
     # the top exponent builds the prime's one table from 0!; each lower exponent
-    # reduces it once from the exponent above, each list as far as it reaches
-    # there and the first reader asks, and every list then grows in place to the
-    # furthest reach that its own readers ask for
-    made = []
-    init, reduce = FactorialTables.__init__, FactorialTables.reduced
-
-    def counting(self, p, k, limit):
-        made.append(("build", k, limit, self))
-        init(self, p, k, limit)
-
-    def reducing(self, k, *reach):
-        out = reduce(self, k, *reach)
-        made.append(("reduce", k, reach, out))
-        return out
-
-    monkeypatch.setattr(FactorialTables, "__init__", counting)
-    monkeypatch.setattr(FactorialTables, "reduced", reducing)
+    # makes its table from the one above, whose valuations it shares and whose
+    # units and inverses it takes as far as that holds them and its readers
+    # ask; past that each list grows in place to its own readers' furthest reach
+    seen = _growth(monkeypatch)
     p = 1009
     congruences._suite_for_prime(p, _HALFRANGE_IDS, {}, False)
-    assert [m[:3] for m in made] == [("build", 3, 0), ("reduce", 2, (p - 1, p - 1, 505)),
-                                     ("reduce", 1, (0, 0, 0))]
-    # C(2k,k) for k < p reads (2k)! and 1/k!; the p^2 rows read nothing past p
-    assert {k: t.reaches for _, k, _, t in made} == {
-        3: (2 * p - 2, 2 * p - 2, p - 1), 2: (p, p, p), 1: ((p - 1) // 2, (p - 1) // 2, 252)}
+    assert [(k, t.source and t.source.k) for k, (t, _, _) in seen.items()] == [
+        (3, None), (2, 3), (1, 2)]
+    # C(2k,k) for k < p reads (2k)! and 1/k!; the p^2 rows read nothing past p,
+    # whose inverse alone the p^3 table lacks; the p table, first read by
+    # C((p-1)/2, (p-1)/4), takes every entry it reads
+    assert {k: (t.reaches, taken, built) for k, (t, taken, built) in seen.items()} == {
+        3: ((2 * p - 2, 2 * p - 2, p - 1), [0, 0, 0], [2 * p - 2, 2 * p - 2, p - 1]),
+        2: ((2 * p - 2, p, p), [0, p, p - 1], [0, 0, 1]),
+        1: ((2 * p - 2, (p - 1) // 2, 252), [0, (p - 1) // 2, 252], [0, 0, 0])}
     for p, c in ((1009, 840), (10007, 8339)):
         assert congruences._FAMILY[1728].cutoff(p, 2) == c
-        made.clear()
+        seen.clear()
         congruences._suite_for_prime(p, tuple(default_ids()), {}, False)
-        assert [m[:2] for m in made] == [("build", 3), ("reduce", 2), ("reduce", 1)]
+        assert [(k, t.source and t.source.k) for k, (t, _, _) in seen.items()] == [
+            (3, None), (2, 3), (1, 2)]
         # each list's reach at each exponent: C(2k,k) at p^3; at p^2 the 1728
         # weights' valuations over k < p, their (6k)! to the cutoff c and 1/(3k)!
         # to c (no chain steps: every one vanishes or stops at c); at p, C4_1's
-        # (4k)! whose valuations run to k = p - 1 and whose terms end at (p-1)/4
-        assert {k: t.reaches for _, k, _, t in made} == {
-            3: (2 * p - 2, 2 * p - 2, p - 1), 2: (6 * p - 6, 6 * c, 3 * c),
-            1: (4 * p - 4, p - 1, (p - 1) // 2)}
+        # (4k)! whose valuations run to k = p - 1 and whose terms end at (p-1)/4.
+        # The valuations, one list for the prime, reach the furthest of them.
+        assert {k: (t.reaches, taken, built) for k, (t, taken, built) in seen.items()} == {
+            3: ((6 * p - 6, 2 * p - 2, p - 1), [0, 0, 0], [2 * p - 2, 2 * p - 2, p - 1]),
+            2: ((6 * p - 6, 6 * c, 3 * c), [0, 2 * p - 2, p - 1],
+                [4 * p - 4, 6 * c - 2 * p + 2, 3 * c - p + 1]),
+            1: ((6 * p - 6, p - 1, (p - 1) // 2), [0, p - 1, (p - 1) // 2], [0, 0, 0])}
 
 
 def test_base_powers_grow_to_their_readers_cutoffs():
@@ -1192,25 +1209,21 @@ def test_a_vanishing_chain_reads_no_inverse_past_its_guards(monkeypatch):
 
 def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
     # at p = 1201 the halfrange rows run at p^3, p^2 and p; only the p^3 rows
-    # build C(2k,k), so the p^2 table needs no (2k)! and stays p long
-    reductions, centrals = [], []
-    reduce, central = FactorialTables.reduced, PrimeContext.central
-
-    def reducing(self, k, *reach):
-        out = reduce(self, k, *reach)
-        reductions.append((k, reach, out))
-        return out
+    # build C(2k,k), so the p^2 table needs no (2k)! and its units stay p long
+    seen, centrals = _growth(monkeypatch), []
+    central = PrimeContext.central
 
     def reading(self, kexp):
         centrals.append(kexp)
         return central(self, kexp)
 
-    monkeypatch.setattr(FactorialTables, "reduced", reducing)
     monkeypatch.setattr(PrimeContext, "central", reading)
     p = 1201
     congruences._suite_for_prime(p, _HALFRANGE_IDS, {}, False)
-    assert [r[:2] for r in reductions] == [(2, (p - 1, p - 1, (p + 1) // 2)), (1, (0, 0, 0))]
-    assert [max(t.reaches) for _, _, t in reductions] == [p, (p - 1) // 2]
+    assert {k: (t.reaches[1:], taken, built) for k, (t, taken, built) in seen.items()} == {
+        3: ((2 * p - 2, p - 1), [0, 0, 0], [2 * p - 2, 2 * p - 2, p - 1]),
+        2: ((p, p), [0, p, p - 1], [0, 0, 1]),
+        1: (((p - 1) // 2, (p - 1) // 4), [0, (p - 1) // 2, (p - 1) // 4], [0, 0, 0])}
     assert set(centrals) == {3}
 
 
@@ -1230,9 +1243,8 @@ def test_primality_is_tested_once_per_public_call(monkeypatch):
 
 
 def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
-    direct, chains, builds = [], [], []
+    direct, chains = [], []
     direct_sum, chain = _sweeps.direct_shift_sum, congruences.shift_chain
-    init = FactorialTables.__init__
 
     def counting_direct(p, weights, d, tables):
         direct.append(d)
@@ -1242,13 +1254,9 @@ def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
         chains.append((base, parity, sorted(columns), len(weights)))
         return chain(p, base, weights, tables, columns, parity)
 
-    def counting_build(self, p, k, limit):
-        builds.append((k, limit, self))
-        init(self, p, k, limit)
-
     monkeypatch.setattr(_sweeps, "direct_shift_sum", counting_direct)
     monkeypatch.setattr(congruences, "shift_chain", counting_chain)
-    monkeypatch.setattr(FactorialTables, "__init__", counting_build)
+    seen = _growth(monkeypatch)
     shift_ids = ("C1_5", "C1_6", "C1_19", "C1_20", "C1_21", "C1_22", "C1_23", "C1_24", "C1_25",
                  "C1_26")
     congruences._suite_for_prime(2003, shift_ids, {}, False)
@@ -1271,12 +1279,13 @@ def test_the_suite_steps_only_the_chains_its_rows_read(monkeypatch):
     assert sorted(direct) == [0, 1, 334, 501, 668, 1000, 1334, 1501, 1668]
     assert chains == [(64, 0, [0], 1002), (108, 0, [0], 1336), (256, 1, [1, 1001], 1503),
                       (1728, 0, [0], 1670)]
-    # one table, mod p^2, built from 0! and grown in place: its valuations reach
-    # (6k)! at every k < p, which the kernel reads to check the 1728 weights'
-    # dead tail; its units reach (6k)! and its inverses 1/(3k)! only at the 1728
-    # cutoff c = 1669, as no chain steps
-    [(k, limit, table)] = builds
-    assert (k, limit, table.reaches) == (2, 0, (6 * 2002, 6 * 1669, 3 * 1669))
+    # one table, mod p^2 with no source, built from 0! and grown in place: its
+    # valuations reach (6k)! at every k < p, which the kernel reads to check the
+    # 1728 weights' dead tail; its units reach (6k)! and its inverses 1/(3k)!
+    # only at the 1728 cutoff c = 1669, as no chain steps
+    [(k, (table, taken, built))] = seen.items()
+    reach = (6 * 2002, 6 * 1669, 3 * 1669)
+    assert (k, table.source, table.reaches, taken, built) == (2, None, reach, [0, 0, 0], list(reach))
 
 
 @pytest.mark.parametrize("fixed, table, p", [("C1_14b", "C1_19", 29), ("C1_14c", "C1_20", 13),
@@ -1377,7 +1386,7 @@ def test_a_corrupted_chain_raises_naming_its_row(rid, base, parity, monkeypatch)
         m1 = fam.step * (d + 1) + fam.offsets[0]
 
         def bent(p, b, weights, tables, columns, q):
-            tables = tables.reduced(tables.k, tables.limit)
+            tables = FactorialTables(p, tables.k, tables.limit)
             tables.unit = _DoubledEntry(tables.unit, m1 - 1, tables.pk)
             return chain(p, b, weights, tables, columns, q)
 

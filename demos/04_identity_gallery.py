@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import comb
 
 from binomsums import run_identity_suite
-from binomsums.identities import cross_check_polynomials
 from binomsums.sequences import delannoy_poly, f_poly, schroder_poly
 
 
@@ -35,9 +34,6 @@ def main():
     half = Fraction(-1, 2)
     print("\nhalf-point values D_n(-1/2), the bridge to sums over (-16)^k:")
     print("  ", [delannoy_poly(n, half) for n in range(8)])
-
-    print("\ncoefficient lists agree with the direct evaluators:",
-          cross_check_polynomials())
 
     print("\nfull suite at default bounds:")
     for r in run_identity_suite():

@@ -43,9 +43,9 @@ Two evaluation paths exist and are pinned against each other by the tests:
   ``run_suite`` lists those.
 
 Statuses: ``pass``/``fail`` for proven rows, ``experimental-pass``/
-``experimental-fail`` for conjectural ones, and ``skipped`` when a row's side
-condition excludes the prime.  Only a plain ``fail`` should ever make a
-verification run unsuccessful.
+``experimental-fail`` for conjectural and experimental ones, and ``skipped``
+when a row's side condition excludes the prime.  Only a plain ``fail`` should
+ever make a verification run unsuccessful.
 """
 
 from __future__ import annotations
@@ -211,17 +211,14 @@ class Terms(NamedTuple):
         return col
 
 
-QUARTER = "(-1)^((p-1)/4)"  # a Closed sign, for p = 1 (mod 4)
-
-
 class Closed(NamedTuple):
     """sign * (x2 x^2 + x x + p_x p/x + p p + p2 p^2), x from p = x^2 + d y^2.
 
     x is normalized as ``represent`` gives it (x = 1 (mod 4) for d = 1), and
     a form with an x term is 0 when p has no such representation: 4x^2 - 2p
-    is the eta-product coefficient shape.  ``sign`` is ``QUARTER`` or the a
-    of the Legendre symbol (a|p).  ``p_x`` may be a Fraction whose
-    denominator is prime to p.
+    is the eta-product coefficient shape.  ``sign`` is the a of the Legendre
+    symbol (a|p); at p = 1 (mod 4), (2|p) is (-1)^((p-1)/4).  ``p_x`` may be
+    a Fraction whose denominator is prime to p.
     """
 
     x2: int = 0
@@ -230,7 +227,7 @@ class Closed(NamedTuple):
     p: int = 0
     p2: int = 0
     d: int = 1
-    sign: int | str = 1
+    sign: int = 1
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
         pk, p = ctx.pk(kexp), ctx.p
@@ -244,9 +241,7 @@ class Closed(NamedTuple):
             if self.p_x:  # an int has a numerator and a denominator too
                 c = self.p_x
                 value += c.numerator * mod_inverse(c.denominator * x % pk, pk) * p
-        if self.sign == QUARTER:
-            value *= 1 if p % 8 == 1 else -1
-        elif self.sign != 1:
+        if self.sign != 1:
             value *= ctx.legendre(self.sign)
         return value % pk
 
@@ -691,7 +686,8 @@ class RowSpec(_RowFields):
     ``statement`` is a ``Statement`` or a map from each parameter value to its
     ``Statement``.  ``applies`` says at which primes the row holds, every
     prime by default (p >= 5, as the engine and ``check`` require), and
-    ``conjectural`` at which its statuses are experimental, none by default.
+    ``conjectural`` at which its statuses are experimental, none by default;
+    an ``experimental`` row's statuses are experimental at every prime.
     The fields are a named tuple's; the derived properties are cached in ``__dict__``.
     """
 
@@ -752,40 +748,40 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_7a", 2,
         "(k+1)-weighted squared-central sum over 8^k vs x",
-        Statement((Sum(8, 2, (1, 1), half=True),), Closed(x=1, sign=QUARTER)),
+        Statement((Sum(8, 2, (1, 1), half=True),), Closed(x=1, sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_7b", 2,
         "(2k+1)-weighted squared-central sum over (-16)^k vs x",
-        Statement((Sum(-16, 2, (1, 2), half=True),), Closed(x=1, sign=QUARTER)),
+        Statement((Sum(-16, 2, (1, 2), half=True),), Closed(x=1, sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_8", 2,
         "central-times-Catalan sum over 8^k chain vs 2x - p/x",
         Statement((Sum(8, 2, factors=_CATALAN, half=True), Sum(8, 2, (0, -2))),
-                  Closed(x=2, p_x=-1, sign=QUARTER)),
+                  Closed(x=2, p_x=-1, sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_9", 2,
         "central-times-Catalan sum over (-16)^k chain vs 2(2x - p/x)",
         Statement((_SCHRODER, Sum(-16, 2, factors=_CATALAN, half=True),
-                   Sum(-16, 2, (0, -8), half=True)), Closed(x=4, p_x=-2, sign=QUARTER)),
+                   Sum(-16, 2, (0, -8), half=True)), Closed(x=4, p_x=-2, sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_10", 2,
         "k^2-weighted squared-central sum over 8^k vs x - 3p/4x",
         Statement((Sum(8, 2, (0, 0, 1), half=True),),
-                  Closed(x=1, p_x=Fraction(-3, 4), sign=QUARTER)),
+                  Closed(x=1, p_x=Fraction(-3, 4), sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C1_11", 2,
         "k^2-weighted squared-central sum over (-16)^k vs -p/16x",
-        Statement((Sum(-16, 2, (0, 0, 1), half=True),), Closed(p_x=Fraction(-1, 16), sign=QUARTER)),
+        Statement((Sum(-16, 2, (0, 0, 1), half=True),), Closed(p_x=Fraction(-1, 16), sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
@@ -804,7 +800,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "CR1_1", lambda p: 3 if p % 4 == 1 else 2,
         "combined (k+1)/8^k and (2k+1)/(-16)^k squared-central sums",
         Statement(((Sum(8, 2, (1, 1)), Sum(-16, 2, (1, 2), half=True)),), Closed(x=2, sign=2)),
-        conjectural=lambda p: True,
         experimental=True,
     ),
     RowSpec(
@@ -905,7 +900,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "(3k+1) C(2k,k)^3/(-8)^k sum with Euler-number correction mod p^4",
         Statement((Sum(-8, 3, (1, 3)),), lambda ctx, K, _: ctx.p * ctx.legendre(-1)
                   + ctx.p**3 * euler_number_mod_p(ctx.p - 3, ctx.p)),
-        conjectural=lambda p: True,
         experimental=True,
     ),
     RowSpec(
@@ -919,13 +913,13 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C3_3", 2,
         "squared-central sums over 8^k and (-16)^k chain vs 2x - p/2x",
         Statement((Sum(8, 2, half=True), Sum(-16, 2, half=True)),
-                  Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
+                  Closed(x=2, p_x=Fraction(-1, 2), sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
         "C3_4", 2,
         "central Delannoy number at (p-1)/2 vs 2x - p/2x",
-        Statement((_DELANNOY,), Closed(x=2, p_x=Fraction(-1, 2), sign=QUARTER)),
+        Statement((_DELANNOY,), Closed(x=2, p_x=Fraction(-1, 2), sign=2)),
         applies=lambda p: p % 4 == 1,
     ),
     RowSpec(
@@ -984,16 +978,6 @@ _READERS = Counter(key[:2] for key in _SUMMANDS if key[1])
 _SHARED_POWERS = frozenset(pair for pair, n in _READERS.items() if n > 1)
 
 
-def _check_table_rows() -> None:
-    """``_row_block`` gives a table row's statuses pass or fail, so none may be conjectural."""
-    for row in _REGISTRY:
-        if row.table and row.conjectural is not RowSpec._field_defaults["conjectural"]:
-            raise ValueError(f"table row {row.id} cannot be conjectural")
-
-
-_check_table_rows()
-
-
 def registry() -> tuple[RowSpec, ...]:
     """All congruence rows in report order."""
     return _REGISTRY
@@ -1028,7 +1012,7 @@ def _table_params(name: str, values: range) -> list[str]:
 
 
 def _status(row: RowSpec, p: int, ok: bool) -> str:
-    if row.conjectural(p):
+    if row.experimental or row.conjectural(p):
         return XPASS if ok else XFAIL
     return PASS if ok else FAIL
 
@@ -1113,12 +1097,13 @@ def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tup
     if not row.applies(p):
         return row.id, p, [""], pkv, None, None, SKIPPED, 0
     values = (None,) if row.param_values is None else row.param_values(p)
-    if row.table:  # never conjectural (see _check_table_rows): its columns as they come
+    if row.table:  # its columns as they come
         (term,), rhs = row.statement
         lhs, rhs = term.column(ctx, kexp, values), rhs.column(ctx, kexp, values)
         if not len(lhs) == len(rhs) == len(values):  # raise rather than drop or invent reports
             raise ValueError(f"a column is shorter or longer than the {len(values)} values")
-        status = PASS if lhs == rhs else list(map((FAIL, PASS).__getitem__, map(eq, lhs, rhs)))
+        ok, bad = _status(row, p, True), _status(row, p, False)
+        status = ok if lhs == rhs else list(map((bad, ok).__getitem__, map(eq, lhs, rhs)))
         return row.id, p, _table_params(row.param_name, values), pkv, lhs, rhs, status, 0
     outcomes, micros = [], []
     for v in values:

@@ -3,7 +3,8 @@
 A polynomial identity is proved by evaluation: two polynomials of degree at
 most D that agree at the D + 1 points x = 0..D are equal.  So each side is
 evaluated exactly at those points, by Horner's rule over its coefficient
-list, with D read from the lengths of the lists compared.  The other
+list, with D read from the lengths of the lists compared.  D_n, S_n and f_n
+are ``sequences``' own lists, the ones its evaluators read.  The other
 identities are checked on an exact-rational grid.  No sampling, no floating
 point.  These identities are what reduce the congruence checks to closed
 forms, so they are verified independently of any modular arithmetic.
@@ -24,7 +25,8 @@ from math import comb
 
 from ._sweeps import SHIFT_FAMILIES
 from .arith import _integer
-from .sequences import delannoy_poly, f_poly, schroder_poly
+from .sequences import (delannoy_coeffs, delannoy_poly, f_coeffs, horner, schroder_coeffs,
+                        schroder_poly)
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,6 @@ def _suite(name: str, bound: str, default: int):
     return decorate
 
 
-def _horner(coeffs: list, x):
-    """The polynomial with the coefficient list ``coeffs``, constant first, at ``x``."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _convolve(a: list, b: list) -> list:
     """The coefficient list of the product of the polynomials ``a`` and ``b``."""
     out = [0] * (len(a) + len(b) - 1)
@@ -102,22 +96,13 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
-def _delannoy_coeffs(n: int) -> list[int]:
-    return [comb(n + k, 2 * k) * comb(2 * k, k) for k in range(n + 1)]
-
-
-def _schroder_coeffs(n: int) -> list[int]:
-    return [comb(n + k, 2 * k) * comb(2 * k, k) // (k + 1) for k in range(n + 1)]
-
-
 @_suite("delannoy_square", "n", 25)
 def verify_delannoy_square(n_max: int) -> IdentityRecord:
     """f_n(x(x+1)) = D_n(x)^2 as a polynomial identity for n <= n_max."""
     for n in range(n_max + 1):
-        f = [comb(n + k, 2 * k) * comb(2 * k, k) ** 2 for k in range(n + 1)]
-        d = _delannoy_coeffs(n)
+        f, d = f_coeffs(n), delannoy_coeffs(n)
         # both sides have degree <= D = 2 max(len(f), len(d)) - 2: check x = 0..D
-        yield (n,), all(_horner(f, x * (x + 1)) == _horner(d, x) ** 2
+        yield (n,), all(horner(f, x * (x + 1)) == horner(d, x) ** 2
                         for x in range(2 * max(len(f), len(d)) - 1))
 
 
@@ -126,10 +111,10 @@ def verify_schroder_square(n_max: int) -> IdentityRecord:
     """sum_{k=1..n} C(n+k,2k)C(2k,k)C(2k,k+1) x^(k-1)(x+1)^(k+1) = n(n+1)S_n(x)^2."""
     for n in range(1, n_max + 1):
         c = [comb(n + k, 2 * k) * comb(2 * k, k) * comb(2 * k, k + 1) for k in range(1, n + 1)]
-        s = _schroder_coeffs(n)
+        s = schroder_coeffs(n)
         # x^(k-1) (x+1)^(k+1) = (x+1)^2 y^(k-1) with y = x(x+1)
         # both sides have degree <= D = 2 max(len(c), len(s) - 1): check x = 0..D
-        yield (n,), all((x + 1) ** 2 * _horner(c, x * (x + 1)) == n * (n + 1) * _horner(s, x) ** 2
+        yield (n,), all((x + 1) ** 2 * horner(c, x * (x + 1)) == n * (n + 1) * horner(s, x) ** 2
                         for x in range(2 * max(len(c), len(s) - 1) + 1))
 
 
@@ -266,11 +251,11 @@ def verify_schroder_delannoy_product(n_max: int) -> IdentityRecord:
     for n in range(1, n_max + 1):
         c = [comb(n + k, 2 * k) * (comb(2 * k, k) // (k + 1)) ** 2 * (2 * k + 1)
              for k in range(n + 1)]
-        prod = _convolve(_schroder_coeffs(n), [u + v for u, v in zip_longest(
-            _delannoy_coeffs(n - 1), _delannoy_coeffs(n + 1), fillvalue=0)])
+        prod = _convolve(schroder_coeffs(n), [u + v for u, v in zip_longest(
+            delannoy_coeffs(n - 1), delannoy_coeffs(n + 1), fillvalue=0)])
         # x^k (x+1)^(k+1) = (x+1) y^k with y = x(x+1)
         # both sides have degree <= D = max(2 len(c) - 1, len(prod) - 1): check x = 0..D
-        yield (n, "poly"), all(2 * (x + 1) * _horner(c, x * (x + 1)) == _horner(prod, x)
+        yield (n, "poly"), all(2 * (x + 1) * horner(c, x * (x + 1)) == horner(prod, x)
                                for x in range(max(2 * len(c), len(prod))))
         # the c-family must also be the coefficient list of the product itself
         cs = [_c_coeff(m, n) for m in range(2 * n + 4)]
@@ -293,7 +278,7 @@ def verify_macmahon_cubes(n_max: int) -> IdentityRecord:
         c = [comb(n + k, 2 * k) * comb(2 * k, k) * comb(n - k, k) for k in range(n // 2 + 1)]
         # each x^k (1+x)^(n-2k) has degree n - k, so both sides have degree
         # <= D = max(len(cubes) - 1, n): check x = 0..D
-        yield (n,), all(_horner(cubes, x) == sum(ck * x**k * (1 + x) ** (n - 2 * k)
+        yield (n,), all(horner(cubes, x) == sum(ck * x**k * (1 + x) ** (n - 2 * k)
                                                  for k, ck in enumerate(c))
                         for x in range(max(len(cubes), n + 1)))
 
@@ -391,13 +376,3 @@ def run_identity_suite(grid_n: int | None = None, grid_p: int | None = None,
         out.append(fn(default if top is None else top))
     return out
 
-
-def cross_check_polynomials(n_max: int = 12) -> bool:
-    """The coefficient lists here agree with the direct evaluators."""
-    return all(
-        _horner(_delannoy_coeffs(n), x) == delannoy_poly(n, x)
-        and _horner(_schroder_coeffs(n), x) == schroder_poly(n, x)
-        and f_poly(n, x * (x + 1)) == delannoy_poly(n, x) ** 2
-        for n in range(n_max + 1)
-        for x in (1, 2, Fraction(-1, 2), Fraction(3, 7))
-    )

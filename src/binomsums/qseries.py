@@ -9,15 +9,16 @@ binary quadratic forms:
     c:  q prod (1-q^n)^2 (1-q^(2n)) (1-q^(4n)) (1-q^(8n))^2
                                        c(p) = 4x^2 - 2p  if p = x^2 + 2y^2,  else 0
 
-The closed form is left undefined (None) at the few primes dividing the
-modulus of the product, where neither branch applies.
+The closed form is left undefined (None) at the primes that divide a factor
+period m, where neither branch applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .arith import represent
+from .arith import is_prime, represent
 
 
 @dataclass(frozen=True)
@@ -50,18 +51,25 @@ ETA_PRODUCTS: dict[str, EtaProductSpec] = {
     "c": EtaProductSpec("c", ((1, 2), (2, 1), (4, 1), (8, 2))),
 }
 
-# primes where the quadratic-form dichotomy for the closed form does not apply
-_EXCLUDED_PRIMES = {"a": {2}, "b": {2, 3}, "c": {2}}
 # p is represented by x^2 + d y^2 exactly when represent(p, d) succeeds
 _FORM_D = {"a": 1, "b": 3, "c": 2}
+
+
+def _pentagonal(m: int, order: int) -> list[tuple[int, int]]:
+    """The terms (e, sign) of sign * q^e, 0 < e <= order, of prod_n (1 - q^(m n)), by
+    Euler's pentagonal series 1 + sum_{j>=1} (-1)^j (q^(m j(3j-1)/2) + q^(m j(3j+1)/2));
+    j(3j-1)/2 >= j^2, so no j past sqrt(order/m) has a term."""
+    return [(m * g, (-1) ** j) for j in range(1, isqrt(order // m) + 1)
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if m * g <= order]
 
 
 def eta_quotient(spec: EtaProductSpec, order: int) -> list[int]:
     """Coefficients of q^0..q^order of the full expansion, leading shift included.
 
-    Multiplying a truncated series by (1 - q^j)^r is r in-place passes of
-    c[i] -= c[i-j] from the top; negative r divides instead with ascending
-    passes of c[i] += c[i-j].
+    A factor (m, r) is |r| in-place passes of the pentagonal series of
+    prod_n (1 - q^(m n)): multiplying for r > 0, from the top, so each
+    c[i] reads the c[i - e] below it before they change; dividing for
+    r < 0, from the bottom, so each reads them once they are quotients.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -70,36 +78,34 @@ def eta_quotient(spec: EtaProductSpec, order: int) -> list[int]:
     if t <= order:
         c[t] = 1
     for m, r in spec.factors:
-        for n in range(1, (order - t) // m + 1):
-            j = m * n
-            if r >= 0:
-                for _ in range(r):
-                    for i in range(order, j - 1, -1):
-                        c[i] -= c[i - j]
-            else:
-                for _ in range(-r):
-                    for i in range(j, order + 1):
-                        c[i] += c[i - j]
+        terms = _pentagonal(m, order)
+        sign, rows = (1, range(order, 0, -1)) if r > 0 else (-1, range(1, order + 1))
+        for _ in range(abs(r)):
+            for i in rows:
+                c[i] += sign * sum(s * c[i - e] for e, s in terms if e <= i)
     return c
+
+
+def _spec(name: str) -> EtaProductSpec:
+    if name not in ETA_PRODUCTS:
+        raise ValueError(f"unknown eta product {name!r}; expected one of a, b, c")
+    return ETA_PRODUCTS[name]
 
 
 def coefficient_table(name: str, order: int) -> list[int]:
     """Fourier coefficients 0..order of the named eta product."""
-    if name not in ETA_PRODUCTS:
-        raise ValueError(f"unknown eta product {name!r}; expected one of a, b, c")
-    return eta_quotient(ETA_PRODUCTS[name], order)
+    return eta_quotient(_spec(name), order)
 
 
 def coefficient_closed_form(name: str, p: int) -> int | None:
     """Prime coefficient of the named product from its quadratic form.
 
-    Returns None at the excluded primes (2 for a and c, 2 and 3 for b) where
-    neither branch of the dichotomy applies.  ``represent`` tests that p is
-    prime (ValueError if not).
+    Returns None at the primes that divide a factor period (2 for a and c,
+    2 and 3 for b), where neither branch of the dichotomy applies.
+    ``represent`` tests that p is prime (ValueError if not).
     """
-    if name not in ETA_PRODUCTS:
-        raise ValueError(f"unknown eta product {name!r}; expected one of a, b, c")
-    if p in _EXCLUDED_PRIMES[name]:
+    spec = _spec(name)
+    if is_prime(p) and any(m % p == 0 for m, _ in spec.factors):
         return None
     rep = represent(p, _FORM_D[name])
     if rep is None:

@@ -3,47 +3,69 @@
 Central Delannoy polynomials D_n(x) = sum_k C(n+k,2k) C(2k,k) x^k, Schroeder
 polynomials S_n(x) = sum_k C(n+k,2k) C_k x^k (C_k the Catalan numbers), the
 companion f_n(x) = sum_k C(n+k,2k) C(2k,k)^2 x^k, and the secant Euler
-numbers mod p.  Everything is exact: integer or Fraction arithmetic only, or
-an exact residue mod p (``euler_number_mod_p``).  Central binomials modulo p^k
-are not streamed here: the congruence engine reads them from the per-prime
-factorial tables (``PrimeContext.central``, ``FactorialTables.binomial``).
+numbers mod p.  Each polynomial is defined once, by its coefficient list, and
+evaluated by ``horner``; the identity suites read the same lists.  Everything
+is exact: integer or Fraction arithmetic only, or an exact residue mod p
+(``euler_number_mod_p``).  Central binomials modulo p^k are not streamed
+here: the congruence engine reads them from the per-prime factorial tables
+(``PrimeContext.central``, ``FactorialTables.binomial``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 Number = int | Fraction
 
 
-def _central_series(n: int, x: Number, coeff: Callable[[int], int]) -> Number:
-    """sum_{k=0..n} C(n+k,2k) coeff(k) x^k, in the type of x^0: for x = a/b, the integer
-    sum_k C(n+k,2k) coeff(k) a^k b^(n-k) by Horner's rule, divided by b^n once."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def horner(coeffs: list[int], x: Number) -> Number:
+    """The polynomial with the coefficient list ``coeffs``, constant first, at x, in the
+    type of x^0: for x = a/b, the integer sum_k coeffs[k] a^k b^(D-k) by Horner's rule,
+    divided by b^D once."""
     a, b = x.numerator, x.denominator
     acc, bp = 0, 1
-    for k in range(n, -1, -1):
-        acc = acc * a + comb(n + k, 2 * k) * coeff(k) * bp
+    for c in reversed(coeffs):
+        acc = acc * a + c * bp
         bp *= b
-    return Fraction(acc, bp // b) if isinstance(x, Fraction) else acc
+    return Fraction(acc * b, bp) if isinstance(x, Fraction) else acc
+
+
+def _central_coeffs(n: int, coeff) -> list[int]:
+    """C(n+k,2k) coeff(k) for k = 0..n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return [comb(n + k, 2 * k) * coeff(k) for k in range(n + 1)]
+
+
+def delannoy_coeffs(n: int) -> list[int]:
+    """The coefficients C(n+k,2k) C(2k,k) of D_n(x)."""
+    return _central_coeffs(n, lambda k: comb(2 * k, k))
+
+
+def schroder_coeffs(n: int) -> list[int]:
+    """The coefficients C(n+k,2k) C_k of S_n(x), C_k the Catalan numbers."""
+    return _central_coeffs(n, lambda k: comb(2 * k, k) // (k + 1))
+
+
+def f_coeffs(n: int) -> list[int]:
+    """The coefficients C(n+k,2k) C(2k,k)^2 of f_n(x)."""
+    return _central_coeffs(n, lambda k: comb(2 * k, k) ** 2)
 
 
 def delannoy_poly(n: int, x: Number) -> Number:
     """D_n(x) = sum_{k=0..n} C(n+k,2k) C(2k,k) x^k."""
-    return _central_series(n, x, lambda k: comb(2 * k, k))
+    return horner(delannoy_coeffs(n), x)
 
 
 def schroder_poly(n: int, x: Number) -> Number:
     """S_n(x) = sum_{k=0..n} C(n+k,2k) C_k x^k with Catalan C_k."""
-    return _central_series(n, x, lambda k: comb(2 * k, k) // (k + 1))
+    return horner(schroder_coeffs(n), x)
 
 
 def f_poly(n: int, x: Number) -> Number:
     """f_n(x) = sum_{k=0..n} C(n+k,2k) C(2k,k)^2 x^k."""
-    return _central_series(n, x, lambda k: comb(2 * k, k) ** 2)
+    return horner(f_coeffs(n), x)
 
 
 def euler_number_mod_p(n: int, p: int) -> int:

@@ -647,12 +647,21 @@ def test_parallel_matches_serial():
 
 
 @pytest.mark.parametrize("rid", ["C1_2", "C1_5", "C1_19", "C1_20", "C1_21"])
-def test_table_rows_cannot_be_conjectural(monkeypatch, rid):
+def test_a_conjectural_table_row_reports_experimental_statuses(monkeypatch, rid):
+    # the table path takes its statuses from the rule every other row follows;
+    # at p^3, past the proven p^2, every one of these rows fails somewhere
     i = _ROW_INDEX[rid]
-    row = _REGISTRY[i]._replace(conjectural=lambda p: True)
+    row = _REGISTRY[i]._replace(conjectural=lambda p: p % 4 == 1)
     monkeypatch.setattr(congruences, "_REGISTRY", (*_REGISTRY[:i], row, *_REGISTRY[i + 1 :]))
-    with pytest.raises(ValueError, match=f"table row {rid} cannot be conjectural"):
-        congruences._check_table_rows()
+    assert row.table
+    reports = run_suite(primes_in_range(5, 80), [rid], mod_exp={rid: 3})
+    for r in reports:
+        param = int(r.params.split("=")[1])
+        assert r == check(rid, r.p, param, mod_exp=3), r
+        prefix = "experimental-" if r.p % 4 == 1 else ""
+        assert r.status in (prefix + "pass", prefix + "fail"), r
+    assert {r.status for r in reports} == {"pass", "fail", "experimental-pass",
+                                           "experimental-fail"}
 
 
 def test_iter_suite_streams_one_prime_at_a_time(monkeypatch):

@@ -52,6 +52,13 @@ GOLDEN = [
         0,
         "0664dd32f8ddfa62417164287c803051f1099e5b2467c912ac8052a712a127e0",
     ),
+    # taken from the expansion by r passes of (1 - q^j) for every j, which the
+    # pentagonal series replaced
+    (
+        ("eta", "--order", "2000", "--format", "csv"),
+        0,
+        "91a5ba1bd1a473e3d76801448e68266074c46829c854bab19eaf65ed9dee3f62",
+    ),
     # the human format, whose footer totals are counted while rows stream out
     (
         ("verify", "--primes", "5..120", "--include-experimental", "--format", "human"),
@@ -97,8 +104,8 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "args,status,digest",
     GOLDEN,
-    ids=["all_rows", "shift_high_k", "raised_n_rows", "identities", "eta", "human", "jsonl_body",
-         "repr_d1", "repr_d2", "repr_d3", "repr_d7", "repr_human"],
+    ids=["all_rows", "shift_high_k", "raised_n_rows", "identities", "eta", "eta_2000", "human",
+         "jsonl_body", "repr_d1", "repr_d2", "repr_d3", "repr_d7", "repr_human"],
 )
 def test_golden_cli_output(args, status, digest):
     r = subprocess.run([sys.executable, "-m", "binomsums", *args], capture_output=True)

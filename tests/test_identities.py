@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from binomsums import identities
+from binomsums import identities, sequences
 from binomsums._sweeps import SHIFT_FAMILIES
 from binomsums.identities import (
     SUITES,
@@ -14,10 +14,7 @@ from binomsums.identities import (
     _c_coeff,
     _convolve,
     _d_coeff,
-    _delannoy_coeffs,
-    _horner,
     _recursion_poly,
-    cross_check_polynomials,
     run_identity_suite,
     verify_alternating_catalan_sum,
     verify_central_sum_reflection,
@@ -31,6 +28,7 @@ from binomsums.identities import (
     verify_small_identities,
     verify_weighted_central_square_sums,
 )
+from binomsums.sequences import delannoy_coeffs, horner
 from oracles import Index
 
 
@@ -40,8 +38,8 @@ def test_horner_and_convolution_expand_binomial_powers():
             prod = _convolve([comb(a, i) for i in range(a + 1)], [comb(b, j) for j in range(b + 1)])
             assert prod == [comb(a + b, k) for k in range(a + b + 1)]
             for x in (0, 1, 3, -2, Fraction(1, 2)):
-                assert _horner(prod, x) == (1 + x) ** (a + b)
-    assert _horner([], 5) == 0
+                assert horner(prod, x) == (1 + x) ** (a + b)
+    assert horner([], 5) == 0
 
 
 def test_delannoy_square_small():
@@ -141,53 +139,50 @@ def test_suite_runner():
         run_identity_suite(names=["nope"])
 
 
-def test_cross_module_agreement():
-    assert cross_check_polynomials(10)
-
-
 # --- every suite can fail, and names the case that does ---------------------
 
 
-def _comb_off_at(at):
-    """math.comb, but one too large at the single argument pair ``at``."""
-    return lambda n, k: comb(n, k) + ((n, k) == at)
+def _comb_off_at(at, module=identities):
+    """math.comb as ``module`` reads it, but one too large at the single argument pair ``at``:
+    ``sequences`` builds the coefficient lists of D_n, S_n and f_n, ``identities`` the rest."""
+    return module, "comb", lambda n, k: comb(n, k) + ((n, k) == at)
 
 
 def _off_at(name, at):
     """The identities function ``name``, but one too large at the arguments ``at``."""
     right = getattr(identities, name)
-    return name, lambda *args: right(*args) + (args[: len(at)] == at)
+    return identities, name, lambda *args: right(*args) + (args[: len(at)] == at)
 
 
 def _negated(name):
     right = getattr(identities, name)
-    return name, lambda *args: -right(*args)
+    return identities, name, lambda *args: -right(*args)
 
 
 def _family(base, offsets):
-    return base, SHIFT_FAMILIES[base]._replace(offsets=offsets)
+    return SHIFT_FAMILIES, base, SHIFT_FAMILIES[base]._replace(offsets=offsets)
 
 
 # (suite at its default bound, what is made wrong, witness, checks); checks is
 # None where the failing check is a guard, which such a record may now count
 _FAILURES = [
-    ("delannoy_square", ("comb", _comb_off_at((4, 2))), (2,), 3),
-    ("schroder_square", ("comb", _comb_off_at((4, 2))), (2,), 2),
-    ("schroder_square_coeffs", ("comb", _comb_off_at((6, 3))), (3, 0, "b"), 24),
-    ("schroder_square_coeffs", ("comb", _comb_off_at((4, 2))), (2, "anchor"), None),
-    ("alternating_catalan_sum", ("comb", _comb_off_at((4, 2))), (3,), 3),
-    ("central_sum_reflection", ("comb", _comb_off_at((4, 2))), (2,), 3),
-    ("central_sum_reflection", ("comb", _comb_off_at((2, 1))), ("anchor",), None),
-    ("weighted_central_square_sums", ("comb", _comb_off_at((4, 2))), (2, 0), 9),
-    ("schroder_delannoy_product", ("comb", _comb_off_at((4, 2))), (1, "poly"), 1),
+    ("delannoy_square", _comb_off_at((4, 2), sequences), (2,), 3),
+    ("schroder_square", _comb_off_at((4, 2)), (2,), 2),
+    ("schroder_square_coeffs", _comb_off_at((6, 3)), (3, 0, "b"), 24),
+    ("schroder_square_coeffs", _comb_off_at((4, 2)), (2, "anchor"), None),
+    ("alternating_catalan_sum", _comb_off_at((4, 2)), (3,), 3),
+    ("central_sum_reflection", _comb_off_at((4, 2)), (2,), 3),
+    ("central_sum_reflection", _comb_off_at((2, 1)), ("anchor",), None),
+    ("weighted_central_square_sums", _comb_off_at((4, 2)), (2, 0), 9),
+    ("schroder_delannoy_product", _comb_off_at((4, 2), sequences), (1, "poly"), 1),
     ("schroder_delannoy_product", _off_at("_c_coeff", (1, 2)), (2, 1, "c-extraction"), 16),
     ("schroder_delannoy_product", _negated("_recursion_poly"), (1, 0, "c"), 6),
     ("schroder_delannoy_product", _off_at("_d_coeff", (2, 2)), (2, 0, "d"), 27),
-    ("macmahon_cubes", ("comb", _comb_off_at((4, 2))), (3,), 4),
+    ("macmahon_cubes", _comb_off_at((4, 2)), (3,), 4),
     ("shift_step_base64", _family(64, (1, 2)), (2, 0), 1),
     ("shift_step_threeproduct", _family(108, (1, 1)), (2, 0, "108"), 1),
     ("shift_step_threeproduct", _family(256, (1, 2)), (2, 0, "256"), 6),
-    ("small_identities", ("comb", _comb_off_at((4, 2))), ("i", 2), None),
+    ("small_identities", _comb_off_at((4, 2)), ("i", 2), None),
     ("small_identities", _off_at("delannoy_poly", (6,)), ("iii", 3), 206),
     ("small_identities", _off_at("schroder_poly", (4,)), ("iv", 4), 307),
 ]
@@ -199,11 +194,11 @@ _FAILURES = [
 )
 def test_a_wrong_input_fails_its_suite_and_names_the_case(monkeypatch, name, wrong, witness,
                                                          checks):
-    key, value = wrong
-    if isinstance(key, int):
+    target, key, value = wrong
+    if target is SHIFT_FAMILIES:
         monkeypatch.setitem(SHIFT_FAMILIES, key, value)
     else:
-        monkeypatch.setattr(identities, key, value)
+        monkeypatch.setattr(target, key, value)
     (rec,) = run_identity_suite(names=[name])
     assert (rec.name, rec.status, rec.witness) == (name, "fail", witness)
     if checks is not None:
@@ -249,16 +244,16 @@ def test_the_default_suites_pass_with_their_counts():
 def test_the_grid_follows_the_degree_of_the_coefficient_lists(monkeypatch):
     # D_n(x) + x(x-1)...(x-2n) agrees with D_n(x) at x = 0..2n, so a fixed grid of
     # 2n + 1 points would pass it; the grid read from the list lengths does not
-    right = _delannoy_coeffs
+    right = delannoy_coeffs
 
     def bent(n):
         falling = [1]
         for j in range(2 * n + 1):
             falling = _convolve(falling, [-j, 1])
-        assert all(_horner(falling, x) == 0 for x in range(2 * n + 1))
+        assert all(horner(falling, x) == 0 for x in range(2 * n + 1))
         return [u + v for u, v in zip_longest(right(n), falling, fillvalue=0)]
 
-    monkeypatch.setattr(identities, "_delannoy_coeffs", bent)
+    monkeypatch.setattr(identities, "delannoy_coeffs", bent)
     rec = verify_delannoy_square(25)
     assert (rec.status, rec.witness, rec.checks) == ("fail", (0,), 1)
 

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from binomsums import qseries
 from binomsums.arith import primes_in_range
 from binomsums.qseries import (
     ETA_PRODUCTS,
@@ -73,13 +74,33 @@ def test_closed_form_examples():
         coefficient_closed_form("d", 5)
 
 
-def test_closed_form_matches_table():
-    tables = {name: coefficient_table(name, 200) for name in "abc"}
-    for p in primes_in_range(2, 200):
-        for name in "abc":
-            cf = coefficient_closed_form(name, p)
-            if cf is not None:
-                assert tables[name][p] == cf, (name, p)
+@pytest.fixture(scope="module")
+def tables():
+    """The three products to q^19999, one pass of each."""
+    return {name: coefficient_table(name, 19999) for name in "abc"}
+
+
+def _disagreements(tables):
+    """The (name, p), p < 20000, where the closed form is defined and is not the coefficient."""
+    return [(name, p) for p in primes_in_range(2, 19999) for name in "abc"
+            if (cf := coefficient_closed_form(name, p)) is not None and tables[name][p] != cf]
+
+
+def test_closed_form_matches_table(tables):
+    # the eta rows' right side 4x^2 - 2p, before any reduction, at every prime below 20000
+    assert _disagreements(tables) == []
+
+
+def test_a_bent_representation_fails_at_its_prime(monkeypatch, tables):
+    # 19993 = 1 (mod 24) is x^2 + d y^2 for d = 1, 2 and 3
+    right = qseries.represent
+
+    def bent(p, d):
+        rep = right(p, d)
+        return rep._replace(x=rep.x + 1) if p == 19993 else rep
+
+    monkeypatch.setattr(qseries, "represent", bent)
+    assert _disagreements(tables) == [("a", 19993), ("b", 19993), ("c", 19993)]
 
 
 def test_series_ops():

@@ -5,7 +5,16 @@ import pytest
 
 from binomsums.arith import FactorialTables, primes_in_range
 from binomsums.congruences import PrimeContext
-from binomsums.sequences import delannoy_poly, euler_number_mod_p, f_poly, schroder_poly
+from binomsums.sequences import (
+    delannoy_coeffs,
+    delannoy_poly,
+    euler_number_mod_p,
+    f_coeffs,
+    f_poly,
+    horner,
+    schroder_coeffs,
+    schroder_poly,
+)
 from oracles import euler_numbers, sequence_table
 
 
@@ -48,6 +57,17 @@ def test_polys_equal_the_term_by_term_sum_in_value_and_type():
                 got = poly(n, x)
                 assert got == want and type(got) is type(want), (poly.__name__, n, x)
                 assert type(got) is (Fraction if isinstance(x, Fraction) else int)
+
+
+def test_coefficient_lists_and_their_evaluator():
+    assert delannoy_coeffs(3) == [1, 12, 30, 20]
+    assert schroder_coeffs(3) == [1, 6, 10, 5]
+    assert f_coeffs(3) == [1, 24, 180, 400]
+    # the empty polynomial is 0 in the type of x^0, and a point's denominator
+    # is divided out once, at the end
+    assert horner([], 3) == 0 and type(horner([], 3)) is int
+    assert horner([], Fraction(1, 2)) == 0 and type(horner([], Fraction(1, 2))) is Fraction
+    assert horner([1, 12, 30, 20], Fraction(1, 2)) == Fraction(34, 2)  # 1 + 6 + 15/2 + 5/2
 
 
 def test_schroder_anchors():
@@ -147,3 +167,6 @@ def test_poly_negative_n():
     for fn in (delannoy_poly, schroder_poly, f_poly):
         with pytest.raises(ValueError):
             fn(-1, 1)
+    for fn in (delannoy_coeffs, schroder_coeffs, f_coeffs):
+        with pytest.raises(ValueError):
+            fn(-1)

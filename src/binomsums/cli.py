@@ -36,8 +36,7 @@ from functools import lru_cache, partial
 
 from . import __version__
 from .arith import is_prime, primes_in_range, represent
-from .congruences import (FAIL, SKIPPED, CongruenceReport, all_ids, block_rows, default_ids,
-                          iter_blocks)
+from .congruences import FAIL, SKIPPED, CongruenceReport, all_ids, default_ids, iter_blocks
 
 FORMATS = ("human", "jsonl", "csv")
 
@@ -53,7 +52,10 @@ def _prime_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
     if int(lo) < 5:
         raise argparse.ArgumentTypeError("prime range must start at 5 or above")
-    primes = primes_in_range(int(lo), int(hi))
+    try:
+        primes = primes_in_range(int(lo), int(hi))
+    except (OverflowError, MemoryError):  # a sieve of HI + 1 bytes that cannot be made
+        raise argparse.ArgumentTypeError(f"prime range {text} is too large to sieve") from None
     if not primes:
         raise argparse.ArgumentTypeError(f"no primes in {text}")
     return primes
@@ -260,19 +262,8 @@ def _lines(block, fields, head, end, none) -> str:
     return "".join(map("%s".join(p.replace("%", "%%") for p in parts).__mod__, zip(*columns)))
 
 
-def _csv_lines(block) -> str:
-    """csv.writer's lines for the block: its template's, unless a field holds a quote, a
-    comma, \\r or \\n, which csv.writer quotes and which add to the counts below."""
-    text, n = _lines(block, _CSV_FIELDS, "", "\r\n", ""), len(block[2])
-    if text.count(",") == 7 * n and text.count("\r") == text.count("\n") == n and '"' not in text:
-        return text
-    buf = io.StringIO()
-    csv.writer(buf).writerows(block_rows(block))
-    return buf.getvalue()
-
-
 _ENCODERS = {
-    "csv": _csv_lines,
+    "csv": lambda block: _lines(block, _CSV_FIELDS, "", "\r\n", ""),
     "jsonl": lambda block: _lines(block, _JSON_FIELDS, "{", "}\n", "null"),
     "human": lambda block: (_lines(block, _HUMAN_FIELDS[:3], "", ": skipped\n", "None")
                             if block[6] == SKIPPED else _lines(block, _HUMAN_FIELDS, "", "\n", "None")),

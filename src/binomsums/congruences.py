@@ -175,14 +175,19 @@ class Sum(NamedTuple):
 class Shift(NamedTuple):
     """S_base(d) = sum_{k<p} w_base(k) C(2k, k+d) for the shift family of ``base``.
 
-    ``d`` None reads the row's parameter.  A table row reads its shifts as a
-    slice of their chain (``PrimeContext.chain``), and any other row reads its
-    shift through ``PrimeContext.shift_sum``; ``check``'s context sums them
-    term by term.
+    ``d`` None reads the row's parameter, the shifts d < p whose parity is odd
+    on the residue class ``odd`` and even elsewhere (``values``).  A table row
+    reads its shifts as a slice of their chain (``PrimeContext.chain``), and
+    any other row reads its shift through ``PrimeContext.shift_sum``;
+    ``check``'s context sums them term by term.
     """
 
     base: int
     d: int | None = None
+    odd: tuple[int, ...] = (1,)
+
+    def values(self, p: int) -> range:
+        return range(_holds(self.odd, p), p, 2)
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
         return ctx.shift_sum(self.base, v if self.d is None else self.d, kexp)
@@ -199,6 +204,9 @@ class Terms(NamedTuple):
     for a k below ``lo`` or past the cutoff, where no term is built."""
 
     summand: Sum
+
+    def values(self, p: int) -> range:
+        return range(self.summand.lo, (p + 1) // 2 if self.summand.half else p)
 
     def __call__(self, ctx: PrimeContext, kexp: int, v) -> int:
         return self.column(ctx, kexp, range(v, v + 1))[0]
@@ -661,38 +669,45 @@ def _series(ctx: PrimeContext, kexp: int, s: Sum, num: int, den: int) -> int:
 _MEMBER_SUMS = (*_CL3_2, *_C4_1, _AHL)
 
 
-def _qualifying_shifts(parity_of: Callable[[int], int]) -> Callable[[int], range]:
-    """The shifts d < p with d = parity_of(p) (mod 2)."""
-    return lambda p: range(parity_of(p) % 2, p, 2)
+def _holds(cls: tuple[int, ...], p: int) -> bool:
+    """Whether p is in the residue class ``cls`` = (m, r, ...): p % m is one of the r."""
+    return p % cls[0] in cls[1:]
+
+
+EVERY = (1, 0)  # the class of every prime; (1,) holds none
 
 
 class _RowFields(NamedTuple):
     id: str
-    modulus_exp: int | Callable[[int], int]
+    modulus_exp: int | tuple[int, tuple[int, ...], int]
     description: str
     statement: Statement | dict[int, Statement]
-    applies: Callable[[int], bool] = lambda p: True
+    applies: tuple[int, ...] = EVERY
     param_name: str = ""
-    param_values: Callable[[int], Sequence[int]] | None = None
-    conjectural: Callable[[int], bool] = lambda p: False
-    experimental: bool = False
+    conjectural: tuple[int, ...] = (1,)
 
 
 class RowSpec(_RowFields):
     """Registry entry for one congruence family.
 
-    ``modulus_exp`` is the exponent K of the modulus p^K, either a constant
-    or a function of p for rows whose strength depends on the prime class.
-    ``statement`` is a ``Statement`` or a map from each parameter value to its
-    ``Statement``.  ``applies`` says at which primes the row holds, every
-    prime by default (p >= 5, as the engine and ``check`` require), and
-    ``conjectural`` at which its statuses are experimental, none by default;
-    an ``experimental`` row's statuses are experimental at every prime.
-    The fields are a named tuple's; the derived properties are cached in ``__dict__``.
+    ``modulus_exp`` is the exponent K of the modulus p^K, or (K, class, K'):
+    K' on a residue class of primes, K elsewhere.  ``statement`` is a
+    ``Statement`` or a map from each parameter value to its ``Statement``.
+    ``applies`` is the residue class of primes at which the row holds,
+    ``EVERY`` by default (p >= 5, as the engine and ``check`` require), and
+    ``conjectural`` the class at which its statuses are experimental, none by
+    default; a row conjectural at ``EVERY`` prime is experimental.  Every
+    field but ``statement`` is data.  The derived properties are cached in ``__dict__``.
     """
 
     def exponent(self, p: int) -> int:
-        return self.modulus_exp(p) if callable(self.modulus_exp) else self.modulus_exp
+        k = self.modulus_exp
+        return k if type(k) is int else k[2] if _holds(k[1], p) else k[0]
+
+    def values(self, p: int) -> Sequence:
+        """The parameter values at p: a part map's keys, a table row's left term's, else (None,)."""
+        st = self.statement
+        return tuple(st) if isinstance(st, dict) else st.lhs[0].values(p) if self.table else (None,)
 
     @cached_property
     def terms(self) -> tuple:
@@ -707,7 +722,7 @@ class RowSpec(_RowFields):
         """One report per parameter value, read from the columns of one lhs term and the rhs;
         the values must be a ``range``, which the columns take as one slice."""
         st = self.statement
-        return (self.param_values is not None and isinstance(st, Statement) and len(st.lhs) == 1
+        return (self.param_name != "" and isinstance(st, Statement) and len(st.lhs) == 1
                 and all(hasattr(t, "column") for t in (st.lhs[0], st.rhs)))
 
 
@@ -721,86 +736,84 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "C1_1", 2,
         "sum of cubed central binomials vs the x^2+7y^2 form",
         Statement((Sum(1, 3),), Closed(x2=4, p=-2, d=7)),
-        applies=lambda p: p != 7,
-        conjectural=lambda p: p % 7 in (1, 2, 4),
+        applies=(7, 1, 2, 3, 4, 5, 6),
+        conjectural=(7, 1, 2, 4),
     ),
     RowSpec(
         "C1_2", 2,
         "C(n+k,2k) vs C(2k,k)/(-16)^k at n = (p-1)/2",
         Statement((Terms(_C1_2[0]),), Terms(_C1_2[1])),
         param_name="k",
-        param_values=lambda p: range((p - 1) // 2 + 1),
     ),
     RowSpec(
         "C1_5", 2,
         "shifted squared-central sums over 64^k vanish at alternating shifts",
-        Statement((Shift(64),), ZERO),
+        Statement((Shift(64, odd=(4, 1)),), ZERO),
         param_name="d",
-        param_values=_qualifying_shifts(lambda p: (p + 1) // 2),
     ),
     RowSpec(
         "C1_6", 2,
         "shift-one squared-central sum over 64^k for p = 3 (mod 4)",
         Statement((Shift(64, 1),), lambda ctx, K, _: (2 * ctx.p + 2 - pow(2, ctx.p - 1, ctx.pk(K)))
                   * ctx.tables(K).binomial(ctx.n, (ctx.p + 1) // 4) ** 2),
-        applies=lambda p: p % 4 == 3,
+        applies=(4, 3),
     ),
     RowSpec(
         "C1_7a", 2,
         "(k+1)-weighted squared-central sum over 8^k vs x",
         Statement((Sum(8, 2, (1, 1), half=True),), Closed(x=1, sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C1_7b", 2,
         "(2k+1)-weighted squared-central sum over (-16)^k vs x",
         Statement((Sum(-16, 2, (1, 2), half=True),), Closed(x=1, sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C1_8", 2,
         "central-times-Catalan sum over 8^k chain vs 2x - p/x",
         Statement((Sum(8, 2, factors=_CATALAN, half=True), Sum(8, 2, (0, -2))),
                   Closed(x=2, p_x=-1, sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C1_9", 2,
         "central-times-Catalan sum over (-16)^k chain vs 2(2x - p/x)",
         Statement((_SCHRODER, Sum(-16, 2, factors=_CATALAN, half=True),
                    Sum(-16, 2, (0, -8), half=True)), Closed(x=4, p_x=-2, sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C1_10", 2,
         "k^2-weighted squared-central sum over 8^k vs x - 3p/4x",
         Statement((Sum(8, 2, (0, 0, 1), half=True),),
                   Closed(x=1, p_x=Fraction(-3, 4), sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C1_11", 2,
         "k^2-weighted squared-central sum over (-16)^k vs -p/16x",
         Statement((Sum(-16, 2, (0, 0, 1), half=True),), Closed(p_x=Fraction(-1, 16), sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C1_12", 2,
         "squared-central shift-one sum over (-8)^k vs 2p - 2x^2",
         Statement((Sum(-8, 3, factors=_SHIFT1, lo=1),), Closed(x2=-2, p=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C1_13", 2,
         "central times squared shift-one sum over (-8)^k vs -2p",
         Statement((Sum(-8, 3, factors=_SHIFT1 * 2, lo=1),), Closed(p=-2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
-        "CR1_1", lambda p: 3 if p % 4 == 1 else 2,
+        "CR1_1", (2, (4, 1), 3),
         "combined (k+1)/8^k and (2k+1)/(-16)^k squared-central sums",
         Statement(((Sum(8, 2, (1, 1)), Sum(-16, 2, (1, 2), half=True)),), Closed(x=2, sign=2)),
-        experimental=True,
+        conjectural=EVERY,
     ),
     RowSpec(
         "C1_14b", 2,
@@ -820,61 +833,57 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C1_19", 2,
         "shifted 108-family sums vanish at alternating shifts",
-        Statement((Shift(108),), ZERO),
+        Statement((Shift(108, odd=(3, 1)),), ZERO),
         param_name="d",
-        param_values=_qualifying_shifts(lambda p: p % 3 == 1),
     ),
     RowSpec(
         "C1_20", 2,
         "shifted 256-family sums vanish at alternating shifts",
-        Statement((Shift(256),), ZERO),
+        Statement((Shift(256, odd=(8, 1, 3)),), ZERO),
         param_name="d",
-        param_values=_qualifying_shifts(lambda p: p % 8 in (1, 3)),
     ),
     RowSpec(
         "C1_21", 2,
         "shifted 1728-family sums vanish at alternating shifts",
-        Statement((Shift(1728),), ZERO),
+        Statement((Shift(1728, odd=(4, 1)),), ZERO),
         param_name="d",
-        param_values=_qualifying_shifts(lambda p: p % 4 == 1),
     ),
     RowSpec(
         "C1_22", 2,
         "256-family sum at shift 0 vs the x^2+2y^2 form for p = 3 (mod 8)",
         Statement((Shift(256, 0),), Closed(x2=4, p=-2, d=2)),
-        applies=lambda p: p % 8 == 3,
+        applies=(8, 3),
     ),
     RowSpec(
         "C1_23", 2,
         "1728-family sum at shift 0 vs the x^2+y^2 form for p = 5 (mod 12)",
         Statement((Shift(1728, 0),), Closed(x2=-4, p=2)),
-        applies=lambda p: p % 12 == 5,
+        applies=(12, 5),
     ),
     RowSpec(
         "C1_24", 2,
         "C(2k,k)^2 C(3k,k+1)/108^k sum vanishes for p = 1 (mod 3)",
         # C(3k,k+1) = (3k)! / ((k+1)! (2k-1)!), zero at k = 0
         Statement((Sum(108, 2, factors=((3, 0, 1), (1, 1, -1), (2, -1, -1)), lo=1),), ZERO),
-        applies=lambda p: p % 3 == 1,
+        applies=(3, 1),
     ),
     RowSpec(
         "C1_25", 2,
         "256-family sum at shift 1 vanishes for p = 1,3 (mod 8)",
         Statement((Shift(256, 1),), ZERO),
-        applies=lambda p: p % 8 in (1, 3),
+        applies=(8, 1, 3),
     ),
     RowSpec(
         "C1_26", 2,
         "1728-family sum at shift 1 vanishes for p = 1 (mod 4)",
         Statement((Shift(1728, 1),), ZERO),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "CL3_2", 3,
         "double convolution sums of squared central binomials mod p^3",
-        Statement((_cl3_2,), Closed(p=1, sign=-1)),
+        dict.fromkeys((1, 2), Statement((_cl3_2,), Closed(p=1, sign=-1))),
         param_name="part",
-        param_values=lambda p: (1, 2),
     ),
     RowSpec(
         "CL3_3", 3,
@@ -888,7 +897,6 @@ _REGISTRY: tuple[RowSpec, ...] = (
             4: Statement((Sum(-16, 2, (1, 4, 8), half=True),), Closed(p2=1, sign=-1)),
         },
         param_name="part",
-        param_values=lambda p: (1, 2, 3, 4),
     ),
     RowSpec(
         "CGZ", 3,
@@ -900,33 +908,33 @@ _REGISTRY: tuple[RowSpec, ...] = (
         "(3k+1) C(2k,k)^3/(-8)^k sum with Euler-number correction mod p^4",
         Statement((Sum(-8, 3, (1, 3)),), lambda ctx, K, _: ctx.p * ctx.legendre(-1)
                   + ctx.p**3 * euler_number_mod_p(ctx.p - 3, ctx.p)),
-        experimental=True,
+        conjectural=EVERY,
     ),
     RowSpec(
         "C3_2", 2,
         "C(n,(p-1)/4) vs (2^(p-1)+1)/2 (2x - p/2x) for p = 1 (mod 4)",
         Statement((_quarter_binomial,), lambda ctx, K, _: (pow(2, ctx.p - 1, ctx.pk(K)) + 1)
                   * Closed(x=1, p_x=Fraction(-1, 4))(ctx, K, _)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C3_3", 2,
         "squared-central sums over 8^k and (-16)^k chain vs 2x - p/2x",
         Statement((Sum(8, 2, half=True), Sum(-16, 2, half=True)),
                   Closed(x=2, p_x=Fraction(-1, 2), sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "C3_4", 2,
         "central Delannoy number at (p-1)/2 vs 2x - p/2x",
         Statement((_DELANNOY,), Closed(x=2, p_x=Fraction(-1, 2), sign=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "CR3_1", 1,
         "central Delannoy number at (p-1)/2 vanishes for p = 3 (mod 4)",
         Statement((_DELANNOY,), ZERO),
-        applies=lambda p: p % 4 == 3,
+        applies=(4, 3),
     ),
     RowSpec(
         "C3_5", 2,
@@ -936,23 +944,23 @@ _REGISTRY: tuple[RowSpec, ...] = (
     RowSpec(
         "C4_1", 1,
         "cubic-sum vs 256-family transformation at scaled arguments",
-        Statement((lambda ctx, K, x: _series(ctx, K, _C4_1[0], -x, 64),), lambda ctx, K, x:
-                  ctx.legendre(x + 1) * _series(ctx, K, _C4_1[1], x, 64 * (x + 1) * (x + 1))),
+        dict.fromkeys((1, 2, 3, -2), Statement(
+            (lambda ctx, K, x: _series(ctx, K, _C4_1[0], -x, 64),), lambda ctx, K, x:
+            ctx.legendre(x + 1) * _series(ctx, K, _C4_1[1], x, 64 * (x + 1) * (x + 1)))),
         param_name="x",
-        param_values=lambda p: (1, 2, 3, -2),
     ),
     RowSpec(
         "CG", 1,
         "C(n,(p-1)/4) vs 2x for p = x^2 + y^2, x = 1 (mod 4)",
         Statement((_quarter_binomial,), Closed(x=2)),
-        applies=lambda p: p % 4 == 1,
+        applies=(4, 1),
     ),
     RowSpec(
         "CM", 1,
         "C(n,(p-1)/4) vs 12(-432)^m C(2m,m) for p = 12m + 5",
         Statement((_quarter_binomial,), lambda ctx, K, _: 12 * pow(-432, ctx.p // 12, ctx.pk(K))
                   * ctx.tables(K).binomial(ctx.p // 6, ctx.p // 12)),
-        applies=lambda p: p % 12 == 5,
+        applies=(12, 5),
     ),
     RowSpec(
         "C_AHL", 1,
@@ -988,8 +996,8 @@ def all_ids() -> list[str]:
 
 
 def default_ids() -> list[str]:
-    """Ids checked by default: every row that is not fully experimental."""
-    return [row.id for row in _REGISTRY if not row.experimental]
+    """Ids checked by default: every row that is not conjectural at every prime."""
+    return [row.id for row in _REGISTRY if row.conjectural != EVERY]
 
 
 def _format_params(row: RowSpec, value: int | None) -> str:
@@ -1012,7 +1020,7 @@ def _table_params(name: str, values: range) -> list[str]:
 
 
 def _status(row: RowSpec, p: int, ok: bool) -> str:
-    if row.experimental or row.conjectural(p):
+    if _holds(row.conjectural, p):
         return XPASS if ok else XFAIL
     return PASS if ok else FAIL
 
@@ -1075,13 +1083,13 @@ def check(
     kexp = row.exponent(p) if mod_exp is None else mod_exp
     if kexp < 1:
         raise ValueError("modulus exponent must be >= 1")
-    if row.param_values is None:
+    if not row.param_name:
         if param is not None:
             raise ValueError(f"{congruence_id} takes no parameter")
     elif param is None:
         raise ValueError(f"{congruence_id} needs parameter {row.param_name!r}")
     head = (row.id, p, _format_params(row, param), p**kexp)
-    if not row.applies(p) or (row.param_values is not None and param not in row.param_values(p)):
+    if not _holds(row.applies, p) or param not in row.values(p):
         return CongruenceReport(*head, None, None, SKIPPED)
     ctx = _TermwiseContext(p)
     try:
@@ -1094,9 +1102,9 @@ def check(
 def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tuple:
     """The column block of ``row`` at ``ctx.p`` mod p^kexp, in parameter order."""
     p, pkv = ctx.p, ctx.pk(kexp)
-    if not row.applies(p):
+    if not _holds(row.applies, p):
         return row.id, p, [""], pkv, None, None, SKIPPED, 0
-    values = (None,) if row.param_values is None else row.param_values(p)
+    values = row.values(p)
     if row.table:  # its columns as they come
         (term,), rhs = row.statement
         lhs, rhs = term.column(ctx, kexp, values), rhs.column(ctx, kexp, values)

@@ -13,7 +13,8 @@ import sys
 import pytest
 
 from binomsums import cli, congruences
-from binomsums.congruences import CongruenceReport, all_ids, block_rows, run_suite
+from binomsums.congruences import (FAIL, PASS, SKIPPED, XFAIL, XPASS, CongruenceReport, all_ids,
+                                   block_rows, registry, run_suite)
 from oracles import verify_block
 
 
@@ -72,6 +73,15 @@ def test_digits_that_are_not_decimal_get_the_converters_own_messages(capsys):
             cli.main(["verify", *args])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and message in err and "invalid" not in err, (args, err)
+
+
+@pytest.mark.parametrize("command", ["verify", "repr"])
+def test_an_oversized_prime_range_exits_2_naming_it(command):
+    # a sieve of HI + 1 bytes is refused before anything is allocated
+    r = run_cli(command, "--primes", "5..100000000000000000000")
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+    assert r.stderr.splitlines()[-1].endswith(
+        "argument --primes: prime range 5..100000000000000000000 is too large to sieve")
 
 
 def test_prime_list_rejects_composites_and_small_entries():
@@ -528,9 +538,16 @@ def test_verify_blocks_encode_as_the_oracle_with_failing_shifts(p):
     _assert_encoded_as_the_oracle(blocks)
 
 
-@pytest.mark.parametrize("text", [",", '"', "\r", "\n", 'a "b", c\r\n', "100%", ""])
-def test_csv_quotes_as_csv_writer_does(text):
-    # the registry's strings are plain ASCII: only hand-built blocks reach csv.writer
+def test_the_engine_makes_no_string_that_csv_quotes():
+    # the csv encoder is a plain template, so no string of a block may hold a
+    # character that csv.writer quotes; a block's other fields are integers or None
+    strings = [*all_ids(), *(row.param_name for row in registry()), PASS, FAIL, SKIPPED,
+               XPASS, XFAIL]
+    assert [s for s in strings if any(c in s for c in ',"\r\n')] == []
+
+
+@pytest.mark.parametrize("text", ["", "100%", "a b"])
+def test_csv_lines_are_csv_writers(text):
     blocks = [
         (f"X{text}", 7, ["k=0", "k=1"], 49, [1, 2], [1, 3], ["pass", "fail"], 0),
         ("X", 7, ["k=0", f"k{text}1"], 49, [1, 2], [1, 2], "pass", [3, 0]),

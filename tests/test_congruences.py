@@ -6,6 +6,7 @@ The batched suite path is additionally pinned against the reference path.
 """
 
 import gc
+import json
 import multiprocessing
 import os
 import random
@@ -22,10 +23,13 @@ import pytest
 from binomsums import _sweeps, arith, cli, congruences
 from binomsums.arith import FactorialTables, legendre_symbol, mod_inverse, primes_in_range
 from binomsums.congruences import (
+    EVERY,
     CongruenceReport,
     PrimeContext,
+    RowSpec,
     Shift,
     Sum,
+    _holds,
     _reference_shift_sum,
     _REGISTRY,
     _ROW_INDEX,
@@ -651,7 +655,7 @@ def test_a_conjectural_table_row_reports_experimental_statuses(monkeypatch, rid)
     # the table path takes its statuses from the rule every other row follows;
     # at p^3, past the proven p^2, every one of these rows fails somewhere
     i = _ROW_INDEX[rid]
-    row = _REGISTRY[i]._replace(conjectural=lambda p: p % 4 == 1)
+    row = _REGISTRY[i]._replace(conjectural=(4, 1))
     monkeypatch.setattr(congruences, "_REGISTRY", (*_REGISTRY[:i], row, *_REGISTRY[i + 1 :]))
     assert row.table
     reports = run_suite(primes_in_range(5, 80), [rid], mod_exp={rid: 3})
@@ -985,7 +989,52 @@ def test_status_classification():
     assert check("CGZ_P4", 11).status == "experimental-pass"
     assert "CR1_1" not in default_ids()
     assert "CGZ_P4" not in default_ids()
-    assert default_ids() == [r.id for r in registry() if not r.experimental]
+    assert default_ids() == [r.id for r in registry() if r.conjectural != EVERY]
+
+
+def _tupled(x):
+    return tuple(map(_tupled, x)) if isinstance(x, list) else x
+
+
+# the conditions each row once wrote as code, literally: the primes where it
+# applies and where it is conjectural, its parameter values and its exponent
+_QUARTER = {"C1_7a", "C1_7b", "C1_8", "C1_9", "C1_10", "C1_11", "C1_12", "C1_13", "C1_26",
+            "C3_2", "C3_3", "C3_4", "CG"}
+_APPLIES = {"C1_1": lambda p: p != 7, "C1_6": lambda p: p % 4 == 3,
+            "C1_22": lambda p: p % 8 == 3, "C1_23": lambda p: p % 12 == 5,
+            "C1_24": lambda p: p % 3 == 1, "C1_25": lambda p: p % 8 in (1, 3),
+            "CR3_1": lambda p: p % 4 == 3, "CM": lambda p: p % 12 == 5,
+            **dict.fromkeys(_QUARTER, lambda p: p % 4 == 1)}
+_CONJECTURAL = {"C1_1": lambda p: p % 7 in (1, 2, 4), "CR1_1": lambda p: True,
+                "CGZ_P4": lambda p: True}
+_VALUES = {"C1_2": lambda p: range((p - 1) // 2 + 1),
+           "C1_5": lambda p: range((p + 1) // 2 % 2, p, 2),
+           "C1_19": lambda p: range((p % 3 == 1) % 2, p, 2),
+           "C1_20": lambda p: range((p % 8 in (1, 3)) % 2, p, 2),
+           "C1_21": lambda p: range((p % 4 == 1) % 2, p, 2),
+           "CL3_2": lambda p: (1, 2), "CL3_3": lambda p: (1, 2, 3, 4),
+           "C4_1": lambda p: (1, 2, 3, -2)}
+_EXPONENTS = {"CR1_1": lambda p: 3 if p % 4 == 1 else 2, "CL3_2": lambda p: 3,
+              "CL3_3": lambda p: 3, "CGZ": lambda p: 3, "CGZ_P4": lambda p: 4,
+              **dict.fromkeys(("CR3_1", "C4_1", "CG", "CM", "C_AHL"), lambda p: 1)}
+
+
+def test_row_conditions_are_data():
+    # every set of primes a row names is a residue class, and its parameter
+    # values are read from its statement: only the statement holds code
+    assert RowSpec._fields == ("id", "modulus_exp", "description", "statement", "applies",
+                               "param_name", "conjectural")
+    for row in registry():
+        fields = row._asdict()
+        del fields["statement"]
+        assert not any(map(callable, fields.values())), row.id
+        loaded = json.loads(json.dumps(fields))
+        assert {k: _tupled(v) for k, v in loaded.items()} == fields, row.id
+        for p in primes_in_range(5, 199):
+            assert _holds(row.applies, p) == _APPLIES.get(row.id, bool)(p), (row.id, p)
+            assert _holds(row.conjectural, p) == _CONJECTURAL.get(row.id, lambda p: False)(p)
+            assert row.values(p) == _VALUES.get(row.id, lambda p: (None,))(p), (row.id, p)
+            assert row.exponent(p) == _EXPONENTS.get(row.id, lambda p: 2)(p), (row.id, p)
 
 
 def test_input_validation():
@@ -1088,7 +1137,7 @@ def test_shift_table_rows_match_reference_path(rid, monkeypatch):
     for p in primes_in_range(5, 59):
         for kexp in (1, 2, 3, 4):
             suite = run_suite([p], [rid], mod_exp={rid: kexp})
-            ref = [check(rid, p, d, mod_exp=kexp) for d in row.param_values(p)]
+            ref = [check(rid, p, d, mod_exp=kexp) for d in row.values(p)]
             assert suite == ref, (p, kexp)
             assert {type(r) for r in suite} == {CongruenceReport}, (p, kexp)
 
@@ -1213,7 +1262,7 @@ def test_a_vanishing_chain_reads_no_inverse_past_its_guards(monkeypatch):
     row = _REGISTRY[_ROW_INDEX["C1_21"]]
     reports = run_suite([p], ["C1_21"], mod_exp={"C1_21": 3})
     assert [r.lhs for r in reports] == chain
-    assert reports == [check("C1_21", p, d, mod_exp=3) for d in row.param_values(p)]
+    assert reports == [check("C1_21", p, d, mod_exp=3) for d in row.values(p)]
 
 
 def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
@@ -1304,7 +1353,7 @@ def test_a_fixed_shift_before_its_table_row_reads_the_chain_it_steps(fixed, tabl
     # row reads the even chain of the same family.  The table row runs first,
     # so the fixed row reads S(0) from that chain and makes no direct sum of
     # its own: the pair makes the direct sums of the table row alone.
-    assert _REGISTRY[_ROW_INDEX[table]].param_values(p).start == 0
+    assert _REGISTRY[_ROW_INDEX[table]].values(p).start == 0
     direct, direct_sum = [], _sweeps.direct_shift_sum
 
     def counting_direct(p, weights, d, tables):
@@ -1369,7 +1418,7 @@ def test_corrupted_shared_column_raises_for_every_family(monkeypatch):
 _CHAIN_ROWS = {"C1_5": 64, "C1_19": 108, "C1_20": 256, "C1_21": 1728}
 _CHAIN_CASES = [(rid, base, parity, p) for rid, base in _CHAIN_ROWS.items() for parity in (0, 1)
                 for p in primes_in_range(11, 60)
-                if _REGISTRY[_ROW_INDEX[rid]].param_values(p).start == parity]
+                if _REGISTRY[_ROW_INDEX[rid]].values(p).start == parity]
 
 
 @pytest.mark.parametrize("rid, base, parity", sorted({c[:3] for c in _CHAIN_CASES}))
@@ -1444,8 +1493,8 @@ def test_check_sums_every_shift_without_the_shift_engine(monkeypatch):
     rows = [row for row in _REGISTRY if any(isinstance(t, Shift) for t in row.terms)]
     assert [row.id for row in rows] == ["C1_5", "C1_6", "C1_14b", "C1_14c", "C1_15", "C1_19",
                                         "C1_20", "C1_21", "C1_22", "C1_23", "C1_25", "C1_26"]
-    cases = [(row.id, p, v) for p in primes_in_range(5, 60) for row in rows if row.applies(p)
-             for v in ((None,) if row.param_values is None else row.param_values(p))]
+    cases = [(row.id, p, v) for p in primes_in_range(5, 60) for row in rows
+             if _holds(row.applies, p) for v in row.values(p)]
     assert len(cases) == 949
     for rid, p, v in cases:
         for kexp in (1, 2, 3, 4):

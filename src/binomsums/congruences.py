@@ -26,9 +26,9 @@ Two evaluation paths exist and are pinned against each other by the tests:
   rows from the top exponent down, so a lower exponent reads tables,
   summands and moments reduced from a higher one.  Each exponent has one
   factorial table, and each of its lists (valuations, units, inverses), like
-  each base^-k list, grows to the reach its own readers ask for; a lower
-  exponent's table shares the valuations of the table above it and takes
-  the units and inverses that one holds, building only the rest.
+  C(2k,k), its powers and base^-k, grows to the reach its own readers ask
+  for; a lower exponent's table or list takes what the one above it holds,
+  reduced (the valuations shared), and builds only the rest.
   The shift engine steps the d -> d+2 relations in O(p) for each
   (family, parity) chain of shifts that a table row reads, from seeds read
   from binomial columns that every family shares.  Within one exponent the
@@ -345,13 +345,14 @@ class PrimeContext:
     A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
     at K is reduced from the lowest higher exponent cached, and built only if
     there is none.  The suite evaluates rows from the top exponent down, so a
-    prime builds C(2k,k), powers and summands once each, and a lower
-    exponent's factorial table takes the entries that the one above it holds
-    and builds only the rest.  Each list of an exponent's table grows to the
-    reach its own readers ask for (``tables``): valuations over a summand's
-    whole range, units and inverses only to its cutoff, and the shift
-    engine's inverses only where a chain steps; base^-k grows to its
-    readers' cutoffs (``base_powers``).  A
+    prime builds summands once each, and a lower exponent's factorial table,
+    C(2k,k), powers and base^-k take what the ones above them hold and build
+    only the rest.  Each list of an exponent's table grows to the reach its
+    own readers ask for (``tables``): valuations over a summand's whole
+    range, units and inverses only to its cutoff, and the shift engine's
+    inverses only where a chain steps; the units of C(2k,k), its powers and
+    base^-k grow to their readers' cutoffs (``_grown``), so at p^3, where
+    ``_cl3_2`` reads k > (p-1)/2 mod p^2, none passes (p-1)/2.  A
     shift chain is stepped only where a table row reads it.  What a prime
     computes follows from what its rows read and the order in which they run,
     with one choice fixed at import: a power C(2k,k)^c / base^k that two or
@@ -390,8 +391,7 @@ class PrimeContext:
         """The value for ``key`` mod p^kexp: cached, else the one of the lowest
         higher exponent cached reduced mod p^kexp, else ``build()`` (None
         without ``build``).  Residues reduce entry by entry, a summand ``s``'s
-        cut to its cutoff at kexp, and moments as numbers; valuation lists are
-        shared, so their checks ran on them.
+        cut to its cutoff at kexp, and moments as numbers.
         """
         full = (*key, kexp)
         value = self._cache.get(full)
@@ -399,8 +399,6 @@ class PrimeContext:
             value, pkv = self._higher(key, kexp), self.pk(kexp)
             if isinstance(value, int):
                 value %= pkv
-            elif isinstance(value, tuple):  # (valuations, units)
-                value = (value[0], [u % pkv for u in value[1]])
             elif value is not None:
                 stop = s.cutoff(self.p, kexp) + 1 - s.lo if s else None
                 value = [r % pkv for r in value[:stop]]
@@ -438,43 +436,65 @@ class PrimeContext:
 
     # --- the term engine --------------------------------------------------
 
-    def central(self, kexp: int) -> tuple[list[int], list[int]]:
-        """Valuations and units mod p^kexp of C(2k,k) for k < p."""
+    def _grown(self, key: tuple, kexp: int, stop: int, grow: Callable) -> list[int]:
+        """The residues mod p^kexp cached under ``key``, one per k from 0 and for k < stop
+        at least.  The list starts as [1], the entry at k = 0, and grows in place to
+        its readers' furthest stop: first by the lowest higher exponent's entries,
+        reduced mod p^kexp as far as that list holds them, then by ``grow(units, stop)``."""
+        units = self._cache.get((*key, kexp))
+        if units is None:
+            units = self._cache[(*key, kexp)] = [1]
+            self._top = max(self._top, kexp)
+        if len(units) < stop:
+            pk = self.pk(kexp)
+            units += [u % pk for u in (self._higher(key, kexp) or [])[len(units) : stop]]
+        if len(units) < stop:
+            grow(units, stop)
+        return units
 
-        def build():
-            p = self.p
-            t = self.tables(kexp, 2 * p - 2, 2 * p - 2, p - 1)
-            pk, inv = t.pk, t.inv_unit
-            return (
-                [a - 2 * b for a, b in zip(t.val[: 2 * p : 2], t.val[:p])],
-                [u * i * i % pk for u, i in zip(t.unit[: 2 * p : 2], inv[:p])],
-            )
+    def central(self, kexp: int, stop: int) -> tuple[list[int], list[int]]:
+        """Valuations of C(2k,k) for every k < p, one list for the prime, and its units
+        mod p^kexp for k < stop at least, grown as ``_grown`` grows them."""
 
-        return self._at(("central",), kexp, build)
+        def grow(units: list[int], stop: int) -> None:
+            t, start = self.tables(kexp, 0, 2 * stop - 2, stop - 1), len(units)
+            units += [u * i * i % t.pk for u, i in zip(t.unit[2 * start : 2 * stop : 2],
+                                                        t.inv_unit[start:stop])]
 
-    def central_power(self, central: int, base: int, kexp: int) -> tuple[list[int], list[int]]:
-        """Valuations and units mod p^kexp of C(2k,k)^central / base^k for k < p, central > 0.
+        def valuations() -> list[int]:
+            val = self.tables(kexp, 2 * self.p - 2, 0, 0).val
+            return [a - 2 * b for a, b in zip(val[: 2 * self.p : 2], val[: self.p])]
 
-        Cached: the summands that share a power and a base (``_SHARED_POWERS``)
-        share one pass, which reads base^-k for every k < p (``base_powers``).
+        return self._cached(("cval", 1), valuations), self._grown(("central",), kexp, stop, grow)
+
+    def central_power(self, central: int, base: int, kexp: int,
+                      stop: int) -> tuple[list[int], list[int]]:
+        """Valuations of C(2k,k)^central / base^k (central > 0) for every k < p, and its
+        units mod p^kexp for k < stop at least, grown as ``_grown`` grows them.
+
+        The summands that share a power and a base (``_SHARED_POWERS``) read it
+        from here, and one pass multiplies what their furthest reader asks.
         """
 
-        def build():
-            pk, (cval, cunit) = self.pk(kexp), self.central(kexp)
-            scale = [self.base_powers(base, kexp, self.p)] if base != 1 else []
-            return [central * v for v in cval], _product([cunit] * central + scale, None, pk)
+        def grow(units: list[int], stop: int) -> None:
+            start, cunit = len(units), self.central(kexp, stop)[1]
+            scale = [self.base_powers(base, kexp, stop)[start:stop]] if base != 1 else []
+            units += _product([cunit[start:stop]] * central + scale, None, self.pk(kexp))
 
-        return self._at(("cpow", central, base), kexp, build)
+        vals = self._cached(("cval", central),
+                            lambda: [central * v for v in self.central(kexp, 0)[0]])
+        return vals, self._grown(("cpow", central, base), kexp, stop, grow)
 
     def base_powers(self, base: int, kexp: int, stop: int) -> list[int]:
         """base^-k mod p^kexp for k < stop at least (negative and residue bases are
-        fine): one list per base and exponent, grown in place to its readers'
-        furthest stop."""
-        pk, powers = self.pk(kexp), self._cached(("powers", base, kexp), lambda: [1])
-        if len(powers) < stop:
+        fine), grown as ``_grown`` grows them: by one inverse and a running product."""
+
+        def grow(powers: list[int], stop: int) -> None:
+            pk = self.pk(kexp)
             binv, s = mod_inverse(base % pk, pk), powers[-1]
             powers += [(s := s * binv % pk) for _ in range(stop - len(powers))]
-        return powers
+
+        return self._grown(("powers", base), kexp, stop, grow)
 
     def summand(self, kexp: int, s: Sum) -> list[int]:
         """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k."""
@@ -485,7 +505,8 @@ class PrimeContext:
 
         Its factors are columns: C(2k,k) c times and base^-k (or their power from
         ``central_power``, where summands share it) and each merged (a k + b)!^e
-        |e| times, valuations over the whole range and units up to the cutoff.
+        |e| times, valuations over the whole range and units up to the cutoff;
+        the lists of C(2k,k), its powers and base^-k are asked for k < cut + 1.
         A valuation below 0, or below kexp past the cutoff, raises ArithmeticError
         naming the summand, p and k.  The unit columns and p^v (0 for v >= kexp,
         left out where every v is 0) are multiplied by ``_product``, or, for a
@@ -501,15 +522,14 @@ class PrimeContext:
                 vcols.extend([(val, op)] * times)
             cols.extend([unit] * times)
 
-        def span(col: list[int], stop: int) -> list[int]:  # cached lists hold every k < p
-            return col if lo == 0 and stop == p - 1 else col[lo : stop + 1]
-
+        # the lists of C(2k,k), its powers and base^-k start at k = 0 and may pass the cutoff
         shared = s.central and (s.base, s.central) in _SHARED_POWERS
         if s.central:
-            val, unit = self.central_power(s.central, s.base, kexp) if shared else self.central(kexp)
-            factor(span(val, hi), span(unit, cut), add, 1 if shared else s.central)
+            val, unit = (self.central_power(s.central, s.base, kexp, cut + 1) if shared
+                         else self.central(kexp, cut + 1))
+            factor(val[lo : hi + 1], unit[lo : cut + 1], add, 1 if shared else s.central)
         if s.base != 1 and not shared:
-            cols.append(span(self.base_powers(s.base, kexp, cut + 1), cut))
+            cols.append(self.base_powers(s.base, kexp, cut + 1)[lo : cut + 1])
         merged: dict[tuple[int, int], int] = {}
         for a, b, e in s.factors:
             merged[a, b] = merged.get((a, b), 0) + e
@@ -634,8 +654,8 @@ _C1_2 = (Sum(1, 0, factors=((2, 0, -1),), half=True, n_factors=((1, 1), (-1, -1)
          Sum(-16, 1, half=True))
 # C(n,k)^2 C(n+k,k) (-1)^k = n! (n+k)! / (k!^3 (n-k)!^2 (-1)^k) for k <= n
 _AHL = Sum(-1, 0, factors=((1, 0, -3),), half=True, n_factors=((0, 1), (1, 1), (-1, -2)))
-# CL3_2's b_i = C(2i,i)^2/base^i for each part: 8^i, (-16)^i
-_CL3_2 = (Sum(8, 2), Sum(-16, 2))
+# CL3_2's b_i = C(2i,i)^2/base^i for i <= (p-1)/2, for each part: 8^i, (-16)^i
+_CL3_2 = (Sum(8, 2, half=True), Sum(-16, 2, half=True))
 # C4_1's two series: C(2k,k)^3 and C(2k,k)^2 C(4k,2k) = C(2k,k)^2 (4k)! / (2k)!^2
 _C4_1 = (Sum(1, 3), Sum(1, 2, factors=((4, 0, 1), (2, 0, -2))))
 
@@ -643,15 +663,28 @@ _C4_1 = (Sum(1, 3), Sum(1, 2, factors=((4, 0, 1), (2, 0, -2))))
 def _cl3_2(ctx: PrimeContext, kexp: int, part: int) -> int:
     """sum_{i+j<p} b_i b_j (s(i+j) + 1), b_i = C(2i,i)^2/base^i.
 
-    Part 1 has (base, s) = (8, 1), part 2 (-16, 2).  By the (i, j) symmetry
-    the double sum is sum_i b_i (2si + 1) B(p-1-i), B the prefix sums of b,
-    which stay at their last value past the cutoff where b ends.
+    Part 1 has (base, s) = (8, 1), part 2 (-16, 2).  The pairs with i, j <= n =
+    (p-1)/2 give M0^2 + 2s M0 M1, M_j = sum_{k<=n} k^j b_k.  For i > n, b_i =
+    p^2 beta_i (Kummer) and j <= m = p-1-i < n: those ordered pairs add 2p^2
+    sum_{i>n} beta_i ((si + 1) B0(m) + s B1(m)) = 2p^2 sum beta_i ((s(p-1) + 1)
+    B0(m) - s sum_{t<m} B0(t)), B0 and B1 the prefix sums of b_j and j b_j,
+    needed mod p^(kexp-2) and read mod p^(kexp-1), as the p^2 rows read them.
+    A valuation of beta_i's power other than 2 raises ArithmeticError.
     """
-    b = ctx.summand(kexp, _CL3_2[part - 1])
-    prefix = list(accumulate(b))
-    prefix += prefix[-1:] * (ctx.p - len(prefix))
-    weighted = map(mul, b, range(1, 2 * part * ctx.p, 2 * part))
-    return sum(map(mul, weighted, reversed(prefix)))
+    half, p, n, s = _CL3_2[part - 1], ctx.p, ctx.n, part
+    m0, m1 = ctx.moment(kexp, half, 0), ctx.moment(kexp, half, 1)
+    if kexp < 3:  # the pairs with i > n or j > n are 0 mod p^kexp
+        return m0 * m0 + 2 * s * m0 * m1
+    vals, beta = ctx.central_power(2, half.base, kexp - 1, p)
+    if vals[n + 1 :] != [2] * n:
+        k = next(k for k in range(n + 1, p) if vals[k] != 2)
+        raise ArithmeticError(f"C(2k,k)^2/{half.base}^k: valuation {vals[k]} != 2 "
+                              f"at p={p}, k={k}")
+    b0 = list(accumulate(ctx.summand(kexp - 1, half)[:n]))  # B0(m) for m = 0..n-1
+    beta = beta[p - 1 : n : -1]  # beta_i for i = p-1-m
+    upper = ((s * (p - 1) + 1) * sum(map(mul, beta, b0))
+             - s * sum(map(mul, beta, accumulate(b0[:-1], initial=0))))
+    return m0 * m0 + 2 * s * m0 * m1 + 2 * p * p * upper
 
 
 def _series(ctx: PrimeContext, kexp: int, s: Sum, num: int, den: int) -> int:

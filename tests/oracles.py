@@ -151,7 +151,7 @@ def summand_residues(ctx, kexp: int, base: int, central: int, factors, lo: int, 
         return [table[a * k + b] for k in range(lo, hi + 1)]
 
     p, pk = ctx.p, ctx.pk(kexp)
-    vals, units = (ctx.central_power(central, base, kexp) if central
+    vals, units = (ctx.central_power(central, base, kexp, p) if central
                    else ([0] * p, ctx.base_powers(base, kexp, p)))
     vals, units = vals[lo : hi + 1], units[lo : hi + 1]
     reach = max([a * k + b for a, b, _ in factors for k in (lo, hi)], default=0)

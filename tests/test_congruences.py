@@ -205,9 +205,10 @@ def test_double_sum_rows_bruteforce():
     assert check("CL3_3", 5, 2).lhs == 50
 
 
-def test_double_sum_prefix_rewrite_bruteforce():
-    # CL3_2 reads the double sum as sum_i b_i (2si+1) B(p-1-i); pin its lhs to
-    # the literal double sum over i + j < p at every modulus exponent 1..4
+def test_cl3_2_equals_the_literal_double_sum():
+    # CL3_2 reads the double sum from the half-range moments and, for i or j
+    # past (p-1)/2, from C(2i,i)^2 / p^2 one exponent lower; pin its lhs to the
+    # literal double sum over i + j < p at every modulus exponent 1..5
     for p in primes_in_range(5, 59):
         c2 = [comb(2 * k, k) ** 2 for k in range(p)]
         for part, base, s in ((1, 8, 1), (2, -16, 2)):
@@ -215,7 +216,7 @@ def test_double_sum_prefix_rewrite_bruteforce():
                 Fraction((s * (i + j) + 1) * c2[i] * c2[j], base ** (i + j))
                 for i in range(p) for j in range(p - i)
             )
-            for kexp in (1, 2, 3, 4):
+            for kexp in (1, 2, 3, 4, 5):
                 r = check("CL3_2", p, part, mod_exp=kexp)
                 assert r.lhs == fm(total, p**kexp), (p, part, kexp)
 
@@ -426,7 +427,7 @@ def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
 def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
     # a C(2k,k) table whose every entry is a unit breaks v_p(C(2k,k)^2) >= 2
     # at the first tail index k = (p+1)/2 in every stream built on it
-    def unit_central(self, kexp):
+    def unit_central(self, kexp, stop):
         return [0] * self.p, [1] * self.p
 
     monkeypatch.setattr(PrimeContext, "central", unit_central)
@@ -450,7 +451,7 @@ def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
 def test_tail_invariants_survive_optimize_flag():
     code = (
         "from binomsums.congruences import PrimeContext, Sum\n"
-        "PrimeContext.central = lambda self, K: ([0] * self.p, [1] * self.p)\n"
+        "PrimeContext.central = lambda self, K, stop: ([0] * self.p, [1] * self.p)\n"
         "try:\n"
         "    PrimeContext(13).moment(2, Sum(-8, 3), 0)\n"
         "except ArithmeticError as exc:\n"
@@ -459,6 +460,47 @@ def test_tail_invariants_survive_optimize_flag():
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert "C(2k,k)^3/-8^k" in r.stdout and "p=13, k=7" in r.stdout
+
+
+def test_cl3_2_raises_on_an_upper_valuation_other_than_2(monkeypatch):
+    # by Kummer's theorem C(2i,i)^2 / base^i has valuation exactly 2 for
+    # (p-1)/2 < i < p, which CL3_2's upper half reads as p^2 times a unit; a
+    # C(2k,k) valuation list bent at one such i makes it raise, naming the
+    # power, p and i, in both paths
+    central = PrimeContext.central
+
+    def bent(self, kexp, stop):
+        vals, units = central(self, kexp, stop)
+        return [*vals[:9], 2, *vals[10:]], units
+
+    monkeypatch.setattr(PrimeContext, "central", bent)
+    for part, power in ((1, "C(2k,k)^2/8^k"), (2, "C(2k,k)^2/-16^k")):
+        message = rf"^{re.escape(power)}: valuation 4 != 2 at p=13, k=9 \(row=CL3_2, p=13\)$"
+        with pytest.raises(ArithmeticError, match=message):
+            check("CL3_2", 13, part)
+    with pytest.raises(ArithmeticError, match=r"/8\^k: valuation 4 != 2 at p=13, k=9 \(row=CL3_2"):
+        run_suite([13], ["CL3_2"])
+    # mod p^2 the upper half is 0 and is not read
+    assert run_suite([13], ["CL3_2"], mod_exp={"CL3_2": 2}) == [
+        check("CL3_2", 13, part, mod_exp=2) for part in (1, 2)]
+
+
+def test_cl3_2_upper_valuation_check_survives_optimize_flag():
+    code = (
+        "from binomsums.congruences import PrimeContext, check\n"
+        "central = PrimeContext.central\n"
+        "def bent(self, K, stop):\n"
+        "    vals, units = central(self, K, stop)\n"
+        "    return [*vals[:9], 0, *vals[10:]], units\n"
+        "PrimeContext.central = bent\n"
+        "try:\n"
+        "    check('CL3_2', 13, 1)\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "C(2k,k)^2/8^k: valuation 0 != 2 at p=13, k=9 (row=CL3_2, p=13)\n"
 
 
 def _legendre(n, p):
@@ -1105,8 +1147,8 @@ def test_reduced_lower_exponents_equal_fresh_builds(mod_exp):
 def test_context_reductions_equal_fresh_builds():
     def build(ctx, kexp):
         return (
-            ctx.central(kexp),
-            ctx.central_power(2, -16, kexp),
+            ctx.central(kexp, ctx.p),
+            ctx.central_power(2, -16, kexp, ctx.p),
             [ctx.moment(kexp, Sum(8, 2), j) for j in (0, 1, 2)],
             [ctx.moment(kexp, Sum(-8, 3), j) for j in (0, 1)],
             [s(ctx, kexp, None) for s in (congruences._DELANNOY, congruences._SCHRODER)],
@@ -1188,37 +1230,43 @@ def test_one_factorial_table_per_prime(monkeypatch):
     congruences._suite_for_prime(p, _HALFRANGE_IDS, {}, False)
     assert [(k, t.source and t.source.k) for k, (t, _, _) in seen.items()] == [
         (3, None), (2, 3), (1, 2)]
-    # C(2k,k) for k < p reads (2k)! and 1/k!; the p^2 rows read nothing past p,
-    # whose inverse alone the p^3 table lacks; the p table, first read by
-    # C((p-1)/2, (p-1)/4), takes every entry it reads
+    # the p^3 rows read C(2k,k) for k <= n = (p-1)/2, so (2k)! to p - 1 and
+    # 1/k! to n (CL3_3's Catalan factor 1/(n+1)!), and the valuations of every
+    # k < p.  CL3_2, run before CL3_3, reads C(2k,k) for every k < p at p^2:
+    # that table takes the units and the inverses to n that the p^3 table then
+    # holds and builds the rest, (2k)! to 2p - 2 and 1/k! to p.  The p table,
+    # first read by C((p-1)/2, (p-1)/4), takes every entry it reads
+    n = (p - 1) // 2
     assert {k: (t.reaches, taken, built) for k, (t, taken, built) in seen.items()} == {
-        3: ((2 * p - 2, 2 * p - 2, p - 1), [0, 0, 0], [2 * p - 2, 2 * p - 2, p - 1]),
-        2: ((2 * p - 2, p, p), [0, p, p - 1], [0, 0, 1]),
-        1: ((2 * p - 2, (p - 1) // 2, 252), [0, (p - 1) // 2, 252], [0, 0, 0])}
+        3: ((2 * p - 2, p - 1, n + 1), [0, 0, 0], [2 * p - 2, p - 1, n + 1]),
+        2: ((2 * p - 2, 2 * p - 2, p), [0, p - 1, n], [0, p - 1, n + 1]),
+        1: ((2 * p - 2, n, 252), [0, n, 252], [0, 0, 0])}
     for p, c in ((1009, 840), (10007, 8339)):
+        n = (p - 1) // 2
         assert congruences._FAMILY[1728].cutoff(p, 2) == c
         seen.clear()
         congruences._suite_for_prime(p, tuple(default_ids()), {}, False)
         assert [(k, t.source and t.source.k) for k, (t, _, _) in seen.items()] == [
             (3, None), (2, 3), (1, 2)]
-        # each list's reach at each exponent: C(2k,k) at p^3; at p^2 the 1728
-        # weights' valuations over k < p, their (6k)! to the cutoff c and 1/(3k)!
-        # to c (no chain steps: every one vanishes or stops at c); at p, C4_1's
-        # (4k)! whose valuations run to k = p - 1 and whose terms end at (p-1)/4.
+        # each list's reach at each exponent: C(2k,k) for k <= n at p^3; at p^2
+        # C(2k,k) for k < p, the 1728 weights' valuations over k < p, their
+        # (6k)! to the cutoff c and 1/(3k)! to c (no chain steps: every one
+        # vanishes or stops at c); at p, C4_1's (4k)! whose valuations run to
+        # k = p - 1 and whose terms end at (p-1)/4.
         # The valuations, one list for the prime, reach the furthest of them.
         assert {k: (t.reaches, taken, built) for k, (t, taken, built) in seen.items()} == {
-            3: ((6 * p - 6, 2 * p - 2, p - 1), [0, 0, 0], [2 * p - 2, 2 * p - 2, p - 1]),
-            2: ((6 * p - 6, 6 * c, 3 * c), [0, 2 * p - 2, p - 1],
-                [4 * p - 4, 6 * c - 2 * p + 2, 3 * c - p + 1]),
-            1: ((6 * p - 6, p - 1, (p - 1) // 2), [0, p - 1, (p - 1) // 2], [0, 0, 0])}
+            3: ((6 * p - 6, p - 1, n + 1), [0, 0, 0], [2 * p - 2, p - 1, n + 1]),
+            2: ((6 * p - 6, 6 * c, 3 * c), [0, p - 1, n], [4 * p - 4, 6 * c - p + 1, 3 * c - n]),
+            1: ((6 * p - 6, p - 1, n), [0, p - 1, n], [0, 0, 0])}
 
 
 def test_base_powers_grow_to_their_readers_cutoffs():
     # base^-k is one list per base and exponent, as long as its furthest reader
     # asks: at p = 2003 each family's weights mod p^2 read it to their cutoff
     # (see test_the_suite_steps_only_the_chains_its_rows_read), and a power that
-    # summands share, such as C(2k,k)^2/8^k, to p - 1.  Each exponent's list
-    # grows on its own.
+    # summands share, such as C(2k,k)^2/8^k, to its cutoff (p-1)/2.  A lower
+    # exponent's list takes the entries its readers ask for from the list of the
+    # lowest higher exponent, reduced, as far as that holds them, and builds the rest.
     p, pk = 2003, 2003**2
     ctx = PrimeContext(p)
     assert ctx.base_powers(1728, 3, 100) == [pow(1728, -k, p**3) for k in range(100)]
@@ -1228,9 +1276,65 @@ def test_base_powers_grow_to_their_readers_cutoffs():
         assert ctx.base_powers(base, 2, 0) == [pow(base, -k, pk) for k in range(c + 1)]
     assert len(ctx.base_powers(1728, 3, 0)) == 100
     ctx.summand(2, Sum(8, 2))
-    assert len(ctx.base_powers(8, 2, 0)) == p
+    assert len(ctx.base_powers(8, 2, 0)) == (p + 1) // 2
     assert ctx.base_powers(108, 1, 0) == [1]  # no entry asked: base^0 alone
     assert ctx.base_powers(108, 1, 3) == [1, pow(108, -1, p), pow(108, -2, p)]
+
+
+# the per-prime lists grown to a reader's stop: C(2k,k), two of its powers and
+# two bases, each read as (its cache key, (valuations or None, units))
+_GROWN = {
+    ("central",): lambda ctx, kexp, stop: ctx.central(kexp, stop),
+    ("cpow", 2, 8): lambda ctx, kexp, stop: ctx.central_power(2, 8, kexp, stop),
+    ("cpow", 3, -8): lambda ctx, kexp, stop: ctx.central_power(3, -8, kexp, stop),
+    ("powers", -16): lambda ctx, kexp, stop: (None, ctx.base_powers(-16, kexp, stop)),
+    ("powers", 108): lambda ctx, kexp, stop: (None, ctx.base_powers(108, kexp, stop)),
+}
+
+
+def _exact_grown(key, p, kexp):
+    """(valuations or None, units) of a ``_GROWN`` list for every k < p, from exact integers."""
+    pk, vals, units = p**kexp, [], []
+    for k in range(p):
+        c, v = comb(2 * k, k), 0
+        while c % p == 0:
+            c, v = c // p, v + 1
+        vals.append(v)
+        units.append(c)
+    if key[0] == "powers":
+        return None, [pow(key[1], -k, pk) for k in range(p)]
+    power, base = key[1:] if key[0] == "cpow" else (1, 1)
+    return ([power * v for v in vals],
+            [u**power * pow(base, -k, pk) % pk for k, u in enumerate(units)])
+
+
+def test_grown_lists_equal_fresh_builds_in_any_order():
+    # C(2k,k), its powers and base^-k grown to random stops at random
+    # exponents in a random order: each holds k < stop, and no more than its
+    # readers asked before, and equals a prefix of a fresh full build (which
+    # equals the exact values), whether its entries are reduced from a higher
+    # exponent's list or built
+    rng = random.Random(31)
+    for p in (5, 7, 11, 13, 101):
+        fresh = {(key, kexp): read(PrimeContext(p), kexp, p)
+                 for key, read in _GROWN.items() for kexp in (1, 2, 3, 4)}
+        for (key, kexp), lists in fresh.items():
+            assert lists == _exact_grown(key, p, kexp), (p, key, kexp)
+        for _ in range(20):
+            ctx = PrimeContext(p)
+            for _ in range(rng.randrange(1, 12)):
+                key, kexp = rng.choice(list(_GROWN)), rng.randint(1, 4)
+                stop = rng.choice([0, 1, p, rng.randrange(p + 1)])
+                before = len(ctx._cache.get((*key, kexp), [1]))
+                vals, units = _GROWN[key](ctx, kexp, stop)
+                want_vals, want_units = fresh[key, kexp]
+                assert vals == want_vals and units == want_units[: len(units)], (p, key, kexp)
+                assert len(units) == max(stop, before), (p, key, kexp, stop)
+        # a lower exponent reads what the list above holds and builds nothing
+        ctx = PrimeContext(p)
+        ctx.central_power(2, 8, 3, p)
+        assert ctx.central_power(2, 8, 2, p)[1] == fresh[("cpow", 2, 8), 2][1]
+        assert not {("central", 2), ("powers", 8, 2), ("tables", 2)} & ctx._cache.keys()
 
 
 def test_a_vanishing_chain_reads_no_inverse_past_its_guards(monkeypatch):
@@ -1266,23 +1370,42 @@ def test_a_vanishing_chain_reads_no_inverse_past_its_guards(monkeypatch):
 
 
 def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
-    # at p = 1201 the halfrange rows run at p^3, p^2 and p; only the p^3 rows
-    # build C(2k,k), so the p^2 table needs no (2k)! and its units stay p long
-    seen, centrals = _growth(monkeypatch), []
-    central = PrimeContext.central
+    # at p = 1201 the halfrange rows run at p^3, p^2 and p.  The p^3 rows read
+    # C(2k,k) for k <= n = (p-1)/2 only: CL3_3 and CGZ end there, and CL3_2
+    # reads its p^2-divisible half, k > n, mod p^2.  So at p^3 the table's
+    # units reach p - 1, and C(2k,k), its powers and base^-k hold n + 1
+    # entries; at p^2 they start from those, reduced, and grow to p
+    seen, centrals, contexts = _growth(monkeypatch), {}, []
+    central, init = PrimeContext.central, PrimeContext.__init__
 
-    def reading(self, kexp):
-        centrals.append(kexp)
-        return central(self, kexp)
+    def reading(self, kexp, stop):
+        centrals[kexp] = max(centrals.get(kexp, 0), stop)
+        return central(self, kexp, stop)
+
+    def keeping(self, p):
+        init(self, p)
+        contexts.append(self)
 
     monkeypatch.setattr(PrimeContext, "central", reading)
+    monkeypatch.setattr(PrimeContext, "__init__", keeping)
     p = 1201
+    n = (p - 1) // 2
     congruences._suite_for_prime(p, _HALFRANGE_IDS, {}, False)
     assert {k: (t.reaches[1:], taken, built) for k, (t, taken, built) in seen.items()} == {
-        3: ((2 * p - 2, p - 1), [0, 0, 0], [2 * p - 2, 2 * p - 2, p - 1]),
-        2: ((p, p), [0, p, p - 1], [0, 0, 1]),
-        1: (((p - 1) // 2, (p - 1) // 4), [0, (p - 1) // 2, (p - 1) // 4], [0, 0, 0])}
-    assert set(centrals) == {3}
+        3: ((p - 1, n + 1), [0, 0, 0], [2 * p - 2, p - 1, n + 1]),
+        2: ((2 * p - 2, p), [0, p - 1, n], [0, p - 1, n + 1]),
+        1: ((n, n // 2), [0, n, n // 2], [0, 0, 0])}
+    assert centrals == {3: n + 1, 2: p}
+    [ctx] = contexts
+    lists = {key: len(v) for key, v in ctx._cache.items()
+             if key[0] in ("central", "cpow", "powers")}
+    assert lists == {
+        **{key: n + 1 for key in (("central", 3), ("cpow", 2, 8, 3), ("cpow", 2, -16, 3),
+                                  ("cpow", 3, -8, 3), ("powers", 8, 3), ("powers", -16, 3),
+                                  ("powers", -8, 3))},
+        **{key: p for key in (("central", 2), ("cpow", 2, 8, 2), ("cpow", 2, -16, 2),
+                              ("cpow", 3, -8, 2), ("powers", 8, 2), ("powers", -16, 2),
+                              ("powers", -8, 2))}}
 
 
 def test_primality_is_tested_once_per_public_call(monkeypatch):

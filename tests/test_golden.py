@@ -41,6 +41,15 @@ GOLDEN = [
         1,
         "ddec266a40dbfd1f134e9122fbb0806f3681fccb2c13cee31e9379e80d1b4d7a",
     ),
+    # the mod p^3 rows at p > 1000, where p^3 > 2^30, CL3_2 mod p^5 and CL3_3
+    # mod p^4; taken before CL3_2 read its p^2-divisible half one exponent
+    # lower.  Most fail past their proven exponent, so the run exits 1
+    (
+        ("verify", "--primes", "1000..1100", "--ids", "CL3_2,CL3_3,CGZ",
+         "--mod-exp", "CL3_2=5,CL3_3=4", "--format", "csv"),
+        1,
+        "aded85b2d8e1374f0e6e16c77468343e7a5f10500ddfbec769dd716549bd07e1",
+    ),
     # the exact identity suites, whose step relations the shift engine uses
     (
         ("identities", "--format", "csv"),
@@ -104,8 +113,9 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "args,status,digest",
     GOLDEN,
-    ids=["all_rows", "shift_high_k", "raised_n_rows", "identities", "eta", "eta_2000", "human",
-         "jsonl_body", "repr_d1", "repr_d2", "repr_d3", "repr_d7", "repr_human"],
+    ids=["all_rows", "shift_high_k", "raised_n_rows", "cube_rows_past_2_30", "identities", "eta",
+         "eta_2000", "human", "jsonl_body", "repr_d1", "repr_d2", "repr_d3", "repr_d7",
+         "repr_human"],
 )
 def test_golden_cli_output(args, status, digest):
     r = subprocess.run([sys.executable, "-m", "binomsums", *args], capture_output=True)

@@ -26,7 +26,7 @@ Two evaluation paths exist and are pinned against each other by the tests:
   rows from the top exponent down, so a lower exponent reads tables,
   summands and moments reduced from a higher one.  Each exponent has one
   factorial table, and each of its lists (valuations, units, inverses), like
-  C(2k,k), its powers and base^-k, grows to the reach its own readers ask
+  each power C(2k,k)^c / base^k, grows to the reach its own readers ask
   for; a lower exponent's table or list takes what the one above it holds,
   reduced (the valuations shared), and builds only the rest.
   The shift engine steps the d -> d+2 relations in O(p) for each
@@ -337,7 +337,8 @@ class PrimeContext:
     tables as a sum of valuations and a product of units, with no ratio
     stream, up to ``Sum.cutoff``: past it only valuations are read, to show
     every term is 0 mod p^K.  Only the shift engine and its direct-sum guard
-    compute terms per k outside it.  C(2k,k) is read once (``central``).
+    compute terms per k outside it.  The valuations of C(2k,k)^c are read once
+    (``valuations``), its units over a base once per exponent (``power``).
     Summands, their moments, shift chains, shifted sums and quadratic
     representations are cached on first use, so checking many rows at one
     prime costs one kernel call per distinct summand and one pass per moment.
@@ -345,14 +346,14 @@ class PrimeContext:
     A value mod p^K is the value mod p^J (J > K) reduced mod p^K, so a miss
     at K is reduced from the lowest higher exponent cached, and built only if
     there is none.  The suite evaluates rows from the top exponent down, so a
-    prime builds summands once each, and a lower exponent's factorial table,
-    C(2k,k), powers and base^-k take what the ones above them hold and build
-    only the rest.  Each list of an exponent's table grows to the reach its
-    own readers ask for (``tables``): valuations over a summand's whole
-    range, units and inverses only to its cutoff, and the shift engine's
-    inverses only where a chain steps; the units of C(2k,k), its powers and
-    base^-k grow to their readers' cutoffs (``_grown``), so at p^3, where
-    ``_cl3_2`` reads k > (p-1)/2 mod p^2, none passes (p-1)/2.  A
+    prime builds summands once each, and a lower exponent's factorial table
+    and power lists take what the ones above them hold and build only the
+    rest.  Each list of an exponent's table grows to the reach its own
+    readers ask for (``tables``): valuations over a summand's whole range,
+    units and inverses only to its cutoff, and the shift engine's inverses
+    only where a chain steps; the units of each power C(2k,k)^c / base^k
+    grow to their readers' cutoffs (``power``), so at p^3, where ``_cl3_2``
+    reads k > (p-1)/2 mod p^2, none passes (p-1)/2.  A
     shift chain is stepped only where a table row reads it.  What a prime
     computes follows from what its rows read and the order in which they run,
     with one choice fixed at import: a power C(2k,k)^c / base^k that two or
@@ -436,65 +437,46 @@ class PrimeContext:
 
     # --- the term engine --------------------------------------------------
 
-    def _grown(self, key: tuple, kexp: int, stop: int, grow: Callable) -> list[int]:
-        """The residues mod p^kexp cached under ``key``, one per k from 0 and for k < stop
-        at least.  The list starts as [1], the entry at k = 0, and grows in place to
-        its readers' furthest stop: first by the lowest higher exponent's entries,
-        reduced mod p^kexp as far as that list holds them, then by ``grow(units, stop)``."""
+    def power(self, c: int, base: int, kexp: int, stop: int) -> list[int]:
+        """The units of C(2k,k)^c / base^k mod p^kexp, one per k from 0 and for k < stop
+        at least (negative and residue bases are fine).  The list, one per (c, base)
+        and exponent, starts as [1], the entry at k = 0, and grows in place to its
+        readers' furthest stop: first by the lowest higher exponent's entries, reduced
+        mod p^kexp as far as that list holds them, then by building the rest: base^-k
+        by one inverse and a running product, C(2k,k) as (2k)!/k!^2 from the tables,
+        and any other power as the ``_product`` of those two."""
+        key = ("power", c, base)
         units = self._cache.get((*key, kexp))
         if units is None:
             units = self._cache[(*key, kexp)] = [1]
             self._top = max(self._top, kexp)
+        pk = self.pk(kexp)
         if len(units) < stop:
-            pk = self.pk(kexp)
             units += [u % pk for u in (self._higher(key, kexp) or [])[len(units) : stop]]
-        if len(units) < stop:
-            grow(units, stop)
+        start = len(units)
+        if start >= stop:
+            return units
+        if c == 0:
+            binv, s = mod_inverse(base % pk, pk), units[-1]
+            units += [(s := s * binv % pk) for _ in range(stop - start)]
+        elif (c, base) == (1, 1):
+            t = self.tables(kexp, 0, 2 * stop - 2, stop - 1)
+            units += [u * i * i % pk for u, i in zip(t.unit[2 * start : 2 * stop : 2],
+                                                     t.inv_unit[start:stop])]
+        else:
+            scale = [self.power(0, base, kexp, stop)[start:stop]] if base != 1 else []
+            units += _product([self.power(1, 1, kexp, stop)[start:stop]] * c + scale, None, pk)
         return units
 
-    def central(self, kexp: int, stop: int) -> tuple[list[int], list[int]]:
-        """Valuations of C(2k,k) for every k < p, one list for the prime, and its units
-        mod p^kexp for k < stop at least, grown as ``_grown`` grows them."""
+    def valuations(self, c: int, kexp: int) -> list[int]:
+        """c * v_p(C(2k,k)) for every k < p, one list per c for the prime, read from
+        the tables' ``val``, which every exponent shares."""
 
-        def grow(units: list[int], stop: int) -> None:
-            t, start = self.tables(kexp, 0, 2 * stop - 2, stop - 1), len(units)
-            units += [u * i * i % t.pk for u, i in zip(t.unit[2 * start : 2 * stop : 2],
-                                                        t.inv_unit[start:stop])]
-
-        def valuations() -> list[int]:
+        def build() -> list[int]:
             val = self.tables(kexp, 2 * self.p - 2, 0, 0).val
-            return [a - 2 * b for a, b in zip(val[: 2 * self.p : 2], val[: self.p])]
+            return [c * (a - 2 * b) for a, b in zip(val[: 2 * self.p : 2], val[: self.p])]
 
-        return self._cached(("cval", 1), valuations), self._grown(("central",), kexp, stop, grow)
-
-    def central_power(self, central: int, base: int, kexp: int,
-                      stop: int) -> tuple[list[int], list[int]]:
-        """Valuations of C(2k,k)^central / base^k (central > 0) for every k < p, and its
-        units mod p^kexp for k < stop at least, grown as ``_grown`` grows them.
-
-        The summands that share a power and a base (``_SHARED_POWERS``) read it
-        from here, and one pass multiplies what their furthest reader asks.
-        """
-
-        def grow(units: list[int], stop: int) -> None:
-            start, cunit = len(units), self.central(kexp, stop)[1]
-            scale = [self.base_powers(base, kexp, stop)[start:stop]] if base != 1 else []
-            units += _product([cunit[start:stop]] * central + scale, None, self.pk(kexp))
-
-        vals = self._cached(("cval", central),
-                            lambda: [central * v for v in self.central(kexp, 0)[0]])
-        return vals, self._grown(("cpow", central, base), kexp, stop, grow)
-
-    def base_powers(self, base: int, kexp: int, stop: int) -> list[int]:
-        """base^-k mod p^kexp for k < stop at least (negative and residue bases are
-        fine), grown as ``_grown`` grows them: by one inverse and a running product."""
-
-        def grow(powers: list[int], stop: int) -> None:
-            pk = self.pk(kexp)
-            binv, s = mod_inverse(base % pk, pk), powers[-1]
-            powers += [(s := s * binv % pk) for _ in range(stop - len(powers))]
-
-        return self._grown(("powers", base), kexp, stop, grow)
+        return self._cached(("cval", c), build)
 
     def summand(self, kexp: int, s: Sum) -> list[int]:
         """Residues mod p^kexp of the summand of ``s`` (its weight left out), one per k."""
@@ -503,10 +485,11 @@ class PrimeContext:
     def _kernel(self, kexp: int, s: Sum) -> list[int]:
         """The residues of the summand of ``s`` for k = lo..``Sum.cutoff``, valuations first.
 
-        Its factors are columns: C(2k,k) c times and base^-k (or their power from
-        ``central_power``, where summands share it) and each merged (a k + b)!^e
-        |e| times, valuations over the whole range and units up to the cutoff;
-        the lists of C(2k,k), its powers and base^-k are asked for k < cut + 1.
+        Its factors are columns: C(2k,k) c times and base^-k (or their product
+        C(2k,k)^c / base^k, where summands share it), each read from ``power``
+        and ``valuations``, and each merged (a k + b)!^e |e| times, valuations
+        over the whole range and units up to the cutoff; the power lists are
+        asked for k < cut + 1.
         A valuation below 0, or below kexp past the cutoff, raises ArithmeticError
         naming the summand, p and k.  The unit columns and p^v (0 for v >= kexp,
         left out where every v is 0) are multiplied by ``_product``, or, for a
@@ -522,14 +505,14 @@ class PrimeContext:
                 vcols.extend([(val, op)] * times)
             cols.extend([unit] * times)
 
-        # the lists of C(2k,k), its powers and base^-k start at k = 0 and may pass the cutoff
-        shared = s.central and (s.base, s.central) in _SHARED_POWERS
+        # the power lists start at k = 0 and may pass the cutoff
+        shared = (s.base, s.central) in _SHARED_POWERS
+        c, base = (s.central, s.base) if shared else (1, 1)
         if s.central:
-            val, unit = (self.central_power(s.central, s.base, kexp, cut + 1) if shared
-                         else self.central(kexp, cut + 1))
-            factor(val[lo : hi + 1], unit[lo : cut + 1], add, 1 if shared else s.central)
-        if s.base != 1 and not shared:
-            cols.append(self.base_powers(s.base, kexp, cut + 1)[lo : cut + 1])
+            factor(self.valuations(c, kexp)[lo : hi + 1],
+                   self.power(c, base, kexp, cut + 1)[lo : cut + 1], add, s.central // c)
+        if s.base != base:
+            cols.append(self.power(0, s.base, kexp, cut + 1)[lo : cut + 1])
         merged: dict[tuple[int, int], int] = {}
         for a, b, e in s.factors:
             merged[a, b] = merged.get((a, b), 0) + e
@@ -601,8 +584,7 @@ class PrimeContext:
         from these columns, which every family shares.  Each is a summand of
         the term engine, built when first read; the d = 0 column is C(2k,k).
         """
-        s = _CENTRAL if d == 0 else Sum(1, 0, factors=_shifted(d), lo=d)
-        return self._at(("column", d), kexp, lambda: self._kernel(kexp, s), s)
+        return self.summand(kexp, _CENTRAL if d == 0 else Sum(1, 0, factors=_shifted(d), lo=d))
 
     def chain(self, base: int, parity: int, kexp: int) -> list[int]:
         """S_base(d) mod p^kexp for the d < p of one parity, entry d // 2 being S(d),
@@ -675,7 +657,7 @@ def _cl3_2(ctx: PrimeContext, kexp: int, part: int) -> int:
     m0, m1 = ctx.moment(kexp, half, 0), ctx.moment(kexp, half, 1)
     if kexp < 3:  # the pairs with i > n or j > n are 0 mod p^kexp
         return m0 * m0 + 2 * s * m0 * m1
-    vals, beta = ctx.central_power(2, half.base, kexp - 1, p)
+    vals, beta = ctx.valuations(2, kexp - 1), ctx.power(2, half.base, kexp - 1, p)
     if vals[n + 1 :] != [2] * n:
         k = next(k for k in range(n + 1, p) if vals[k] != 2)
         raise ArithmeticError(f"C(2k,k)^2/{half.base}^k: valuation {vals[k]} != 2 "
@@ -1013,8 +995,8 @@ _SUMMANDS = {s.key: s for s in (*_FAMILY.values(), *_MEMBER_SUMS, *(
     t.summand if isinstance(t, Terms) else t
     for row in _REGISTRY for t in row.terms if isinstance(t, (Sum, Terms))))}
 # the (base, c) of each power C(2k,k)^c / base^k that two or more of them read:
-# ``_kernel`` reads these from ``central_power``'s cache and multiplies any other
-# into the summand's own pass
+# ``_kernel`` reads each as one ``power`` list and multiplies any other from the
+# lists of C(2k,k) and base^-k in the summand's own pass
 _READERS = Counter(key[:2] for key in _SUMMANDS if key[1])
 _SHARED_POWERS = frozenset(pair for pair, n in _READERS.items() if n > 1)
 

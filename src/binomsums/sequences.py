@@ -8,7 +8,7 @@ evaluated by ``horner``; the identity suites read the same lists.  Everything
 is exact: integer or Fraction arithmetic only, or an exact residue mod p
 (``euler_number_mod_p``).  Central binomials modulo p^k are not streamed
 here: the congruence engine reads them from the per-prime factorial tables
-(``PrimeContext.central``, ``FactorialTables.binomial``).
+(``PrimeContext.power``, ``FactorialTables.binomial``).
 """
 
 from __future__ import annotations

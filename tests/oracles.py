@@ -140,8 +140,8 @@ def summand_residues(ctx, kexp: int, base: int, central: int, factors, lo: int, 
     """Residues mod p^kexp of C(2k,k)^central prod (a k + b)!^e / base^k for lo <= k <= hi.
 
     The multi-pass term engine the package used before its one-pass kernel:
-    the summand starts from ``ctx.central_power``, or from ``ctx.base_powers``
-    with no C(2k,k); each distinct factorial, its exponents merged, costs one
+    the summand starts from C(2k,k)^central / base^k, read from ``ctx.power``
+    and ``ctx.valuations``; each distinct factorial, its exponents merged, costs one
     pass for its units and one for its valuations where they are not all 0; a
     last pass gives p^v * unit, 0 for v >= kexp.  It reads every factorial over
     the whole range lo..hi, so it asks the tables for all three lists that far.
@@ -151,8 +151,8 @@ def summand_residues(ctx, kexp: int, base: int, central: int, factors, lo: int, 
         return [table[a * k + b] for k in range(lo, hi + 1)]
 
     p, pk = ctx.p, ctx.pk(kexp)
-    vals, units = (ctx.central_power(central, base, kexp, p) if central
-                   else ([0] * p, ctx.base_powers(base, kexp, p)))
+    vals = ctx.valuations(central, kexp) if central else [0] * p
+    units = ctx.power(central, base, kexp, p)
     vals, units = vals[lo : hi + 1], units[lo : hi + 1]
     reach = max([a * k + b for a, b, _ in factors for k in (lo, hi)], default=0)
     t = ctx.tables(kexp, reach, reach, reach)

@@ -425,12 +425,9 @@ def test_shift_engine_spot_check_catches_bad_seed(monkeypatch):
 
 
 def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
-    # a C(2k,k) table whose every entry is a unit breaks v_p(C(2k,k)^2) >= 2
-    # at the first tail index k = (p+1)/2 in every stream built on it
-    def unit_central(self, kexp, stop):
-        return [0] * self.p, [1] * self.p
-
-    monkeypatch.setattr(PrimeContext, "central", unit_central)
+    # C(2k,k)^c valuations that are all 0 break v_p(C(2k,k)^2) >= 2 at the
+    # first tail index k = (p+1)/2 in every stream built on them
+    monkeypatch.setattr(PrimeContext, "valuations", lambda self, c, kexp: [0] * self.p)
     p = 13
     # (summand label, row named by check or None, call)
     cases = [
@@ -451,7 +448,7 @@ def test_tail_invariants_raise_with_stream_p_and_k(monkeypatch):
 def test_tail_invariants_survive_optimize_flag():
     code = (
         "from binomsums.congruences import PrimeContext, Sum\n"
-        "PrimeContext.central = lambda self, K, stop: ([0] * self.p, [1] * self.p)\n"
+        "PrimeContext.valuations = lambda self, c, K: [0] * self.p\n"
         "try:\n"
         "    PrimeContext(13).moment(2, Sum(-8, 3), 0)\n"
         "except ArithmeticError as exc:\n"
@@ -465,15 +462,15 @@ def test_tail_invariants_survive_optimize_flag():
 def test_cl3_2_raises_on_an_upper_valuation_other_than_2(monkeypatch):
     # by Kummer's theorem C(2i,i)^2 / base^i has valuation exactly 2 for
     # (p-1)/2 < i < p, which CL3_2's upper half reads as p^2 times a unit; a
-    # C(2k,k) valuation list bent at one such i makes it raise, naming the
-    # power, p and i, in both paths
-    central = PrimeContext.central
+    # C(2k,k)^c valuation list bent at one such i, to 2c, makes it raise,
+    # naming the power, p and i, in both paths
+    valuations = PrimeContext.valuations
 
-    def bent(self, kexp, stop):
-        vals, units = central(self, kexp, stop)
-        return [*vals[:9], 2, *vals[10:]], units
+    def bent(self, c, kexp):
+        vals = valuations(self, c, kexp)
+        return [*vals[:9], 2 * c, *vals[10:]]
 
-    monkeypatch.setattr(PrimeContext, "central", bent)
+    monkeypatch.setattr(PrimeContext, "valuations", bent)
     for part, power in ((1, "C(2k,k)^2/8^k"), (2, "C(2k,k)^2/-16^k")):
         message = rf"^{re.escape(power)}: valuation 4 != 2 at p=13, k=9 \(row=CL3_2, p=13\)$"
         with pytest.raises(ArithmeticError, match=message):
@@ -488,11 +485,11 @@ def test_cl3_2_raises_on_an_upper_valuation_other_than_2(monkeypatch):
 def test_cl3_2_upper_valuation_check_survives_optimize_flag():
     code = (
         "from binomsums.congruences import PrimeContext, check\n"
-        "central = PrimeContext.central\n"
-        "def bent(self, K, stop):\n"
-        "    vals, units = central(self, K, stop)\n"
-        "    return [*vals[:9], 0, *vals[10:]], units\n"
-        "PrimeContext.central = bent\n"
+        "valuations = PrimeContext.valuations\n"
+        "def bent(self, c, K):\n"
+        "    vals = valuations(self, c, K)\n"
+        "    return [*vals[:9], 0, *vals[10:]]\n"
+        "PrimeContext.valuations = bent\n"
         "try:\n"
         "    check('CL3_2', 13, 1)\n"
         "except ArithmeticError as exc:\n"
@@ -1147,8 +1144,8 @@ def test_reduced_lower_exponents_equal_fresh_builds(mod_exp):
 def test_context_reductions_equal_fresh_builds():
     def build(ctx, kexp):
         return (
-            ctx.central(kexp, ctx.p),
-            ctx.central_power(2, -16, kexp, ctx.p),
+            (ctx.valuations(1, kexp), ctx.power(1, 1, kexp, ctx.p)),
+            (ctx.valuations(2, kexp), ctx.power(2, -16, kexp, ctx.p)),
             [ctx.moment(kexp, Sum(8, 2), j) for j in (0, 1, 2)],
             [ctx.moment(kexp, Sum(-8, 3), j) for j in (0, 1)],
             [s(ctx, kexp, None) for s in (congruences._DELANNOY, congruences._SCHRODER)],
@@ -1269,43 +1266,39 @@ def test_base_powers_grow_to_their_readers_cutoffs():
     # lowest higher exponent, reduced, as far as that holds them, and builds the rest.
     p, pk = 2003, 2003**2
     ctx = PrimeContext(p)
-    assert ctx.base_powers(1728, 3, 100) == [pow(1728, -k, p**3) for k in range(100)]
-    assert ctx.base_powers(1728, 2, 10) == [pow(1728, -k, pk) for k in range(10)]
+    assert ctx.power(0, 1728, 3, 100) == [pow(1728, -k, p**3) for k in range(100)]
+    assert ctx.power(0, 1728, 2, 10) == [pow(1728, -k, pk) for k in range(10)]
     for base, c in ((64, 1001), (108, 1335), (256, 1502), (1728, 1669)):
         assert len(ctx.weights(base, 2)) == c + 1
-        assert ctx.base_powers(base, 2, 0) == [pow(base, -k, pk) for k in range(c + 1)]
-    assert len(ctx.base_powers(1728, 3, 0)) == 100
+        assert ctx.power(0, base, 2, 0) == [pow(base, -k, pk) for k in range(c + 1)]
+    assert len(ctx.power(0, 1728, 3, 0)) == 100
     ctx.summand(2, Sum(8, 2))
-    assert len(ctx.base_powers(8, 2, 0)) == (p + 1) // 2
-    assert ctx.base_powers(108, 1, 0) == [1]  # no entry asked: base^0 alone
-    assert ctx.base_powers(108, 1, 3) == [1, pow(108, -1, p), pow(108, -2, p)]
+    assert len(ctx.power(0, 8, 2, 0)) == (p + 1) // 2
+    assert ctx.power(0, 108, 1, 0) == [1]  # no entry asked: base^0 alone
+    assert ctx.power(0, 108, 1, 3) == [1, pow(108, -1, p), pow(108, -2, p)]
 
 
-# the per-prime lists grown to a reader's stop: C(2k,k), two of its powers and
-# two bases, each read as (its cache key, (valuations or None, units))
-_GROWN = {
-    ("central",): lambda ctx, kexp, stop: ctx.central(kexp, stop),
-    ("cpow", 2, 8): lambda ctx, kexp, stop: ctx.central_power(2, 8, kexp, stop),
-    ("cpow", 3, -8): lambda ctx, kexp, stop: ctx.central_power(3, -8, kexp, stop),
-    ("powers", -16): lambda ctx, kexp, stop: (None, ctx.base_powers(-16, kexp, stop)),
-    ("powers", 108): lambda ctx, kexp, stop: (None, ctx.base_powers(108, kexp, stop)),
-}
+# the per-prime power lists C(2k,k)^c / base^k, as (c, base): C(2k,k), every
+# power that summands share and base^-k for every base the summands read
+_GROWN = ((1, 1), *sorted((c, base) for base, c in congruences._SHARED_POWERS),
+          *sorted({(0, key[0]) for key in congruences._SUMMANDS if key[0] != 1}))
 
 
-def _exact_grown(key, p, kexp):
+def _read_grown(ctx, c, base, kexp, stop):
+    """(valuations, or None for c = 0, units) of the power list (c, base)."""
+    return ctx.valuations(c, kexp) if c else None, ctx.power(c, base, kexp, stop)
+
+
+def _exact_grown(c, base, p, kexp):
     """(valuations or None, units) of a ``_GROWN`` list for every k < p, from exact integers."""
     pk, vals, units = p**kexp, [], []
     for k in range(p):
-        c, v = comb(2 * k, k), 0
-        while c % p == 0:
-            c, v = c // p, v + 1
-        vals.append(v)
-        units.append(c)
-    if key[0] == "powers":
-        return None, [pow(key[1], -k, pk) for k in range(p)]
-    power, base = key[1:] if key[0] == "cpow" else (1, 1)
-    return ([power * v for v in vals],
-            [u**power * pow(base, -k, pk) % pk for k, u in enumerate(units)])
+        u, v = comb(2 * k, k), 0
+        while u % p == 0:
+            u, v = u // p, v + 1
+        vals.append(c * v)
+        units.append(u**c * pow(base, -k, pk) % pk)
+    return vals if c else None, units
 
 
 def test_grown_lists_equal_fresh_builds_in_any_order():
@@ -1314,27 +1307,28 @@ def test_grown_lists_equal_fresh_builds_in_any_order():
     # readers asked before, and equals a prefix of a fresh full build (which
     # equals the exact values), whether its entries are reduced from a higher
     # exponent's list or built
+    assert len(_GROWN) == len(set(_GROWN)) == 12
     rng = random.Random(31)
     for p in (5, 7, 11, 13, 101):
-        fresh = {(key, kexp): read(PrimeContext(p), kexp, p)
-                 for key, read in _GROWN.items() for kexp in (1, 2, 3, 4)}
-        for (key, kexp), lists in fresh.items():
-            assert lists == _exact_grown(key, p, kexp), (p, key, kexp)
+        fresh = {(key, kexp): _read_grown(PrimeContext(p), *key, kexp, p)
+                 for key in _GROWN for kexp in (1, 2, 3, 4)}
+        for ((c, base), kexp), lists in fresh.items():
+            assert lists == _exact_grown(c, base, p, kexp), (p, c, base, kexp)
         for _ in range(20):
             ctx = PrimeContext(p)
             for _ in range(rng.randrange(1, 12)):
-                key, kexp = rng.choice(list(_GROWN)), rng.randint(1, 4)
+                key, kexp = rng.choice(_GROWN), rng.randint(1, 4)
                 stop = rng.choice([0, 1, p, rng.randrange(p + 1)])
-                before = len(ctx._cache.get((*key, kexp), [1]))
-                vals, units = _GROWN[key](ctx, kexp, stop)
+                before = len(ctx._cache.get(("power", *key, kexp), [1]))
+                vals, units = _read_grown(ctx, *key, kexp, stop)
                 want_vals, want_units = fresh[key, kexp]
                 assert vals == want_vals and units == want_units[: len(units)], (p, key, kexp)
                 assert len(units) == max(stop, before), (p, key, kexp, stop)
         # a lower exponent reads what the list above holds and builds nothing
         ctx = PrimeContext(p)
-        ctx.central_power(2, 8, 3, p)
-        assert ctx.central_power(2, 8, 2, p)[1] == fresh[("cpow", 2, 8), 2][1]
-        assert not {("central", 2), ("powers", 8, 2), ("tables", 2)} & ctx._cache.keys()
+        ctx.power(2, 8, 3, p)
+        assert ctx.power(2, 8, 2, p) == fresh[(2, 8), 2][1]
+        assert not {("power", 1, 1, 2), ("power", 0, 8, 2), ("tables", 2)} & ctx._cache.keys()
 
 
 def test_a_vanishing_chain_reads_no_inverse_past_its_guards(monkeypatch):
@@ -1376,17 +1370,18 @@ def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
     # units reach p - 1, and C(2k,k), its powers and base^-k hold n + 1
     # entries; at p^2 they start from those, reduced, and grow to p
     seen, centrals, contexts = _growth(monkeypatch), {}, []
-    central, init = PrimeContext.central, PrimeContext.__init__
+    power, init = PrimeContext.power, PrimeContext.__init__
 
-    def reading(self, kexp, stop):
-        centrals[kexp] = max(centrals.get(kexp, 0), stop)
-        return central(self, kexp, stop)
+    def reading(self, c, base, kexp, stop):
+        if (c, base) == (1, 1):
+            centrals[kexp] = max(centrals.get(kexp, 0), stop)
+        return power(self, c, base, kexp, stop)
 
     def keeping(self, p):
         init(self, p)
         contexts.append(self)
 
-    monkeypatch.setattr(PrimeContext, "central", reading)
+    monkeypatch.setattr(PrimeContext, "power", reading)
     monkeypatch.setattr(PrimeContext, "__init__", keeping)
     p = 1201
     n = (p - 1) // 2
@@ -1397,15 +1392,10 @@ def test_lower_exponents_read_central_binomials_from_the_top(monkeypatch):
         1: ((n, n // 2), [0, n, n // 2], [0, 0, 0])}
     assert centrals == {3: n + 1, 2: p}
     [ctx] = contexts
-    lists = {key: len(v) for key, v in ctx._cache.items()
-             if key[0] in ("central", "cpow", "powers")}
-    assert lists == {
-        **{key: n + 1 for key in (("central", 3), ("cpow", 2, 8, 3), ("cpow", 2, -16, 3),
-                                  ("cpow", 3, -8, 3), ("powers", 8, 3), ("powers", -16, 3),
-                                  ("powers", -8, 3))},
-        **{key: p for key in (("central", 2), ("cpow", 2, 8, 2), ("cpow", 2, -16, 2),
-                              ("cpow", 3, -8, 2), ("powers", 8, 2), ("powers", -16, 2),
-                              ("powers", -8, 2))}}
+    lists = {key: len(v) for key, v in ctx._cache.items() if key[0] == "power"}
+    powers = ((1, 1), (2, 8), (2, -16), (3, -8), (0, 8), (0, -16), (0, -8))
+    assert lists == {**{("power", *key, 3): n + 1 for key in powers},
+                     **{("power", *key, 2): p for key in powers}}
 
 
 def test_primality_is_tested_once_per_public_call(monkeypatch):

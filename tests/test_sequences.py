@@ -140,10 +140,10 @@ def test_sequence_tables():
 
 
 def test_central_binomial_residue_stream():
-    # C(2j,j) mod p^k: PrimeContext.central for j < p, the tables beyond
+    # C(2j,j) mod p^k: PrimeContext.power for j < p, the tables beyond
     for p, k in ((5, 1), (7, 2), (11, 3), (13, 4)):
-        pk = p**k
-        vals, units = PrimeContext(p).central(k, p)
+        pk, ctx = p**k, PrimeContext(p)
+        vals, units = ctx.valuations(1, k), ctx.power(1, 1, k, p)
         tables = FactorialTables(p, k, 6 * p)
         for j in range(3 * p + 1):
             exact = comb(2 * j, j)
@@ -157,7 +157,8 @@ def test_central_binomial_residue_stream():
 
 
 def test_central_binomial_residue_examples():
-    vals, units = PrimeContext(7).central(2, 7)
+    ctx = PrimeContext(7)
+    vals, units = ctx.valuations(1, 2), ctx.power(1, 1, 2, 7)
     assert vals[3] == 0 and units[3] == 20
     assert vals[4] == 1 and units[4] == 10  # C(8,4) = 70 = 7 * 10
     assert FactorialTables(5, 1, 10).binomial(10, 5) == 252 % 5

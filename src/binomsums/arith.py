@@ -91,8 +91,7 @@ def legendre_symbol(a: int, p: int) -> int:
 def sqrt_mod(a: int, p: int) -> int | None:
     """Smallest square root of a modulo an odd prime p, or None.
 
-    Tonelli-Shanks, with the usual p % 4 == 3 shortcut.  ValueError if p is
-    not an odd prime, whatever a is.
+    Tonelli-Shanks.  ValueError if p is not an odd prime, whatever a is.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -100,15 +99,12 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
-    """``sqrt_mod`` for an odd prime p that the caller has tested."""
+    """``sqrt_mod`` for an odd prime p the caller has tested; p = 3 (mod 4) is the loop's s = 1."""
     a %= p
     if a == 0:
         return 0
     if _euler_criterion(a, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     # write p - 1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:

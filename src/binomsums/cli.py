@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--ids", type=_items, help="comma-separated row ids (default: proven rows)")
     p_verify.add_argument("--include-experimental", nargs="?", const=True, type=_boolean,
                           metavar="BOOL", help="also run conjectural rows")
-    p_verify.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    p_verify.add_argument("--jobs", type=_at_least(1), help="worker processes (default 1)")
     p_verify.add_argument(
         "--timings", nargs="?", const=True, type=_boolean, metavar="BOOL",
         help="fill the micros column with each row's own evaluation time, which "

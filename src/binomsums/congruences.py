@@ -1015,20 +1015,15 @@ def default_ids() -> list[str]:
     return [row.id for row in _REGISTRY if row.conjectural != EVERY]
 
 
-def _format_params(row: RowSpec, value: int | None) -> str:
-    if value is None:
-        return ""
-    return f"{row.param_name}={value}"
-
-
 # "name=v" for v = 0, 1, ... per parameter name, grown as larger primes need more;
-# the strings never change, so every prime's table-row reports share them
+# the strings never change, so every prime's table-row reports share them (``_params``)
 _PARAMS: dict[str, list[str]] = {}
 
 
-def _table_params(name: str, values: range) -> list[str]:
-    """``name=v`` for each v of ``values``, a range of integers >= 0 (a table row's
-    shifts or indices), as one slice of ``_PARAMS[name]``."""
+def _params(name: str, values: Sequence) -> list[str]:
+    """``name=v`` for each v ("" without a name); a range of ints >= 0 slices ``_PARAMS[name]``."""
+    if not name or type(values) is not range or values.start < 0:
+        return [f"{name}={v}" if name else "" for v in values]
     strs = _PARAMS.setdefault(name, [])
     strs.extend(f"{name}={v}" for v in range(len(strs), values.stop))
     return strs[values.start:values.stop:values.step]
@@ -1085,7 +1080,8 @@ def check(
     does not apply to — or a parameter value outside the qualifying set —
     yields a ``skipped`` report.  ``mod_exp`` overrides the modulus exponent.
     ``p``, ``param`` and ``mod_exp`` must be integers: a bool or a float raises
-    TypeError.  An exception raised while the row is evaluated names the row and prime.
+    TypeError.  A p that is not a prime >= 5 raises ValueError (from ``PrimeContext``).
+    An exception raised while the row is evaluated names the row and prime.
     """
     p = _integer("p", p)
     param = None if param is None else _integer("param", param)
@@ -1093,8 +1089,7 @@ def check(
     if congruence_id not in _ROW_INDEX:
         raise ValueError(f"unknown congruence id {congruence_id!r}")
     row = _REGISTRY[_ROW_INDEX[congruence_id]]
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    ctx = _TermwiseContext(p)
     kexp = row.exponent(p) if mod_exp is None else mod_exp
     if kexp < 1:
         raise ValueError("modulus exponent must be >= 1")
@@ -1103,10 +1098,9 @@ def check(
             raise ValueError(f"{congruence_id} takes no parameter")
     elif param is None:
         raise ValueError(f"{congruence_id} needs parameter {row.param_name!r}")
-    head = (row.id, p, _format_params(row, param), p**kexp)
+    head = (row.id, p, _params(row.param_name, (param,))[0], p**kexp)
     if not _holds(row.applies, p) or param not in row.values(p):
         return CongruenceReport(*head, None, None, SKIPPED)
-    ctx = _TermwiseContext(p)
     try:
         members, rhs = _evaluate(row, ctx, kexp, param)
     except Exception as exc:
@@ -1120,6 +1114,7 @@ def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tup
     if not _holds(row.applies, p):
         return row.id, p, [""], pkv, None, None, SKIPPED, 0
     values = row.values(p)
+    params = _params(row.param_name, values)
     if row.table:  # its columns as they come
         (term,), rhs = row.statement
         lhs, rhs = term.column(ctx, kexp, values), rhs.column(ctx, kexp, values)
@@ -1127,7 +1122,7 @@ def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tup
             raise ValueError(f"a column is shorter or longer than the {len(values)} values")
         ok, bad = _status(row, p, True), _status(row, p, False)
         status = ok if lhs == rhs else list(map((bad, ok).__getitem__, map(eq, lhs, rhs)))
-        return row.id, p, _table_params(row.param_name, values), pkv, lhs, rhs, status, 0
+        return row.id, p, params, pkv, lhs, rhs, status, 0
     outcomes, micros = [], []
     for v in values:
         start = timings and time.perf_counter_ns()
@@ -1136,7 +1131,6 @@ def _row_block(ctx: PrimeContext, row: RowSpec, kexp: int, timings: bool) -> tup
             micros.append((time.perf_counter_ns() - start) // 1000)
         outcomes.append(_outcome(row, p, members, rhs))
     lhs, rhs, status = map(list, zip(*outcomes))
-    params = [_format_params(row, v) for v in values]
     return row.id, p, params, pkv, lhs, rhs, status, micros if timings else 0
 
 

@@ -93,6 +93,15 @@ def test_sqrt_mod():
                 assert r is not None and r * r % p == a
 
 
+def test_sqrt_mod_is_the_smallest_root():
+    for p in primes_in_range(3, 300):
+        smallest = {}
+        for x in reversed(range(p)):
+            smallest[x * x % p] = x
+        for a in range(p):
+            assert sqrt_mod(a, p) == smallest.get(a), (a, p)
+
+
 def test_factorial_factored_examples():
     t = FactorialTables(5, 2, 10)
     assert (t.val[0], t.unit[0]) == (0, 1)

@@ -365,6 +365,7 @@ def test_out_and_log_naming_one_file_is_a_usage_error(exists, tmp_path, capsys, 
         pytest.param("verify", "ids =\n", 1, id="verify-no-ids"),
         pytest.param("identities", "ids =\n", 1, id="identities-no-ids"),
         pytest.param("eta", "order = 0\n", 1, id="order-below-1"),
+        pytest.param("verify", "primes = 5..13\njobs = 0\n", 2, id="jobs-below-1"),
         pytest.param("verify", "mod-exp C1_7a=3\n", 1, id="key-with-a-space"),
     ],
 )

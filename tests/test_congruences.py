@@ -1181,6 +1181,24 @@ def test_shift_table_rows_match_reference_path(rid, monkeypatch):
             assert {type(r) for r in suite} == {CongruenceReport}, (p, kexp)
 
 
+def test_report_params_name_each_value_and_table_rows_share_them_across_primes():
+    params = {}  # (row id, p) -> the params of its reports, in order
+    for r in run_suite(primes_in_range(5, 60)):
+        params.setdefault((r.id, r.p), []).append(r.params)
+    for row in _REGISTRY:
+        first, shared = {}, 0  # a table row's value -> its string at the first prime with it
+        for p in primes_in_range(5, 60):
+            if not _holds(row.applies, p):
+                continue
+            want = ["" if v is None else f"{row.param_name}={v}" for v in row.values(p)]
+            assert params[row.id, p] == want, (row.id, p)
+            if row.table:
+                for v, s in zip(row.values(p), params[row.id, p]):
+                    shared += v in first
+                    assert first.setdefault(v, s) is s, (row.id, p, v)
+        assert shared or not row.table, row.id
+
+
 def test_a_short_table_column_raises(monkeypatch):
     """A table row's column shorter than its shifts raises instead of dropping reports."""
     chain = PrimeContext.chain
